@@ -21,7 +21,7 @@ from .families import monomial_family, literature_ops, build_J, build_K
 from .invariance import SamplePlan, check_invariant
 from .models import build_example, verify_susy_conditions, algebraic_spectrum
 from .numerics import Grid, fd_spectrum, normalizability_probe
-from .suites import SUITES, seed_basis, partner_basis
+from .suites import SUITES, seed_basis, partner_basis, record
 
 
 class ConfigError(Exception):
@@ -76,7 +76,8 @@ class Report:
             "checks": checks,
             "summary": self.summary,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        # records hold non-finite residuals as null, so the output is strict JSON
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
     def to_markdown(self) -> str:
         lines = [f"# verification report (seed {self.config.seed})", ""]
@@ -191,29 +192,22 @@ def _cmd_verify(args) -> int:
     if args.what == "invariance":
         f = parse(args.f)
         ops = args.ops.split(",") if args.ops else [f"J{i}" for i in range(1, 9)]
-        V = seed_basis(f)
-        Vk = partner_basis(f)
+        gallery = {"J": (build_J, seed_basis(f)), "K": (build_K, partner_basis(f))}
         for name in ops:
             name = name.strip()
-            idx = int(name[1:])
+            if name[:1] not in gallery or not name[1:].isdecimal():
+                raise ConfigError(f"unknown operator {name!r}; expected J<n> or K<n>")
+            build, space = gallery[name[0]]
             t0 = time.monotonic()
-            if name.startswith("J"):
-                v = check_invariant(build_J(idx, f), V, plan)
-            elif name.startswith("K"):
-                v = check_invariant(build_K(idx, f), Vk, plan)
-            else:
-                raise ConfigError(f"unknown operator {name!r}")
-            checks.append({"id": f"verify:{name}", "anchor": f"invariance of {name}",
-                           "verdict": "pass" if v.passed else "fail",
-                           "residual": max(v.residuals),
-                           "millis": round(1000 * (time.monotonic() - t0), 3)})
+            v = check_invariant(build(int(name[1:]), f), space, plan)
+            checks.append(record(f"verify:{name}", f"invariance of {name}",
+                                 v.passed, max(v.residuals), t0))
     elif args.what == "commutators":
         from .invariance import verify_commutator_table
 
         for rec in verify_commutator_table(parse(args.f), plan):
-            checks.append({"id": f"verify:{rec['id']}", "anchor": rec["id"],
-                           "verdict": "pass" if rec["passed"] else "fail",
-                           "residual": rec["residual"], "millis": 0.0})
+            checks.append(record(f"verify:{rec['id']}", rec["id"],
+                                 rec["passed"], rec["residual"], time.monotonic()))
     else:
         raise ConfigError(f"unknown verification target {args.what!r}")
     cfg = SuiteConfig(suites=[], seed=args.seed, tol=args.tol)
@@ -295,11 +289,10 @@ def _cmd_x2(args) -> int:
     plan = SamplePlan(seed=args.seed)
     sides = {"both": ("minus", "plus"), "minus": ("minus",),
              "plus": ("plus",)}[args.side]
-    recs = verify_x2_identities(_fraction(args.alpha), plan, sides=sides)
-    checks = [{"id": r["id"], "anchor": r["id"],
-               "verdict": {"passed": "pass", "failed": "fail",
-                           "skipped": "skipped"}[r["status"]],
-               "residual": r.get("residual"), "millis": 0.0} for r in recs]
+    checks = []
+    for r in verify_x2_identities(_fraction(args.alpha), plan, sides=sides):
+        ok = None if r["status"] == "skipped" else r["status"] == "passed"
+        checks.append(record(r["id"], r["id"], ok, r.get("residual"), time.monotonic()))
     cfg = SuiteConfig(suites=[], seed=args.seed)
     report = Report(cfg, checks)
     _write_or_print(emit_report(report, "json"), args.json)
@@ -307,6 +300,8 @@ def _cmd_x2(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if (args.example is None) == (args.potential is None):
+        raise ConfigError("give exactly one of --example or --potential")
     bindings = _parse_bindings(args.bind)
     if args.example:
         model = build_example(args.example, Binding(params=bindings))

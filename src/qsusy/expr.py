@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 Rational = Union[int, Fraction]
 
 EPS_POLE = 1e-10
@@ -347,17 +349,16 @@ def mul(*factors) -> Expr:
             base, e = _EXP, f.arg
         else:
             base, e = f, ONE
-        key = base if not isinstance(base, tuple) else base
-        if key in powmap:
-            powmap[key].append(e)
+        if base in powmap:
+            powmap[base].append(e)
         else:
-            powmap[key] = [e]
-            order.append(key)
+            powmap[base] = [e]
+            order.append(base)
     parts = []
     for key in order:
         exps = powmap[key]
         etot = exps[0] if len(exps) == 1 else add(*exps)
-        if key is _EXP or (isinstance(key, tuple)):
+        if key is _EXP:
             rebuilt = fn("exp", etot)
         else:
             rebuilt = pow_(key, etot)
@@ -737,25 +738,6 @@ def free_vars(e: Expr) -> set[str]:
     return out
 
 
-def free_params(e: Expr) -> set[str]:
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Sym):
-            out.add(x.name)
-        elif isinstance(x, Add):
-            stack.extend(x.terms)
-        elif isinstance(x, Mul):
-            stack.extend(x.factors)
-        elif isinstance(x, Pow):
-            stack.append(x.base)
-            stack.append(x.exponent)
-        elif isinstance(x, (Fn, Opaque)):
-            stack.append(x.arg)
-    return out
-
-
 def opaque_names(e: Expr) -> set[str]:
     out: set[str] = set()
     stack = [e]
@@ -928,3 +910,19 @@ def evaluate(e: Expr, at: float, bind: Binding | None = None,
         raise ExprError(f"unexpected node {type(x)}")
 
     return ev(e)
+
+
+def values(exprs: list, points, bind: Binding | None = None) -> np.ndarray:
+    """Value matrix of shape (len(points), len(exprs)).
+
+    Entry [i, j] is evaluate(exprs[j], points[i], bind).  Evaluation runs one
+    expression at a time over all points, and the first EvalError propagates
+    unchanged.  Every sampled check evaluates through this function; only
+    code that needs a validity answer per point (the sample-point search, the
+    grid solver) calls evaluate directly.
+    """
+    out = np.empty((len(points), len(exprs)))
+    for j, e in enumerate(exprs):
+        for i, x in enumerate(points):
+            out[i, j] = evaluate(e, float(x), bind)
+    return out

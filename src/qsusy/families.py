@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .expr import (
     Expr, Rat, Var, ZERO, ONE, MINUS_ONE,
-    add, mul, pow_, opaque, as_expr, diff, expand, equal0, var,
+    add, mul, pow_, opaque, as_expr, diff, expand, equal0,
 )
 from .diffop import (
     DiffOp, OperatorError, compose, gauge_conjugate, pullback,

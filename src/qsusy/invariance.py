@@ -15,7 +15,7 @@ import numpy as np
 
 from .expr import (
     Expr, Binding, ZERO, ONE, MINUS_ONE, EvalError, ExprError,
-    mul, pow_, fn, var, as_expr, diff, evaluate,
+    mul, pow_, fn, var, as_expr, diff, evaluate, free_vars, values,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
 from .families import build_J
@@ -46,10 +46,6 @@ class SamplePlan:
     cond_ceiling: float = 1e10
     intervals: tuple = DEFAULT_INTERVALS
     magnitude_cap: float = 1e9
-
-    def reseeded(self, seed: int) -> "SamplePlan":
-        return SamplePlan(self.m, self.holdout, seed, self.exclusion, self.tol,
-                          self.cond_ceiling, self.intervals, self.magnitude_cap)
 
 
 @dataclass
@@ -121,14 +117,6 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
         f"could only find {len(out)} of {need} usable sample points")
 
 
-def _value_matrix(exprs: list, points: np.ndarray, bind: Binding | None) -> np.ndarray:
-    out = np.empty((len(points), len(exprs)))
-    for j, e in enumerate(exprs):
-        for i, x in enumerate(points):
-            out[i, j] = evaluate(e, float(x), bind)
-    return out
-
-
 def _image_terms(op: DiffOp, elements: list) -> list:
     """Per element, the (coefficient, derivative) pairs of the operator action."""
     out = []
@@ -137,21 +125,29 @@ def _image_terms(op: DiffOp, elements: list) -> list:
     return out
 
 
+def _term_products(pairs: list, points, bind: Binding | None) -> np.ndarray:
+    """Column k holds coefficient * derivative of pairs[k] at every point."""
+    V = values([e for pair in pairs for e in pair], points, bind)
+    return V[:, 0::2] * V[:, 1::2]
+
+
 def _image_values(terms: list, points, bind: Binding | None):
     """Signed sums and magnitude sums of the operator-action terms.
 
     The magnitude column measures how much floating-point cancellation went
-    into each image value; residuals are judged relative to it.
+    into each image value; residuals are judged relative to it.  Terms are
+    added one at a time in pair order, not pairwise, so the sums stay
+    bit-stable.
     """
-    n = len(points)
-    Y = np.zeros((n, len(terms)))
-    G = np.zeros((n, len(terms)))
+    T = _term_products([pair for pairs in terms for pair in pairs], points, bind)
+    Y = np.zeros((len(points), len(terms)))
+    G = np.zeros_like(Y)
+    col = 0
     for i, pairs in enumerate(terms):
-        for c, db in pairs:
-            for p, x in enumerate(points):
-                t = evaluate(c, float(x), bind) * evaluate(db, float(x), bind)
-                Y[p, i] += t
-                G[p, i] += abs(t)
+        for t in T[:, col:col + len(pairs)].T:
+            Y[:, i] += t
+            G[:, i] += np.abs(t)
+        col += len(pairs)
     return Y, G
 
 
@@ -164,19 +160,17 @@ def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
     terms = _image_terms(op, elements)
     flat_terms = [e for pairs in terms for pair in pairs for e in pair]
     pts = safe_points(elements + flat_terms, plan, bind)
-    fit = pts[:plan.m]
-    B_fit = _value_matrix(elements, fit, bind)
+    B_all = values(elements, pts, bind)
+    B_fit = B_all[:plan.m]
     cond = float(np.linalg.cond(B_fit))
     if not np.isfinite(cond) or cond > plan.cond_ceiling:
         raise IllConditionedBasisError(
             f"sampled basis condition number {cond:.3e} exceeds ceiling")
-    Y_fit, _ = _image_values(terms, fit, bind)
+    Y_all, G_all = _image_values(terms, pts, bind)
     # column scaling keeps the solve well-behaved for lopsided bases
     scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
-    M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_fit, rcond=None)
+    M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_all[:plan.m], rcond=None)
     M = M_hat / scales[:, None]
-    B_all = _value_matrix(elements, pts, bind)
-    Y_all, G_all = _image_values(terms, pts, bind)
     R = Y_all - B_all @ M
     residuals = []
     ok = True
@@ -198,7 +192,7 @@ def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
     terms = _image_terms(op, elements)
     flat_terms = [e for pairs in terms for pair in pairs for e in pair]
     pts = safe_points(elements + flat_terms, plan, bind)
-    B_all = _value_matrix(elements, pts, bind)
+    B_all = values(elements, pts, bind)
     Y_all, G_all = _image_values(terms, pts, bind)
     residuals = []
     ok = True
@@ -245,20 +239,17 @@ def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
         pairs_b = [(c, diff(psi, b.var, k)) for k, c in b.coeffs.items()]
         flat = [e for pair in pairs_a + pairs_b for e in pair]
         pts = safe_points([psi] + flat, plan, bind, count=n_points)
-        for x in pts:
-            x = float(x)
-            va = vb = 0.0
-            mag = 0.0
-            for c, db in pairs_a:
-                t = evaluate(c, x, bind) * evaluate(db, x, bind)
+        T = _term_products(pairs_a + pairs_b, pts, bind)
+        va, vb, mag = np.zeros((3, len(pts)))
+        # one sequential magnitude sum over the a terms, then the b terms
+        for k, t in enumerate(T.T):
+            if k < len(pairs_a):
                 va += t
-                mag += abs(t)
-            for c, db in pairs_b:
-                t = evaluate(c, x, bind) * evaluate(db, x, bind)
+            else:
                 vb += t
-                mag += abs(t)
-            rel = abs(va - vb) / (1.0 + mag)
-            worst = max(worst, rel)
+            mag += np.abs(t)
+        rel = np.abs(va - vb) / (1.0 + mag)
+        worst = max(worst, float(rel.max(initial=0.0)))
     return worst <= tol, worst
 
 
@@ -273,8 +264,7 @@ def op_order_numeric(op: DiffOp, bind: Binding | None = None,
         except SamplingError:
             order = max(order, k)
             continue
-        vals = [abs(evaluate(c, float(x), bind)) for x in pts]
-        if max(vals) > tol:
+        if np.abs(values([c], pts, bind)).max() > tol:
             order = max(order, k)
     return order
 
@@ -437,32 +427,22 @@ def first_order_preservers(f, degree: int = 4, plan: SamplePlan = SamplePlan(),
     multiplication operator is projected out.
     """
     f = as_expr(f)
-    vname = next(iter({*map(str, ())}), "z")
-    from .expr import free_vars
-
     names = free_vars(f)
     vname = next(iter(names)) if names else "z"
     x = var(vname)
     basis = [ONE, x, f]
     n_par = 2 * (degree + 1)
-    pts = safe_points(basis + [diff(b, vname) for b in basis], plan,
-                      count=3 * (degree + 3))
+    dbasis = [diff(b, vname) for b in basis]
+    pts = safe_points(basis + dbasis, plan, count=3 * (degree + 3))
     P = len(pts)
-    B = _value_matrix(basis, pts, None)
+    B = values(basis, pts)
+    dB = values(dbasis, pts)
+    monos = values([pow_(x, k) for k in range(degree + 1)], pts)
     # projector onto the orthogonal complement of the sampled basis columns
     Qmat, _ = np.linalg.qr(B)
     proj = np.eye(P) - Qmat @ Qmat.T
-    rows = []
-    for b in basis:
-        db = diff(b, vname)
-        A = np.empty((P, n_par))
-        for k in range(degree + 1):
-            mono = pow_(x, k)
-            for i, xp in enumerate(pts):
-                mv = evaluate(mono, float(xp))
-                A[i, k] = mv * evaluate(db, float(xp))
-                A[i, degree + 1 + k] = mv * evaluate(b, float(xp))
-        rows.append(proj @ A)
+    rows = [proj @ np.hstack([monos * dB[:, [j]], monos * B[:, [j]]])
+            for j in range(len(basis))]
     S = np.vstack(rows)
     _, sv, Vt = np.linalg.svd(S)
     null = [Vt[i] for i in range(len(sv)) if sv[i] <= tol * sv[0]] + \

@@ -9,14 +9,14 @@ All printed closed forms are cross-validated numerically at build time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .expr import (
     Expr, Binding, Rat, Var, ONE, MINUS_ONE, ExprError,
-    add, mul, pow_, fn, var, sym, as_expr, diff, evaluate,
+    add, mul, pow_, fn, var, sym, as_expr, diff, values,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, expand_factored, pullback
 from .families import GeneralCoefficients, build_H_minus, build_H_plus, FContext
@@ -153,8 +153,7 @@ class ModelSpec:
                                    self.W, add(self.W, self.E)])
 
     def plan(self, base: SamplePlan = SamplePlan()) -> SamplePlan:
-        return SamplePlan(base.m, base.holdout, base.seed, base.exclusion, base.tol,
-                          base.cond_ceiling, self.sample_intervals, base.magnitude_cap)
+        return replace(base, intervals=self.sample_intervals)
 
 
 @dataclass
@@ -359,14 +358,6 @@ def build_example(example_id: int, bind: Binding,
     return model
 
 
-def _max_abs(exprs: list, pts, bind) -> float:
-    worst = 0.0
-    for e in exprs:
-        for x in pts:
-            worst = max(worst, abs(evaluate(e, float(x), bind)))
-    return worst
-
-
 def _validate_model(model: ModelSpec, tol: float = 1e-8):
     """Numeric self-consistency of the printed closed forms."""
     v = Q
@@ -393,12 +384,10 @@ def _validate_model(model: ModelSpec, tol: float = 1e-8):
     plan = model.plan()
     all_exprs = list(checks.values())
     pts = safe_points(all_exprs + [model.W, model.E, model.F, zp], plan, bind, count=8)
-    scale = 1.0 + _max_abs([model.W, model.E, model.F, zp, Aq, Qq], pts, bind)
-    bad = {}
-    for name, e in checks.items():
-        r = _max_abs([e], pts, bind) / scale
-        if r > tol:
-            bad[name] = r
+    scale = 1.0 + float(np.abs(values([model.W, model.E, model.F, zp, Aq, Qq],
+                                      pts, bind)).max())
+    resid = np.abs(values(all_exprs, pts, bind)).max(axis=0) / scale
+    bad = {name: float(r) for name, r in zip(checks, resid) if r > tol}
     if bad:
         raise ModelConsistencyError(f"printed forms are inconsistent: {bad}")
     model.diagnostics["consistency_scale"] = scale
@@ -423,16 +412,14 @@ def verify_susy_conditions(model: ModelSpec,
     F1p, F2p = diff(F1, Q), diff(F2, Q)
     scale_exprs = [F1p, F2p, diff(F1p, Q), diff(F2p, Q), F1, F2]
     pts = safe_points([cond2, cond3] + scale_exprs, plan, bind, count=10)
-    scale = 1.0 + _max_abs(scale_exprs, pts, bind)
-    r2 = _max_abs([cond2], pts, bind) / scale
-    r3 = _max_abs([cond3], pts, bind) / scale
+    scale = 1.0 + float(np.abs(values(scale_exprs, pts, bind)).max())
 
     Cs = model.coeffs.to_integration_constants()
     tF1, tF2 = f1f2_from_constants(Cs[:5], model.f_of_z, "z")
     m1 = add(_compose_z(tF1, model.z_of_q), mul(MINUS_ONE, F1))
     m2 = add(_compose_z(tF2, model.z_of_q), mul(MINUS_ONE, F2))
-    rm1 = _max_abs([m1], pts, bind) / scale
-    rm2 = _max_abs([m2], pts, bind) / scale
+    resid = np.abs(values([cond2, cond3, m1, m2], pts, bind)).max(axis=0) / scale
+    r2, r3, rm1, rm2 = map(float, resid)
 
     P3 = model.supercharge_minus()
     Hm = model.hamiltonian("minus")
@@ -445,10 +432,9 @@ def verify_susy_conditions(model: ModelSpec,
         la = left.apply(psi)
         ra = right.apply(psi)
         ppts = safe_points([la, ra], plan, bind, count=8)
-        for x in ppts:
-            va = evaluate(la, float(x), bind)
-            vb = evaluate(ra, float(x), bind)
-            worst = max(worst, abs(va - vb) / (1.0 + max(abs(va), abs(vb))))
+        va, vb = values([la, ra], ppts, bind).T
+        rel = np.abs(va - vb) / (1.0 + np.maximum(np.abs(va), np.abs(vb)))
+        worst = max(worst, float(rel.max()))
     return IntertwiningResidual(r2, r3, rm1, rm2, worst)
 
 
@@ -479,11 +465,10 @@ def algebraic_spectrum(model: ModelSpec, side: str,
         diagnostics["defective"] = True
         diagnostics["eigvec_cond"] = float(cond_vec)
     elements = V.elements
-    Vexpr = model.V_minus if side == "minus" else model.V_plus
     h_applied = [H.apply(b) for b in elements]
     pts = safe_points(elements + h_applied, plan, bind, count=8)
-    Bv = np.array([[evaluate(b, float(x), bind) for b in elements] for x in pts])
-    Hv = np.array([[evaluate(hb, float(x), bind) for hb in h_applied] for x in pts])
+    Bv = values(elements, pts, bind)
+    Hv = values(h_applied, pts, bind)
     residuals = []
     for i in range(len(eigvals)):
         c = vecs[:, i]

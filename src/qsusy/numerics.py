@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .expr import Expr, Binding, EvalError, ExprError, diff, evaluate
+from .expr import Expr, Binding, EvalError, ExprError, diff, evaluate, free_vars, values
 
 
 class GridError(ExprError):
@@ -75,20 +75,11 @@ def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None,
 def schrodinger_residual(V: Expr, psi: Expr, energy: float, probes,
                          bind: Binding | None = None) -> float:
     """max over probes of |-(1/2)psi'' + V psi - E psi| / (1 + |E psi|)."""
-    from .expr import free_vars
-
     names = free_vars(psi)
     v = next(iter(names)) if names else "q"
-    psi2 = diff(psi, v, 2)
-    worst = 0.0
-    for q in probes:
-        q = float(q)
-        p = evaluate(psi, q, bind)
-        p2 = evaluate(psi2, q, bind)
-        vv = evaluate(V, q, bind)
-        num = abs(-0.5 * p2 + vv * p - energy * p)
-        worst = max(worst, num / (1.0 + abs(energy * p)))
-    return worst
+    p, p2, vv = values([psi, diff(psi, v, 2), V], list(probes), bind).T
+    num = np.abs(-0.5 * p2 + vv * p - energy * p)
+    return float((num / (1.0 + np.abs(energy * p))).max(initial=0.0))
 
 
 def _segment_integral(f, lo: float, hi: float, n: int = 257) -> float:

@@ -7,13 +7,15 @@ is one of "pass", "fail", "skipped".  Suites are deterministic for a fixed
 
 from __future__ import annotations
 
+import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from .expr import (
-    Binding, ONE, Var, add, mul, opaque, pow_, var,
+    Binding, ONE, Var, add, mul, opaque, pow_, var, values,
 )
 from .parser import parse
 from .diffop import DiffOp
@@ -36,12 +38,14 @@ from .numerics import Grid, fd_spectrum, normalizability_probe
 from . import x2 as x2mod
 
 
-def _record(check_id: str, anchor: str, ok, residual, t0) -> dict:
+def record(check_id: str, anchor: str, ok, residual, t0) -> dict:
+    """One check record; ok=None means skipped, and a non-finite residual is null."""
     verdict = "pass" if ok else "fail"
     if ok is None:
         verdict = "skipped"
+    finite = residual is not None and math.isfinite(residual)
     return {"id": check_id, "anchor": anchor, "verdict": verdict,
-            "residual": None if residual is None else float(residual),
+            "residual": float(residual) if finite else None,
             "millis": round(1000.0 * (time.monotonic() - t0), 3)}
 
 
@@ -82,27 +86,25 @@ def suite_families(plan: SamplePlan) -> list[dict]:
         for i in range(1, 9):
             t0 = time.monotonic()
             v = check_invariant(build_J(i, f), V, plan)
-            checks.append(_record(f"families:J{i}:{label}",
-                                  f"J-gallery invariance, f={label}",
-                                  v.passed, max(v.residuals), t0))
+            checks.append(record(f"families:J{i}:{label}",
+                                 f"J-gallery invariance, f={label}",
+                                 v.passed, max(v.residuals), t0))
             t0 = time.monotonic()
             v = check_invariant(build_K(i, f), Vk, plan)
-            checks.append(_record(f"families:K{i}:{label}",
-                                  f"K-gallery invariance, f={label}",
-                                  v.passed, max(v.residuals), t0))
+            checks.append(record(f"families:K{i}:{label}",
+                                 f"K-gallery invariance, f={label}",
+                                 v.passed, max(v.residuals), t0))
         t0 = time.monotonic()
-        kplan = SamplePlan(plan.m, plan.holdout, plan.seed, plan.exclusion,
-                           1e-10, plan.cond_ceiling, plan.intervals,
-                           plan.magnitude_cap)
+        kplan = replace(plan, tol=1e-10)
         v = check_annihilates(build_P3_minus(f), V, kplan)
-        checks.append(_record(f"families:P3minus:{label}",
-                              f"seed-space annihilation, f={label}",
-                              v.passed, max(v.residuals), t0))
+        checks.append(record(f"families:P3minus:{label}",
+                             f"seed-space annihilation, f={label}",
+                             v.passed, max(v.residuals), t0))
         t0 = time.monotonic()
         v = check_annihilates(build_P3_plus(f), Vk, kplan)
-        checks.append(_record(f"families:P3plus:{label}",
-                              f"partner-space annihilation, f={label}",
-                              v.passed, max(v.residuals), t0))
+        checks.append(record(f"families:P3plus:{label}",
+                             f"partner-space annihilation, f={label}",
+                             v.passed, max(v.residuals), t0))
     return checks
 
 
@@ -123,9 +125,9 @@ def suite_construction(plan: SamplePlan, draws: int = 50) -> list[dict]:
         good, res = ops_equal_numeric(h1, h2, None, plan)
         ok = ok and good
         worst = max(worst, res)
-    checks.append(_record("construction:Hminus-routes",
-                          "gallery sum vs direct coefficient assembly",
-                          ok, worst, t0))
+    checks.append(record("construction:Hminus-routes",
+                         "gallery sum vs direct coefficient assembly",
+                         ok, worst, t0))
     t0 = time.monotonic()
     ok = True
     for _ in range(draws):
@@ -135,9 +137,9 @@ def suite_construction(plan: SamplePlan, draws: int = 50) -> list[dict]:
         back = gc.to_integration_constants()
         from .expr import as_expr
         ok = ok and all(as_expr(a) == b for a, b in zip(Cs, back))
-    checks.append(_record("construction:param-roundtrip",
-                          "integration-constant map round trip",
-                          ok, 0.0, t0))
+    checks.append(record("construction:param-roundtrip",
+                         "integration-constant map round trip",
+                         ok, 0.0, t0))
     t0 = time.monotonic()
     ok = True
     worst = 0.0
@@ -150,9 +152,9 @@ def suite_construction(plan: SamplePlan, draws: int = 50) -> list[dict]:
         good, res = ops_equal_numeric(h1, h2, None, plan)
         ok = ok and good
         worst = max(worst, res)
-    checks.append(_record("construction:Hplus-routes",
-                          "partner gallery sum vs conjugation assembly",
-                          ok, worst, t0))
+    checks.append(record("construction:Hplus-routes",
+                         "partner gallery sum vs conjugation assembly",
+                         ok, worst, t0))
     return checks
 
 
@@ -163,9 +165,9 @@ def suite_commutators(plan: SamplePlan, f_texts=("z^3", "exp(z)", "z^(7/3)"),
         f = parse(text)
         t0 = time.monotonic()
         for rec in verify_commutator_table(f, plan, tol=tol):
-            checks.append(_record(f"commutators:{rec['id']}:f={text}",
-                                  f"commutator table {rec['id']}, f={text}",
-                                  rec["passed"], rec["residual"], t0))
+            checks.append(record(f"commutators:{rec['id']}:f={text}",
+                                 f"commutator table {rec['id']}, f={text}",
+                                 rec["passed"], rec["residual"], t0))
             t0 = time.monotonic()
     return checks
 
@@ -192,16 +194,16 @@ def suite_lie_closure(plan: SamplePlan) -> list[dict]:
                     closures.append((am, a0, ap, kind))
     expected = [(am, Fraction(-1, 2), 1 / am, "inverse") for am in grid_am]
     ok = sorted(map(str, closures)) == sorted(map(str, expected))
-    checks.append(_record("lie-closure:sweep",
-                          f"{total}-point closure sweep finds exactly the special family",
-                          ok, float(len(closures)), t0))
+    checks.append(record("lie-closure:sweep",
+                         f"{total}-point closure sweep finds exactly the special family",
+                         ok, float(len(closures)), t0))
     t0 = time.monotonic()
     rep = check_lie_closure(Fraction(2), Fraction(-1, 2), Fraction(1, 2),
                             parse("-z^2/4"), plan)
     ok = rep.closed and rep.first_order
-    checks.append(_record("lie-closure:structure-constants",
-                          "closed algebra with the stated structure constants",
-                          ok, max(rep.structure_residuals.values()), t0))
+    checks.append(record("lie-closure:structure-constants",
+                         "closed algebra with the stated structure constants",
+                         ok, max(rep.structure_residuals.values()), t0))
     return checks
 
 
@@ -219,29 +221,29 @@ def suite_monomial(plan: SamplePlan) -> list[dict]:
     b = monomial_family("B")
     a = monomial_family("A")
     ok = all(equal_canonical(x, y) for x, y in zip(c3["J"] + c3["K"], b["J"] + b["K"]))
-    checks.append(_record("monomial:C(3)==B", "type C at exponent 3 equals type B lists",
-                          ok, 0.0, t0))
+    checks.append(record("monomial:C(3)==B", "type C at exponent 3 equals type B lists",
+                         ok, 0.0, t0))
     t0 = time.monotonic()
     ok = all(equal_canonical(x, y) for x, y in zip(c2["J"] + c2["K"], a["J"] + a["K"]))
-    checks.append(_record("monomial:C(2)==A", "type C at exponent 2 equals type A lists",
-                          ok, 0.0, t0))
+    checks.append(record("monomial:C(2)==A", "type C at exponent 2 equals type A lists",
+                         ok, 0.0, t0))
 
     lam = Fraction(5, 2)
     t0 = time.monotonic()
     ok = _correspondence_C(lam)
-    checks.append(_record("monomial:correspondence-C",
-                          "catalogued type C operators match the rescaled gallery",
-                          ok, 0.0, t0))
+    checks.append(record("monomial:correspondence-C",
+                         "catalogued type C operators match the rescaled gallery",
+                         ok, 0.0, t0))
     t0 = time.monotonic()
     ok = _correspondence_B()
-    checks.append(_record("monomial:correspondence-B",
-                          "catalogued type B operators match the rescaled gallery",
-                          ok, 0.0, t0))
+    checks.append(record("monomial:correspondence-B",
+                         "catalogued type B operators match the rescaled gallery",
+                         ok, 0.0, t0))
     t0 = time.monotonic()
     ok, reading = _correspondence_A()
-    checks.append(_record("monomial:correspondence-A",
-                          f"catalogued type A operators match (exponent reading: {reading})",
-                          ok, 0.0, t0))
+    checks.append(record("monomial:correspondence-A",
+                         f"catalogued type A operators match (exponent reading: {reading})",
+                         ok, 0.0, t0))
 
     for fam, lam_ in (("A", Fraction(2)), ("B", Fraction(3)), ("C", Fraction(5, 2))):
         t0 = time.monotonic()
@@ -260,9 +262,9 @@ def suite_monomial(plan: SamplePlan) -> list[dict]:
             good, res = ops_equal_numeric(assembled, direct, None, plan)
             ok = ok and good
             worst = max(worst, res)
-        checks.append(_record(f"monomial:literature-basis-{fam}",
-                              f"literature-basis expansion rebuilds the operator, type {fam}",
-                              ok, worst, t0))
+        checks.append(record(f"monomial:literature-basis-{fam}",
+                             f"literature-basis expansion rebuilds the operator, type {fam}",
+                             ok, worst, t0))
 
     checks.extend(_newly_listed_checks(plan))
     return checks
@@ -390,9 +392,9 @@ def _newly_listed_checks(plan: SamplePlan) -> list[dict]:
         t0 = time.monotonic()
         v = check_invariant(op, space, plan)
         indep = _independent_of(op, existing, space, plan)
-        checks.append(_record(f"monomial:new-{label}",
-                              f"newly listed operator {label}: invariant and independent",
-                              v.passed and indep, max(v.residuals), t0))
+        checks.append(record(f"monomial:new-{label}",
+                             f"newly listed operator {label}: invariant and independent",
+                             v.passed and indep, max(v.residuals), t0))
     return checks
 
 
@@ -407,20 +409,13 @@ def _independent_of(op: DiffOp, existing: list[DiffOp], space: Subspace,
     applied = [[o.apply(b) for b in elements] for o in existing + [op]]
     flat = [e for row in applied for e in row]
     pts = safe_points(elements + flat, plan, count=10)
-    feats = []
-    for row in applied:
-        feats.append(np.array([_values_at(e, pts) for e in row]).ravel())
+    # one feature vector per operator: each element's image at every point
+    feats = [values(row, pts).T.ravel() for row in applied]
     M_existing = np.array(feats[:-1])
     M_all = np.array(feats)
     r0 = np.linalg.matrix_rank(M_existing, tol=1e-8 * np.abs(M_existing).max())
     r1 = np.linalg.matrix_rank(M_all, tol=1e-8 * np.abs(M_all).max())
     return r1 == r0 + 1
-
-
-def _values_at(e, pts) -> np.ndarray:
-    from .expr import evaluate
-
-    return np.array([evaluate(e, float(x)) for x in pts])
 
 
 def suite_models(plan: SamplePlan, draws_per_example: int = 2) -> list[dict]:
@@ -447,39 +442,39 @@ def suite_models(plan: SamplePlan, draws_per_example: int = 2) -> list[dict]:
             try:
                 model = build_example(eid, Binding(params=params))
             except Exception:  # noqa: BLE001 - reported as a failed check
-                checks.append(_record(f"models:{tag}:build",
-                                      f"closed-form model build, {tag}",
-                                      False, None, t0))
+                checks.append(record(f"models:{tag}:build",
+                                     f"closed-form model build, {tag}",
+                                     False, None, t0))
                 continue
-            checks.append(_record(f"models:{tag}:build",
-                                  f"closed-form model build, {tag}", True, 0.0, t0))
+            checks.append(record(f"models:{tag}:build",
+                                 f"closed-form model build, {tag}", True, 0.0, t0))
             t0 = time.monotonic()
             res = verify_susy_conditions(model, plan)
-            checks.append(_record(f"models:{tag}:conditions",
-                                  f"compatibility and intertwining residuals, {tag}",
-                                  res.max_residual < 1e-8, res.max_residual, t0))
+            checks.append(record(f"models:{tag}:conditions",
+                                 f"compatibility and intertwining residuals, {tag}",
+                                 res.max_residual < 1e-8, res.max_residual, t0))
             for side in ("minus", "plus"):
                 t0 = time.monotonic()
                 v = sector_invariance(model, side, plan)
-                checks.append(_record(f"models:{tag}:sector-{side}",
-                                      f"solvable sector preserved, {side} side, {tag}",
-                                      v.passed, max(v.residuals), t0))
+                checks.append(record(f"models:{tag}:sector-{side}",
+                                     f"solvable sector preserved, {side} side, {tag}",
+                                     v.passed, max(v.residuals), t0))
                 t0 = time.monotonic()
                 sp = algebraic_spectrum(model, side, plan)
                 worst = max(sp.residuals)
-                checks.append(_record(f"models:{tag}:spectrum-{side}",
-                                      f"algebraic eigenfunctions solve the equation, {side} side, {tag}",
-                                      worst < 1e-7, worst, t0))
+                checks.append(record(f"models:{tag}:spectrum-{side}",
+                                     f"algebraic eigenfunctions solve the equation, {side} side, {tag}",
+                                     worst < 1e-7, worst, t0))
             t0 = time.monotonic()
             g = gauge_consistency_residual(model, plan)
-            checks.append(_record(f"models:{tag}:gauge",
-                                  f"gauge conjugation matches the family build, {tag}",
-                                  g < 1e-8, g, t0))
+            checks.append(record(f"models:{tag}:gauge",
+                                 f"gauge conjugation matches the family build, {tag}",
+                                 g < 1e-8, g, t0))
             t0 = time.monotonic()
             p = partner_consistency_residual(model, plan)
-            checks.append(_record(f"models:{tag}:partner",
-                                  f"partner potential recovered from conjugation, {tag}",
-                                  p < 1e-8, p, t0))
+            checks.append(record(f"models:{tag}:partner",
+                                 f"partner potential recovered from conjugation, {tag}",
+                                 p < 1e-8, p, t0))
     return checks
 
 
@@ -500,17 +495,17 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
             v = check_invariant(x2mod.x2_K_gallery(a)[i], part, plan)
             ok = ok and v.passed
             worst = max(worst, max(v.residuals))
-        checks.append(_record(f"x2:invariance:alpha={a}",
-                              f"frame operators preserve their spans, alpha={a}",
-                              ok, worst, t0))
+        checks.append(record(f"x2:invariance:alpha={a}",
+                             f"frame operators preserve their spans, alpha={a}",
+                             ok, worst, t0))
         t0 = time.monotonic()
         pm, pp = x2mod.x2_supercharges(fr)
         va = check_annihilates(pm, span, plan)
         vb = check_annihilates(pp, part, plan)
-        checks.append(_record(f"x2:kernels:alpha={a}",
-                              f"factorized third-order operators annihilate, alpha={a}",
-                              va.passed and vb.passed,
-                              max(max(va.residuals), max(vb.residuals)), t0))
+        checks.append(record(f"x2:kernels:alpha={a}",
+                             f"factorized third-order operators annihilate, alpha={a}",
+                             va.passed and vb.passed,
+                             max(max(va.residuals), max(vb.residuals)), t0))
     sides_by_alpha = {Fraction(2): ("minus",), Fraction(3): ("minus",),
                       Fraction(5): ("minus", "plus"), Fraction(7, 2): ("minus", "plus"),
                       Fraction(-3): ("minus", "plus")}
@@ -518,24 +513,23 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
         for rec in x2mod.verify_x2_identities(a, plan, sides=sides_by_alpha.get(a, ("minus",))):
             t0 = time.monotonic()
             ok = None if rec["status"] == "skipped" else rec["status"] == "passed"
-            checks.append(_record(rec["id"],
-                                  f"combination identity {rec['id']}",
-                                  ok, rec.get("residual"), t0))
+            checks.append(record(rec["id"],
+                                 f"combination identity {rec['id']}",
+                                 ok, rec.get("residual"), t0))
     t0 = time.monotonic()
     ok = _reduction_checks_pass()
-    checks.append(_record("x2:reduction", "plain-frame reductions recover the gallery",
-                          ok, 0.0, t0))
+    checks.append(record("x2:reduction", "plain-frame reductions recover the gallery",
+                         ok, 0.0, t0))
     t0 = time.monotonic()
     co = x2mod.cij_coefficients(Fraction(2))
     rank = np.linalg.matrix_rank(co.matrix())
-    checks.append(_record("x2:rank", "combination coefficient matrix has full rank",
-                          rank == 4, float(rank), t0))
+    checks.append(record("x2:rank", "combination coefficient matrix has full rank",
+                         rank == 4, float(rank), t0))
     return checks
 
 
 def _reduction_checks_pass() -> bool:
     from .diffop import equal_canonical
-    from .expr import opaque
 
     u = var("u")
     fr = x2mod.WronskianFrame(ONE, u, opaque("f", 0, u), "u")
@@ -552,8 +546,8 @@ def suite_spectrum(plan: SamplePlan) -> list[dict]:
     t0 = time.monotonic()
     ev = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 4000), 3)
     err = float(np.abs(ev - np.array([0.5, 1.5, 2.5])).max())
-    checks.append(_record("spectrum:harmonic", "oscillator fixture eigenvalues",
-                          err < 1e-4, err, t0))
+    checks.append(record("spectrum:harmonic", "oscillator fixture eigenvalues",
+                         err < 1e-4, err, t0))
     t0 = time.monotonic()
     params = {"alpha": 1.0, "nu": 1.0, "b0": 3.0}
     model = build_example(1, Binding(params=params))
@@ -584,17 +578,17 @@ def suite_spectrum(plan: SamplePlan) -> list[dict]:
             dist = float(np.min(np.abs(fd - ev_alg)))
             worst = max(worst, dist)
             ok = ok and dist < 1e-3
-    checks.append(_record("spectrum:example1-crosscheck",
-                          f"certified algebraic level appears in the grid spectrum "
-                          f"(wall sensitivity {sensitivity:.1e})",
-                          ok, worst, t0))
+    checks.append(record("spectrum:example1-crosscheck",
+                         f"certified algebraic level appears in the grid spectrum "
+                         f"(wall sensitivity {sensitivity:.1e})",
+                         ok, worst, t0))
     t0 = time.monotonic()
     e1 = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 2000), 1)[0]
     e2 = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 4000), 1)[0]
     ok = abs(e2 - 0.5) <= 0.5 * abs(e1 - 0.5) + 1e-12
-    checks.append(_record("spectrum:grid-refinement",
-                          "halving the spacing shrinks the eigenvalue error",
-                          ok, abs(e2 - 0.5), t0))
+    checks.append(record("spectrum:grid-refinement",
+                         "halving the spacing shrinks the eigenvalue error",
+                         ok, abs(e2 - 0.5), t0))
     return checks
 
 

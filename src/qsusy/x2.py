@@ -17,11 +17,11 @@ import numpy as np
 
 from .expr import (
     Expr, Rat, Var, ZERO, ONE, MINUS_ONE, ExprError,
-    add, expand, mul, pow_, as_expr, diff, evaluate,
+    add, expand, mul, pow_, as_expr, diff,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import build_J, build_K, build_P3_minus, build_P3_plus, ParameterError
-from .invariance import Subspace, SamplePlan, safe_points, ops_equal_numeric
+from .invariance import Subspace, SamplePlan, ops_equal_numeric
 
 
 class FrameError(ExprError):
@@ -66,13 +66,6 @@ class WronskianFrame:
     def partner_span(self) -> Subspace:
         pref = mul(self.phi1, pow_(self.W3121, -1))
         return Subspace([self.W21, self.W31, self.W32], self.variable, pref)
-
-    def check_nondegenerate(self, plan: SamplePlan = SamplePlan()):
-        pts = safe_points([self.W21, self.W3121], plan, count=4)
-        vals = [abs(evaluate(self.W21, float(x))) for x in pts]
-        vals += [abs(evaluate(self.W3121, float(x))) for x in pts]
-        if max(vals) < 1e-12:
-            raise FrameError("frame Wronskians vanish at all probe points")
 
 
 def _logd(e: Expr, v: str) -> Expr:

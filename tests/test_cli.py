@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from qsusy.cli import (
     ConfigError, Report, SuiteConfig, emit_report, main, run_suite,
     _parse_bindings,
 )
+from qsusy.suites import record
 
 
 class TestSuiteConfig:
@@ -66,6 +68,18 @@ class TestReport:
         with pytest.raises(ConfigError):
             emit_report(self._tiny_report(), "yaml")
 
+    def test_non_finite_residual_is_strict_json(self):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        t0 = time.monotonic()
+        checks = [record("lie", "closure probe", False, float("inf"), t0),
+                  record("nan", "undefined residual", True, float("nan"), t0)]
+        doc = json.loads(Report(SuiteConfig(suites=[]), checks).to_json(),
+                         parse_constant=reject)
+        assert [(c["verdict"], c["residual"]) for c in doc["checks"]] == [
+            ("fail", None), ("pass", None)]
+
 
 class TestDeterminism:
     def test_identical_config_identical_json(self):
@@ -98,6 +112,18 @@ class TestMain:
     def test_verify_degenerate_f_is_config_error(self, capsys):
         rc = main(["verify", "invariance", "--f", "z", "--ops", "J1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "invariance", "--f", "exp(z)", "--ops", "J"],
+        ["verify", "invariance", "--f", "exp(z)", "--ops", "Jx"],
+        ["spectrum"],
+        ["spectrum", "--example", "1", "--potential", "q^2/2"],
+    ])
+    def test_bad_arguments_exit_2_without_traceback(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_model_report(self, capsys):
         rc = main(["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5",

@@ -1,14 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qsusy import (
     Binding, EvalDomainError, PoleError, UnboundSymbolError,
     add, diff, differentiate, equal0, evaluate, expand, fn, mul, opaque,
     parse, pow_, rat, substitute, substitute_opaque, sym, to_string, var,
 )
-from qsusy.expr import ONE
+from qsusy.expr import ONE, EvalError, values
 from qsusy.parser import ParseError
 
 z = var("z")
@@ -225,3 +226,42 @@ def test_canonical_eval_agrees_with_raw_combination():
     canon = expand(raw)
     for x in (0.3, 1.7, 2.9):
         assert evaluate(raw, x) == pytest.approx(evaluate(canon, x), abs=1e-12)
+
+
+# the numeric sampling layer ---------------------------------------------------
+
+_points = st.lists(st.floats(-3.0, 3.0), max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_expr, max_size=4), _points, st.floats(-2.0, 2.0))
+def test_values_matches_evaluate_exactly(exprs, pts, a):
+    bind = Binding(params={"a": a})
+    try:
+        want = [[evaluate(e, x, bind) for e in exprs] for x in pts]
+    except (ArithmeticError, ValueError):
+        assume(False)  # overflow inside evaluate itself; nothing to compare
+    got = values(exprs, pts, bind)
+    assert got.shape == (len(pts), len(exprs))
+    np.testing.assert_array_equal(got, np.array(want).reshape(got.shape))
+
+
+def test_values_shape_with_empty_lists():
+    assert values([], [0.5, 1.5]).shape == (2, 0)
+    assert values([z, ONE], []).shape == (0, 2)
+    assert values([], []).shape == (0, 0)
+
+
+@pytest.mark.parametrize("text, x", [
+    ("1/z", 1e-12),                 # pole guard
+    ("nu*z", 1.0),                  # unbound parameter
+    ("f(z)", 1.0),                  # unbound opaque function
+    ("log(z - 2)", 1.0),            # domain error
+])
+def test_values_raises_what_evaluate_raises(text, x):
+    e = parse(text)
+    with pytest.raises(EvalError) as scalar:
+        evaluate(e, x)
+    with pytest.raises(EvalError) as batched:
+        values([ONE, e], [2.5, x])
+    assert type(batched.value) is type(scalar.value)
