@@ -33,8 +33,6 @@ class SuiteConfig:
     suites: list = field(default_factory=lambda: list(SUITES))
     seed: int = 7
     tol: float = 1e-9
-    bindings: dict = field(default_factory=dict)
-    fmt: str = "json"
 
     def __post_init__(self):
         unknown = [s for s in self.suites if s not in SUITES]
@@ -70,7 +68,6 @@ class Report:
                 "config": {
                     "suites": self.config.suites,
                     "tol": self.config.tol,
-                    "bindings": self.config.bindings,
                 },
             },
             "checks": checks,
@@ -131,6 +128,9 @@ def _parse_bindings(text: str | None) -> dict:
     return out
 
 
+_CONFIG_KEYS = ("suites", "seed", "tol")
+
+
 def _read_config_file(path: str) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -141,6 +141,9 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"bad config line {raw.rstrip()!r}")
             k, v = (s.strip() for s in line.split("=", 1))
+            if k not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {k!r}; "
+                                  f"expected one of {', '.join(_CONFIG_KEYS)}")
             out[k] = v
     return out
 
@@ -331,8 +334,7 @@ def _cmd_suite(args) -> int:
     suites = [s.strip() for s in suites if s.strip()]
     seed = args.seed if args.seed is not None else int(overrides.get("seed", 7))
     tol = args.tol if args.tol is not None else float(overrides.get("tol", 1e-9))
-    bindings = _parse_bindings(args.bind or overrides.get("bind"))
-    config = SuiteConfig(suites=suites, seed=seed, tol=tol, bindings=bindings)
+    config = SuiteConfig(suites=suites, seed=seed, tol=tol)
     report = run_suite(config)
     if args.json:
         _write_or_print(report.to_json(), args.json)
@@ -400,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list from {sorted(SUITES)}")
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--tol", type=float, default=None)
-    r.add_argument("--bind", default=None)
     r.add_argument("--config", default=None, help="key = value overrides file")
     r.add_argument("--json", default=None)
     r.add_argument("--md", default=None)

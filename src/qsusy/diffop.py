@@ -13,8 +13,8 @@ from math import comb
 from typing import Mapping
 
 from .expr import (
-    Expr, ZERO, ONE, MINUS_ONE, ExprError,
-    add, mul, pow_, as_expr, diff, equal0,
+    Expr, Var, Opaque, ZERO, ONE, MINUS_ONE, ExprError,
+    add, mul, pow_, as_expr, diff, equal0, rebuild,
 )
 
 
@@ -170,8 +170,6 @@ def pullback(op: DiffOp, new_var: str, phi: Expr, opaque_images: dict[str, Expr]
     become phi, and an opaque symbol of order k becomes the k-fold quotient
     derivative of its supplied order-0 image.
     """
-    from .expr import Var, Sym, Rat, Add, Mul, Pow, Fn, Opaque
-
     old = op.var
     dphi = diff(phi, new_var)
     if dphi == ZERO:
@@ -189,28 +187,16 @@ def pullback(op: DiffOp, new_var: str, phi: Expr, opaque_images: dict[str, Expr]
             seq.append(mul(diff(seq[-1], new_var), inv_dphi))
         return seq[k]
 
-    def transform(e: Expr) -> Expr:
-        if isinstance(e, (Rat, Sym)):
-            return e
-        if isinstance(e, Var):
-            return phi if e.name == old else e
-        if isinstance(e, Add):
-            return add(*(transform(t) for t in e.terms))
-        if isinstance(e, Mul):
-            return mul(*(transform(f) for f in e.factors))
-        if isinstance(e, Pow):
-            return pow_(transform(e.base), transform(e.exponent))
-        if isinstance(e, Fn):
-            from .expr import fn
-            return fn(e.name, transform(e.arg))
-        if isinstance(e, Opaque):
-            arg = transform(e.arg)
-            img = image(e.name, e.order)
-            if arg == phi:
+    def transform(x: Expr, kids: tuple):
+        if isinstance(x, Var):
+            return phi if x.name == old else None
+        if isinstance(x, Opaque):
+            img = image(x.name, x.order)
+            if kids[0] == phi:
                 return img
             # image computed as a function of the new variable; re-substitute
             raise OperatorError("pullback supports opaque symbols applied to the bare variable only")
-        raise ExprError(f"unexpected node {type(e)}")
+        return None
 
     d_old = DiffOp(new_var, {1: inv_dphi})
     out = DiffOp.zero(new_var)
@@ -220,7 +206,7 @@ def pullback(op: DiffOp, new_var: str, phi: Expr, opaque_images: dict[str, Expr]
         while done < k:
             power = compose(d_old, power)
             done += 1
-        out = out + power.scaled(transform(op.coeffs[k]))
+        out = out + power.scaled(rebuild(op.coeffs[k], transform))
     return out
 
 

@@ -496,23 +496,82 @@ def opaque(name: str, order: int, arg) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# DAG traversal: every rewrite and leaf query goes through children()
+
+def children(e: Expr) -> tuple:
+    """The child nodes of e in constructor order; () for a leaf."""
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    if isinstance(e, (Fn, Opaque)):
+        return (e.arg,)
+    return ()
+
+
+def _remake(e: Expr, kids: tuple) -> Expr:
+    if isinstance(e, Add):
+        return add(*kids)
+    if isinstance(e, Mul):
+        return mul(*kids)
+    if isinstance(e, Pow):
+        return pow_(*kids)
+    if isinstance(e, Fn):
+        return fn(e.name, kids[0])
+    if isinstance(e, Opaque):
+        return Opaque(e.name, e.order, kids[0])
+    return e
+
+
+def rebuild(e: Expr, visit) -> Expr:
+    """Rewrite e bottom-up, visiting each distinct node (by identity) once.
+
+    visit(node, kids) gets the node and its rewritten children and returns the
+    node's image, or None to rebuild the node from kids through the
+    canonicalizing constructors (a leaf is then kept as it is).  Shared
+    subtrees are rewritten once per call, however often they occur.
+    """
+    memo: dict[int, Expr] = {}
+
+    def walk(x: Expr) -> Expr:
+        out = memo.get(id(x))
+        if out is None:
+            kids = tuple(walk(c) for c in children(x))
+            out = visit(x, kids)
+            if out is None:
+                out = _remake(x, kids)
+            memo[id(x)] = out
+        return out
+
+    return walk(e)
+
+
+def _nodes(e: Expr):
+    """Each distinct node of e (by identity) once, in no particular order."""
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            yield x
+            stack.extend(children(x))
+
+
+# ---------------------------------------------------------------------------
 # expansion (distribute products over sums); used by exact-equality checks
 
-def expand(e: Expr) -> Expr:
-    if isinstance(e, (Rat, Sym, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*(expand(t) for t in e.terms))
+def _expand_node(e: Expr, kids: tuple):
     if isinstance(e, Mul):
-        parts = [expand(f) for f in e.factors]
         sums: list[list[Expr]] = [[ONE]]
-        for p in parts:
+        for p in kids:
             terms = list(p.terms) if isinstance(p, Add) else [p]
             sums = [acc + [t] for acc in sums for t in terms]
         return add(*(mul(*combo) for combo in sums))
     if isinstance(e, Pow):
-        b = expand(e.base)
-        ex = expand(e.exponent)
+        b, ex = kids
         if isinstance(b, Add) and isinstance(ex, Rat) and ex.value.denominator == 1:
             n = ex.value.numerator
             # distribute over term tuples; repeated mul() of the whole sum
@@ -525,12 +584,11 @@ def expand(e: Expr) -> Expr:
             if -16 <= n < 0:
                 inner = expand(pow_(b, -n))
                 return pow_(inner, MINUS_ONE)
-        return pow_(b, ex)
-    if isinstance(e, Fn):
-        return fn(e.name, expand(e.arg))
-    if isinstance(e, Opaque):
-        return Opaque(e.name, e.order, expand(e.arg))
-    raise ExprError(f"unexpected node {type(e)}")
+    return None
+
+
+def expand(e: Expr) -> Expr:
+    return rebuild(e, _expand_node)
 
 
 def equal0(e: Expr) -> bool:
@@ -614,10 +672,7 @@ def diff(e: Expr, v: str, order: int = 1) -> Expr:
 def differentiate(e: Expr, order: int = 1, v: str | None = None) -> Expr:
     """Differentiate with respect to the expression's variable (unique Var)."""
     if v is None:
-        names = free_vars(e)
-        if len(names) > 1:
-            raise ExprError(f"ambiguous variable: {sorted(names)}")
-        v = next(iter(names)) if names else "_"
+        v = _sole_var(e, "ambiguous variable")
     return diff(e, v, order)
 
 
@@ -625,39 +680,11 @@ def differentiate(e: Expr, order: int = 1, v: str | None = None) -> Expr:
 # substitution
 
 def substitute_var(e: Expr, name: str, repl: Expr) -> Expr:
-    if isinstance(e, Var):
-        return repl if e.name == name else e
-    if isinstance(e, (Rat, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*(substitute_var(t, name, repl) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(substitute_var(f, name, repl) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(substitute_var(e.base, name, repl), substitute_var(e.exponent, name, repl))
-    if isinstance(e, Fn):
-        return fn(e.name, substitute_var(e.arg, name, repl))
-    if isinstance(e, Opaque):
-        return Opaque(e.name, e.order, substitute_var(e.arg, name, repl))
-    raise ExprError(f"unexpected node {type(e)}")
+    return rebuild(e, lambda x, kids: repl if isinstance(x, Var) and x.name == name else None)
 
 
 def substitute_param(e: Expr, name: str, repl: Expr) -> Expr:
-    if isinstance(e, Sym):
-        return repl if e.name == name else e
-    if isinstance(e, (Rat, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(*(substitute_param(t, name, repl) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(substitute_param(f, name, repl) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(substitute_param(e.base, name, repl), substitute_param(e.exponent, name, repl))
-    if isinstance(e, Fn):
-        return fn(e.name, substitute_param(e.arg, name, repl))
-    if isinstance(e, Opaque):
-        return Opaque(e.name, e.order, substitute_param(e.arg, name, repl))
-    raise ExprError(f"unexpected node {type(e)}")
+    return rebuild(e, lambda x, kids: repl if isinstance(x, Sym) and x.name == name else None)
 
 
 def substitute_opaque(e: Expr, name: str, repl: Expr, repl_var: str | None = None) -> Expr:
@@ -667,37 +694,14 @@ def substitute_opaque(e: Expr, name: str, repl: Expr, repl_var: str | None = Non
     at the occurrence's argument.
     """
     if repl_var is None:
-        names = free_vars(repl)
-        if len(names) > 1:
-            raise ExprError(f"ambiguous replacement variable: {sorted(names)}")
-        repl_var = next(iter(names)) if names else "_"
-    derivs: dict[int, Expr] = {0: repl}
+        repl_var = _sole_var(repl, "ambiguous replacement variable")
 
-    def image(k: int) -> Expr:
-        while k not in derivs:
-            m = max(derivs)
-            derivs[m + 1] = _diff1(derivs[m], repl_var)
-        return derivs[k]
+    def visit(x: Expr, kids: tuple):
+        if isinstance(x, Opaque) and x.name == name:
+            return substitute_var(diff(repl, repl_var, x.order), repl_var, kids[0])
+        return None
 
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, (Rat, Sym, Var)):
-            return x
-        if isinstance(x, Add):
-            return add(*(walk(t) for t in x.terms))
-        if isinstance(x, Mul):
-            return mul(*(walk(f) for f in x.factors))
-        if isinstance(x, Pow):
-            return pow_(walk(x.base), walk(x.exponent))
-        if isinstance(x, Fn):
-            return fn(x.name, walk(x.arg))
-        if isinstance(x, Opaque):
-            arg = walk(x.arg)
-            if x.name != name:
-                return Opaque(x.name, x.order, arg)
-            return substitute_var(image(x.order), repl_var, arg)
-        raise ExprError(f"unexpected node {type(x)}")
-
-    return walk(e)
+    return rebuild(e, visit)
 
 
 def substitute(e: Expr, target, repl) -> Expr:
@@ -720,42 +724,19 @@ def substitute(e: Expr, target, repl) -> Expr:
 # structure queries
 
 def free_vars(e: Expr) -> set[str]:
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            out.add(x.name)
-        elif isinstance(x, Add):
-            stack.extend(x.terms)
-        elif isinstance(x, Mul):
-            stack.extend(x.factors)
-        elif isinstance(x, Pow):
-            stack.append(x.base)
-            stack.append(x.exponent)
-        elif isinstance(x, (Fn, Opaque)):
-            stack.append(x.arg)
-    return out
+    return {x.name for x in _nodes(e) if isinstance(x, Var)}
 
 
 def opaque_names(e: Expr) -> set[str]:
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Opaque):
-            out.add(x.name)
-            stack.append(x.arg)
-        elif isinstance(x, Add):
-            stack.extend(x.terms)
-        elif isinstance(x, Mul):
-            stack.extend(x.factors)
-        elif isinstance(x, Pow):
-            stack.append(x.base)
-            stack.append(x.exponent)
-        elif isinstance(x, Fn):
-            stack.append(x.arg)
-    return out
+    return {x.name for x in _nodes(e) if isinstance(x, Opaque)}
+
+
+def _sole_var(e: Expr, what: str) -> str:
+    """The unique free variable of e, "_" if it has none; ExprError if several."""
+    names = free_vars(e)
+    if len(names) > 1:
+        raise ExprError(f"{what}: {sorted(names)}")
+    return next(iter(names)) if names else "_"
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +790,7 @@ class Binding:
         self._deriv_cache: dict[tuple[str, int], Expr] = {}
         for name, fe in (funcs or {}).items():
             fe = as_expr(fe)
-            names = free_vars(fe)
-            if len(names) > 1:
-                raise ExprError(f"bound function {name!r} has several variables")
-            v = next(iter(names)) if names else "_"
+            v = _sole_var(fe, f"bound function {name!r} has several variables")
             self.funcs[name] = (v, fe)
 
     def func_derivative(self, name: str, order: int) -> tuple[str, Expr]:

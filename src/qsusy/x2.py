@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -265,10 +266,16 @@ def f_alpha(alpha) -> Expr:
     return add(pow_(u, 2), mul(Rat(2 * (a - 1)), u), Rat((a - 1) * a))
 
 
-def x2_frame(alpha) -> WronskianFrame:
+def _frame_alpha(alpha) -> Fraction:
+    """The parameter as a Fraction; ParameterError at 0 and 1 (degenerate frame)."""
     a = _fr(alpha)
     if a in (0, 1):
         raise ParameterError(f"alpha={a} degenerates the exceptional frame")
+    return a
+
+
+def x2_frame(alpha) -> WronskianFrame:
+    a = _frame_alpha(alpha)
     return WronskianFrame(x2_seed_polynomial(1, a), x2_seed_polynomial(2, a),
                           x2_seed_polynomial(3, a), U)
 
@@ -282,25 +289,32 @@ def x2b_basis(alpha) -> Subspace:
     return Subspace([x2_partner_polynomial(n, a) for n in (1, 2, 3)], U)
 
 
-_J_GALLERY_CACHE: dict = {}
-_K_GALLERY_CACHE: dict = {}
-_KB_GALLERY_CACHE: dict = {}
+# gallery builders memoized on the normalized parameter; a suite pass uses at
+# most ten parameter values per gallery
+@lru_cache(maxsize=32)
+def _j_gallery(a: Fraction) -> dict[int, DiffOp]:
+    fr = x2_frame(a)
+    return {j: wronskian_J(j, fr) for j in range(1, 9)}
+
+
+@lru_cache(maxsize=32)
+def _k_gallery(a: Fraction) -> dict[int, DiffOp]:
+    fr = x2_frame(a)
+    return {j: wronskian_K(j, fr) for j in range(1, 9)}
+
+
+@lru_cache(maxsize=32)
+def _kb_gallery(a: Fraction) -> dict[int, DiffOp]:
+    g = mul(f_alpha(a - 3), f_alpha(a))
+    return {j: gauge_conjugate(g, op) for j, op in x2_K_gallery(a - 3).items()}
 
 
 def x2_J_gallery(alpha) -> dict[int, DiffOp]:
-    a = _fr(alpha)
-    if a not in _J_GALLERY_CACHE:
-        fr = x2_frame(a)
-        _J_GALLERY_CACHE[a] = {j: wronskian_J(j, fr) for j in range(1, 9)}
-    return _J_GALLERY_CACHE[a]
+    return _j_gallery(_fr(alpha))
 
 
 def x2_K_gallery(alpha) -> dict[int, DiffOp]:
-    a = _fr(alpha)
-    if a not in _K_GALLERY_CACHE:
-        fr = x2_frame(a)
-        _K_GALLERY_CACHE[a] = {j: wronskian_K(j, fr) for j in range(1, 9)}
-    return _K_GALLERY_CACHE[a]
+    return _k_gallery(_fr(alpha))
 
 
 def x2b_conjugated_K(i: int, alpha) -> DiffOp:
@@ -312,22 +326,14 @@ def x2b_conjugated_K(i: int, alpha) -> DiffOp:
     polynomial span (the printed form shows the factors in the opposite order,
     which fails numerically).
     """
-    a = _fr(alpha)
-    if a not in _KB_GALLERY_CACHE:
-        g = mul(f_alpha(a - 3), f_alpha(a))
-        _KB_GALLERY_CACHE[a] = {
-            j: gauge_conjugate(g, op) for j, op in x2_K_gallery(a - 3).items()
-        }
-    return _KB_GALLERY_CACHE[a][i]
+    return _kb_gallery(_fr(alpha))[i]
 
 
 # ---------------------------------------------------------------------------
 # operators catalogued for the exceptional spans
 
 def literature_x2(i: int, side: str = "minus", alpha=None) -> DiffOp:
-    a = _fr(alpha)
-    if a in (0, 1):
-        raise ParameterError(f"alpha={a} degenerates the exceptional frame")
+    a = _frame_alpha(alpha)
     u = Var(U)
     D1, D2 = DiffOp.d(U), DiffOp.d(U, 2)
     dm1 = DiffOp(U, {1: ONE, 0: MINUS_ONE})
@@ -558,12 +564,13 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                          sides: tuple = ("minus", "plus"), tol: float = 1e-9) -> list[dict]:
     """Check the catalogued operators against combinations of the frame operators.
 
-    For rational parameters the identity is certified exactly; the floating
-    check is the fallback for anything outside the rational fragment.
+    Each identity is sampled in floating point; one that fails there gets an
+    exact rational certificate as a fallback.  Raises ParameterError at alpha 0
+    or 1, where the frame degenerates and no identity is defined.
     """
     from .expr import NotRationalError
 
-    a = _fr(alpha)
+    a = _frame_alpha(alpha)
     results = []
     for side in sides:
         shift = a if side == "minus" else a - 3

@@ -118,9 +118,20 @@ class TestMain:
         ["verify", "invariance", "--f", "exp(z)", "--ops", "Jx"],
         ["spectrum"],
         ["spectrum", "--example", "1", "--potential", "q^2/2"],
+        ["x2", "verify", "--alpha", "1"],
+        ["x2", "verify", "--alpha", "0"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, argv):
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["sede = 3", "bind = alpha=2"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "qsusy.cfg"
+        cfg.write_text(f"suites = lie-closure\n{line}\n")
+        assert main(["suite", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1

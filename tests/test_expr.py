@@ -9,7 +9,11 @@ from qsusy import (
     add, diff, differentiate, equal0, evaluate, expand, fn, mul, opaque,
     parse, pow_, rat, substitute, substitute_opaque, sym, to_string, var,
 )
-from qsusy.expr import ONE, EvalError, values
+from qsusy.diffop import DiffOp, pullback
+from qsusy.expr import (
+    ONE, EvalError, free_vars, opaque_names, rebuild, substitute_param,
+    substitute_var, values,
+)
 from qsusy.parser import ParseError
 
 z = var("z")
@@ -265,3 +269,68 @@ def test_values_raises_what_evaluate_raises(text, x):
     with pytest.raises(EvalError) as batched:
         values([ONE, e], [2.5, x])
     assert type(batched.value) is type(scalar.value)
+
+
+# the rewriting core -------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(_expr)
+def test_substituting_the_variable_for_itself_is_identity(e):
+    assert substitute_var(e, "z", z) == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expr, st.floats(-1.0, 1.0))
+def test_substitute_var_evaluates_as_composition(e, x):
+    bind = Binding(params={"a": 0.7})
+    try:
+        want = evaluate(e, 2 * x + 1 / 3, bind)
+        got = evaluate(substitute_var(e, "z", 2 * z + rat(1, 3)), x, bind)
+    except (EvalError, ArithmeticError, ValueError):
+        assume(False)  # a pole, a domain error or an overflow; nothing to compare
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expr, st.floats(-1.0, 1.0))
+def test_expand_evaluates_like_the_original(e, x):
+    bind = Binding(params={"a": 0.7})
+    try:
+        want = evaluate(e, x, bind)
+        got = evaluate(expand(e), x, bind)
+    except (EvalError, ArithmeticError, ValueError):
+        assume(False)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def _tower(depth):
+    """e(k+1) = sin(e(k)) + cos(e(k)): 3 new nodes per level, 2^depth tree paths."""
+    e = add(opaque("f", 1, z), mul(sym("a"), z))  # 5 distinct nodes
+    for _ in range(depth):
+        e = add(fn("sin", e), fn("cos", e))
+    return e
+
+
+def test_rewriters_visit_a_shared_dag_once_per_node():
+    # a walker that does not share subtrees would take 2^40 steps here; the
+    # results are not compared with ==, which itself walks the tree
+    depth = 40
+    e = _tower(depth)
+    u = var("u")
+    assert free_vars(e) == {"z"} and opaque_names(e) == {"f"}
+    assert free_vars(substitute_var(e, "z", u)) == {"u"}
+    assert free_vars(substitute_param(e, "a", z)) == {"z"}
+    assert opaque_names(substitute_opaque(e, "f", parse("z^3"))) == set()
+    assert opaque_names(expand(e)) == {"f"}
+    pulled = pullback(DiffOp("z", {0: e}), "u", pow_(u, 2), {"f": fn("exp", u)})
+    assert free_vars(pulled.coeff(0)) == {"u"} and opaque_names(pulled.coeff(0)) == set()
+
+    visits = {}
+
+    def count(node, kids):
+        visits[id(node)] = visits.get(id(node), 0) + 1
+        return None
+
+    rebuild(e, count)
+    assert len(visits) == 5 + 3 * depth
+    assert set(visits.values()) == {1}

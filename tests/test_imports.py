@@ -1,4 +1,5 @@
-"""Every import in the package modules is used (a stdlib stand-in for a linter)."""
+"""Stdlib stand-ins for a linter: every import in the package modules is used,
+and only the expression core reads child-node tuples directly."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,21 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def child_tuple_reads(source: str) -> list[int]:
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in ("terms", "factors"))
+
+
+def test_detector_flags_a_child_tuple_read():
+    assert child_tuple_reads("x = 1\nys = [f(t) for t in e.terms]\n") == [2]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name not in ("expr.py", "parser.py")),
+    ids=lambda p: p.name)
+def test_tree_traversal_goes_through_children(path):
+    # everything else walks expressions with expr.children / expr.rebuild,
+    # which visit each shared subtree once
+    assert child_tuple_reads(path.read_text(encoding="utf-8")) == []

@@ -235,6 +235,12 @@ class TestCombinationIdentities:
         recs = verify_x2_identities(Fraction(-1), sides=("minus",))
         assert all(r["status"] == "skipped" for r in recs)
 
+    @pytest.mark.parametrize("a", [Fraction(0), Fraction(1)])
+    def test_degenerate_alpha_is_a_parameter_error(self, a):
+        # no identity is defined here, so nothing is reported as skipped
+        with pytest.raises(ParameterError):
+            verify_x2_identities(a)
+
     def test_alpha_minus_one_frame_degenerates(self):
         with pytest.raises(FrameError):
             x2_frame(Fraction(-1))
