@@ -148,6 +148,15 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+def _config_value(overrides: dict, key: str, kind, default):
+    if key not in overrides:
+        return default
+    try:
+        return kind(overrides[key])
+    except ValueError:
+        raise ConfigError(f"bad config value {key} = {overrides[key]!r}") from None
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -209,8 +218,8 @@ def _cmd_verify(args) -> int:
         from .invariance import verify_commutator_table
 
         for rec in verify_commutator_table(parse(args.f), plan):
-            checks.append(record(f"verify:{rec['id']}", rec["id"],
-                                 rec["passed"], rec["residual"], time.monotonic()))
+            checks.append(record(f"verify:{rec['id']}", rec["id"], rec["passed"],
+                                 rec["residual"], time.monotonic() - rec["seconds"]))
     else:
         raise ConfigError(f"unknown verification target {args.what!r}")
     cfg = SuiteConfig(suites=[], seed=args.seed, tol=args.tol)
@@ -295,7 +304,8 @@ def _cmd_x2(args) -> int:
     checks = []
     for r in verify_x2_identities(_fraction(args.alpha), plan, sides=sides):
         ok = None if r["status"] == "skipped" else r["status"] == "passed"
-        checks.append(record(r["id"], r["id"], ok, r.get("residual"), time.monotonic()))
+        checks.append(record(r["id"], r["id"], ok, r.get("residual"),
+                             time.monotonic() - r["seconds"]))
     cfg = SuiteConfig(suites=[], seed=args.seed)
     report = Report(cfg, checks)
     _write_or_print(emit_report(report, "json"), args.json)
@@ -332,8 +342,8 @@ def _cmd_suite(args) -> int:
     suites = args.suites.split(",") if args.suites else \
         overrides.get("suites", "").split(",") if overrides.get("suites") else list(SUITES)
     suites = [s.strip() for s in suites if s.strip()]
-    seed = args.seed if args.seed is not None else int(overrides.get("seed", 7))
-    tol = args.tol if args.tol is not None else float(overrides.get("tol", 1e-9))
+    seed = args.seed if args.seed is not None else _config_value(overrides, "seed", int, 7)
+    tol = args.tol if args.tol is not None else _config_value(overrides, "tol", float, 1e-9)
     config = SuiteConfig(suites=suites, seed=seed, tol=tol)
     report = run_suite(config)
     if args.json:

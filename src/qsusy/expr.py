@@ -814,7 +814,11 @@ EMPTY_BINDING = Binding()
 
 def evaluate(e: Expr, at: float, bind: Binding | None = None,
              eps_pole: float = EPS_POLE) -> float:
-    """Evaluate at a point; every Var is the evaluation point (one variable per context)."""
+    """Evaluate at a point; every Var is the evaluation point (one variable per context).
+
+    The scalar reference: the batch kernel values_and_faults agrees with it bit
+    for bit, and the tests compare the two.
+    """
     b = bind or EMPTY_BINDING
     memo: dict[int, float] = {}
 
@@ -890,17 +894,221 @@ def evaluate(e: Expr, at: float, bind: Binding | None = None,
     return ev(e)
 
 
+# ---------------------------------------------------------------------------
+# batched evaluation: one walk of the DAG per block of points
+
+# Fault codes of values_and_faults: what evaluate raises at a point.
+EVAL_FAULT = 1    # an EvalError (pole, domain, unbound symbol)
+HARD_FAULT = 2    # any other exception (an overflow evaluate does not catch)
+
+_NAN = float("nan")
+_BLOCK = 1024  # points per DAG walk: bounds the memory a long grid takes
+
+
+def _merge(faults) -> np.ndarray | None:
+    """Per point, the first fault in child order; None when no point faults."""
+    out = None
+    for f in faults:
+        if f is not None:
+            out = f if out is None else np.where(out != 0, out, f)
+    return out
+
+
+def _flag(fault, cond: np.ndarray, code: int):
+    """Give `code` to the points where cond holds and no earlier fault did."""
+    if not cond.any():
+        return fault
+    if fault is None:
+        return np.where(cond, np.int8(code), np.int8(0))
+    return np.where((fault == 0) & cond, np.int8(code), fault)
+
+
+def _map(fast, slow, cols: list, fault):
+    """fast(*args) per point without a fault, args taken from cols (arrays whose
+    first axis runs over the points) as Python floats, so each element goes
+    through the same CPython/libm routine as evaluate.  If fast raises
+    anywhere, slow(*args) is applied point by point instead, and a point where
+    slow raises gets HARD_FAULT."""
+    n = len(cols[0])
+    idx = None if fault is None else np.flatnonzero(fault == 0)
+    args = [(c if idx is None else c[idx]).tolist() for c in cols]
+    try:
+        got = list(map(fast, *args))
+    except (ArithmeticError, ValueError):
+        got, hard = [], []
+        for k, a in enumerate(zip(*args)):
+            try:
+                got.append(slow(*a))
+            except (ArithmeticError, ValueError):
+                got.append(_NAN)
+                hard.append(k)
+        if hard:
+            pos = np.asarray(hard) if idx is None else idx[hard]
+            cond = np.zeros(n, bool)
+            cond[pos] = True
+            fault = _flag(fault, cond, HARD_FAULT)
+    if idx is None:
+        return np.array(got, dtype=float), fault
+    out = np.full(n, _NAN)
+    out[idx] = got
+    return out, fault
+
+
+def _exp1(a: float) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+def _pow1(base: float, expo: float) -> float:
+    try:
+        return base**expo
+    except OverflowError:
+        if base < 0:  # evaluate catches the overflow only for a non-negative base
+            raise
+        return math.inf
+
+
+def values_and_faults(exprs: list, points, bind: Binding | None = None):
+    """(V, F), both of shape (len(points), len(exprs)): the batch kernel.
+
+    Where F[i, j] is 0, V[i, j] == evaluate(exprs[j], points[i], bind) bit for
+    bit; otherwise evaluate raises there, an EvalError for EVAL_FAULT and
+    another exception for HARD_FAULT, and V[i, j] is meaningless.  A point's
+    code is that of the first exception evaluate would meet.
+
+    Every distinct node is evaluated once per block of up to _BLOCK points
+    (memo keyed by node id), over the whole block at once.  Mul multiplies in
+    factor order, Add takes math.fsum per point, and Pow and the elementary
+    functions call the Python/libm routine per element, so the floats are the
+    scalar ones; the pole, domain and negative-base rules of evaluate become
+    fault codes.
+    """
+    x0 = np.array(points, dtype=float)
+    V = np.empty((len(x0), len(exprs)))
+    F = np.zeros((len(x0), len(exprs)), np.int8)
+    with np.errstate(all="ignore"):
+        for start in range(0, len(x0), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            ev = _walker(x0[block], bind or EMPTY_BINDING)
+            for j, e in enumerate(exprs):
+                V[block, j], f = ev(e)
+                if f is not None:
+                    F[block, j] = f
+    return V, F
+
+
+def _walker(x0: np.ndarray, b: Binding):
+    """ev(expr) -> (values, faults or None) over the points x0, memoized."""
+    n = len(x0)
+    rats: dict[tuple, tuple] = {}  # one column per rational value
+
+    def constant(value):
+        try:
+            return np.full(n, float(value)), None
+        except (ArithmeticError, ValueError, TypeError):
+            return np.full(n, _NAN), np.full(n, HARD_FAULT, np.int8)
+
+    def context(at: np.ndarray):
+        # an opaque argument's column opens its own context: Var means `at`
+        # there, so memo entries and nested contexts never leak between them
+        memo: dict[int, tuple] = {}
+        inner: dict[int, object] = {}
+
+        def ev(x: Expr):
+            out = memo.get(id(x))
+            if out is None:
+                out = memo[id(x)] = node(x)
+            return out
+
+        def node(x: Expr):
+            t = type(x)
+            if t is Rat:
+                key = (x.value.numerator, x.value.denominator)
+                out = rats.get(key)
+                if out is None:
+                    out = rats[key] = constant(x.value)
+                return out
+            if t is Mul:
+                kids = [ev(f) for f in x.factors]
+                out = kids[0][0]
+                for v, _ in kids[1:]:
+                    out = out * v
+                return out, _merge([f for _, f in kids])
+            if t is Add:
+                kids = [ev(u) for u in x.terms]
+                fault = _merge([f for _, f in kids])
+                rows = np.array([v for v, _ in kids]).T  # one row of terms per point
+                return _map(math.fsum, math.fsum, [rows], fault)
+            if t is Var:
+                return at, None
+            if t is Pow:
+                base, bf = ev(x.base)
+                expo, ef = ev(x.exponent)
+                fault = _merge((bf, ef))
+                r = x.exponent.value if type(x.exponent) is Rat else None
+                if r is None:
+                    fault = _flag(fault, (expo < 0) & (np.abs(base) < EPS_POLE), EVAL_FAULT)
+                elif r.numerator < 0:
+                    fault = _flag(fault, np.abs(base) < EPS_POLE, EVAL_FAULT)
+                if r is None or r.denominator != 1:
+                    neg = base < 0
+                    finite = np.isfinite(expo)
+                    # round() of a non-finite exponent raises inside evaluate
+                    fault = _flag(fault, neg & ~finite, HARD_FAULT)
+                    fault = _flag(fault, neg & finite & (expo != np.floor(expo)), EVAL_FAULT)
+                return _map(pow, _pow1, [base, expo], fault)
+            if t is Fn:
+                a, fault = ev(x.arg)
+                name = x.name
+                if name == "exp":
+                    return _map(math.exp, _exp1, [a], fault)
+                if name == "log":
+                    # a <= 0 is a domain error, a < EPS_POLE a pole: both EvalErrors
+                    fault = _flag(fault, a < EPS_POLE, EVAL_FAULT)
+                    return _map(math.log, math.log, [a], fault)
+                if name == "tan":
+                    c, fault = _map(math.cos, math.cos, [a], fault)
+                    fault = _flag(fault, np.abs(c) < EPS_POLE, EVAL_FAULT)
+                f = getattr(math, name)
+                return _map(f, f, [a], fault)
+            if t is Sym:
+                if x.name not in b.params:
+                    return np.full(n, _NAN), np.full(n, EVAL_FAULT, np.int8)
+                return constant(b.params[x.name])
+            if t is Opaque:
+                a, fault = ev(x.arg)
+                try:
+                    _, d = b.func_derivative(x.name, x.order)
+                except ExprError as exc:
+                    code = EVAL_FAULT if isinstance(exc, EvalError) else HARD_FAULT
+                    return np.full(n, _NAN), _merge((fault, np.full(n, code, np.int8)))
+                sub = inner.get(id(a))  # arguments with one column share a context
+                if sub is None:
+                    sub = inner[id(a)] = context(a)
+                v, df = sub(d)
+                return v, _merge((fault, df))
+            return np.full(n, _NAN), np.full(n, HARD_FAULT, np.int8)
+
+        return ev
+
+    return context(x0)
+
+
 def values(exprs: list, points, bind: Binding | None = None) -> np.ndarray:
     """Value matrix of shape (len(points), len(exprs)).
 
-    Entry [i, j] is evaluate(exprs[j], points[i], bind).  Evaluation runs one
-    expression at a time over all points, and the first EvalError propagates
-    unchanged.  Every sampled check evaluates through this function; only
-    code that needs a validity answer per point (the sample-point search, the
-    grid solver) calls evaluate directly.
+    Entry [i, j] is evaluate(exprs[j], points[i], bind), computed by the
+    batch kernel.  If evaluate raises anywhere, the scalar loop (one
+    expression at a time over all points) is replayed, so the first exception
+    it meets propagates unchanged.  Every strict sampled check evaluates
+    through this function.
     """
-    out = np.empty((len(points), len(exprs)))
+    V, F = values_and_faults(exprs, points, bind)
+    if not F.any():
+        return V
     for j, e in enumerate(exprs):
         for i, x in enumerate(points):
-            out[i, j] = evaluate(e, float(x), bind)
-    return out
+            V[i, j] = evaluate(e, float(x), bind)
+    return V

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .expr import Expr, Binding, EvalError, ExprError, diff, evaluate, free_vars, values
+from .expr import (
+    Expr, Binding, ExprError, EVAL_FAULT, HARD_FAULT, diff, free_vars, values,
+    values_and_faults,
+)
 
 
 class GridError(ExprError):
@@ -48,22 +51,18 @@ def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None,
                 on_singular: str = "error") -> np.ndarray:
     """Lowest k eigenvalues of -(1/2) d^2/dq^2 + V with Dirichlet ends."""
     qs = grid.interior()
-    vals = np.empty(len(qs))
-    barrier = 1e12
-    for i, q in enumerate(qs):
-        try:
-            v = evaluate(V, float(q), bind)
-        except EvalError:
-            if on_singular == "exclude":
-                v = barrier
-            else:
-                raise GridError(f"potential singular at node q={q}") from None
-        if not np.isfinite(v):
-            if on_singular == "exclude":
-                v = barrier
-            else:
-                raise GridError(f"potential not finite at node q={q}")
-        vals[i] = v
+    vals, fault = (a[:, 0] for a in values_and_faults([V], qs, bind))
+    bad = (fault != 0) | ~np.isfinite(vals)
+    # the first node that stops the solve: any bad one, or with "exclude" one
+    # where evaluate raises something other than an EvalError
+    stop = (fault == HARD_FAULT) if on_singular == "exclude" else bad
+    if stop.any():
+        i = int(np.argmax(stop))
+        if fault[i] == HARD_FAULT:
+            values([V], qs[i:i + 1], bind)  # raises what evaluate raised
+        kind = "singular" if fault[i] == EVAL_FAULT else "not finite"
+        raise GridError(f"potential {kind} at node q={qs[i]}")
+    vals = np.where(bad, 1e12, vals)  # a barrier on the excluded nodes
     h = grid.h
     diag = 1.0 / h**2 + vals
     off = np.full(len(qs) - 1, -0.5 / h**2)
@@ -82,17 +81,18 @@ def schrodinger_residual(V: Expr, psi: Expr, energy: float, probes,
     return float((num / (1.0 + np.abs(energy * p))).max(initial=0.0))
 
 
-def _segment_integral(f, lo: float, hi: float, n: int = 257) -> float:
-    """Composite Simpson; n odd."""
+def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float,
+                      n: int = 257) -> float:
+    """Composite Simpson of psi^2; n odd.  A node where psi does not evaluate
+    makes the integral infinite."""
     xs = np.linspace(lo, hi, n)
-    ys = np.empty(n)
-    for i, x in enumerate(xs):
-        try:
-            y = f(float(x))
-        except EvalError:
-            y = math.inf
-        ys[i] = y if np.isfinite(y) else math.inf
-    if not np.all(np.isfinite(ys)):
+    val, fault = (a[:, 0] for a in values_and_faults([psi], xs, bind))
+    hard = np.flatnonzero(fault == HARD_FAULT)
+    if hard.size:
+        values([psi], xs[hard[:1]], bind)  # raises what evaluate raised
+    with np.errstate(over="ignore"):
+        ys = val * val
+    if fault.any() or not np.all(np.isfinite(ys)):
         return math.inf
     h = (hi - lo) / (n - 1)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
@@ -106,11 +106,6 @@ def normalizability_probe(psi: Expr, domain: tuple, bind: Binding | None = None,
     infinite end; the growth ratio of successive rungs decides the verdict.
     """
     lo, hi = domain
-
-    def density(x: float) -> float:
-        val = evaluate(psi, x, bind)
-        return val * val
-
     verdicts = []
     anchor_lo = lo if math.isfinite(lo) else (min(0.0, hi) - 1.0 if math.isfinite(hi) else -1.0)
     anchor_hi = hi if math.isfinite(hi) else (max(0.0, lo) + 1.0 if math.isfinite(lo) else 1.0)
@@ -134,7 +129,7 @@ def normalizability_probe(psi: Expr, domain: tuple, bind: Binding | None = None,
                         for j in range(rungs)])
 
     for ladder in ladders:
-        tails = [ _segment_integral(density, a, b) for a, b in ladder ]
+        tails = [_segment_integral(psi, bind, a, b) for a, b in ladder]
         if any(math.isinf(t) for t in tails):
             return "divergent"
         ratios = [t2 / t1 for t1, t2 in zip(tails, tails[1:]) if t1 > 0]

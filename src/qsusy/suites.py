@@ -39,7 +39,11 @@ from . import x2 as x2mod
 
 
 def record(check_id: str, anchor: str, ok, residual, t0) -> dict:
-    """One check record; ok=None means skipped, and a non-finite residual is null."""
+    """One check record; ok=None means skipped, and a non-finite residual is null.
+
+    millis is the time since t0 on the time.monotonic() clock; a verifier
+    record that timed itself passes t0 = time.monotonic() - rec["seconds"].
+    """
     verdict = "pass" if ok else "fail"
     if ok is None:
         verdict = "skipped"
@@ -163,12 +167,11 @@ def suite_commutators(plan: SamplePlan, f_texts=("z^3", "exp(z)", "z^(7/3)"),
     checks = []
     for text in f_texts:
         f = parse(text)
-        t0 = time.monotonic()
         for rec in verify_commutator_table(f, plan, tol=tol):
             checks.append(record(f"commutators:{rec['id']}:f={text}",
                                  f"commutator table {rec['id']}, f={text}",
-                                 rec["passed"], rec["residual"], t0))
-            t0 = time.monotonic()
+                                 rec["passed"], rec["residual"],
+                                 time.monotonic() - rec["seconds"]))
     return checks
 
 
@@ -511,11 +514,10 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
                       Fraction(-3): ("minus", "plus")}
     for a in alphas:
         for rec in x2mod.verify_x2_identities(a, plan, sides=sides_by_alpha.get(a, ("minus",))):
-            t0 = time.monotonic()
             ok = None if rec["status"] == "skipped" else rec["status"] == "passed"
             checks.append(record(rec["id"],
                                  f"combination identity {rec['id']}",
-                                 ok, rec.get("residual"), t0))
+                                 ok, rec.get("residual"), time.monotonic() - rec["seconds"]))
     t0 = time.monotonic()
     ok = _reduction_checks_pass()
     checks.append(record("x2:reduction", "plain-frame reductions recover the gallery",

@@ -10,6 +10,7 @@ risk content in the package.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -565,7 +566,8 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
     """Check the catalogued operators against combinations of the frame operators.
 
     Each identity is sampled in floating point; one that fails there gets an
-    exact rational certificate as a fallback.  Raises ParameterError at alpha 0
+    exact rational certificate as a fallback.  Each record carries the
+    "seconds" spent on its own identity.  Raises ParameterError at alpha 0
     or 1, where the frame degenerates and no identity is defined.
     """
     from .expr import NotRationalError
@@ -576,10 +578,12 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
         shift = a if side == "minus" else a - 3
         gallery = None
         for i in range(1, 5):
+            t0 = time.monotonic()
             rid = f"x2:{side}:{i}:alpha={a}"
             if not combination_admissible(i, side, a):
                 results.append({"id": rid, "status": "skipped",
-                                "reason": "parameter excluded by a printed denominator"})
+                                "reason": "parameter excluded by a printed denominator",
+                                "seconds": time.monotonic() - t0})
                 continue
             coeffs = cij_coefficients(shift)
             if side == "minus":
@@ -607,5 +611,5 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                 except NotRationalError:
                     pass
             results.append({"id": rid, "status": "passed" if ok else "failed",
-                            "residual": res})
+                            "residual": res, "seconds": time.monotonic() - t0})
     return results

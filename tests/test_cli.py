@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -127,7 +128,7 @@ class TestMain:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("line", ["sede = 3", "bind = alpha=2"])
+    @pytest.mark.parametrize("line", ["sede = 3", "bind = alpha=2", "seed = abc", "tol = x"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "qsusy.cfg"
         cfg.write_text(f"suites = lie-closure\n{line}\n")
@@ -209,3 +210,21 @@ def test_check_ids_unique_with_anchors():
     ids = [c["id"] for c in checks]
     assert len(ids) == len(set(ids))
     assert all(c["anchor"] for c in checks)
+
+
+def test_identity_records_are_charged_their_own_time():
+    from qsusy.invariance import SamplePlan
+    from qsusy.suites import suite_commutators, suite_x2
+
+    plan = SamplePlan()
+    t0 = time.monotonic()
+    x2 = suite_x2(plan, alphas=(Fraction(5),))
+    wall = 1000.0 * (time.monotonic() - t0)
+    identities = [c for c in x2 if c["id"].startswith(("x2:minus:", "x2:plus:"))]
+    assert identities and all(c["millis"] > 0 for c in identities
+                              if c["verdict"] != "skipped")
+    # the identity work is inside the records, not between them
+    assert sum(c["millis"] for c in x2) > wall / 2
+    table = suite_commutators(plan, f_texts=("z^3",))
+    assert len(table) == 28
+    assert max(c["millis"] for c in table) <= sum(c["millis"] for c in table) / 2

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from qsusy import (
 )
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
-    ONE, EvalError, free_vars, opaque_names, rebuild, substitute_param,
-    substitute_var, values,
+    EVAL_FAULT, HARD_FAULT, ONE, EvalError, Pow, free_vars, opaque_names, rebuild,
+    substitute_param, substitute_var, values, values_and_faults,
 )
 from qsusy.parser import ParseError
 
@@ -258,6 +259,7 @@ def test_values_shape_with_empty_lists():
 
 @pytest.mark.parametrize("text, x", [
     ("1/z", 1e-12),                 # pole guard
+    ("tan(z)", math.pi / 2),        # pole guard of tan
     ("nu*z", 1.0),                  # unbound parameter
     ("f(z)", 1.0),                  # unbound opaque function
     ("log(z - 2)", 1.0),            # domain error
@@ -269,6 +271,107 @@ def test_values_raises_what_evaluate_raises(text, x):
     with pytest.raises(EvalError) as batched:
         values([ONE, e], [2.5, x])
     assert type(batched.value) is type(scalar.value)
+    assert values_and_faults([e], [x])[1].tolist() == [[EVAL_FAULT]]
+
+
+# the batch kernel against the scalar oracle ------------------------------------
+
+_c = st.sampled_from([rat(0), rat(1, 2), rat(-1), rat(3, 2)])
+_pole_leaf = st.one_of(
+    st.sampled_from([z, sym("a"), rat(2), rat(-1, 3), opaque("f", 0, z),
+                     pow_(z - 1, -40),          # overflows next to z = 1
+                     pow_(-1 - z * z, pow_(z - 1, -40))]),  # negative base, infinite power
+    _c.map(lambda c: pow_(z - c, -1)),          # 1/(z - c)
+    _c.map(lambda c: fn("log", z + c)),         # log(z + c)
+)
+
+
+def _pole_build(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda ab: add(*ab)),
+        st.tuples(children, children).map(lambda ab: mul(*ab)),
+        children.map(lambda e: fn("tan", e)),
+        children.map(lambda e: pow_(e - 1, 3)),   # a negative base to an integer power
+        children.filter(lambda e: e != rat(0)).map(lambda e: pow_(e, -2)),
+        children.map(lambda e: pow_(e, rat(1, 2))),
+        children.map(lambda e: fn("sin", e)),
+        children.map(lambda e: fn("exp", e)),
+        children.map(lambda e: opaque("f", 1, e)),
+    )
+
+
+_pole_expr = st.recursive(_pole_leaf, _pole_build, max_leaves=5)
+_pole_points = st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                  st.sampled_from([0.0, 0.5, 1.0, -1.0, -1.5, 1.5,
+                                                   1 - 1e-9, 1 + 3e-9, 0.5 + 2**-10,
+                                                   math.pi / 2])),
+                        max_size=6)
+# f is bound to an expression that itself applies the opaque g, and both use
+# the same Var object as the sampled expressions
+_nested = Binding(funcs={"f": add(mul(opaque("g", 0, pow_(z, 2)), z), fn("log", z + 2)),
+                         "g": add(fn("tan", z), pow_(z + 1, -1))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pole_expr, min_size=1, max_size=3), _pole_points, st.floats(-2.0, 2.0))
+def test_kernel_matches_evaluate_bit_for_bit(exprs, pts, a):
+    bind = _nested.with_params(a=a)
+    V, F = values_and_faults(exprs, pts, bind)
+    assert V.shape == F.shape == (len(pts), len(exprs))
+    for i, x in enumerate(pts):
+        for j, e in enumerate(exprs):
+            try:
+                want = evaluate(e, x, bind)
+            except EvalError:
+                assert F[i, j] == EVAL_FAULT
+                continue
+            except (ArithmeticError, ValueError):
+                assert F[i, j] == HARD_FAULT
+                continue
+            assert F[i, j] == 0
+            got = V[i, j]
+            if np.isnan(want):
+                assert np.isnan(got)
+            else:
+                assert got == want and np.signbit(got) == np.signbit(want)
+
+
+def test_kernel_reports_the_first_exception_evaluate_meets():
+    hard = pow_(z - 1, -40)     # a negative base overflows at 1 - 1e-9
+    soft = fn("log", z - 2)     # a domain error there
+    V, F = values_and_faults([Pow(hard, soft), Pow(soft, hard)], [1 - 1e-9])
+    assert F.tolist() == [[HARD_FAULT, EVAL_FAULT]]
+    with pytest.raises(OverflowError):
+        evaluate(Pow(hard, soft), 1 - 1e-9)
+    with pytest.raises(EvalError):
+        evaluate(Pow(soft, hard), 1 - 1e-9)
+
+
+def test_kernel_over_several_blocks_of_points():
+    pts = np.linspace(-2.0, 2.0, 2501)  # more points than one DAG walk takes
+    e = add(pow_(z - float(pts[1500]), -1), fn("log", z + 1), opaque("f", 0, z))
+    bind = Binding(funcs={"f": fn("tan", z)})
+    V, F = values_and_faults([e], pts, bind)
+    for i, x in enumerate(pts):
+        try:
+            want = evaluate(e, x, bind)
+        except EvalError:
+            assert F[i, 0] == EVAL_FAULT
+        else:
+            assert F[i, 0] == 0 and V[i, 0] == want
+    assert F[1500, 0] == EVAL_FAULT and F[:625, 0].all() and not F[626:1500, 0].any()
+
+
+def test_nested_opaque_contexts_do_not_share_entries():
+    # f's body and the sampled expression share the node z; inside f it must
+    # mean f's argument, not the sample point
+    bind = Binding(funcs={"f": mul(opaque("g", 0, z), z), "g": pow_(z, 3)})
+    e = add(opaque("f", 0, pow_(z, 2)), z)
+    pts = [0.5, 1.25, -2.0]
+    V, F = values_and_faults([e, opaque("g", 0, z)], pts, bind)
+    assert not F.any()
+    np.testing.assert_array_equal(V, [[evaluate(e, x, bind), evaluate(opaque("g", 0, z), x, bind)]
+                                      for x in pts])
 
 
 # the rewriting core -------------------------------------------------------------

@@ -51,3 +51,25 @@ def test_tree_traversal_goes_through_children(path):
     # everything else walks expressions with expr.children / expr.rebuild,
     # which visit each shared subtree once
     assert child_tuple_reads(path.read_text(encoding="utf-8")) == []
+
+
+def evaluate_refs(source: str) -> list[int]:
+    tree = ast.parse(source)
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == "evaluate")
+        or (isinstance(n, ast.Attribute) and n.attr == "evaluate")
+        or (isinstance(n, ast.ImportFrom) and any(a.name == "evaluate" for a in n.names)))
+
+
+def test_detector_flags_an_evaluate_reference():
+    assert evaluate_refs("from .expr import evaluate_exact, evaluate\n"
+                         "y = expr.evaluate(e, 1.0)\nz = evaluate_exact(e, 1)\n") == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "expr.py"], ids=lambda p: p.name)
+def test_numeric_sampling_goes_through_the_batch_kernel(path):
+    # evaluate is the scalar reference; every other module samples through
+    # expr.values / expr.values_and_faults
+    assert evaluate_refs(path.read_text(encoding="utf-8")) == []

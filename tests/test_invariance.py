@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsusy import Binding, add, mul, opaque, parse, pow_, rat, var
+from qsusy import Binding, EvalError, add, evaluate, fn, mul, opaque, parse, pow_, rat, var
 from qsusy.diffop import DiffOp
 from qsusy.families import build_J, monomial_J
 from qsusy.invariance import (
-    IllConditionedBasisError, SamplePlan, Subspace,
+    IllConditionedBasisError, SamplePlan, SamplingError, Subspace,
     check_annihilates, check_invariant, check_lie_closure, commutator_rhs,
     first_order_preservers, ops_equal_numeric, restricted_matrix, safe_points,
     verify_commutator_table,
@@ -116,6 +116,75 @@ class TestSampling:
             v1 = check_invariant(op, seed_space(f), SamplePlan(seed=3), bind)
             v2 = check_invariant(op, seed_space(f), SamplePlan(seed=1234), bind)
             assert v1.passed == v2.passed
+
+
+def _reference_safe_points(exprs, plan, bind=None, count=None, intervals=None):
+    """The point-by-point search that the batched safe_points replaced."""
+    def safe_value(e, x):
+        try:
+            v = evaluate(e, x, bind)
+        except EvalError:
+            return None
+        if not np.isfinite(v) or abs(v) > plan.magnitude_cap:
+            return None
+        return v
+
+    need = count if count is not None else plan.m + plan.holdout
+    rng = np.random.default_rng(plan.seed)
+    out, bad = [], []
+    for lo, hi in (intervals or plan.intervals):
+        draws = rng.uniform(lo, hi, size=60 * need)
+        for x in draws:
+            x = float(x)
+            if any(abs(x - g) < plan.exclusion for g in bad):
+                continue
+            if any(abs(x - p) < plan.exclusion / 10 for p in out):
+                continue
+            if any(safe_value(e, x) is None for e in exprs):
+                bad.append(x)
+                continue
+            out.append(x)
+            if len(out) >= need:
+                return np.array(out)
+    raise SamplingError(f"could only find {len(out)} of {need} usable sample points")
+
+
+def _outcome(search, exprs, plan, bind):
+    try:
+        return search(exprs, plan, bind).tolist()
+    except (SamplingError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# name: (expressions, SamplePlan fields, binding, what the search ends in)
+_SEARCH_CASES = {
+    "magnitude cap at a double pole": (
+        [pow_(z - rat(3, 2), -2)], dict(magnitude_cap=1e2), None, list),
+    "log domain and a pole": (
+        [fn("log", z - 2), pow_(z - 3, -1)], dict(intervals=((1.5, 3.5),)), None, list),
+    "negative base, fractional power": (
+        [mul(pow_(z - 4, rat(1, 2)), pow_(z - rat(9, 2), -1))],
+        dict(intervals=((3.0, 5.0),), exclusion=1e-2), None, list),
+    "opaque function off its domain": (
+        [opaque("f", 1, z), opaque("f", 0, z)], dict(intervals=((5.5, 8.0), (0.5, 2.5))),
+        Binding(funcs={"f": fn("log", z - 7)}), list),
+    "too few usable points": (
+        [fn("log", z - rat(799, 100))], dict(intervals=((7.5, 8.0),), exclusion=1e-2),
+        None, SamplingError),
+    "evaluate itself raises": (  # exp(exp(z)) overflows to inf, then sin(inf)
+        [fn("sin", fn("exp", fn("exp", z)))], dict(intervals=((6.0, 7.0),)), None,
+        ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
+def test_safe_points_matches_point_by_point_search(case):
+    exprs, plan_kw, bind, ends_in = _SEARCH_CASES[case]
+    for seed in range(20):
+        plan = SamplePlan(seed=seed, **plan_kw)
+        want = _outcome(_reference_safe_points, exprs, plan, bind)
+        assert (list if isinstance(want, list) else want[0]) is ends_in
+        assert _outcome(safe_points, exprs, plan, bind) == want, seed
 
 
 class TestCommutatorTable:

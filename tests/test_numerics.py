@@ -3,10 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from qsusy import Binding, parse
+from scipy.linalg import eigh_tridiagonal
+
+from qsusy import Binding, EvalError, evaluate, parse
 from qsusy.numerics import (
     Grid, GridError, fd_spectrum, normalizability_probe, schrodinger_residual,
 )
+
+
+def _reference_fd_spectrum(V, grid, k, on_singular):
+    """fd_spectrum built node by node with the scalar evaluator."""
+    qs = grid.interior()
+    vals = np.empty(len(qs))
+    for i, q in enumerate(qs):
+        try:
+            v = evaluate(V, float(q))
+        except EvalError:
+            if on_singular == "exclude":
+                v = 1e12
+            else:
+                raise GridError(f"potential singular at node q={q}") from None
+        if not np.isfinite(v):
+            if on_singular == "exclude":
+                v = 1e12
+            else:
+                raise GridError(f"potential not finite at node q={q}")
+        vals[i] = v
+    diag = 1.0 / grid.h**2 + vals
+    off = np.full(len(qs) - 1, -0.5 / grid.h**2)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                            eigvals_only=True)
 
 
 class TestGrid:
@@ -46,6 +72,21 @@ class TestFdSpectrum:
         ev = fd_spectrum(parse("1/q^2", "q"), Grid(-1.0, 1.0, 999), 1,
                          on_singular="exclude")
         assert np.isfinite(ev[0])
+
+    @pytest.mark.parametrize("text", [
+        "1/q", "1/q^2 + q", "log(q + 1/2)", "q^(1/2) + 1/(q - 1/2)",
+        "exp(exp(exp(2*q)))",   # not finite on the right end
+    ])
+    def test_singular_grid_matches_scalar_reference(self, text):
+        V, grid = parse(text, "q"), Grid(-1.0, 1.0, 999)
+        with pytest.raises(GridError) as want:
+            _reference_fd_spectrum(V, grid, 3, "error")
+        with pytest.raises(GridError) as got:
+            fd_spectrum(V, grid, 3)
+        assert str(got.value) == str(want.value)
+        np.testing.assert_array_equal(
+            fd_spectrum(V, grid, 3, on_singular="exclude"),
+            _reference_fd_spectrum(V, grid, 3, "exclude"))
 
     def test_grid_refinement_second_order(self):
         e_coarse = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 1000), 1)[0]
@@ -102,6 +143,12 @@ class TestNormalizability:
         # growing sector element of the radial family
         psi = parse("q^(1/2)*exp(q^2/2)", "q")
         assert normalizability_probe(psi, (0.0, math.inf)) == "divergent"
+
+    def test_evaluation_error_propagates(self):
+        # exp(exp(q)) overflows to inf far out, and sin(inf) raises ValueError
+        # inside evaluate; that is not a divergence verdict
+        with pytest.raises(ValueError):
+            normalizability_probe(parse("sin(exp(exp(q)))", "q"), (0.0, math.inf))
 
 
 def test_fd_agrees_with_algebraic_level():
