@@ -749,35 +749,54 @@ class NotRationalError(ExprError):
 def evaluate_exact(e: Expr, at: Fraction,
                    params: dict[str, Fraction] | None = None) -> Fraction:
     """Exact rational evaluation; raises NotRationalError on transcendental or
-    opaque content and ZeroDivisionError at poles."""
+    opaque content and ZeroDivisionError at poles.  Each distinct node is
+    evaluated once (memo keyed by node id) to a reduced (numerator,
+    denominator) pair of ints; a power's exponent is evaluated before its base.
+    """
+    memo: dict[int, tuple[int, int]] = {}
 
-    def ev(x: Expr) -> Fraction:
+    def ev(x: Expr) -> tuple[int, int]:
+        key = id(x)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _ev(x)
+        return hit
+
+    def _ev(x: Expr) -> tuple[int, int]:
         if isinstance(x, Rat):
-            return x.value
+            return x.value.as_integer_ratio()
         if isinstance(x, Var):
-            return at
+            return at.as_integer_ratio()
         if isinstance(x, Sym):
             if params and x.name in params:
-                return params[x.name]
+                return params[x.name].as_integer_ratio()
             raise NotRationalError(f"parameter {x.name!r} has no rational value")
         if isinstance(x, Add):
-            out = Fraction(0)
+            n, d = 0, 1
             for t in x.terms:
-                out += ev(t)
-            return out
-        if isinstance(x, Mul):
-            out = Fraction(1)
+                tn, td = ev(t)
+                n, d = n * td + tn * d, d * td
+        elif isinstance(x, Mul):
+            n, d = 1, 1
             for f in x.factors:
-                out *= ev(f)
-            return out
-        if isinstance(x, Pow):
-            expo = ev(x.exponent)
-            if expo.denominator != 1:
+                fn_, fd = ev(f)
+                n, d = n * fn_, d * fd
+        elif isinstance(x, Pow):
+            k, kd = ev(x.exponent)
+            if kd != 1:
                 raise NotRationalError("non-integer exponent")
-            return ev(x.base) ** expo.numerator
-        raise NotRationalError(f"{type(x).__name__} node is not rational")
+            n, d = ev(x.base)
+            if k < 0:
+                if n == 0:
+                    raise ZeroDivisionError("zero base with a negative exponent")
+                n, d, k = (-d, -n, -k) if n < 0 else (d, n, -k)
+            return n**k, d**k  # a power of a reduced pair is reduced
+        else:
+            raise NotRationalError(f"{type(x).__name__} node is not rational")
+        g = math.gcd(n, d)
+        return n // g, d // g
 
-    return ev(e)
+    return Fraction(*ev(e))
 
 
 class Binding:

@@ -50,6 +50,8 @@ class Grid:
 def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None,
                 on_singular: str = "error") -> np.ndarray:
     """Lowest k eigenvalues of -(1/2) d^2/dq^2 + V with Dirichlet ends."""
+    if k < 1:
+        raise GridError(f"need k >= 1 eigenvalues, got {k}")
     qs = grid.interior()
     vals, fault = (a[:, 0] for a in values_and_faults([V], qs, bind))
     bad = (fault != 0) | ~np.isfinite(vals)

@@ -536,11 +536,14 @@ def combination_admissible(i: int, side: str, alpha) -> bool:
 def _exact_zero_operator(op: DiffOp, n_points: int = 72) -> bool:
     """Certify that an operator with rational-function coefficients vanishes.
 
-    The coefficients are evaluated exactly at rational points; a nonzero
-    rational function of the degrees arising here cannot vanish at this many
-    points, so all-zeros is a proof, not a sample.
+    Each coefficient is evaluated exactly at rational points, poles skipped,
+    and must be 0 at n_points of them.  That is a proof only under an
+    assumption nothing checks yet: each coefficient's numerator, written over
+    a common denominator, has degree below n_points (72), so that many zeros
+    force it to vanish identically.  Propagating a degree bound through the
+    expression would make it one; that is still open (ROADMAP.md, item 2).
     """
-    from .expr import NotRationalError, evaluate_exact
+    from .expr import evaluate_exact
 
     pts = [Fraction(7 * k + 3, 16) for k in range(1, 3 * n_points)]
     for k, c in op.coeffs.items():

@@ -121,6 +121,8 @@ class TestMain:
         ["spectrum", "--example", "1", "--potential", "q^2/2"],
         ["x2", "verify", "--alpha", "1"],
         ["x2", "verify", "--alpha", "0"],
+        ["spectrum", "--potential", "q^2/2", "--k", "0"],
+        ["spectrum", "--potential", "q^2/2", "--k", "-2"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, argv):
         assert main(argv) == 2

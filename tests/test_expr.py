@@ -1,9 +1,10 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qsusy import (
     Binding, EvalDomainError, PoleError, UnboundSymbolError,
@@ -12,8 +13,9 @@ from qsusy import (
 )
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
-    EVAL_FAULT, HARD_FAULT, ONE, EvalError, Pow, free_vars, opaque_names, rebuild,
-    substitute_param, substitute_var, values, values_and_faults,
+    EVAL_FAULT, HARD_FAULT, ONE, Add, EvalError, Mul, NotRationalError, Pow, Rat, Sym, Var,
+    evaluate_exact, free_vars, opaque_names, rebuild, substitute_param, substitute_var,
+    values, values_and_faults,
 )
 from qsusy.parser import ParseError
 
@@ -372,6 +374,109 @@ def test_nested_opaque_contexts_do_not_share_entries():
     assert not F.any()
     np.testing.assert_array_equal(V, [[evaluate(e, x, bind), evaluate(opaque("g", 0, z), x, bind)]
                                       for x in pts])
+
+
+# exact evaluation against an unmemoized Fraction walk ---------------------------
+
+def _exact_oracle(e, at, params=None):
+    """The tree walk evaluate_exact replaced: no memo, Fraction at every node."""
+
+    def ev(x):
+        if isinstance(x, Rat):
+            return x.value
+        if isinstance(x, Var):
+            return at
+        if isinstance(x, Sym):
+            if params and x.name in params:
+                return params[x.name]
+            raise NotRationalError(f"parameter {x.name!r} has no rational value")
+        if isinstance(x, Add):
+            out = Fraction(0)
+            for t in x.terms:
+                out += ev(t)
+            return out
+        if isinstance(x, Mul):
+            out = Fraction(1)
+            for f in x.factors:
+                out *= ev(f)
+            return out
+        if isinstance(x, Pow):
+            expo = ev(x.exponent)
+            if expo.denominator != 1:
+                raise NotRationalError("non-integer exponent")
+            return ev(x.base) ** expo.numerator
+        raise NotRationalError(f"{type(x).__name__} node is not rational")
+
+    return ev(e)
+
+
+_poles = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(3, 2)]
+_rational_leaf = st.one_of(
+    st.sampled_from([z, sym("a"), rat(2), rat(-1, 3), rat(0)]),
+    st.sampled_from(_poles).map(lambda c: pow_(z - rat(c), -1)),   # 1/(z - c)
+)
+# z, 1/z and "a" are integer exponents only at some values; 1/2 + 3/2 is 2
+# only once reduced
+_exponents = st.sampled_from([rat(-2), rat(-1), rat(0), rat(3), sym("a"), z, pow_(z, -1),
+                              Add((rat(1, 2), rat(3, 2)))])
+
+
+def _exact_build(children, exponents):
+    # raw nodes: canonical mul would refuse to build 0 * (0)^-1
+    return st.one_of(
+        st.tuples(children, children).map(Add),
+        st.tuples(children, children).map(Mul),
+        st.tuples(children, exponents).map(lambda ek: Pow(*ek)),
+    )
+
+
+# half the examples are rational throughout and reach a value or a pole; the
+# other half also draw an unbound parameter, Fn, Opaque and a 1/2 exponent
+_exact_expr = st.one_of(
+    st.recursive(_rational_leaf, lambda c: _exact_build(c, _exponents), max_leaves=6),
+    st.recursive(
+        st.one_of(_rational_leaf, st.sampled_from([sym("b"), fn("sin", z), opaque("f", 0, z)])),
+        lambda c: st.one_of(_exact_build(c, st.one_of(_exponents, st.just(rat(1, 2)))),
+                            c.map(lambda e: fn("exp", e))),
+        max_leaves=6))
+_exact_params = st.sampled_from([None] + [{"a": Fraction(a)} for a in ("1/2", "-2", "3", "0")])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (NotRationalError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_expr, st.one_of(st.sampled_from(_poles), _rational), _exact_params)
+@example(Pow(z, pow_(z, -1)), Fraction(-1), None)  # a negative reciprocal as an exponent
+def test_evaluate_exact_matches_the_unmemoized_walk(e, x, params):
+    got = _outcome(evaluate_exact, e, x, params)
+    want = _outcome(_exact_oracle, e, x, params)
+    assert got == want and type(got) is type(want)
+
+
+def test_evaluate_exact_raises_what_the_walk_raises_first():
+    # the exponent is evaluated before the base, children in order
+    assert _outcome(evaluate_exact, Pow(pow_(z, -1), sym("b")), Fraction(0)) is NotRationalError
+    assert _outcome(evaluate_exact, Pow(sym("b"), pow_(z, -1)), Fraction(0)) is ZeroDivisionError
+    assert _outcome(evaluate_exact, add(fn("sin", z), pow_(z, -1)), Fraction(0)) is NotRationalError
+    assert _outcome(evaluate_exact, pow_(z - 1, -1), Fraction(1)) is ZeroDivisionError
+
+
+def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
+    # e(k+1) = e(k)*z + e(k)*z^2: 203 distinct nodes, 2^40 tree paths; the
+    # unmemoized walk already takes seconds at depth 18
+    e = z + sym("a")
+    for _ in range(40):
+        e = add(mul(e, z), mul(e, pow_(z, 2)))
+    x, a = Fraction(3, 2), Fraction(-1, 7)
+    t0 = time.perf_counter()
+    got = evaluate_exact(e, x, {"a": a})
+    assert time.perf_counter() - t0 < 1.0
+    assert got == (x + a) * (x + x * x) ** 40
 
 
 # the rewriting core -------------------------------------------------------------

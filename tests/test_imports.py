@@ -10,24 +10,52 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qsusy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function, not those of the functions it defines."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list[str]:
+    # an import must be used in the scope that makes it: the module, or the
+    # function it sits in (nested functions included)
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(f"{name} (line {line})" for name, line in imported.items()
-                  if name not in used)
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module,) + _FUNCTIONS):
+            continue
+        imported = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        out += [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    return sorted(out)
 
 
 def test_detector_flags_an_unused_import():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
         "os (line 1)", "tau (line 2)"]
+
+
+def test_detector_flags_an_unused_local_import():
+    # tau is used in g, but the import in f is dead
+    source = ("from math import pi\n\n"
+              "def f():\n    from math import tau\n    return pi\n\n"
+              "def g(tau):\n    return tau\n\n"
+              "def h():\n    import os\n    return lambda: os.sep\n")
+    assert unused_imports(source) == ["tau (line 4)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

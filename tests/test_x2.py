@@ -8,7 +8,7 @@ from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.families import ParameterError, build_J, build_K, build_P3_minus
 from qsusy.invariance import check_annihilates, check_invariant, ops_equal_numeric
 from qsusy.x2 import (
-    FrameError, WronskianFrame, cij_coefficients, combination_admissible,
+    FrameError, WronskianFrame, _exact_zero_operator, cij_coefficients, combination_admissible,
     f_alpha, kside_constant, literature_x2, supercharges_via_conjugation,
     verify_x2_identities, wronskian_J, wronskian_J_via_conjugation,
     wronskian_K, wronskian_K_via_conjugation, x2_basis, x2_frame,
@@ -267,6 +267,21 @@ class TestCombinationIdentities:
         ok_fixed, _ = ops_equal_numeric(target, combo_fixed)
         assert not ok_printed
         assert ok_fixed
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_exact_certificate_and_its_negative_control(self, i):
+        # literature_x2(i) - sum_j C(i,j) J_j - C(i,0) U vanishes exactly at
+        # alpha = 7/2; moving the constant by 1e-6 must be rejected
+        a = Fraction(7, 2)
+        co = cij_coefficients(a)
+        gallery = x2_J_gallery(a)
+        rest = literature_x2(i, "minus", a)
+        for j in range(1, 9):
+            if co.C(i, j):
+                rest = rest - gallery[j].scaled(rat(co.C(i, j)))
+        const = co.C(i, 0)
+        assert _exact_zero_operator(rest - DiffOp.mult("u", rat(const)))
+        assert not _exact_zero_operator(rest - DiffOp.mult("u", rat(const + Fraction(1, 10**6))))
 
 
 class TestWiderSweeps:
