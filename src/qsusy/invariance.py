@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .expr import (
     mul, pow_, fn, var, as_expr, diff, free_vars, values, values_and_faults,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
-from .families import build_J
+from .families import _fctx, build_J
 
 
 class InvarianceError(ExprError):
@@ -79,10 +80,12 @@ class Verdict:
 
 
 def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
-                count: int | None = None, intervals=None) -> np.ndarray:
+                count: int | None = None, intervals=None):
     """Deterministic draw of points where every expression evaluates cleanly.
 
-    Failed draws become guard-ball centers: later candidates inside the
+    Returns (points, V) with V[i, j] the value of exprs[j] at points[i]: the
+    kernel rows that accepted the points, bit-equal to values(exprs, points,
+    bind).  Failed draws become guard-ball centers: later candidates inside the
     exclusion radius of a detected singular point are rejected without
     re-evaluation.  Draws are evaluated in chunks of 2*count through the batch
     kernel; the rules are then replayed in draw order, so the result is the
@@ -91,6 +94,7 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
     need = count if count is not None else plan.m + plan.holdout
     rng = np.random.default_rng(plan.seed)
     out: list[float] = []
+    rows: list[np.ndarray] = []
     bad: list[float] = []
     for lo, hi in (intervals or plan.intervals):
         draws = rng.uniform(lo, hi, size=60 * need)
@@ -99,7 +103,7 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
             V, F = values_and_faults(exprs, chunk, bind)
             # per point and expression: its fault, else 1 for a value out of range
             S = np.where(F != 0, F, ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap))
-            for x, row in zip(chunk.tolist(), S):
+            for x, row, v in zip(chunk.tolist(), S, V):
                 if any(abs(x - g) < plan.exclusion for g in bad):
                     continue
                 if any(abs(x - p) < plan.exclusion / 10 for p in out):
@@ -111,74 +115,61 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
                     bad.append(x)
                     continue
                 out.append(x)
+                rows.append(v)
                 if len(out) >= need:
-                    return np.array(out)
+                    return np.array(out), np.array(rows)
     raise SamplingError(
         f"could only find {len(out)} of {need} usable sample points")
 
 
-def _image_terms(op: DiffOp, elements: list) -> list:
-    """Per element, the (coefficient, derivative) pairs of the operator action."""
-    out = []
-    for b in elements:
-        out.append([(c, diff(b, op.var, k)) for k, c in op.coeffs.items()])
-    return out
+def _sampled_action(op: DiffOp, V: Subspace, plan: SamplePlan, bind: Binding | None):
+    """Points, basis values B, and signed (Y) and magnitude (G) sums of op(b_i).
 
-
-def _term_products(pairs: list, points, bind: Binding | None) -> np.ndarray:
-    """Column k holds coefficient * derivative of pairs[k] at every point."""
-    V = values([e for pair in pairs for e in pair], points, bind)
-    return V[:, 0::2] * V[:, 1::2]
-
-
-def _image_values(terms: list, points, bind: Binding | None):
-    """Signed sums and magnitude sums of the operator-action terms.
-
-    The magnitude column measures how much floating-point cancellation went
-    into each image value; residuals are judged relative to it.  Terms are
-    added one at a time in pair order, not pairwise, so the sums stay
-    bit-stable.
+    One point search covers the elements and every (coefficient, derivative)
+    pair of the action.  The magnitude sums measure how much floating-point
+    cancellation went into each image value; residuals are judged relative to
+    them.  Terms are added one at a time in pair order, not pairwise, so the
+    sums stay bit-stable.
     """
-    T = _term_products([pair for pairs in terms for pair in pairs], points, bind)
-    Y = np.zeros((len(points), len(terms)))
+    if op.var != V.variable:
+        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
+    elements = V.elements
+    n = len(elements)
+    pairs = [[(c, diff(b, op.var, k)) for k, c in op.coeffs.items()] for b in elements]
+    pts, A = safe_points(elements + [e for row in pairs for pair in row for e in pair],
+                         plan, bind)
+    T = A[:, n::2] * A[:, n + 1::2]
+    Y = np.zeros((len(pts), n))
     G = np.zeros_like(Y)
     col = 0
-    for i, pairs in enumerate(terms):
-        for t in T[:, col:col + len(pairs)].T:
+    for i, row in enumerate(pairs):
+        for t in T[:, col:col + len(row)].T:
             Y[:, i] += t
             G[:, i] += np.abs(t)
-        col += len(pairs)
-    return Y, G
+        col += len(row)
+    return pts, A[:, :n], Y, G
+
+
+def _relative(R: np.ndarray, G: np.ndarray, B: np.ndarray, tol: float):
+    """Per column, max |R| over 1 + the larger of its term magnitude and max |B|."""
+    r = np.abs(R).max(axis=0) / (1.0 + np.maximum(G.max(axis=0), np.abs(B).max()))
+    return [float(x) for x in r], bool(np.all(r <= tol))
 
 
 def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
                     bind: Binding | None = None) -> Verdict:
     """Least-squares membership of op(b_i) in span(V), certified on holdouts."""
-    if op.var != V.variable:
-        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
-    elements = V.elements
-    terms = _image_terms(op, elements)
-    flat_terms = [e for pairs in terms for pair in pairs for e in pair]
-    pts = safe_points(elements + flat_terms, plan, bind)
-    B_all = values(elements, pts, bind)
+    pts, B_all, Y_all, G_all = _sampled_action(op, V, plan, bind)
     B_fit = B_all[:plan.m]
     cond = float(np.linalg.cond(B_fit))
     if not np.isfinite(cond) or cond > plan.cond_ceiling:
         raise IllConditionedBasisError(
             f"sampled basis condition number {cond:.3e} exceeds ceiling")
-    Y_all, G_all = _image_values(terms, pts, bind)
     # column scaling keeps the solve well-behaved for lopsided bases
     scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
     M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_all[:plan.m], rcond=None)
     M = M_hat / scales[:, None]
-    R = Y_all - B_all @ M
-    residuals = []
-    ok = True
-    for i in range(len(elements)):
-        scale = 1.0 + max(np.max(G_all[:, i]), np.max(np.abs(B_all)))
-        r = float(np.max(np.abs(R[:, i])) / scale)
-        residuals.append(r)
-        ok = ok and (r <= plan.tol)
+    residuals, ok = _relative(Y_all - B_all @ M, G_all, B_all, plan.tol)
     # M returned in the (j, i) layout: column i holds the coordinates of op(b_i)
     return Verdict(ok, residuals, M if ok else None, cond,
                    {"points": pts, "fit_matrix_cond": cond})
@@ -186,21 +177,8 @@ def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
 
 def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
                       bind: Binding | None = None) -> Verdict:
-    if op.var != V.variable:
-        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
-    elements = V.elements
-    terms = _image_terms(op, elements)
-    flat_terms = [e for pairs in terms for pair in pairs for e in pair]
-    pts = safe_points(elements + flat_terms, plan, bind)
-    B_all = values(elements, pts, bind)
-    Y_all, G_all = _image_values(terms, pts, bind)
-    residuals = []
-    ok = True
-    for i in range(len(elements)):
-        scale = 1.0 + max(np.max(G_all[:, i]), np.max(np.abs(B_all)))
-        r = float(np.max(np.abs(Y_all[:, i])) / scale)
-        residuals.append(r)
-        ok = ok and (r <= plan.tol)
+    pts, B_all, Y_all, G_all = _sampled_action(op, V, plan, bind)
+    residuals, ok = _relative(Y_all, G_all, B_all, plan.tol)
     return Verdict(ok, residuals, None, float(np.linalg.cond(B_all)), {"points": pts})
 
 
@@ -228,22 +206,28 @@ def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
 
     Differences are judged relative to the summed term magnitudes of the two
     applications, so cancellation-heavy coefficients do not masquerade as
-    disagreement.
+    disagreement.  One point search covers both coefficient sets, the probes
+    and their derivatives.  A probe that faults where the coefficients do not
+    (a pole, say) moves the points of every probe; the default probes are
+    entire, so with them each probe gets the points its own search would.
     """
     if a.var != b.var:
         raise OperatorError("variable tags differ")
-    probes = probes if probes is not None else default_probes(a.var)
+    v = a.var
+    probes = probes if probes is not None else default_probes(v)
+    terms = list(a.coeffs.items()) + list(b.coeffs.items())
+    orders = sorted(set(a.coeffs) | set(b.coeffs))
+    derivs = [diff(psi, v, k) for psi in probes for k in orders]
+    pts, V = safe_points([c for _, c in terms] + list(probes) + derivs, plan, bind,
+                         count=n_points)
+    D = V[:, len(terms) + len(probes):]
     worst = 0.0
-    for psi in probes:
-        pairs_a = [(c, diff(psi, a.var, k)) for k, c in a.coeffs.items()]
-        pairs_b = [(c, diff(psi, b.var, k)) for k, c in b.coeffs.items()]
-        flat = [e for pair in pairs_a + pairs_b for e in pair]
-        pts = safe_points([psi] + flat, plan, bind, count=n_points)
-        T = _term_products(pairs_a + pairs_b, pts, bind)
+    for p in range(len(probes)):
         va, vb, mag = np.zeros((3, len(pts)))
         # one sequential magnitude sum over the a terms, then the b terms
-        for k, t in enumerate(T.T):
-            if k < len(pairs_a):
+        for n, (k, _) in enumerate(terms):
+            t = V[:, n] * D[:, p * len(orders) + orders.index(k)]
+            if n < len(a.coeffs):
                 va += t
             else:
                 vb += t
@@ -260,11 +244,11 @@ def op_order_numeric(op: DiffOp, bind: Binding | None = None,
     for k in sorted(op.coeffs):
         c = op.coeffs[k]
         try:
-            pts = safe_points([c], plan, bind, count=6)
+            _, V = safe_points([c], plan, bind, count=6)
         except SamplingError:
             order = max(order, k)
             continue
-        if np.abs(values([c], pts, bind)).max() > tol:
+        if np.abs(V).max() > tol:
             order = max(order, k)
     return order
 
@@ -272,97 +256,97 @@ def op_order_numeric(op: DiffOp, bind: Binding | None = None,
 # ---------------------------------------------------------------------------
 # the commutator table
 
-def _table(fc) -> dict:
-    """RHS of every [J_i, J_j] (i < j) as sums of (aD + b) ∘ J_target terms.
+def _row(i: int, j: int, fc) -> list:
+    """RHS of [J_i, J_j] (i < j) as a sum of (aD + b) ∘ J_target terms.
 
-    Targets 1, 4, 9 name gallery operators; target 0 is the identity.
+    Targets 1, 4, 9 name gallery operators; target 0 is the identity.  Only
+    the requested row is built.
     """
     z = var(fc.variable)
     f, fp, fpp = fc(0), fc(1), fc(2)
     inv = pow_(fpp, -1)
     two = as_expr(2)
     wf = z * fp - f
-    return {
-        (1, 2): [(two * inv, ZERO, 1)],
-        (1, 3): [(two * fp * inv, ONE, 1)],
-        (1, 4): [(two, ZERO, 1)],
-        (1, 5): [(two * z, ZERO, 1), (two * inv, ZERO, 4)],
-        (1, 6): [(two * f, ZERO, 1), (two * fp * inv, ONE, 4)],
-        (1, 7): [(two * z * z, -z, 1), (two * inv, ZERO, 9)],
-        (1, 8): [(two * z * f, -f, 1), (two * fp * inv, ONE, 9)],
-        (2, 3): [(two * wf * inv, z, 1)],
+    rows = {
+        (1, 2): lambda: [(two * inv, ZERO, 1)],
+        (1, 3): lambda: [(two * fp * inv, ONE, 1)],
+        (1, 4): lambda: [(two, ZERO, 1)],
+        (1, 5): lambda: [(two * z, ZERO, 1), (two * inv, ZERO, 4)],
+        (1, 6): lambda: [(two * f, ZERO, 1), (two * fp * inv, ONE, 4)],
+        (1, 7): lambda: [(two * z * z, -z, 1), (two * inv, ZERO, 9)],
+        (1, 8): lambda: [(two * z * f, -f, 1), (two * fp * inv, ONE, 9)],
+        (2, 3): lambda: [(two * wf * inv, z, 1)],
         # multiplier corrected from the printed z f' - f, which fails numerically
-        (2, 4): [(two * (z * fpp - fp) * inv, ONE, 1)],
-        (2, 5): [(two * z * (z * fpp - fp) * inv, z, 1), (two * z * inv, ZERO, 4)],
-        (2, 6): [(two * f * (z * fpp - fp) * inv, f, 1),
-                 (two * z * fp * inv, z, 4)],
-        (2, 7): [(two * z * (z * z * fpp - z * fp + f) * inv, ZERO, 1),
-                 (two * z * inv, ZERO, 9)],
-        (2, 8): [(two * f * (z * z * fpp - z * fp + f) * inv, ZERO, 1),
-                 (two * z * fp * inv, z, 9)],
-        (3, 4): [(two * (f * fpp - fp * fp) * inv, ZERO, 1)],
-        (3, 5): [(two * z * (f * fpp - fp * fp) * inv, ZERO, 1),
-                 (two * f * inv, ZERO, 4)],
-        (3, 6): [(two * f * (f * fpp - fp * fp) * inv, ZERO, 1),
-                 (two * f * fp * inv, f, 4)],
-        (3, 7): [(two * z * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
-                 (two * f * inv, ZERO, 9)],
-        (3, 8): [(two * f * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
-                 (two * f * fp * inv, f, 9)],
-        (4, 5): [(two * fp * inv, MINUS_ONE, 4)],
-        (4, 6): [(two * fp * fp * inv, ZERO, 4)],
-        (4, 7): [(two * z * f, ZERO, 1), (ZERO, -z, 4), (two * fp * inv, MINUS_ONE, 9)],
-        (4, 8): [(two * f * f, ZERO, 1), (ZERO, -f, 4), (two * fp * fp * inv, ZERO, 9)],
-        (5, 6): [(two * fp * wf * inv, f, 4)],
-        (5, 7): [(two * z * z * f, ZERO, 1), (-two * z * wf * inv, ZERO, 4),
-                 (two * z * fp * inv, -z, 9)],
-        (5, 8): [(two * z * f * f, ZERO, 1), (-two * f * wf * inv, ZERO, 4),
-                 (two * z * fp * fp * inv, ZERO, 9)],
-        (6, 7): [(two * z * f * f, ZERO, 1), (-two * fp * wf * inv * z, ZERO, 4),
-                 (two * f * fp * inv, -f, 9)],
-        (6, 8): [(two * f * f * f, ZERO, 1), (-two * f * fp * wf * inv, ZERO, 4),
-                 (two * f * fp * fp * inv, ZERO, 9)],
-        (7, 8): [(two * (z * z * fp * fp - 2 * z * f * fp + f * f) * inv, ZERO, 9)],
+        (2, 4): lambda: [(two * (z * fpp - fp) * inv, ONE, 1)],
+        (2, 5): lambda: [(two * z * (z * fpp - fp) * inv, z, 1), (two * z * inv, ZERO, 4)],
+        (2, 6): lambda: [(two * f * (z * fpp - fp) * inv, f, 1),
+                         (two * z * fp * inv, z, 4)],
+        (2, 7): lambda: [(two * z * (z * z * fpp - z * fp + f) * inv, ZERO, 1),
+                         (two * z * inv, ZERO, 9)],
+        (2, 8): lambda: [(two * f * (z * z * fpp - z * fp + f) * inv, ZERO, 1),
+                         (two * z * fp * inv, z, 9)],
+        (3, 4): lambda: [(two * (f * fpp - fp * fp) * inv, ZERO, 1)],
+        (3, 5): lambda: [(two * z * (f * fpp - fp * fp) * inv, ZERO, 1),
+                         (two * f * inv, ZERO, 4)],
+        (3, 6): lambda: [(two * f * (f * fpp - fp * fp) * inv, ZERO, 1),
+                         (two * f * fp * inv, f, 4)],
+        (3, 7): lambda: [(two * z * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
+                         (two * f * inv, ZERO, 9)],
+        (3, 8): lambda: [(two * f * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
+                         (two * f * fp * inv, f, 9)],
+        (4, 5): lambda: [(two * fp * inv, MINUS_ONE, 4)],
+        (4, 6): lambda: [(two * fp * fp * inv, ZERO, 4)],
+        (4, 7): lambda: [(two * z * f, ZERO, 1), (ZERO, -z, 4), (two * fp * inv, MINUS_ONE, 9)],
+        (4, 8): lambda: [(two * f * f, ZERO, 1), (ZERO, -f, 4), (two * fp * fp * inv, ZERO, 9)],
+        (5, 6): lambda: [(two * fp * wf * inv, f, 4)],
+        (5, 7): lambda: [(two * z * z * f, ZERO, 1), (-two * z * wf * inv, ZERO, 4),
+                         (two * z * fp * inv, -z, 9)],
+        (5, 8): lambda: [(two * z * f * f, ZERO, 1), (-two * f * wf * inv, ZERO, 4),
+                         (two * z * fp * fp * inv, ZERO, 9)],
+        (6, 7): lambda: [(two * z * f * f, ZERO, 1), (-two * fp * wf * inv * z, ZERO, 4),
+                         (two * f * fp * inv, -f, 9)],
+        (6, 8): lambda: [(two * f * f * f, ZERO, 1), (-two * f * fp * wf * inv, ZERO, 4),
+                         (two * f * fp * fp * inv, ZERO, 9)],
+        (7, 8): lambda: [(two * (z * z * fp * fp - 2 * z * f * fp + f * f) * inv, ZERO, 9)],
     }
+    return rows[(i, j)]()
 
 
 def commutator_rhs(i: int, j: int, fc) -> DiffOp:
-    from .families import _fctx
-
     fc = _fctx(fc)
     v = fc.variable
-    table = _table(fc)
     if i == j:
         return DiffOp.zero(v)
     sign = 1
     if i > j:
         i, j, sign = j, i, -1
-    gallery = {1: build_J(1, fc), 4: build_J(4, fc), 9: build_J(9, fc),
-               0: DiffOp.identity(v)}
     out = DiffOp.zero(v)
-    for a, b, target in table[(i, j)]:
-        first = DiffOp(v, {1: a, 0: b})
-        out = out + compose(first, gallery[target])
+    for a, b, target in _row(i, j, fc):
+        J = build_J(target, fc) if target else DiffOp.identity(v)
+        out = out + compose(DiffOp(v, {1: a, 0: b}), J)
     return out if sign == 1 else out.scaled(MINUS_ONE)
+
+
+@lru_cache(maxsize=28)
+def _commutator_identity(i: int, j: int) -> tuple[DiffOp, DiffOp]:
+    """[J_i, J_j] and its tabulated right-hand side, built once with f opaque."""
+    fc = _fctx(None)
+    return commutator(build_J(i, fc), build_J(j, fc)), commutator_rhs(i, j, fc)
 
 
 def verify_commutator_table(f, plan: SamplePlan = SamplePlan(),
                             tol: float = 1e-8) -> list[dict]:
     """Check all 28 commutator identities for a concrete generating function.
 
+    The identities are built once, with f opaque; f is bound at evaluation.
     Each record carries the "seconds" spent on its own identity.
     """
-    from .families import _fctx
-
-    fc = _fctx(None)
     bind = Binding(funcs={"f": as_expr(f)})
     results = []
-    J = {i: build_J(i, fc) for i in range(1, 9)}
     for i in range(1, 9):
         for j in range(i + 1, 9):
             t0 = time.monotonic()
-            lhs = commutator(J[i], J[j])
-            rhs = commutator_rhs(i, j, fc)
+            lhs, rhs = _commutator_identity(i, j)
             ok, res = ops_equal_numeric(lhs, rhs, bind, plan, tol=tol)
             results.append({"id": f"[J{i},J{j}]", "passed": ok, "residual": res,
                             "seconds": time.monotonic() - t0})
@@ -438,10 +422,9 @@ def first_order_preservers(f, degree: int = 4, plan: SamplePlan = SamplePlan(),
     basis = [ONE, x, f]
     n_par = 2 * (degree + 1)
     dbasis = [diff(b, vname) for b in basis]
-    pts = safe_points(basis + dbasis, plan, count=3 * (degree + 3))
+    pts, V = safe_points(basis + dbasis, plan, count=3 * (degree + 3))
     P = len(pts)
-    B = values(basis, pts)
-    dB = values(dbasis, pts)
+    B, dB = V[:, :3], V[:, 3:]
     monos = values([pow_(x, k) for k in range(degree + 1)], pts)
     # projector onto the orthogonal complement of the sampled basis columns
     Qmat, _ = np.linalg.qr(B)

@@ -383,10 +383,10 @@ def _validate_model(model: ModelSpec, tol: float = 1e-8):
     checks["Q=-z'W"] = add(Qq, mul(zp, model.W))
     plan = model.plan()
     all_exprs = list(checks.values())
-    pts = safe_points(all_exprs + [model.W, model.E, model.F, zp], plan, bind, count=8)
-    scale = 1.0 + float(np.abs(values([model.W, model.E, model.F, zp, Aq, Qq],
-                                      pts, bind)).max())
-    resid = np.abs(values(all_exprs, pts, bind)).max(axis=0) / scale
+    n = len(all_exprs)
+    pts, V = safe_points(all_exprs + [model.W, model.E, model.F, zp], plan, bind, count=8)
+    scale = 1.0 + float(np.abs(np.hstack([V[:, n:], values([Aq, Qq], pts, bind)])).max())
+    resid = np.abs(V[:, :n]).max(axis=0) / scale
     bad = {name: float(r) for name, r in zip(checks, resid) if r > tol}
     if bad:
         raise ModelConsistencyError(f"printed forms are inconsistent: {bad}")
@@ -411,14 +411,14 @@ def verify_susy_conditions(model: ModelSpec,
     F1, F2 = first_integrals(W, E, F)
     F1p, F2p = diff(F1, Q), diff(F2, Q)
     scale_exprs = [F1p, F2p, diff(F1p, Q), diff(F2p, Q), F1, F2]
-    pts = safe_points([cond2, cond3] + scale_exprs, plan, bind, count=10)
-    scale = 1.0 + float(np.abs(values(scale_exprs, pts, bind)).max())
+    pts, V = safe_points([cond2, cond3] + scale_exprs, plan, bind, count=10)
+    scale = 1.0 + float(np.abs(V[:, 2:]).max())
 
     Cs = model.coeffs.to_integration_constants()
     tF1, tF2 = f1f2_from_constants(Cs[:5], model.f_of_z, "z")
     m1 = add(_compose_z(tF1, model.z_of_q), mul(MINUS_ONE, F1))
     m2 = add(_compose_z(tF2, model.z_of_q), mul(MINUS_ONE, F2))
-    resid = np.abs(values([cond2, cond3, m1, m2], pts, bind)).max(axis=0) / scale
+    resid = np.abs(np.hstack([V[:, :2], values([m1, m2], pts, bind)])).max(axis=0) / scale
     r2, r3, rm1, rm2 = map(float, resid)
 
     P3 = model.supercharge_minus()
@@ -431,8 +431,8 @@ def verify_susy_conditions(model: ModelSpec,
     for psi in default_probes(Q):
         la = left.apply(psi)
         ra = right.apply(psi)
-        ppts = safe_points([la, ra], plan, bind, count=8)
-        va, vb = values([la, ra], ppts, bind).T
+        _, V = safe_points([la, ra], plan, bind, count=8)
+        va, vb = V.T
         rel = np.abs(va - vb) / (1.0 + np.maximum(np.abs(va), np.abs(vb)))
         worst = max(worst, float(rel.max()))
     return IntertwiningResidual(r2, r3, rm1, rm2, worst)
@@ -466,9 +466,8 @@ def algebraic_spectrum(model: ModelSpec, side: str,
         diagnostics["eigvec_cond"] = float(cond_vec)
     elements = V.elements
     h_applied = [H.apply(b) for b in elements]
-    pts = safe_points(elements + h_applied, plan, bind, count=8)
-    Bv = values(elements, pts, bind)
-    Hv = values(h_applied, pts, bind)
+    _, V = safe_points(elements + h_applied, plan, bind, count=8)
+    Bv, Hv = V[:, :len(elements)], V[:, len(elements):]
     residuals = []
     for i in range(len(eigvals)):
         c = vecs[:, i]

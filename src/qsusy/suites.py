@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import (
-    Binding, ONE, Var, add, mul, opaque, pow_, var, values,
+    Binding, ONE, Var, add, mul, opaque, pow_, var,
 )
 from .parser import parse
 from .diffop import DiffOp
@@ -411,9 +411,10 @@ def _independent_of(op: DiffOp, existing: list[DiffOp], space: Subspace,
     elements = space.elements
     applied = [[o.apply(b) for b in elements] for o in existing + [op]]
     flat = [e for row in applied for e in row]
-    pts = safe_points(elements + flat, plan, count=10)
+    n = len(elements)
+    _, V = safe_points(elements + flat, plan, count=10)
     # one feature vector per operator: each element's image at every point
-    feats = [values(row, pts).T.ravel() for row in applied]
+    feats = [V[:, n * k:n * (k + 1)].T.ravel() for k in range(1, len(applied) + 1)]
     M_existing = np.array(feats[:-1])
     M_all = np.array(feats)
     r0 = np.linalg.matrix_rank(M_existing, tol=1e-8 * np.abs(M_existing).max())
@@ -444,10 +445,11 @@ def suite_models(plan: SamplePlan, draws_per_example: int = 2) -> list[dict]:
             t0 = time.monotonic()
             try:
                 model = build_example(eid, Binding(params=params))
-            except Exception:  # noqa: BLE001 - reported as a failed check
-                checks.append(record(f"models:{tag}:build",
-                                     f"closed-form model build, {tag}",
-                                     False, None, t0))
+            except Exception as exc:  # noqa: BLE001 - reported as a failed check
+                rec = record(f"models:{tag}:build", f"closed-form model build, {tag}",
+                             False, None, t0)
+                rec["reason"] = f"{type(exc).__name__}: {exc}"
+                checks.append(rec)
                 continue
             checks.append(record(f"models:{tag}:build",
                                  f"closed-form model build, {tag}", True, 0.0, t0))
@@ -523,8 +525,7 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
     checks.append(record("x2:reduction", "plain-frame reductions recover the gallery",
                          ok, 0.0, t0))
     t0 = time.monotonic()
-    co = x2mod.cij_coefficients(Fraction(2))
-    rank = np.linalg.matrix_rank(co.matrix())
+    rank = x2mod.cij_coefficients(Fraction(2)).rank()
     checks.append(record("x2:rank", "combination coefficient matrix has full rank",
                          rank == 4, float(rank), t0))
     return checks

@@ -276,7 +276,12 @@ def _frame_alpha(alpha) -> Fraction:
 
 
 def x2_frame(alpha) -> WronskianFrame:
-    a = _frame_alpha(alpha)
+    return _x2_frame(_frame_alpha(alpha))
+
+
+# memoized on the normalized parameter, like the gallery builders below
+@lru_cache(maxsize=32)
+def _x2_frame(a: Fraction) -> WronskianFrame:
     return WronskianFrame(x2_seed_polynomial(1, a), x2_seed_polynomial(2, a),
                           x2_seed_polynomial(3, a), U)
 
@@ -447,6 +452,18 @@ class X2Coefficients:
     def matrix(self) -> np.ndarray:
         return np.array([[float(self.C(i, j)) for j in range(0, 9)]
                          for i in range(1, 5)])
+
+    def rank(self) -> int:
+        """Rank of the table over Q, by exact Gaussian elimination."""
+        rows = [[self.C(i, j) for j in range(0, 9)] for i in range(1, 5)]
+        rank = 0
+        for col in range(9):
+            pivot = next((r for r in rows if r[col]), None)
+            if pivot is not None:
+                rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)]
+                        for r in rows if r is not pivot]
+                rank += 1
+        return rank
 
 
 def cij_coefficients(alpha) -> X2Coefficients:

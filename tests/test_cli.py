@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsusy import Binding
 from qsusy.cli import (
     ConfigError, Report, SuiteConfig, emit_report, main, run_suite,
     _parse_bindings,
@@ -215,9 +216,14 @@ def test_check_ids_unique_with_anchors():
 
 
 def test_identity_records_are_charged_their_own_time():
+    from qsusy import invariance, x2
     from qsusy.invariance import SamplePlan
     from qsusy.suites import suite_commutators, suite_x2
 
+    # the cold path, whatever ran before: identities and frames are memoized
+    for cached in (invariance._commutator_identity, x2._x2_frame, x2._j_gallery,
+                   x2._k_gallery, x2._kb_gallery):
+        cached.cache_clear()
     plan = SamplePlan()
     t0 = time.monotonic()
     x2 = suite_x2(plan, alphas=(Fraction(5),))
@@ -230,3 +236,21 @@ def test_identity_records_are_charged_their_own_time():
     table = suite_commutators(plan, f_texts=("z^3",))
     assert len(table) == 28
     assert max(c["millis"] for c in table) <= sum(c["millis"] for c in table) / 2
+
+
+def test_failed_model_build_records_its_reason(monkeypatch):
+    from qsusy import models, suites
+    from qsusy.invariance import SamplePlan
+
+    def build(eid, bind):
+        if eid == 2:  # alpha = -1 is outside example 2's parameter range
+            bind = Binding(params={"alpha": -1.0, "nu": 1.0, "b0": 1.0})
+        return models.build_example(eid, bind)
+
+    monkeypatch.setattr(suites, "build_example", build)
+    checks = suites.suite_models(SamplePlan(), draws_per_example=1)
+    failed = [c for c in checks if c["verdict"] == "fail"]
+    assert [c["id"] for c in failed] == ["models:example2:draw0:build"]
+    assert failed[0]["reason"].startswith("ModelParameterError: ")
+    assert all("reason" not in c for c in checks if c["verdict"] != "fail")
+    assert "ModelParameterError" in Report(SuiteConfig(), checks).to_json(include_timing=False)

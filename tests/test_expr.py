@@ -17,6 +17,7 @@ from qsusy.expr import (
     evaluate_exact, free_vars, opaque_names, rebuild, substitute_param, substitute_var,
     values, values_and_faults,
 )
+from qsusy.invariance import SamplePlan, SamplingError, safe_points
 from qsusy.parser import ParseError
 
 z = var("z")
@@ -336,6 +337,21 @@ def test_kernel_matches_evaluate_bit_for_bit(exprs, pts, a):
                 assert np.isnan(got)
             else:
                 assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_pole_expr, max_size=3), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1),
+       st.sampled_from([((-3.0, 3.0),), ((0.4, 1.6), (-1.2, -0.8))]))
+def test_point_search_returns_the_rows_values_gives(exprs, a, seed, intervals):
+    # safe_points hands back the kernel rows that accepted its points
+    bind = _nested.with_params(a=a)
+    plan = SamplePlan(seed=seed, intervals=intervals, magnitude_cap=1e6)
+    try:
+        pts, V = safe_points(exprs, plan, bind, count=4)
+    except (SamplingError, ArithmeticError, ValueError):
+        return
+    assert V.shape == (4, len(exprs))
+    assert V.tobytes() == values(exprs, pts, bind).tobytes()
 
 
 def test_kernel_reports_the_first_exception_evaluate_meets():

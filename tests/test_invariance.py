@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qsusy import Binding, EvalError, add, evaluate, fn, mul, opaque, parse, pow_, rat, var
+from qsusy import invariance, suites, x2
 from qsusy.diffop import DiffOp
-from qsusy.families import build_J, monomial_J
+from qsusy.expr import diff, values
+from qsusy.families import build_J, build_K, monomial_J
 from qsusy.invariance import (
     IllConditionedBasisError, SamplePlan, SamplingError, Subspace,
-    check_annihilates, check_invariant, check_lie_closure, commutator_rhs,
+    check_annihilates, check_invariant, check_lie_closure, commutator_rhs, default_probes,
     first_order_preservers, ops_equal_numeric, restricted_matrix, safe_points,
     verify_commutator_table,
 )
@@ -99,13 +101,13 @@ class TestRestrictedMatrix:
 class TestSampling:
     def test_deterministic(self):
         plan = SamplePlan(seed=42)
-        a = safe_points([pow_(z, -1)], plan, count=10)
-        b = safe_points([pow_(z, -1)], plan, count=10)
+        a, _ = safe_points([pow_(z, -1)], plan, count=10)
+        b, _ = safe_points([pow_(z, -1)], plan, count=10)
         assert np.array_equal(a, b)
 
     def test_avoids_poles(self):
         plan = SamplePlan(seed=1, intervals=((-1.0, 1.0),))
-        pts = safe_points([pow_(z, -1)], plan, count=8)
+        pts, _ = safe_points([pow_(z, -1)], plan, count=8)
         assert np.all(np.abs(pts) > 1e-6)
 
     def test_verdict_stable_across_seeds(self):
@@ -151,9 +153,15 @@ def _reference_safe_points(exprs, plan, bind=None, count=None, intervals=None):
 
 def _outcome(search, exprs, plan, bind):
     try:
-        return search(exprs, plan, bind).tolist()
+        out = search(exprs, plan, bind)
     except (SamplingError, ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
+    if isinstance(out, tuple):  # safe_points: the points and the rows that accepted them
+        pts, V = out
+        assert V.shape == (len(pts), len(exprs))
+        assert V.tobytes() == values(exprs, pts, bind).tobytes()
+        out = pts
+    return out.tolist()
 
 
 # name: (expressions, SamplePlan fields, binding, what the search ends in)
@@ -185,6 +193,100 @@ def test_safe_points_matches_point_by_point_search(case):
         want = _outcome(_reference_safe_points, exprs, plan, bind)
         assert (list if isinstance(want, list) else want[0]) is ends_in
         assert _outcome(safe_points, exprs, plan, bind) == want, seed
+
+
+def _ops_equal_per_probe(a, b, bind=None, plan=SamplePlan(), probes=None, tol=1e-9,
+                         n_points=12):
+    """The loop that ops_equal_numeric replaced: one point search per probe."""
+    probes = probes if probes is not None else default_probes(a.var)
+    worst = 0.0
+    for psi in probes:
+        pairs_a = [(c, diff(psi, a.var, k)) for k, c in a.coeffs.items()]
+        pairs_b = [(c, diff(psi, b.var, k)) for k, c in b.coeffs.items()]
+        flat = [e for pair in pairs_a + pairs_b for e in pair]
+        pts, _ = safe_points([psi] + flat, plan, bind, count=n_points)
+        V = values(flat, pts, bind)
+        T = V[:, 0::2] * V[:, 1::2]
+        va, vb, mag = np.zeros((3, len(pts)))
+        for k, t in enumerate(T.T):
+            if k < len(pairs_a):
+                va += t
+            else:
+                vb += t
+            mag += np.abs(t)
+        rel = np.abs(va - vb) / (1.0 + mag)
+        worst = max(worst, float(rel.max(initial=0.0)))
+    return worst <= tol, worst
+
+
+def _against_oracle(monkeypatch, module) -> list:
+    """Make module's ops_equal_numeric assert that it matches the per-probe loop."""
+    seen = []
+
+    def both(a, b, bind=None, plan=SamplePlan(), **kw):
+        got = ops_equal_numeric(a, b, bind, plan, **kw)
+        assert got == _ops_equal_per_probe(a, b, bind, plan, **kw)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(module, "ops_equal_numeric", both)
+    return seen
+
+
+class TestOneSearchPerPair:
+    """ops_equal_numeric gives the per-probe loop's (ok, worst), bit for bit."""
+
+    @pytest.mark.parametrize("f_text", ["z^3", "exp(z)", "z^(7/3)"])
+    def test_galleries(self, f_text):
+        f = parse(f_text)
+        bind = Binding(funcs={"f": f})
+        verdicts = []
+        for build, top in ((build_J, 9), (build_K, 8)):
+            for i in range(1, top + 1):
+                for other in (build(i), build(i % top + 1)):
+                    got = ops_equal_numeric(build(i, f), other, bind)
+                    assert got == _ops_equal_per_probe(build(i, f), other, bind)
+                    verdicts.append(got[0])
+        assert True in verdicts and False in verdicts
+
+    def test_h_minus_routes(self, monkeypatch):
+        seen = _against_oracle(monkeypatch, suites)
+        checks = suites.suite_construction(SamplePlan(), draws=6)
+        assert len(seen) == 6 + 10 and all(c["verdict"] == "pass" for c in checks)
+
+    def test_commutator_identities(self, monkeypatch):
+        seen = _against_oracle(monkeypatch, invariance)
+        assert all(r["passed"] for r in verify_commutator_table(parse("exp(z)")))
+        assert len(seen) == 28
+
+    def test_x2_identities(self, monkeypatch):
+        seen = _against_oracle(monkeypatch, x2)
+        recs = x2.verify_x2_identities(Fraction(7, 2), SamplePlan())
+        assert len(seen) == 8 and all(r["status"] == "passed" for r in recs)
+
+    @pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(magnitude_cap=1e3)])
+    def test_probe_with_a_pole(self, plan):
+        # the probe faults next to z = 1, inside the first sampling interval,
+        # where the coefficients of J1 and J2 (f = z^3) are clean
+        f = parse("z^3")
+        probes = [rat(1), pow_(z - 1, -1)]
+        same = ops_equal_numeric(build_J(1, f), build_J(1), Binding(funcs={"f": f}),
+                                 plan, probes=probes)
+        assert same[0] and same[1] < 1e-12
+        assert not ops_equal_numeric(build_J(1, f), build_J(2, f), None, plan,
+                                     probes=probes)[0]
+
+
+def test_commutator_identities_are_built_once(monkeypatch):
+    from qsusy.diffop import commutator
+
+    invariance._commutator_identity.cache_clear()
+    built = []
+    monkeypatch.setattr(invariance, "commutator",
+                        lambda a, b: built.append((a, b)) or commutator(a, b))
+    for text in ("z^3", "z^(7/3)"):
+        assert all(r["passed"] for r in verify_commutator_table(parse(text)))
+    assert len(built) == 28
 
 
 class TestCommutatorTable:

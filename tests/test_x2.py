@@ -8,7 +8,8 @@ from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.families import ParameterError, build_J, build_K, build_P3_minus
 from qsusy.invariance import check_annihilates, check_invariant, ops_equal_numeric
 from qsusy.x2 import (
-    FrameError, WronskianFrame, _exact_zero_operator, cij_coefficients, combination_admissible,
+    FrameError, WronskianFrame, X2Coefficients, _exact_zero_operator, cij_coefficients,
+    combination_admissible,
     f_alpha, kside_constant, literature_x2, supercharges_via_conjugation,
     verify_x2_identities, wronskian_J, wronskian_J_via_conjugation,
     wronskian_K, wronskian_K_via_conjugation, x2_basis, x2_frame,
@@ -212,6 +213,17 @@ class TestCoefficientTable:
     def test_full_rank(self):
         co = cij_coefficients(Fraction(5, 2))
         assert np.linalg.matrix_rank(co.matrix()) == 4
+
+    def test_exact_rank(self):
+        assert cij_coefficients(Fraction(2)).rank() == 4
+        assert cij_coefficients(Fraction(5, 2)).rank() == 4
+        # rows 2 and 4 are multiples of rows 1 and 3, the last by 1/3
+        dependent = {(1, 1): Fraction(1), (1, 5): Fraction(1, 7), (3, 2): Fraction(3),
+                     (3, 0): Fraction(-1), (2, 1): Fraction(2), (2, 5): Fraction(2, 7),
+                     (4, 2): Fraction(1), (4, 0): Fraction(-1, 3)}
+        assert X2Coefficients(Fraction(2), dependent, frozenset()).rank() == 2
+        dependent[(4, 8)] = Fraction(1, 10**30)  # float rank would miss it
+        assert X2Coefficients(Fraction(2), dependent, frozenset()).rank() == 3
 
 
 class TestCombinationIdentities:
