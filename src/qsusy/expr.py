@@ -831,94 +831,14 @@ class Binding:
 EMPTY_BINDING = Binding()
 
 
-def evaluate(e: Expr, at: float, bind: Binding | None = None,
-             eps_pole: float = EPS_POLE) -> float:
-    """Evaluate at a point; every Var is the evaluation point (one variable per context).
-
-    The scalar reference: the batch kernel values_and_faults agrees with it bit
-    for bit, and the tests compare the two.
-    """
-    b = bind or EMPTY_BINDING
-    memo: dict[int, float] = {}
-
-    def ev(x: Expr) -> float:
-        key = id(x)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = _ev(x)
-        memo[key] = out
-        return out
-
-    def _ev(x: Expr) -> float:
-        if isinstance(x, Rat):
-            return float(x.value)
-        if isinstance(x, Var):
-            return float(at)
-        if isinstance(x, Sym):
-            try:
-                return float(b.params[x.name])
-            except KeyError:
-                raise UnboundSymbolError(f"parameter {x.name!r} is not bound") from None
-        if isinstance(x, Add):
-            return math.fsum(ev(t) for t in x.terms)
-        if isinstance(x, Mul):
-            out = 1.0
-            for f in x.factors:
-                out *= ev(f)
-            return out
-        if isinstance(x, Pow):
-            base = ev(x.base)
-            expo = ev(x.exponent)
-            if expo < 0 and abs(base) < eps_pole:
-                raise PoleError(f"divisor magnitude {abs(base):.3e} below pole guard")
-            if base < 0:
-                if isinstance(x.exponent, Rat) and x.exponent.value.denominator == 1:
-                    return base ** x.exponent.value.numerator
-                if expo == round(expo):
-                    return base ** int(round(expo))
-                raise EvalDomainError("negative base with non-integer exponent")
-            if base == 0 and expo == 0:
-                return 1.0
-            try:
-                return base**expo
-            except OverflowError:
-                return math.inf
-        if isinstance(x, Fn):
-            a = ev(x.arg)
-            if x.name == "exp":
-                try:
-                    return math.exp(a)
-                except OverflowError:
-                    return math.inf
-            if x.name == "log":
-                if a <= 0:
-                    raise EvalDomainError("log of non-positive value")
-                if a < eps_pole:
-                    raise PoleError("log argument inside pole guard")
-                return math.log(a)
-            if x.name == "sin":
-                return math.sin(a)
-            if x.name == "cos":
-                return math.cos(a)
-            if abs(math.cos(a)) < eps_pole:
-                raise PoleError("tan at a pole")
-            return math.tan(a)
-        if isinstance(x, Opaque):
-            a = ev(x.arg)
-            _, d = b.func_derivative(x.name, x.order)
-            return evaluate(d, a, b, eps_pole)
-        raise ExprError(f"unexpected node {type(x)}")
-
-    return ev(e)
+def evaluate(e: Expr, at: float, bind: Binding | None = None) -> float:
+    """Value at one point (every Var is the point): a one-point call of the
+    batch kernel, raising the exception it records there."""
+    return float(values([e], [at], bind)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # batched evaluation: one walk of the DAG per block of points
-
-# Fault codes of values_and_faults: what evaluate raises at a point.
-EVAL_FAULT = 1    # an EvalError (pole, domain, unbound symbol)
-HARD_FAULT = 2    # any other exception (an overflow evaluate does not catch)
 
 _NAN = float("nan")
 _BLOCK = 1024  # points per DAG walk: bounds the memory a long grid takes
@@ -933,39 +853,41 @@ def _merge(faults) -> np.ndarray | None:
     return out
 
 
-def _flag(fault, cond: np.ndarray, code: int):
-    """Give `code` to the points where cond holds and no earlier fault did."""
+def _flag(fault, cond: np.ndarray, errors: list, make):
+    """Record make(k), the exception at point k, for each point k where cond
+    holds and no earlier fault did; the point's fault indexes it in errors."""
     if not cond.any():
         return fault
-    if fault is None:
-        return np.where(cond, np.int8(code), np.int8(0))
-    return np.where((fault == 0) & cond, np.int8(code), fault)
+    new = np.flatnonzero(cond if fault is None else cond & (fault == 0))
+    out = np.zeros(len(cond), np.int32) if fault is None else fault.copy()
+    out[new] = np.arange(len(errors), len(errors) + len(new))
+    errors.extend(make(k) for k in new.tolist())
+    return out
 
 
-def _map(fast, slow, cols: list, fault):
+def _map(fast, slow, cols: list, fault, errors: list):
     """fast(*args) per point without a fault, args taken from cols (arrays whose
     first axis runs over the points) as Python floats, so each element goes
-    through the same CPython/libm routine as evaluate.  If fast raises
-    anywhere, slow(*args) is applied point by point instead, and a point where
-    slow raises gets HARD_FAULT."""
+    through the CPython/libm routine itself.  If fast raises anywhere,
+    slow(*args) is applied point by point instead, and the exception slow
+    raises at a point is recorded there."""
     n = len(cols[0])
     idx = None if fault is None else np.flatnonzero(fault == 0)
     args = [(c if idx is None else c[idx]).tolist() for c in cols]
     try:
         got = list(map(fast, *args))
     except (ArithmeticError, ValueError):
-        got, hard = [], []
+        got, raised = [], {}
         for k, a in enumerate(zip(*args)):
             try:
                 got.append(slow(*a))
-            except (ArithmeticError, ValueError):
+            except (ArithmeticError, ValueError) as exc:
                 got.append(_NAN)
-                hard.append(k)
-        if hard:
-            pos = np.asarray(hard) if idx is None else idx[hard]
+                raised[k if idx is None else int(idx[k])] = exc
+        if raised:
             cond = np.zeros(n, bool)
-            cond[pos] = True
-            fault = _flag(fault, cond, HARD_FAULT)
+            cond[list(raised)] = True
+            fault = _flag(fault, cond, errors, raised.__getitem__)
     if idx is None:
         return np.array(got, dtype=float), fault
     out = np.full(n, _NAN)
@@ -984,50 +906,72 @@ def _pow1(base: float, expo: float) -> float:
     try:
         return base**expo
     except OverflowError:
-        if base < 0:  # evaluate catches the overflow only for a non-negative base
+        if base < 0:  # the overflow of a negative base is raised, not inf
             raise
         return math.inf
 
 
 def values_and_faults(exprs: list, points, bind: Binding | None = None):
-    """(V, F), both of shape (len(points), len(exprs)): the batch kernel.
+    """(V, F, errors): the batch kernel, the one float interpreter.
 
-    Where F[i, j] is 0, V[i, j] == evaluate(exprs[j], points[i], bind) bit for
-    bit; otherwise evaluate raises there, an EvalError for EVAL_FAULT and
-    another exception for HARD_FAULT, and V[i, j] is meaningless.  A point's
-    code is that of the first exception evaluate would meet.
+    V and F have shape (len(points), len(exprs)); every Var is the point.
+    Where F[i, j] is 0, V[i, j] is the value of exprs[j] at points[i].
+    Otherwise errors[F[i, j]] is the exception evaluation meets there (the
+    first in evaluation order: children before their parent, in child order)
+    and V[i, j] is meaningless; errors[0] is None.
 
     Every distinct node is evaluated once per block of up to _BLOCK points
     (memo keyed by node id), over the whole block at once.  Mul multiplies in
     factor order, Add takes math.fsum per point, and Pow and the elementary
-    functions call the Python/libm routine per element, so the floats are the
-    scalar ones; the pole, domain and negative-base rules of evaluate become
-    fault codes.
+    functions call the Python/libm routine per element.  The rules:
+    - x^e with e < 0 and |x| < EPS_POLE is a PoleError naming |x|;
+    - x^e with x < 0 and e not an integer is an EvalDomainError (round() of a
+      non-finite e raises its own error first);
+    - log(a) with a <= 0 is an EvalDomainError, with a < EPS_POLE a PoleError;
+    - tan(a) with |cos(a)| < EPS_POLE is a PoleError;
+    - an unbound parameter or opaque function is an UnboundSymbolError;
+    - exp and a power of a non-negative base give inf on overflow; any other
+      error a routine raises is recorded as raised.
+    Exception objects are built only where a point faults.
     """
     x0 = np.array(points, dtype=float)
     V = np.empty((len(x0), len(exprs)))
-    F = np.zeros((len(x0), len(exprs)), np.int8)
+    F = np.zeros((len(x0), len(exprs)), np.int32)
+    errors: list = [None]
     with np.errstate(all="ignore"):
         for start in range(0, len(x0), _BLOCK):
             block = slice(start, start + _BLOCK)
-            ev = _walker(x0[block], bind or EMPTY_BINDING)
+            ev = _walker(x0[block], bind or EMPTY_BINDING, errors)
             for j, e in enumerate(exprs):
                 V[block, j], f = ev(e)
                 if f is not None:
                     F[block, j] = f
-    return V, F
+    return V, F, errors
 
 
-def _walker(x0: np.ndarray, b: Binding):
-    """ev(expr) -> (values, faults or None) over the points x0, memoized."""
+def _walker(x0: np.ndarray, b: Binding, errors: list):
+    """ev(expr) -> (values, faults or None) over the points x0, memoized; a
+    nonzero fault indexes the exception recorded in errors."""
     n = len(x0)
     rats: dict[tuple, tuple] = {}  # one column per rational value
+
+    def flag(fault, cond, make):
+        return _flag(fault, cond, errors, make)
+
+    def fail(fault, make):  # every point without an earlier fault
+        return np.full(n, _NAN), flag(fault, np.ones(n, bool), make)
 
     def constant(value):
         try:
             return np.full(n, float(value)), None
-        except (ArithmeticError, ValueError, TypeError):
-            return np.full(n, _NAN), np.full(n, HARD_FAULT, np.int8)
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            return fail(None, lambda k: exc)
+
+    def round_error(v: float) -> Exception:
+        try:
+            round(v)  # raises for the non-finite v it is given
+        except (OverflowError, ValueError) as exc:
+            return exc
 
     def context(at: np.ndarray):
         # an opaque argument's column opens its own context: Var means `at`
@@ -1059,7 +1003,7 @@ def _walker(x0: np.ndarray, b: Binding):
                 kids = [ev(u) for u in x.terms]
                 fault = _merge([f for _, f in kids])
                 rows = np.array([v for v, _ in kids]).T  # one row of terms per point
-                return _map(math.fsum, math.fsum, [rows], fault)
+                return _map(math.fsum, math.fsum, [rows], fault, errors)
             if t is Var:
                 return at, None
             if t is Pow:
@@ -1067,48 +1011,52 @@ def _walker(x0: np.ndarray, b: Binding):
                 expo, ef = ev(x.exponent)
                 fault = _merge((bf, ef))
                 r = x.exponent.value if type(x.exponent) is Rat else None
+                pole = (lambda k: PoleError(
+                    f"divisor magnitude {abs(float(base[k])):.3e} below pole guard"))
                 if r is None:
-                    fault = _flag(fault, (expo < 0) & (np.abs(base) < EPS_POLE), EVAL_FAULT)
+                    fault = flag(fault, (expo < 0) & (np.abs(base) < EPS_POLE), pole)
                 elif r.numerator < 0:
-                    fault = _flag(fault, np.abs(base) < EPS_POLE, EVAL_FAULT)
+                    fault = flag(fault, np.abs(base) < EPS_POLE, pole)
                 if r is None or r.denominator != 1:
                     neg = base < 0
                     finite = np.isfinite(expo)
-                    # round() of a non-finite exponent raises inside evaluate
-                    fault = _flag(fault, neg & ~finite, HARD_FAULT)
-                    fault = _flag(fault, neg & finite & (expo != np.floor(expo)), EVAL_FAULT)
-                return _map(pow, _pow1, [base, expo], fault)
+                    fault = flag(fault, neg & ~finite, lambda k: round_error(float(expo[k])))
+                    fault = flag(fault, neg & finite & (expo != np.floor(expo)), lambda k:
+                                 EvalDomainError("negative base with non-integer exponent"))
+                return _map(pow, _pow1, [base, expo], fault, errors)
             if t is Fn:
                 a, fault = ev(x.arg)
                 name = x.name
                 if name == "exp":
-                    return _map(math.exp, _exp1, [a], fault)
+                    return _map(math.exp, _exp1, [a], fault, errors)
                 if name == "log":
-                    # a <= 0 is a domain error, a < EPS_POLE a pole: both EvalErrors
-                    fault = _flag(fault, a < EPS_POLE, EVAL_FAULT)
-                    return _map(math.log, math.log, [a], fault)
+                    fault = flag(fault, a <= 0,
+                                 lambda k: EvalDomainError("log of non-positive value"))
+                    fault = flag(fault, a < EPS_POLE,
+                                 lambda k: PoleError("log argument inside pole guard"))
+                    return _map(math.log, math.log, [a], fault, errors)
                 if name == "tan":
-                    c, fault = _map(math.cos, math.cos, [a], fault)
-                    fault = _flag(fault, np.abs(c) < EPS_POLE, EVAL_FAULT)
+                    c, fault = _map(math.cos, math.cos, [a], fault, errors)
+                    fault = flag(fault, np.abs(c) < EPS_POLE, lambda k: PoleError("tan at a pole"))
                 f = getattr(math, name)
-                return _map(f, f, [a], fault)
+                return _map(f, f, [a], fault, errors)
             if t is Sym:
                 if x.name not in b.params:
-                    return np.full(n, _NAN), np.full(n, EVAL_FAULT, np.int8)
+                    return fail(None, lambda k: UnboundSymbolError(
+                        f"parameter {x.name!r} is not bound"))
                 return constant(b.params[x.name])
             if t is Opaque:
                 a, fault = ev(x.arg)
                 try:
                     _, d = b.func_derivative(x.name, x.order)
                 except ExprError as exc:
-                    code = EVAL_FAULT if isinstance(exc, EvalError) else HARD_FAULT
-                    return np.full(n, _NAN), _merge((fault, np.full(n, code, np.int8)))
+                    return fail(fault, lambda k: exc)
                 sub = inner.get(id(a))  # arguments with one column share a context
                 if sub is None:
                     sub = inner[id(a)] = context(a)
                 v, df = sub(d)
                 return v, _merge((fault, df))
-            return np.full(n, _NAN), np.full(n, HARD_FAULT, np.int8)
+            return fail(None, lambda k: ExprError(f"unexpected node {type(x)}"))
 
         return ev
 
@@ -1116,18 +1064,14 @@ def _walker(x0: np.ndarray, b: Binding):
 
 
 def values(exprs: list, points, bind: Binding | None = None) -> np.ndarray:
-    """Value matrix of shape (len(points), len(exprs)).
+    """Value matrix of shape (len(points), len(exprs)), from the batch kernel.
 
-    Entry [i, j] is evaluate(exprs[j], points[i], bind), computed by the
-    batch kernel.  If evaluate raises anywhere, the scalar loop (one
-    expression at a time over all points) is replayed, so the first exception
-    it meets propagates unchanged.  Every strict sampled check evaluates
-    through this function.
+    If an entry faults, the exception recorded at the first faulting entry in
+    the order of a scalar loop (expression by expression, then point by
+    point) is raised.  Every strict sampled check evaluates through this
+    function.
     """
-    V, F = values_and_faults(exprs, points, bind)
-    if not F.any():
-        return V
-    for j, e in enumerate(exprs):
-        for i, x in enumerate(points):
-            V[i, j] = evaluate(e, float(x), bind)
+    V, F, errors = values_and_faults(exprs, points, bind)
+    if F.any():
+        raise errors[F.T[F.T != 0][0]]
     return V

@@ -372,17 +372,6 @@ def monomial_family(kind: str, lam=None, variable: str = "z") -> dict[str, list[
             "K": [monomial_K(i, lam, variable) for i in range(1, 9)]}
 
 
-def monomial_normalizers(lam) -> dict[str, Expr]:
-    """Scale factors s_i with s_i * J_i == rescaled gallery entry (same for K)."""
-    lam = as_expr(lam)
-    lm1 = add(lam, MINUS_ONE)
-    ll = mul(lam, lm1)
-    return {"J1": ll, "J2": ll, "J3": ll, "J4": lm1, "J5": lm1, "J6": lm1,
-            "J7": lam, "J8": lam,
-            "K1": ll, "K2": ll, "K3": ll, "K4": lm1, "K5": lm1, "K6": lm1,
-            "K7": lam, "K8": lam}
-
-
 # ---------------------------------------------------------------------------
 # operators already catalogued elsewhere, by family
 

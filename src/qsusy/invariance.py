@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expr import (
-    Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, HARD_FAULT,
+    Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, EvalError,
     mul, pow_, fn, var, as_expr, diff, free_vars, values, values_and_faults,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
@@ -100,18 +100,18 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
         draws = rng.uniform(lo, hi, size=60 * need)
         for start in range(0, len(draws), max(2 * need, 1)):
             chunk = draws[start:start + 2 * need]
-            V, F = values_and_faults(exprs, chunk, bind)
-            # per point and expression: its fault, else 1 for a value out of range
-            S = np.where(F != 0, F, ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap))
-            for x, row, v in zip(chunk.tolist(), S, V):
+            V, F, errors = values_and_faults(exprs, chunk, bind)
+            # per point and expression: a fault or a value out of range
+            S = (F != 0) | ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap)
+            for x, row, f, v in zip(chunk.tolist(), S, F, V):
                 if any(abs(x - g) < plan.exclusion for g in bad):
                     continue
                 if any(abs(x - p) < plan.exclusion / 10 for p in out):
                     continue
                 if row.any():
-                    j = int(np.flatnonzero(row)[0])
-                    if row[j] == HARD_FAULT:
-                        values([exprs[j]], [x], bind)  # raises what evaluate raised
+                    err = errors[f[row.argmax()]]  # None for a value out of range
+                    if err is not None and not isinstance(err, EvalError):
+                        raise err
                     bad.append(x)
                     continue
                 out.append(x)

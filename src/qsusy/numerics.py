@@ -15,8 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .expr import (
-    Expr, Binding, ExprError, EVAL_FAULT, HARD_FAULT, diff, free_vars, values,
-    values_and_faults,
+    Expr, Binding, EvalError, ExprError, diff, free_vars, values, values_and_faults,
 )
 
 
@@ -47,22 +46,32 @@ class Grid:
         return np.linspace(self.q_lo, self.q_hi, self.n)[1:-1]
 
 
+def _column(e: Expr, xs: np.ndarray, bind: Binding | None):
+    """The kernel's values, faults and errors for e at xs, and per point
+    whether evaluation failed with something other than an EvalError."""
+    V, F, errors = values_and_faults([e], xs, bind)
+    hard = np.array([err is not None and not isinstance(err, EvalError) for err in errors])
+    return V[:, 0], F[:, 0], errors, hard[F[:, 0]]
+
+
 def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None,
                 on_singular: str = "error") -> np.ndarray:
     """Lowest k eigenvalues of -(1/2) d^2/dq^2 + V with Dirichlet ends."""
     if k < 1:
         raise GridError(f"need k >= 1 eigenvalues, got {k}")
     qs = grid.interior()
-    vals, fault = (a[:, 0] for a in values_and_faults([V], qs, bind))
+    vals, fault, errors, hard = _column(V, qs, bind)
     bad = (fault != 0) | ~np.isfinite(vals)
     # the first node that stops the solve: any bad one, or with "exclude" one
-    # where evaluate raises something other than an EvalError
-    stop = (fault == HARD_FAULT) if on_singular == "exclude" else bad
+    # where evaluation fails with something other than an EvalError
+    stop = hard if on_singular == "exclude" else bad
     if stop.any():
         i = int(np.argmax(stop))
-        if fault[i] == HARD_FAULT:
-            values([V], qs[i:i + 1], bind)  # raises what evaluate raised
-        kind = "singular" if fault[i] == EVAL_FAULT else "not finite"
+        err = errors[fault[i]]
+        if hard[i]:
+            raise GridError(f"potential cannot be evaluated at node q={qs[i]}: "
+                            f"{type(err).__name__}: {err}") from err
+        kind = "singular" if fault[i] else "not finite"
         raise GridError(f"potential {kind} at node q={qs[i]}")
     vals = np.where(bad, 1e12, vals)  # a barrier on the excluded nodes
     h = grid.h
@@ -88,10 +97,9 @@ def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float,
     """Composite Simpson of psi^2; n odd.  A node where psi does not evaluate
     makes the integral infinite."""
     xs = np.linspace(lo, hi, n)
-    val, fault = (a[:, 0] for a in values_and_faults([psi], xs, bind))
-    hard = np.flatnonzero(fault == HARD_FAULT)
-    if hard.size:
-        values([psi], xs[hard[:1]], bind)  # raises what evaluate raised
+    val, fault, errors, hard = _column(psi, xs, bind)
+    if hard.any():
+        raise errors[fault[np.argmax(hard)]]
     with np.errstate(over="ignore"):
         ys = val * val
     if fault.any() or not np.all(np.isfinite(ys)):

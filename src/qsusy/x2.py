@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .expr import (
     Expr, Rat, Var, ZERO, ONE, MINUS_ONE, ExprError,
     add, expand, mul, pow_, as_expr, diff,
@@ -448,10 +446,6 @@ class X2Coefficients:
             raise ParameterError(
                 f"row {i} has a vanishing denominator at alpha={self.alpha}")
         return self.table.get((i, j), Fraction(0))
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[float(self.C(i, j)) for j in range(0, 9)]
-                         for i in range(1, 5)])
 
     def rank(self) -> int:
         """Rank of the table over Q, by exact Gaussian elimination."""

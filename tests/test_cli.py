@@ -124,6 +124,8 @@ class TestMain:
         ["x2", "verify", "--alpha", "0"],
         ["spectrum", "--potential", "q^2/2", "--k", "0"],
         ["spectrum", "--potential", "q^2/2", "--k", "-2"],
+        ["spectrum", "--potential", "q^1001", "--lo", "-12", "--hi", "12", "--k", "1"],
+        ["spectrum", "--potential", "sin(exp(exp(q)))", "--lo", "5", "--hi", "12"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, argv):
         assert main(argv) == 2

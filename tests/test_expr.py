@@ -13,12 +13,13 @@ from qsusy import (
 )
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
-    EVAL_FAULT, HARD_FAULT, ONE, Add, EvalError, Mul, NotRationalError, Pow, Rat, Sym, Var,
+    ONE, Add, EvalError, Mul, NotRationalError, Pow, Rat, Sym, Var,
     evaluate_exact, free_vars, opaque_names, rebuild, substitute_param, substitute_var,
     values, values_and_faults,
 )
 from qsusy.invariance import SamplePlan, SamplingError, safe_points
 from qsusy.parser import ParseError
+from scalar_oracle import evaluate as scalar_evaluate
 
 z = var("z")
 
@@ -241,12 +242,37 @@ def test_canonical_eval_agrees_with_raw_combination():
 _points = st.lists(st.floats(-3.0, 3.0), max_size=5)
 
 
+def _scalar_outcome(e, x, bind=None):
+    """The oracle's float at x, or the type and message of what it raises."""
+    try:
+        return scalar_evaluate(e, x, bind)
+    except (ArithmeticError, ValueError, EvalError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, float) and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_expr, st.floats(-3.0, 3.0), st.floats(-2.0, 2.0))
+def test_evaluate_is_the_oracle_at_one_point(e, x, a):
+    bind = Binding(params={"a": a})
+    try:
+        got = evaluate(e, x, bind)
+    except (ArithmeticError, ValueError, EvalError) as exc:
+        got = type(exc), str(exc)
+    assert _same_outcome(got, _scalar_outcome(e, x, bind))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_expr, max_size=4), _points, st.floats(-2.0, 2.0))
 def test_values_matches_evaluate_exactly(exprs, pts, a):
     bind = Binding(params={"a": a})
     try:
-        want = [[evaluate(e, x, bind) for e in exprs] for x in pts]
+        want = [[scalar_evaluate(e, x, bind) for e in exprs] for x in pts]
     except (ArithmeticError, ValueError):
         assume(False)  # overflow inside evaluate itself; nothing to compare
     got = values(exprs, pts, bind)
@@ -270,11 +296,26 @@ def test_values_shape_with_empty_lists():
 def test_values_raises_what_evaluate_raises(text, x):
     e = parse(text)
     with pytest.raises(EvalError) as scalar:
-        evaluate(e, x)
+        scalar_evaluate(e, x)
     with pytest.raises(EvalError) as batched:
         values([ONE, e], [2.5, x])
     assert type(batched.value) is type(scalar.value)
-    assert values_and_faults([e], [x])[1].tolist() == [[EVAL_FAULT]]
+    assert str(batched.value) == str(scalar.value)
+    _, F, errors = values_and_faults([e], [x])
+    err = errors[F[0, 0]]
+    assert (type(err), str(err)) == (type(scalar.value), str(scalar.value))
+
+
+def test_values_raises_in_scalar_loop_order():
+    # expression by expression: 1/z meets its pole at 0.0 before log(z - 2)
+    # meets its domain error at 1.0, which a point-by-point scan meets first
+    exprs, pts = [pow_(z, -1), fn("log", z - 2)], [1.0, 0.0]
+    with pytest.raises(PoleError) as scalar:
+        scalar_evaluate(exprs[0], 0.0)
+    with pytest.raises(EvalError) as batched:
+        values(exprs, pts)
+    assert type(batched.value) is PoleError
+    assert str(batched.value) == str(scalar.value)
 
 
 # the batch kernel against the scalar oracle ------------------------------------
@@ -318,18 +359,18 @@ _nested = Binding(funcs={"f": add(mul(opaque("g", 0, pow_(z, 2)), z), fn("log", 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_pole_expr, min_size=1, max_size=3), _pole_points, st.floats(-2.0, 2.0))
 def test_kernel_matches_evaluate_bit_for_bit(exprs, pts, a):
+    # each faulting entry records the oracle's exception, type and message
     bind = _nested.with_params(a=a)
-    V, F = values_and_faults(exprs, pts, bind)
+    V, F, errors = values_and_faults(exprs, pts, bind)
     assert V.shape == F.shape == (len(pts), len(exprs))
+    assert errors[0] is None
     for i, x in enumerate(pts):
         for j, e in enumerate(exprs):
-            try:
-                want = evaluate(e, x, bind)
-            except EvalError:
-                assert F[i, j] == EVAL_FAULT
-                continue
-            except (ArithmeticError, ValueError):
-                assert F[i, j] == HARD_FAULT
+            want = _scalar_outcome(e, x, bind)
+            if isinstance(want, tuple):
+                assert F[i, j] != 0
+                err = errors[F[i, j]]
+                assert (type(err), str(err)) == want
                 continue
             assert F[i, j] == 0
             got = V[i, j]
@@ -357,27 +398,27 @@ def test_point_search_returns_the_rows_values_gives(exprs, a, seed, intervals):
 def test_kernel_reports_the_first_exception_evaluate_meets():
     hard = pow_(z - 1, -40)     # a negative base overflows at 1 - 1e-9
     soft = fn("log", z - 2)     # a domain error there
-    V, F = values_and_faults([Pow(hard, soft), Pow(soft, hard)], [1 - 1e-9])
-    assert F.tolist() == [[HARD_FAULT, EVAL_FAULT]]
-    with pytest.raises(OverflowError):
-        evaluate(Pow(hard, soft), 1 - 1e-9)
-    with pytest.raises(EvalError):
-        evaluate(Pow(soft, hard), 1 - 1e-9)
+    exprs = [Pow(hard, soft), Pow(soft, hard)]
+    V, F, errors = values_and_faults(exprs, [1 - 1e-9])
+    got = [(type(errors[k]), str(errors[k])) for k in F[0]]
+    assert got == [_scalar_outcome(e, 1 - 1e-9) for e in exprs]
+    assert [t for t, _ in got] == [OverflowError, EvalDomainError]
 
 
 def test_kernel_over_several_blocks_of_points():
     pts = np.linspace(-2.0, 2.0, 2501)  # more points than one DAG walk takes
     e = add(pow_(z - float(pts[1500]), -1), fn("log", z + 1), opaque("f", 0, z))
     bind = Binding(funcs={"f": fn("tan", z)})
-    V, F = values_and_faults([e], pts, bind)
+    V, F, errors = values_and_faults([e], pts, bind)
     for i, x in enumerate(pts):
-        try:
-            want = evaluate(e, x, bind)
-        except EvalError:
-            assert F[i, 0] == EVAL_FAULT
+        want = _scalar_outcome(e, x, bind)
+        if isinstance(want, tuple):
+            err = errors[F[i, 0]]
+            assert (type(err), str(err)) == want
         else:
             assert F[i, 0] == 0 and V[i, 0] == want
-    assert F[1500, 0] == EVAL_FAULT and F[:625, 0].all() and not F[626:1500, 0].any()
+    assert type(errors[F[1500, 0]]) is PoleError
+    assert F[:625, 0].all() and not F[626:1500, 0].any()
 
 
 def test_nested_opaque_contexts_do_not_share_entries():
@@ -386,9 +427,10 @@ def test_nested_opaque_contexts_do_not_share_entries():
     bind = Binding(funcs={"f": mul(opaque("g", 0, z), z), "g": pow_(z, 3)})
     e = add(opaque("f", 0, pow_(z, 2)), z)
     pts = [0.5, 1.25, -2.0]
-    V, F = values_and_faults([e, opaque("g", 0, z)], pts, bind)
+    V, F, _ = values_and_faults([e, opaque("g", 0, z)], pts, bind)
     assert not F.any()
-    np.testing.assert_array_equal(V, [[evaluate(e, x, bind), evaluate(opaque("g", 0, z), x, bind)]
+    np.testing.assert_array_equal(V, [[scalar_evaluate(e, x, bind),
+                                       scalar_evaluate(opaque("g", 0, z), x, bind)]
                                       for x in pts])
 
 

@@ -98,6 +98,50 @@ def test_detector_flags_an_evaluate_reference():
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "expr.py"], ids=lambda p: p.name)
 def test_numeric_sampling_goes_through_the_batch_kernel(path):
-    # evaluate is the scalar reference; every other module samples through
-    # expr.values / expr.values_and_faults
+    # evaluate is a one-point call for callers outside the package; every
+    # module samples through expr.values / expr.values_and_faults
     assert evaluate_refs(path.read_text(encoding="utf-8")) == []
+
+
+_RULE_ERRORS = ("PoleError", "EvalDomainError", "UnboundSymbolError")
+
+
+def rule_error_sites(source: str) -> list[str]:
+    """Where an exception of the float rules is built: the outermost function
+    around each call, a method named with its class, or "<module>"."""
+    out = []
+
+    def visit(node, prefix, site):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in _RULE_ERRORS:
+                    out.append(site or "<module>")
+            if site is None and isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", None)
+            elif site is None and isinstance(child, _FUNCTIONS):
+                visit(child, prefix, prefix + child.name)
+            else:
+                visit(child, prefix, site)
+
+    visit(ast.parse(source), "", None)
+    return sorted(out)
+
+
+def test_detector_finds_where_rule_errors_are_built():
+    source = ("class B:\n    def m(self):\n        raise expr.UnboundSymbolError('x')\n\n"
+              "def _walker():\n    def node():\n        return lambda k: PoleError('p')\n"
+              "    return node\n\n"
+              "def evaluate():\n    raise EvalDomainError('d')\n\n"
+              "E = PoleError\nF = PoleError('m')\n")
+    assert rule_error_sites(source) == ["<module>", "B.m", "_walker", "evaluate"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_float_rules_live_in_the_kernel(path):
+    # the batch kernel is the one float interpreter: its rules build their
+    # exceptions in expr._walker, and an unbound opaque function's is
+    # Binding.func_derivative's
+    home = {"_walker", "Binding.func_derivative"} if path.name == "expr.py" else set()
+    assert set(rule_error_sites(path.read_text(encoding="utf-8"))) <= home

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsusy import Binding, EvalError, add, evaluate, fn, mul, opaque, parse, pow_, rat, var
+from qsusy import Binding, EvalError, add, fn, mul, opaque, parse, pow_, rat, var
 from qsusy import invariance, suites, x2
 from qsusy.diffop import DiffOp
 from qsusy.expr import diff, values
@@ -14,6 +14,7 @@ from qsusy.invariance import (
     first_order_preservers, ops_equal_numeric, restricted_matrix, safe_points,
     verify_commutator_table,
 )
+from scalar_oracle import evaluate as scalar_evaluate
 
 z = var("z")
 
@@ -124,7 +125,7 @@ def _reference_safe_points(exprs, plan, bind=None, count=None, intervals=None):
     """The point-by-point search that the batched safe_points replaced."""
     def safe_value(e, x):
         try:
-            v = evaluate(e, x, bind)
+            v = scalar_evaluate(e, x, bind)
         except EvalError:
             return None
         if not np.isfinite(v) or abs(v) > plan.magnitude_cap:

@@ -5,10 +5,11 @@ import pytest
 
 from scipy.linalg import eigh_tridiagonal
 
-from qsusy import Binding, EvalError, evaluate, parse
+from qsusy import Binding, EvalError, parse
 from qsusy.numerics import (
     Grid, GridError, fd_spectrum, normalizability_probe, schrodinger_residual,
 )
+from scalar_oracle import evaluate as scalar_evaluate
 
 
 def _reference_fd_spectrum(V, grid, k, on_singular):
@@ -17,12 +18,15 @@ def _reference_fd_spectrum(V, grid, k, on_singular):
     vals = np.empty(len(qs))
     for i, q in enumerate(qs):
         try:
-            v = evaluate(V, float(q))
+            v = scalar_evaluate(V, float(q))
         except EvalError:
             if on_singular == "exclude":
                 v = 1e12
             else:
                 raise GridError(f"potential singular at node q={q}") from None
+        except (ArithmeticError, ValueError) as exc:
+            raise GridError(f"potential cannot be evaluated at node q={q}: "
+                            f"{type(exc).__name__}: {exc}") from exc
         if not np.isfinite(v):
             if on_singular == "exclude":
                 v = 1e12
@@ -87,6 +91,21 @@ class TestFdSpectrum:
         np.testing.assert_array_equal(
             fd_spectrum(V, grid, 3, on_singular="exclude"),
             _reference_fd_spectrum(V, grid, 3, "exclude"))
+
+    @pytest.mark.parametrize("text, lo, hi", [
+        ("q^1001", -12.0, 12.0),            # a negative base overflows
+        ("sin(exp(exp(q)))", 5.0, 12.0),    # sin(inf) is a math domain error
+    ])
+    def test_node_that_cannot_be_evaluated_is_a_grid_error(self, text, lo, hi):
+        V, grid = parse(text, "q"), Grid(lo, hi, 999)
+        for mode in ("error", "exclude"):
+            with pytest.raises(GridError) as want:
+                _reference_fd_spectrum(V, grid, 1, mode)
+            with pytest.raises(GridError) as got:
+                fd_spectrum(V, grid, 1, on_singular=mode)
+            assert str(got.value) == str(want.value)
+            cause, want_cause = got.value.__cause__, want.value.__cause__
+            assert (type(cause), str(cause)) == (type(want_cause), str(want_cause))
 
     def test_grid_refinement_second_order(self):
         e_coarse = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 1000), 1)[0]

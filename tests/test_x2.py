@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qsusy import equal0, mul, opaque, parse, pow_, rat, var
@@ -212,7 +211,7 @@ class TestCoefficientTable:
 
     def test_full_rank(self):
         co = cij_coefficients(Fraction(5, 2))
-        assert np.linalg.matrix_rank(co.matrix()) == 4
+        assert co.rank() == 4
 
     def test_exact_rank(self):
         assert cij_coefficients(Fraction(2)).rank() == 4
