@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,6 +39,8 @@ class SuiteConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite number > 0, got {self.tol!r}")
 
     def plan(self) -> SamplePlan:
         return SamplePlan(seed=self.seed, tol=self.tol)
@@ -99,14 +102,6 @@ def run_suite(config: SuiteConfig) -> Report:
     return Report(config, checks)
 
 
-def emit_report(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    if fmt in ("md", "markdown"):
-        return report.to_markdown()
-    raise ConfigError(f"unknown report format {fmt!r}")
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -123,7 +118,7 @@ def _parse_bindings(text: str | None) -> dict:
         k, v = piece.split("=", 1)
         try:
             out[k.strip()] = float(Fraction(v.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad binding value {v!r}") from exc
     return out
 
@@ -182,8 +177,7 @@ def _cmd_catalog(args) -> int:
     for kind in ("J", "K"):
         for i, op in enumerate(fam[kind], start=1):
             entries[f"{kind}{i}"] = pretty(op, "tex" if args.format == "tex" else "text")
-    side = {"minus": "minus", "plus": "plus"}
-    for s in side:
+    for s in ("minus", "plus"):
         try:
             for name, op in literature_ops(args.family, s, lam).items():
                 entries[f"catalogued:{s}:{name}"] = pretty(
@@ -199,7 +193,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    plan = SamplePlan(seed=args.seed, tol=args.tol)
+    cfg = SuiteConfig(suites=[], seed=args.seed, tol=args.tol)
+    plan = cfg.plan()
     checks = []
     if args.what == "invariance":
         f = parse(args.f)
@@ -222,9 +217,8 @@ def _cmd_verify(args) -> int:
                                  rec["residual"], time.monotonic() - rec["seconds"]))
     else:
         raise ConfigError(f"unknown verification target {args.what!r}")
-    cfg = SuiteConfig(suites=[], seed=args.seed, tol=args.tol)
     report = Report(cfg, checks)
-    _write_or_print(emit_report(report, "json"), args.json)
+    _write_or_print(report.to_json(), args.json)
     return 0 if report.summary["fail"] == 0 else 1
 
 
@@ -308,7 +302,7 @@ def _cmd_x2(args) -> int:
                              time.monotonic() - r["seconds"]))
     cfg = SuiteConfig(suites=[], seed=args.seed)
     report = Report(cfg, checks)
-    _write_or_print(emit_report(report, "json"), args.json)
+    _write_or_print(report.to_json(), args.json)
     return 0 if report.summary["fail"] == 0 else 1
 
 

@@ -112,10 +112,6 @@ class DiffOp:
         return pretty(self, fmt)
 
 
-def apply(op: DiffOp, e: Expr) -> Expr:
-    return op.apply(e)
-
-
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """Operator product a∘b (apply b first)."""
     a._check(b)
@@ -142,16 +138,20 @@ def gauge_conjugate(g: Expr, op: DiffOp) -> DiffOp:
         raise OperatorError("gauge factor is canonically zero")
     v = op.var
     w = mul(diff(g, v), pow_(g, -1))
-    shifted = DiffOp(v, {1: ONE, 0: mul(MINUS_ONE, w)})
+    return _power_sum(op, DiffOp(v, {1: ONE, 0: mul(MINUS_ONE, w)}))
+
+
+def _power_sum(op: DiffOp, X: DiffOp, coeff=lambda c: c) -> DiffOp:
+    """Σ_k coeff(c_k)·X^k over the coefficients c_k of op, for a first-order X."""
+    v = X.var
     out = DiffOp.zero(v)
     power = DiffOp.identity(v)
-    by_order = sorted(op.coeffs)
     done = 0
-    for k in by_order:
+    for k in sorted(op.coeffs):
         while done < k:
-            power = compose(shifted, power)
+            power = compose(X, power)
             done += 1
-        out = out + power.scaled(op.coeffs[k])
+        out = out + power.scaled(coeff(op.coeffs[k]))
     return out
 
 
@@ -198,16 +198,7 @@ def pullback(op: DiffOp, new_var: str, phi: Expr, opaque_images: dict[str, Expr]
             raise OperatorError("pullback supports opaque symbols applied to the bare variable only")
         return None
 
-    d_old = DiffOp(new_var, {1: inv_dphi})
-    out = DiffOp.zero(new_var)
-    power = DiffOp.identity(new_var)
-    done = 0
-    for k in sorted(op.coeffs):
-        while done < k:
-            power = compose(d_old, power)
-            done += 1
-        out = out + power.scaled(rebuild(op.coeffs[k], transform))
-    return out
+    return _power_sum(op, DiffOp(new_var, {1: inv_dphi}), lambda c: rebuild(c, transform))
 
 
 def equal_canonical(a: DiffOp, b: DiffOp) -> bool:

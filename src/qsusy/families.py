@@ -147,10 +147,6 @@ def build_P3_plus(f: Expr | FContext | None = None, variable: str = "z") -> Diff
 # ---------------------------------------------------------------------------
 # general coefficients and their alternative parameterization
 
-def _coe(x) -> Expr:
-    return as_expr(x)
-
-
 @dataclass(frozen=True)
 class GeneralCoefficients:
     """The nine constants defining the general space-preserving operator."""
@@ -167,7 +163,7 @@ class GeneralCoefficients:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2", "b0", "b1", "b2", "a0", "a1", "a2"):
-            object.__setattr__(self, name, _coe(getattr(self, name)))
+            object.__setattr__(self, name, as_expr(getattr(self, name)))
 
     @classmethod
     def from_integration_constants(cls, C: Iterable) -> "GeneralCoefficients":
@@ -194,8 +190,9 @@ class GeneralCoefficients:
         )
 
 
-def build_H_minus(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
-    """Gauged minus Hamiltonian as a J-gallery sum."""
+def _gallery_sum(build, coeffs: GeneralCoefficients, f, variable: str) -> DiffOp:
+    """The gauged Hamiltonian as a sum over the gallery that `build` makes:
+    build_J for the minus side, build_K for the plus side."""
     fc = _fctx(f, variable)
     v = fc.variable
     g = coeffs
@@ -205,8 +202,13 @@ def build_H_minus(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> D
                    (mul(MINUS_ONE, add(g.a2, mul(MINUS_ONE, g.c0))), 3),
                    (mul(MINUS_ONE, g.a1), 2), (mul(MINUS_ONE, g.a0), 1)):
         if c != ZERO:
-            out = out + build_J(idx, fc).scaled(c)
+            out = out + build(idx, fc).scaled(c)
     return out + DiffOp.mult(v, mul(MINUS_ONE, g.c0))
+
+
+def build_H_minus(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
+    """Gauged minus Hamiltonian as a J-gallery sum."""
+    return _gallery_sum(build_J, coeffs, f, variable)
 
 
 def abc_profile(coeffs: GeneralCoefficients, f=None, variable: str = "z"):
@@ -238,17 +240,7 @@ def build_H_minus_direct(coeffs: GeneralCoefficients, f=None, variable: str = "z
 
 def build_H_plus(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
     """Gauged plus Hamiltonian as a K-gallery sum."""
-    fc = _fctx(f, variable)
-    v = fc.variable
-    g = coeffs
-    out = DiffOp.zero(v)
-    for c, idx in ((mul(MINUS_ONE, g.c2), 8), (mul(MINUS_ONE, g.c1), 7), (g.b2, 6),
-                   (add(g.b1, mul(MINUS_ONE, g.c0)), 5), (g.b0, 4),
-                   (mul(MINUS_ONE, add(g.a2, mul(MINUS_ONE, g.c0))), 3),
-                   (mul(MINUS_ONE, g.a1), 2), (mul(MINUS_ONE, g.a0), 1)):
-        if c != ZERO:
-            out = out + build_K(idx, fc).scaled(c)
-    return out + DiffOp.mult(v, mul(MINUS_ONE, g.c0))
+    return _gallery_sum(build_K, coeffs, f, variable)
 
 
 def build_H_plus_direct(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
@@ -359,15 +351,18 @@ def monomial_family(kind: str, lam=None, variable: str = "z") -> dict[str, list[
     """
     kind = kind.upper()
     if kind in _FAMILY_EXPONENT:
-        lam = Rat(_FAMILY_EXPONENT[kind])
+        # the forced exponents lie in the exclusion range by design
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return {"J": [monomial_J(i, lam, variable) for i in range(1, 9)],
-                    "K": [monomial_K(i, lam, variable) for i in range(1, 9)]}
+            return _monomial_lists(Rat(_FAMILY_EXPONENT[kind]), variable)
     if kind != "C":
         raise ParameterError(f"unknown family kind {kind!r}")
     if lam is None:
         raise ParameterError("kind C requires an exponent")
+    return _monomial_lists(lam, variable)
+
+
+def _monomial_lists(lam, variable: str) -> dict[str, list[DiffOp]]:
     return {"J": [monomial_J(i, lam, variable) for i in range(1, 9)],
             "K": [monomial_K(i, lam, variable) for i in range(1, 9)]}
 
@@ -394,12 +389,6 @@ def literature_ops(family: str, side: str = "minus", parameter=None,
     x = Var(v)
     D1, D2 = DiffOp.d(v), DiffOp.d(v, 2)
     xd = DiffOp(v, {1: x})
-    if family == "X2":
-        from .x2 import literature_x2
-
-        ops = {f"{'J' if side == 'minus' else 'K'}{i}": literature_x2(i, side, parameter)
-               for i in range(1, 5)}
-        return ops
     if family == "C":
         lam = as_expr(parameter)
         if side == "minus":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .expr import (
     Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, EvalError,
-    mul, pow_, fn, var, as_expr, diff, free_vars, values, values_and_faults,
+    mul, pow_, fn, var, as_expr, diff, values_and_faults,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
 from .families import _fctx, build_J
@@ -80,7 +80,7 @@ class Verdict:
 
 
 def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
-                count: int | None = None, intervals=None):
+                count: int | None = None):
     """Deterministic draw of points where every expression evaluates cleanly.
 
     Returns (points, V) with V[i, j] the value of exprs[j] at points[i]: the
@@ -96,7 +96,7 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
     out: list[float] = []
     rows: list[np.ndarray] = []
     bad: list[float] = []
-    for lo, hi in (intervals or plan.intervals):
+    for lo, hi in plan.intervals:
         draws = rng.uniform(lo, hi, size=60 * need)
         for start in range(0, len(draws), max(2 * need, 1)):
             chunk = draws[start:start + 2 * need]
@@ -200,26 +200,24 @@ def default_probes(variable: str) -> list:
 
 
 def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
-                      plan: SamplePlan = SamplePlan(), probes: list | None = None,
-                      tol: float = 1e-9, n_points: int = 12):
-    """Compare operators by their action on probe functions at safe points.
+                      plan: SamplePlan = SamplePlan(), tol: float = 1e-9):
+    """Compare operators by their action on the default probes at 12 safe points.
 
     Differences are judged relative to the summed term magnitudes of the two
     applications, so cancellation-heavy coefficients do not masquerade as
     disagreement.  One point search covers both coefficient sets, the probes
-    and their derivatives.  A probe that faults where the coefficients do not
-    (a pole, say) moves the points of every probe; the default probes are
-    entire, so with them each probe gets the points its own search would.
+    and their derivatives; the probes are entire, so each probe gets the
+    points its own search would.
     """
     if a.var != b.var:
         raise OperatorError("variable tags differ")
     v = a.var
-    probes = probes if probes is not None else default_probes(v)
+    probes = default_probes(v)
     terms = list(a.coeffs.items()) + list(b.coeffs.items())
     orders = sorted(set(a.coeffs) | set(b.coeffs))
     derivs = [diff(psi, v, k) for psi in probes for k in orders]
-    pts, V = safe_points([c for _, c in terms] + list(probes) + derivs, plan, bind,
-                         count=n_points)
+    pts, V = safe_points([c for _, c in terms] + probes + derivs, plan, bind,
+                         count=12)
     D = V[:, len(terms) + len(probes):]
     worst = 0.0
     for p in range(len(probes)):
@@ -237,18 +235,18 @@ def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
     return worst <= tol, worst
 
 
-def op_order_numeric(op: DiffOp, bind: Binding | None = None,
-                     plan: SamplePlan = SamplePlan(), tol: float = 1e-8) -> int:
-    """Largest derivative order whose coefficient is not numerically zero."""
+def op_order_numeric(op: DiffOp, plan: SamplePlan) -> int:
+    """Largest derivative order whose coefficient is not numerically zero
+    (above 1e-8 in magnitude at some sample point)."""
     order = -1
     for k in sorted(op.coeffs):
         c = op.coeffs[k]
         try:
-            _, V = safe_points([c], plan, bind, count=6)
+            _, V = safe_points([c], plan, count=6)
         except SamplingError:
             order = max(order, k)
             continue
-        if np.abs(V).max() > tol:
+        if np.abs(V).max() > 1e-8:
             order = max(order, k)
     return order
 
@@ -377,12 +375,12 @@ def check_lie_closure(alpha_minus, alpha_zero, alpha_plus, f,
     c_m0 = commutator(Jm, J0)
     c_p0 = commutator(Jp, J0)
     c_pm = commutator(Jp, Jm)
-    orders = {"[J-,J0]": op_order_numeric(c_m0, plan=plan),
-              "[J+,J0]": op_order_numeric(c_p0, plan=plan),
-              "[J+,J-]": op_order_numeric(c_pm, plan=plan)}
-    op_orders = {"J-": op_order_numeric(Jm, plan=plan),
-                 "J0": op_order_numeric(J0, plan=plan),
-                 "J+": op_order_numeric(Jp, plan=plan)}
+    orders = {"[J-,J0]": op_order_numeric(c_m0, plan),
+              "[J+,J0]": op_order_numeric(c_p0, plan),
+              "[J+,J-]": op_order_numeric(c_pm, plan)}
+    op_orders = {"J-": op_order_numeric(Jm, plan),
+                 "J0": op_order_numeric(J0, plan),
+                 "J+": op_order_numeric(Jp, plan)}
     second_order = all(k <= 2 for k in orders.values())
     first_order = all(k <= 1 for k in op_orders.values())
     v = Jm.var
@@ -403,52 +401,3 @@ def check_lie_closure(alpha_minus, alpha_zero, alpha_plus, f,
         closed = closed and ok
     closed = closed and first_order
     return ClosureReport(orders, op_orders, second_order, first_order, closed, resids)
-
-
-# ---------------------------------------------------------------------------
-# search for first-order operators preserving span{1, x, f}
-
-def first_order_preservers(f, degree: int = 4, plan: SamplePlan = SamplePlan(),
-                           tol: float = 1e-7):
-    """Dimension (mod constants) of {a(x)d + b(x), deg<=degree} preserving span{1,x,f}.
-
-    Returns (dimension, coefficient vectors); the always-present constant
-    multiplication operator is projected out.
-    """
-    f = as_expr(f)
-    names = free_vars(f)
-    vname = next(iter(names)) if names else "z"
-    x = var(vname)
-    basis = [ONE, x, f]
-    n_par = 2 * (degree + 1)
-    dbasis = [diff(b, vname) for b in basis]
-    pts, V = safe_points(basis + dbasis, plan, count=3 * (degree + 3))
-    P = len(pts)
-    B, dB = V[:, :3], V[:, 3:]
-    monos = values([pow_(x, k) for k in range(degree + 1)], pts)
-    # projector onto the orthogonal complement of the sampled basis columns
-    Qmat, _ = np.linalg.qr(B)
-    proj = np.eye(P) - Qmat @ Qmat.T
-    rows = [proj @ np.hstack([monos * dB[:, [j]], monos * B[:, [j]]])
-            for j in range(len(basis))]
-    S = np.vstack(rows)
-    _, sv, Vt = np.linalg.svd(S)
-    null = [Vt[i] for i in range(len(sv)) if sv[i] <= tol * sv[0]] + \
-           [Vt[i] for i in range(len(sv), n_par)]
-    if not null:
-        return 0, []
-    N = np.array(null).T  # n_par x k
-    const_dir = np.zeros(n_par)
-    const_dir[degree + 1] = 1.0
-    # remove the trivial constant-multiplication direction
-    coeffs, *_ = np.linalg.lstsq(N, const_dir, rcond=None)
-    resid = const_dir - N @ coeffs
-    if np.linalg.norm(resid) > 1e-6:
-        # constants unexpectedly absent; report the raw null space
-        return N.shape[1], [N[:, i] for i in range(N.shape[1])]
-    Qn, _ = np.linalg.qr(N)
-    comp = Qn - np.outer(const_dir, const_dir @ Qn)
-    _, sv2, Vt2 = np.linalg.svd(comp)
-    keep = [i for i in range(len(sv2)) if sv2[i] > 1e-6]
-    dirs = [comp @ Vt2[i] for i in keep]
-    return len(keep), dirs

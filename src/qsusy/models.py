@@ -101,25 +101,6 @@ def f1f2_from_constants(C, f: Expr, variable: str = "z") -> tuple[Expr, Expr]:
     return F1, F2
 
 
-def gauged_constraint_residual_exprs(F1: Expr, F2: Expr, fc: FContext) -> tuple[Expr, Expr]:
-    """The compatibility conditions transported to the gauged variable."""
-    v = fc.variable
-    fpp, fppp, fpppp = fc(2), fc(3), fc(4)
-    F1p, F2p = diff(F1, v), diff(F2, v)
-    mix = add(F1p, mul(Rat(Fraction(-1, 6)), F2p))
-    cond2 = add(diff(F1p, v),
-                mul(MINUS_ONE, _half, fppp, pow_(fpp, -1), mix))
-    cond3 = add(
-        diff(diff(F2p, v), v),
-        mul(Rat(Fraction(-3, 2)), fppp, pow_(fpp, -1), diff(F2p, v)),
-        mul(Rat(Fraction(3, 2)),
-            add(mul(Rat(2), fpppp, pow_(fpp, -1)),
-                mul(Rat(-3), pow_(fppp, 2), pow_(fpp, -2))),
-            mix),
-    )
-    return cond2, cond3
-
-
 # ---------------------------------------------------------------------------
 # model container
 
@@ -215,8 +196,7 @@ def _sym_coeffs_example3(alpha, beta, nu, b0) -> GeneralCoefficients:
     )
 
 
-def build_example(example_id: int, bind: Binding,
-                  validate: bool = True) -> ModelSpec:
+def build_example(example_id: int, bind: Binding) -> ModelSpec:
     """Construct one of the closed-form model families at bound parameter values."""
     p = bind.params
     need = {1: ("alpha", "nu", "b0"), 2: ("alpha", "nu", "b0"),
@@ -353,13 +333,12 @@ def build_example(example_id: int, bind: Binding,
         f_of_z=fn("exp", mul(nu, var("z"))), nu=nu,
         sample_intervals=intervals, fd_domain=fd_domain,
     )
-    if validate:
-        _validate_model(model)
+    _validate_model(model)
     return model
 
 
-def _validate_model(model: ModelSpec, tol: float = 1e-8):
-    """Numeric self-consistency of the printed closed forms."""
+def _validate_model(model: ModelSpec):
+    """Numeric self-consistency of the printed closed forms, to 1e-8."""
     v = Q
     bind = model.binding
     zp = diff(model.z_of_q, v)
@@ -387,7 +366,7 @@ def _validate_model(model: ModelSpec, tol: float = 1e-8):
     pts, V = safe_points(all_exprs + [model.W, model.E, model.F, zp], plan, bind, count=8)
     scale = 1.0 + float(np.abs(np.hstack([V[:, n:], values([Aq, Qq], pts, bind)])).max())
     resid = np.abs(V[:, :n]).max(axis=0) / scale
-    bad = {name: float(r) for name, r in zip(checks, resid) if r > tol}
+    bad = {name: float(r) for name, r in zip(checks, resid) if r > 1e-8}
     if bad:
         raise ModelConsistencyError(f"printed forms are inconsistent: {bad}")
     model.diagnostics["consistency_scale"] = scale

@@ -1,5 +1,5 @@
 """Independent numerical cross-checks: a finite-difference eigensolver on a
-uniform grid, pointwise residual evaluation, and a normalizability probe.
+uniform grid and a normalizability probe.
 
 The eigensolver is a plain second-order tridiagonal discretization with
 Dirichlet ends; it exists to confirm algebraic spectra, not to compete with
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .expr import (
-    Expr, Binding, EvalError, ExprError, diff, free_vars, values, values_and_faults,
-)
+from .expr import Expr, Binding, EvalError, ExprError, values_and_faults
 
 
 class GridError(ExprError):
@@ -28,15 +26,12 @@ class Grid:
     q_lo: float
     q_hi: float
     n: int = 2000
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if self.n < 200:
             raise GridError("need at least 200 grid points")
         if not self.q_hi > self.q_lo:
             raise GridError("empty interval")
-        if self.boundary != "dirichlet":
-            raise GridError("only Dirichlet ends are supported")
 
     @property
     def h(self) -> float:
@@ -54,26 +49,21 @@ def _column(e: Expr, xs: np.ndarray, bind: Binding | None):
     return V[:, 0], F[:, 0], errors, hard[F[:, 0]]
 
 
-def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None,
-                on_singular: str = "error") -> np.ndarray:
+def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None) -> np.ndarray:
     """Lowest k eigenvalues of -(1/2) d^2/dq^2 + V with Dirichlet ends."""
     if k < 1:
         raise GridError(f"need k >= 1 eigenvalues, got {k}")
     qs = grid.interior()
     vals, fault, errors, hard = _column(V, qs, bind)
     bad = (fault != 0) | ~np.isfinite(vals)
-    # the first node that stops the solve: any bad one, or with "exclude" one
-    # where evaluation fails with something other than an EvalError
-    stop = hard if on_singular == "exclude" else bad
-    if stop.any():
-        i = int(np.argmax(stop))
+    if bad.any():
+        i = int(np.argmax(bad))
         err = errors[fault[i]]
         if hard[i]:
             raise GridError(f"potential cannot be evaluated at node q={qs[i]}: "
                             f"{type(err).__name__}: {err}") from err
         kind = "singular" if fault[i] else "not finite"
         raise GridError(f"potential {kind} at node q={qs[i]}")
-    vals = np.where(bad, 1e12, vals)  # a barrier on the excluded nodes
     h = grid.h
     diag = 1.0 / h**2 + vals
     off = np.full(len(qs) - 1, -0.5 / h**2)
@@ -82,20 +72,10 @@ def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None,
                             select_range=(0, k - 1), eigvals_only=True)
 
 
-def schrodinger_residual(V: Expr, psi: Expr, energy: float, probes,
-                         bind: Binding | None = None) -> float:
-    """max over probes of |-(1/2)psi'' + V psi - E psi| / (1 + |E psi|)."""
-    names = free_vars(psi)
-    v = next(iter(names)) if names else "q"
-    p, p2, vv = values([psi, diff(psi, v, 2), V], list(probes), bind).T
-    num = np.abs(-0.5 * p2 + vv * p - energy * p)
-    return float((num / (1.0 + np.abs(energy * p))).max(initial=0.0))
-
-
-def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float,
-                      n: int = 257) -> float:
-    """Composite Simpson of psi^2; n odd.  A node where psi does not evaluate
-    makes the integral infinite."""
+def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float) -> float:
+    """Composite Simpson of psi^2 over 257 nodes.  A node where psi does not
+    evaluate makes the integral infinite."""
+    n = 257
     xs = np.linspace(lo, hi, n)
     val, fault, errors, hard = _column(psi, xs, bind)
     if hard.any():
@@ -108,13 +88,14 @@ def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float,
     return float(h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
 
 
-def normalizability_probe(psi: Expr, domain: tuple, bind: Binding | None = None,
-                          rungs: int = 6) -> str:
+def normalizability_probe(psi: Expr, domain: tuple, bind: Binding | None = None) -> str:
     """Classify |psi|^2 as 'normalizable', 'divergent', or 'inconclusive'.
 
-    The tail integral is evaluated on a geometric ladder toward each open or
-    infinite end; the growth ratio of successive rungs decides the verdict.
+    The tail integral is evaluated on a geometric ladder of six rungs toward
+    each open or infinite end; the growth ratio of successive rungs decides
+    the verdict.
     """
+    rungs = 6
     lo, hi = domain
     verdicts = []
     anchor_lo = lo if math.isfinite(lo) else (min(0.0, hi) - 1.0 if math.isfinite(hi) else -1.0)

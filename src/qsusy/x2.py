@@ -3,9 +3,10 @@ exceptional (codimension-two) polynomial subspaces.
 
 Every operator here has two independent construction routes: the explicit
 Wronskian-coefficient formulas, and conjugation of the plain-frame operators
-through the substitution z = phi2/phi1, f = phi3/phi1.  The verification suite
-cross-checks the routes because these formulas are the highest-transcription-
-risk content in the package.
+through the substitution z = phi2/phi1, f = phi3/phi1.  The suites use the
+explicit formulas; the tests cross-check them against the conjugation route,
+because these formulas are the highest-transcription-risk content in the
+package.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class WronskianFrame:
         # expansion is needed to detect hidden proportionality of the columns
         if expand(self.W21) == ZERO or expand(self.W3121) == ZERO:
             raise FrameError("degenerate frame: a defining Wronskian vanishes identically")
-
-    def wronskian(self, i: int, j: int) -> Expr:
-        table = {(2, 1): self.W21, (3, 1): self.W31, (3, 2): self.W32}
-        if (i, j) in table:
-            return table[(i, j)]
-        if (j, i) in table:
-            return mul(MINUS_ONE, table[(j, i)])
-        raise FrameError(f"no Wronskian W_{i},{j}")
 
     def span(self) -> Subspace:
         return Subspace([self.phi1, self.phi2, self.phi3], self.variable)
@@ -182,23 +175,23 @@ def x2_supercharges(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
 # ---------------------------------------------------------------------------
 # conjugation route (cross-check)
 
-def wronskian_J_via_conjugation(i: int, fr: WronskianFrame) -> DiffOp:
-    v = fr.variable
+def _conjugated(base: DiffOp, fr: WronskianFrame, partner: bool) -> DiffOp:
+    """A plain-frame operator in z, with f opaque, pulled back through
+    z = phi2/phi1, f = phi3/phi1 and conjugated by phi1, or on the partner
+    side by phi1^3/W21^2."""
     ratio2 = mul(fr.phi2, pow_(fr.phi1, -1))
     ratio3 = mul(fr.phi3, pow_(fr.phi1, -1))
-    base = build_J(i, None, "z")
-    pulled = pullback(base, v, ratio2, {"f": ratio3})
-    return gauge_conjugate(fr.phi1, pulled)
+    pulled = pullback(base, fr.variable, ratio2, {"f": ratio3})
+    g = mul(pow_(fr.phi1, 3), pow_(fr.W21, -2)) if partner else fr.phi1
+    return gauge_conjugate(g, pulled)
+
+
+def wronskian_J_via_conjugation(i: int, fr: WronskianFrame) -> DiffOp:
+    return _conjugated(build_J(i, None, "z"), fr, partner=False)
 
 
 def wronskian_K_via_conjugation(i: int, fr: WronskianFrame) -> DiffOp:
-    v = fr.variable
-    ratio2 = mul(fr.phi2, pow_(fr.phi1, -1))
-    ratio3 = mul(fr.phi3, pow_(fr.phi1, -1))
-    base = build_K(i, None, "z")
-    pulled = pullback(base, v, ratio2, {"f": ratio3})
-    g = mul(pow_(fr.phi1, 3), pow_(fr.W21, -2))
-    return gauge_conjugate(g, pulled)
+    return _conjugated(build_K(i, None, "z"), fr, partner=True)
 
 
 def supercharges_via_conjugation(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
@@ -208,15 +201,9 @@ def supercharges_via_conjugation(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
     the two routes differing by (dz/du)^3 = (W21/phi1^2)^3; the leading factor
     commutes with the gauge, so it is reinstated at the end.
     """
-    v = fr.variable
-    ratio2 = mul(fr.phi2, pow_(fr.phi1, -1))
-    ratio3 = mul(fr.phi3, pow_(fr.phi1, -1))
     lead = pow_(mul(fr.W21, pow_(fr.phi1, -2)), 3)
-    minus = gauge_conjugate(fr.phi1,
-                            pullback(build_P3_minus(None, "z"), v, ratio2, {"f": ratio3}))
-    g = mul(pow_(fr.phi1, 3), pow_(fr.W21, -2))
-    plus = gauge_conjugate(g,
-                           pullback(build_P3_plus(None, "z"), v, ratio2, {"f": ratio3}))
+    minus = _conjugated(build_P3_minus(None, "z"), fr, partner=False)
+    plus = _conjugated(build_P3_plus(None, "z"), fr, partner=True)
     return minus.scaled(lead), plus.scaled(lead)
 
 
@@ -284,10 +271,6 @@ def _x2_frame(a: Fraction) -> WronskianFrame:
                           x2_seed_polynomial(3, a), U)
 
 
-def x2_basis(alpha) -> Subspace:
-    return x2_frame(alpha).span()
-
-
 def x2b_basis(alpha) -> Subspace:
     a = _fr(alpha)
     return Subspace([x2_partner_polynomial(n, a) for n in (1, 2, 3)], U)
@@ -343,8 +326,7 @@ def literature_x2(i: int, side: str = "minus", alpha=None) -> DiffOp:
     dm1 = DiffOp(U, {1: ONE, 0: MINUS_ONE})
     fa = f_alpha(a)
     inv_fa = pow_(fa, -1)
-    J = side in ("minus", "J", "j")
-    if J:
+    if side == "minus":
         if i == 1:
             base = D2.scaled(u) - D1.scaled(add(u, Rat(-a + 3)))
             tail = dm1.scaled(mul(Rat(4 * (a - 1)), add(u, Rat(a)), inv_fa))
@@ -524,14 +506,14 @@ def kside_constant(i: int, x: Fraction) -> Fraction:
 def combination_admissible(i: int, side: str, alpha) -> bool:
     """Whether the i-th combination identity is free of parameter singularities."""
     a = _fr(alpha)
-    frame_at = a if side in ("minus", "J", "j") else a - 3
+    frame_at = a if side == "minus" else a - 3
     if frame_at in (0, 1):
         return False
     try:
         x2_frame(frame_at)
     except FrameError:
         return False
-    if side in ("minus", "J", "j"):
+    if side == "minus":
         if i in (2, 4) and a == -1:
             return False
         return True

@@ -6,7 +6,7 @@ import pytest
 
 from qsusy import Binding
 from qsusy.cli import (
-    ConfigError, Report, SuiteConfig, emit_report, main, run_suite,
+    ConfigError, Report, SuiteConfig, main, run_suite,
     _parse_bindings,
 )
 from qsusy.suites import record
@@ -20,6 +20,11 @@ class TestSuiteConfig:
     def test_default_selects_everything(self):
         cfg = SuiteConfig()
         assert "families" in cfg.suites and "x2" in cfg.suites
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigError):
+            SuiteConfig(tol=tol)
 
 
 class TestBindings:
@@ -65,10 +70,6 @@ class TestReport:
     def test_empty_report(self):
         rep = Report(SuiteConfig(suites=[]), [])
         assert rep.summary == {"pass": 0, "fail": 0, "skipped": 0, "total": 0}
-
-    def test_emit_format_guard(self):
-        with pytest.raises(ConfigError):
-            emit_report(self._tiny_report(), "yaml")
 
     def test_non_finite_residual_is_strict_json(self):
         def reject(name):
@@ -126,14 +127,25 @@ class TestMain:
         ["spectrum", "--potential", "q^2/2", "--k", "-2"],
         ["spectrum", "--potential", "q^1001", "--lo", "-12", "--hi", "12", "--k", "1"],
         ["spectrum", "--potential", "sin(exp(exp(q)))", "--lo", "5", "--hi", "12"],
+        ["verify", "invariance", "--f", "exp(z)", "--ops", "J1", "--tol", "nan"],
+        ["verify", "invariance", "--f", "exp(z)", "--ops", "J1", "--tol", "-1"],
+        ["suite", "--suites", "spectrum", "--config", "tol = nan"],
+        ["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=1e400"],
+        ["spectrum", "--potential", "q^2/2", "--bind", "a=1e400", "--k", "1"],
     ])
-    def test_bad_arguments_exit_2_without_traceback(self, capsys, argv):
+    def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
+        if "--config" in argv:  # the argument after it is the file's content
+            i = argv.index("--config") + 1
+            cfg = tmp_path / "qsusy.cfg"
+            cfg.write_text(argv[i] + "\n")
+            argv = argv[:i] + [str(cfg)] + argv[i + 1:]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("line", ["sede = 3", "bind = alpha=2", "seed = abc", "tol = x"])
+    @pytest.mark.parametrize("line", ["sede = 3", "bind = alpha=2", "seed = abc", "tol = x",
+                                      "tol = nan", "tol = 0"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "qsusy.cfg"
         cfg.write_text(f"suites = lie-closure\n{line}\n")

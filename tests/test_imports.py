@@ -1,7 +1,9 @@
 """Stdlib stand-ins for a linter: every import in the package modules is used,
-and only the expression core reads child-node tuples directly."""
+only the expression core reads child-node tuples directly, every top-level
+definition is reached, and the names the traced bench run wraps exist."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -145,3 +147,83 @@ def test_float_rules_live_in_the_kernel(path):
     # Binding.func_derivative's
     home = {"_walker", "Binding.func_derivative"} if path.name == "expr.py" else set()
     assert set(rule_error_sites(path.read_text(encoding="utf-8"))) <= home
+
+
+BENCH = SRC.parents[1] / "bench"
+
+# top-level definitions that nothing reaches yet, each with the reason it stays
+_UNREACHED = {
+    "x2.x2b_basis": "the only home of the partner polynomials; a suite check "
+                    "of them needs a new bench reference first",
+}
+
+
+def unreferenced(sources: dict, known: set) -> list[str]:
+    """Top-level functions and classes, as "module.name", that no other
+    top-level statement of any module refers to by name or attribute and
+    that are not in `known`."""
+    defined, refs = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, _FUNCTIONS + (ast.ClassDef,)):
+                defined.append((module, stmt.name, stmt))
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+                refs.append((stmt, names))
+    return sorted(f"{module}.{name}" for module, name, stmt in defined
+                  if name not in known
+                  and not any(name in names for other, names in refs if other is not stmt))
+
+
+def test_detector_flags_an_unreferenced_definition():
+    sources = {"a": "def f():\n    return g()\n\ndef g():\n    return g()\n\n"
+                    "def h():\n    pass\n\nclass C:\n    pass\n",
+               "b": "import a\n\nX = a.C\n\ndef main():\n    pass\n"}
+    assert unreferenced(sources, {"main"}) == ["a.f", "a.h"]
+
+
+def _bench_names() -> set:
+    """Every name, attribute and string constant in the bench scripts."""
+    out = set()
+    for path in BENCH.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out.add(n.value)
+            elif isinstance(n, ast.ImportFrom):
+                out |= {a.name for a in n.names}
+    return out
+
+
+def test_every_definition_is_reached():
+    # reached: referred to from another top-level statement in src/, exported
+    # by the package, or named by the bench scripts; the exemptions are
+    # exactly the definitions that are not, so a stale one fails too
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {a.name for n in ast.walk(init) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced(sources, exported | _bench_names()) == sorted(_UNREACHED)
+
+
+def _bench_assignment(name: str):
+    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == name for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"bench/tracing.py assigns no {name}")
+
+
+def test_traced_names_exist():
+    # the traced bench run wraps these module attributes by name
+    pairs = [(module, attr) for module, attr, _ in _bench_assignment("_TARGETS")]
+    pairs += [(f"qsusy.{layer}", f) for layer, funcs in _bench_assignment("_BUILDERS").items()
+              for f in funcs]
+    missing = [f"{m}.{a}" for m, a in pairs if not hasattr(importlib.import_module(m), a)]
+    assert pairs
+    assert missing == []

@@ -6,13 +6,11 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from qsusy import Binding, EvalError, parse
-from qsusy.numerics import (
-    Grid, GridError, fd_spectrum, normalizability_probe, schrodinger_residual,
-)
+from qsusy.numerics import Grid, GridError, fd_spectrum, normalizability_probe
 from scalar_oracle import evaluate as scalar_evaluate
 
 
-def _reference_fd_spectrum(V, grid, k, on_singular):
+def _reference_fd_spectrum(V, grid, k):
     """fd_spectrum built node by node with the scalar evaluator."""
     qs = grid.interior()
     vals = np.empty(len(qs))
@@ -20,18 +18,12 @@ def _reference_fd_spectrum(V, grid, k, on_singular):
         try:
             v = scalar_evaluate(V, float(q))
         except EvalError:
-            if on_singular == "exclude":
-                v = 1e12
-            else:
-                raise GridError(f"potential singular at node q={q}") from None
+            raise GridError(f"potential singular at node q={q}") from None
         except (ArithmeticError, ValueError) as exc:
             raise GridError(f"potential cannot be evaluated at node q={q}: "
                             f"{type(exc).__name__}: {exc}") from exc
         if not np.isfinite(v):
-            if on_singular == "exclude":
-                v = 1e12
-            else:
-                raise GridError(f"potential not finite at node q={q}")
+            raise GridError(f"potential not finite at node q={q}")
         vals[i] = v
     diag = 1.0 / grid.h**2 + vals
     off = np.full(len(qs) - 1, -0.5 / grid.h**2)
@@ -72,11 +64,6 @@ class TestFdSpectrum:
         with pytest.raises(GridError):
             fd_spectrum(parse("1/q", "q"), Grid(-1.0, 1.0, 999), 1)
 
-    def test_singular_node_excluded_on_request(self):
-        ev = fd_spectrum(parse("1/q^2", "q"), Grid(-1.0, 1.0, 999), 1,
-                         on_singular="exclude")
-        assert np.isfinite(ev[0])
-
     @pytest.mark.parametrize("text", [
         "1/q", "1/q^2 + q", "log(q + 1/2)", "q^(1/2) + 1/(q - 1/2)",
         "exp(exp(exp(2*q)))",   # not finite on the right end
@@ -84,13 +71,10 @@ class TestFdSpectrum:
     def test_singular_grid_matches_scalar_reference(self, text):
         V, grid = parse(text, "q"), Grid(-1.0, 1.0, 999)
         with pytest.raises(GridError) as want:
-            _reference_fd_spectrum(V, grid, 3, "error")
+            _reference_fd_spectrum(V, grid, 3)
         with pytest.raises(GridError) as got:
             fd_spectrum(V, grid, 3)
         assert str(got.value) == str(want.value)
-        np.testing.assert_array_equal(
-            fd_spectrum(V, grid, 3, on_singular="exclude"),
-            _reference_fd_spectrum(V, grid, 3, "exclude"))
 
     @pytest.mark.parametrize("text, lo, hi", [
         ("q^1001", -12.0, 12.0),            # a negative base overflows
@@ -98,14 +82,13 @@ class TestFdSpectrum:
     ])
     def test_node_that_cannot_be_evaluated_is_a_grid_error(self, text, lo, hi):
         V, grid = parse(text, "q"), Grid(lo, hi, 999)
-        for mode in ("error", "exclude"):
-            with pytest.raises(GridError) as want:
-                _reference_fd_spectrum(V, grid, 1, mode)
-            with pytest.raises(GridError) as got:
-                fd_spectrum(V, grid, 1, on_singular=mode)
-            assert str(got.value) == str(want.value)
-            cause, want_cause = got.value.__cause__, want.value.__cause__
-            assert (type(cause), str(cause)) == (type(want_cause), str(want_cause))
+        with pytest.raises(GridError) as want:
+            _reference_fd_spectrum(V, grid, 1)
+        with pytest.raises(GridError) as got:
+            fd_spectrum(V, grid, 1)
+        assert str(got.value) == str(want.value)
+        cause, want_cause = got.value.__cause__, want.value.__cause__
+        assert (type(cause), str(cause)) == (type(want_cause), str(want_cause))
 
     def test_grid_refinement_second_order(self):
         e_coarse = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 1000), 1)[0]
@@ -113,19 +96,6 @@ class TestFdSpectrum:
         err_c = abs(e_coarse - 0.5)
         err_f = abs(e_fine - 0.5)
         assert err_f < err_c / 2.0
-
-
-class TestResidual:
-    def test_ground_state_exact(self):
-        r = schrodinger_residual(parse("q^2/2", "q"), parse("exp(-q^2/2)", "q"),
-                                 0.5, [0.2, 0.9, 1.8])
-        assert r < 1e-12
-
-    def test_perturbation_detected(self):
-        r = schrodinger_residual(parse("q^2/2", "q"),
-                                 parse("exp(-q^2/2) + 0.001*q", "q"),
-                                 0.5, [0.2, 0.9, 1.8])
-        assert 1e-5 < r < 1e-1
 
 
 class TestNormalizability:
