@@ -41,6 +41,8 @@ class SuiteConfig:
             raise ConfigError(f"unknown suites: {unknown}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def plan(self) -> SamplePlan:
         return SamplePlan(seed=self.seed, tol=self.tol)
@@ -154,9 +156,11 @@ def _config_value(overrides: dict, key: str, kind, default):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = Fraction(text)
+        float(value)  # a value beyond float range would overflow inside a check
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad rational {text!r}") from exc
+    return value
 
 
 def _write_or_print(text: str, path: str | None):
@@ -224,8 +228,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_model(args) -> int:
     bindings = _parse_bindings(args.bind)
+    plan = SuiteConfig(suites=[], seed=args.seed).plan()
     model = build_example(args.example, Binding(params=bindings))
-    plan = SamplePlan(seed=args.seed)
     res = verify_susy_conditions(model, plan)
     doc = {
         "example": args.example,
@@ -292,15 +296,14 @@ def _cmd_x2(args) -> int:
 
     if args.action != "verify":
         raise ConfigError(f"unknown x2 action {args.action!r}")
-    plan = SamplePlan(seed=args.seed)
+    cfg = SuiteConfig(suites=[], seed=args.seed)
     sides = {"both": ("minus", "plus"), "minus": ("minus",),
              "plus": ("plus",)}[args.side]
     checks = []
-    for r in verify_x2_identities(_fraction(args.alpha), plan, sides=sides):
+    for r in verify_x2_identities(_fraction(args.alpha), cfg.plan(), sides=sides):
         ok = None if r["status"] == "skipped" else r["status"] == "passed"
         checks.append(record(r["id"], r["id"], ok, r.get("residual"),
                              time.monotonic() - r["seconds"]))
-    cfg = SuiteConfig(suites=[], seed=args.seed)
     report = Report(cfg, checks)
     _write_or_print(report.to_json(), args.json)
     return 0 if report.summary["fail"] == 0 else 1
@@ -309,6 +312,7 @@ def _cmd_x2(args) -> int:
 def _cmd_spectrum(args) -> int:
     if (args.example is None) == (args.potential is None):
         raise ConfigError("give exactly one of --example or --potential")
+    plan = SuiteConfig(suites=[], seed=args.seed).plan()
     bindings = _parse_bindings(args.bind)
     if args.example:
         model = build_example(args.example, Binding(params=bindings))
@@ -316,7 +320,7 @@ def _cmd_spectrum(args) -> int:
             raise ConfigError("this model family has no designated grid domain")
         lo, hi = model.fd_domain
         ev = fd_spectrum(model.V_minus, Grid(lo, hi, args.grid), args.k, model.binding)
-        sp = algebraic_spectrum(model, "minus", SamplePlan(seed=args.seed))
+        sp = algebraic_spectrum(model, "minus", plan)
         doc = {"grid": [lo, hi, args.grid],
                "fd": list(map(float, ev)),
                "algebraic": [{"re": e.real, "im": e.imag} for e in sp.eigenvalues]}

@@ -9,6 +9,7 @@ canonical form fall back to numeric sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -282,6 +283,11 @@ def sort_key(e: Expr):
 # ---------------------------------------------------------------------------
 # canonicalizing constructors
 
+# add, mul, pow_, fn and _diff1 depend only on their arguments' structure, so
+# each memoizes its last _MEMO calls (size from a sweep, CHANGES.md)
+_MEMO = 512
+
+
 def _coeff_core(t: Expr):
     """Split a non-Rat canonical term into (rational coefficient, coefficient-free core)."""
     if isinstance(t, Mul) and isinstance(t.factors[0], Rat):
@@ -299,6 +305,7 @@ def _with_coeff(c: Fraction, core: Expr) -> Expr:
     return Mul((Rat(c), core))
 
 
+@functools.lru_cache(maxsize=_MEMO)
 def add(*terms) -> Expr:
     flat = []
     stack = [as_expr(t) for t in terms]
@@ -326,6 +333,7 @@ def add(*terms) -> Expr:
     return Add(tuple(parts))
 
 
+@functools.lru_cache(maxsize=_MEMO)
 def mul(*factors) -> Expr:
     flat = []
     for f in (as_expr(f) for f in factors):
@@ -402,6 +410,7 @@ def _perfect_root(n: int, q: int):
     return None
 
 
+@functools.lru_cache(maxsize=_MEMO)
 def pow_(base, exponent) -> Expr:
     b = as_expr(base)
     e = as_expr(exponent)
@@ -411,13 +420,12 @@ def pow_(base, exponent) -> Expr:
         if e.value == 1:
             return b
         if isinstance(b, Rat):
+            if b.value == 0 and e.value < 0:
+                raise ExprError("0 raised to a negative power")
             if e.value.denominator == 1:
-                n = e.value.numerator
-                if b.value == 0 and n < 0:
-                    raise ExprError("0 raised to a negative power")
-                return Rat(b.value**n)
+                return Rat(b.value**e.value.numerator)
             if b.value == 0:
-                return ZERO if e.value > 0 else _raise_zero_pow()
+                return ZERO
             if b.value > 0:
                 p, q = e.value.numerator, e.value.denominator
                 rn = _perfect_root(b.value.numerator, q)
@@ -438,10 +446,6 @@ def pow_(base, exponent) -> Expr:
     return Pow(b, e)
 
 
-def _raise_zero_pow():
-    raise ExprError("0 raised to a negative power")
-
-
 def _split_log_multiple(term: Expr):
     """Return (base, rational exponent) if term == r*log(base), else None."""
     if isinstance(term, Fn) and term.name == "log":
@@ -453,6 +457,7 @@ def _split_log_multiple(term: Expr):
     return None
 
 
+@functools.lru_cache(maxsize=_MEMO)
 def fn(name: str, arg) -> Expr:
     a = as_expr(arg)
     if name not in FN_NAMES:
@@ -603,21 +608,15 @@ def equal_canonical(a: Expr, b: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # differentiation
 
-_diff_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=_MEMO)
 def _diff1(e: Expr, v: str) -> Expr:
-    key = (e, v)
-    hit = _diff_cache.get(key)
-    if hit is not None:
-        return hit
     if isinstance(e, (Rat, Sym)):
-        out = ZERO
-    elif isinstance(e, Var):
-        out = ONE if e.name == v else ZERO
-    elif isinstance(e, Add):
-        out = add(*(_diff1(t, v) for t in e.terms))
-    elif isinstance(e, Mul):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.name == v else ZERO
+    if isinstance(e, Add):
+        return add(*(_diff1(t, v) for t in e.terms))
+    if isinstance(e, Mul):
         pieces = []
         fs = e.factors
         for i, f in enumerate(fs):
@@ -625,39 +624,34 @@ def _diff1(e: Expr, v: str) -> Expr:
             if df == ZERO:
                 continue
             pieces.append(mul(df, *fs[:i], *fs[i + 1 :]))
-        out = add(*pieces) if pieces else ZERO
-    elif isinstance(e, Pow):
+        return add(*pieces) if pieces else ZERO
+    if isinstance(e, Pow):
         b, ex = e.base, e.exponent
         dex = _diff1(ex, v)
         db = _diff1(b, v)
         if dex == ZERO:
-            out = ZERO if db == ZERO else mul(ex, db, pow_(b, ex - 1))
-        else:
-            out = mul(e, add(mul(dex, fn("log", b)), mul(ex, db, pow_(b, -1))))
-    elif isinstance(e, Fn):
+            return ZERO if db == ZERO else mul(ex, db, pow_(b, ex - 1))
+        return mul(e, add(mul(dex, fn("log", b)), mul(ex, db, pow_(b, -1))))
+    if isinstance(e, Fn):
         da = _diff1(e.arg, v)
         if da == ZERO:
-            out = ZERO
-        else:
-            a = e.arg
-            if e.name == "exp":
-                core = e
-            elif e.name == "log":
-                core = pow_(a, -1)
-            elif e.name == "sin":
-                core = fn("cos", a)
-            elif e.name == "cos":
-                core = mul(MINUS_ONE, fn("sin", a))
-            else:  # tan
-                core = add(ONE, pow_(fn("tan", a), 2))
-            out = mul(core, da)
-    elif isinstance(e, Opaque):
+            return ZERO
+        a = e.arg
+        if e.name == "exp":
+            core = e
+        elif e.name == "log":
+            core = pow_(a, -1)
+        elif e.name == "sin":
+            core = fn("cos", a)
+        elif e.name == "cos":
+            core = mul(MINUS_ONE, fn("sin", a))
+        else:  # tan
+            core = add(ONE, pow_(fn("tan", a), 2))
+        return mul(core, da)
+    if isinstance(e, Opaque):
         da = _diff1(e.arg, v)
-        out = ZERO if da == ZERO else mul(Opaque(e.name, e.order + 1, e.arg), da)
-    else:
-        raise ExprError(f"unexpected node {type(e)}")
-    _diff_cache[key] = out
-    return out
+        return ZERO if da == ZERO else mul(Opaque(e.name, e.order + 1, e.arg), da)
+    raise ExprError(f"unexpected node {type(e)}")
 
 
 def diff(e: Expr, v: str, order: int = 1) -> Expr:

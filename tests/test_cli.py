@@ -26,6 +26,11 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(tol=tol)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError):
+            SuiteConfig(seed=-1)
+        assert SuiteConfig(seed=0).plan().seed == 0
+
 
 class TestBindings:
     def test_parse(self):
@@ -132,6 +137,13 @@ class TestMain:
         ["suite", "--suites", "spectrum", "--config", "tol = nan"],
         ["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=1e400"],
         ["spectrum", "--potential", "q^2/2", "--bind", "a=1e400", "--k", "1"],
+        ["suite", "--suites", "spectrum", "--seed", "-1"],
+        ["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5", "--seed", "-3"],
+        ["x2", "verify", "--alpha", "2", "--seed", "-1"],
+        ["verify", "invariance", "--f", "exp(z)", "--ops", "J1", "--seed", "-1"],
+        ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3", "--seed", "-1"],
+        ["suite", "--suites", "spectrum", "--config", "seed = -1"],
+        ["x2", "verify", "--alpha", "1e400"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if "--config" in argv:  # the argument after it is the file's content

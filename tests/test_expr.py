@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 from fractions import Fraction
@@ -11,11 +12,13 @@ from qsusy import (
     add, diff, differentiate, equal0, evaluate, expand, fn, mul, opaque,
     parse, pow_, rat, substitute, substitute_opaque, sym, to_string, var,
 )
+from qsusy import expr as expr_mod
+from qsusy.cli import SuiteConfig, run_suite
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
-    ONE, Add, EvalError, Mul, NotRationalError, Pow, Rat, Sym, Var,
-    evaluate_exact, free_vars, opaque_names, rebuild, substitute_param, substitute_var,
-    values, values_and_faults,
+    ONE, Add, EvalError, ExprError, Mul, NotRationalError, Pow, Rat, Sym, Var, children,
+    evaluate_exact, free_vars, opaque_names, rebuild, sort_key, substitute_param,
+    substitute_var, values, values_and_faults,
 )
 from qsusy.invariance import SamplePlan, SamplingError, safe_points
 from qsusy.parser import ParseError
@@ -227,6 +230,76 @@ def test_leibniz_rule(e1, e2):
 @given(_expr)
 def test_round_trip_generated(e):
     assert parse(to_string(e)) == e
+
+
+# the constructor memo against the unmemoized constructors ---------------------
+
+_MEMOIZED = ("add", "mul", "pow_", "fn", "_diff1")
+
+
+@contextlib.contextmanager
+def _unmemoized():
+    """Every memoized function of qsusy.expr replaced by its original, so that
+    the constructors and the operators also call each other unmemoized."""
+    saved = {name: getattr(expr_mod, name) for name in _MEMOIZED}
+    try:
+        for name, f in saved.items():
+            setattr(expr_mod, name, f.__wrapped__)
+        yield
+    finally:
+        for name, f in saved.items():
+            setattr(expr_mod, name, f)
+
+
+def _built(f, *args):
+    try:
+        return f(*args)
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_expr, _expr)
+def test_memoized_constructors_match_their_originals(e1, e2):
+    calls = [("add", (e1, e2)), ("add", (e1, mul(-1, e1))), ("mul", (e1, e2)),
+             ("mul", (e2, pow_(e2, -1))), ("pow_", (e1, 2)), ("pow_", (e1, -1)),
+             ("pow_", (e1, e2)), ("pow_", (e2, rat(1, 2))), ("fn", ("exp", e1)),
+             ("fn", ("log", e1)), ("fn", ("cos", e2)), ("_diff1", (e1, "z")),
+             ("_diff1", (e2, "a"))]
+    got = [_built(getattr(expr_mod, name), *args) for name, args in calls]
+    wrapped = [_built(getattr(expr_mod, name).__wrapped__, *args) for name, args in calls]
+    with _unmemoized():
+        want = [_built(getattr(expr_mod, name), *args) for name, args in calls]
+    for g, w, u in zip(got, wrapped, want):
+        assert g == w == u
+        if not isinstance(g, tuple):
+            assert sort_key(g) == sort_key(w) == sort_key(u)
+
+
+def test_equal_calls_return_the_same_node():
+    # fresh leaves each time: only the memo can make the results identical
+    def build():
+        z_, a_ = var("z"), sym("a")
+        s = add(fn("sin", z_), mul(a_, pow_(z_, 3)))
+        return s, diff(s, "z", 2)
+
+    (s1, d1), (s2, d2) = build(), build()
+    assert s1 is s2 and d1 is d2
+
+
+def test_exceptions_are_not_memoized():
+    for _ in range(2):
+        with pytest.raises(ExprError, match="0 raised to a negative power"):
+            pow_(0, -1)
+        with pytest.raises(ExprError, match="unknown function"):
+            fn("sinh", z)
+
+
+def test_memos_stay_bounded_over_a_suite():
+    run_suite(SuiteConfig(suites=["construction"]))
+    for name in _MEMOIZED:
+        info = getattr(expr_mod, name).cache_info()
+        assert info.maxsize == expr_mod._MEMO and info.currsize <= expr_mod._MEMO
 
 
 def test_canonical_eval_agrees_with_raw_combination():
@@ -598,5 +671,15 @@ def test_rewriters_visit_a_shared_dag_once_per_node():
         return None
 
     rebuild(e, count)
-    assert len(visits) == 5 + 3 * depth
+    # the constructor memo may hand back a structurally equal node built from
+    # other objects (a second Var("z")), so the distinct ids come from an
+    # independent walk; by == there are 5 + 3 * depth distinct nodes
+    nodes, stack = {}, [e]
+    while stack:
+        x = stack.pop()
+        if id(x) not in nodes:
+            nodes[id(x)] = x
+            stack.extend(children(x))
+    assert visits.keys() == nodes.keys()
+    assert len(set(nodes.values())) == 5 + 3 * depth
     assert set(visits.values()) == {1}
