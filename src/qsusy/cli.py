@@ -299,8 +299,13 @@ def _cmd_x2(args) -> int:
     cfg = SuiteConfig(suites=[], seed=args.seed)
     sides = {"both": ("minus", "plus"), "minus": ("minus",),
              "plus": ("plus",)}[args.side]
+    try:
+        results = verify_x2_identities(_fraction(args.alpha), cfg.plan(), sides=sides)
+    except OverflowError as exc:
+        # alpha itself fits a float, but the frame's alpha^2..alpha^4 may not
+        raise ConfigError(f"alpha {args.alpha!r} overflows a float in the x2 frame: {exc}") from exc
     checks = []
-    for r in verify_x2_identities(_fraction(args.alpha), cfg.plan(), sides=sides):
+    for r in results:
         ok = None if r["status"] == "skipped" else r["status"] == "passed"
         checks.append(record(r["id"], r["id"], ok, r.get("residual"),
                              time.monotonic() - r["seconds"]))

@@ -103,7 +103,8 @@ class Rat(Expr):
     def __init__(self, value: Rational):
         v = value if isinstance(value, Fraction) else Fraction(value)
         object.__setattr__(self, "value", v)
-        object.__setattr__(self, "_h", hash(("Rat", v)))
+        # hashing the Fraction itself would cost a modular inverse
+        object.__setattr__(self, "_h", hash(("Rat", v.numerator, v.denominator)))
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, *a):
@@ -160,12 +161,13 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_split")
 
     def __init__(self, factors: tuple):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_h", hash(("Mul",) + tuple(f._h for f in factors)))
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_split", None)  # (coefficient, core), once _coeff_core asks
 
     __setattr__ = Rat.__setattr__
 
@@ -291,10 +293,13 @@ _MEMO = 512
 def _coeff_core(t: Expr):
     """Split a non-Rat canonical term into (rational coefficient, coefficient-free core)."""
     if isinstance(t, Mul) and isinstance(t.factors[0], Rat):
-        rest = t.factors[1:]
-        core = rest[0] if len(rest) == 1 else Mul(rest)
-        return t.factors[0].value, core
-    return Fraction(1), t
+        s = t._split
+        if s is None:
+            f = t.factors
+            s = (f[0].value, f[1] if len(f) == 2 else Mul(f[1:]))
+            object.__setattr__(t, "_split", s)
+        return s
+    return ONE.value, t
 
 
 def _with_coeff(c: Fraction, core: Expr) -> Expr:
@@ -315,14 +320,21 @@ def add(*terms) -> Expr:
         else:
             flat.append(t)
     const = Fraction(0)
-    groups: dict[Expr, Fraction] = {}
+    # core -> [coefficient, the term itself while no other term shares its core]
+    groups: dict[Expr, list] = {}
     for t in flat:
         if isinstance(t, Rat):
             const += t.value
             continue
         c, core = _coeff_core(t)
-        groups[core] = groups.get(core, Fraction(0)) + c
-    parts = [_with_coeff(c, core) for core, c in groups.items() if c != 0]
+        g = groups.get(core)
+        if g is None:
+            groups[core] = [c, t]
+        else:
+            g[0] += c
+            g[1] = None
+    parts = [_with_coeff(c, core) if t is None else t
+             for core, (c, t) in groups.items() if c != 0]
     if const != 0:
         parts.append(Rat(const))
     if not parts:
@@ -341,7 +353,7 @@ def mul(*factors) -> Expr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    coeff = Fraction(1)
+    coeff = None  # product of the rational factors, from the first one on
     powmap: dict = {}  # base Expr or "exp" sentinel -> list of exponent Exprs
     order: list = []
     _EXP = ("exp-sentinel",)
@@ -349,7 +361,7 @@ def mul(*factors) -> Expr:
         if isinstance(f, Rat):
             if f.value == 0:
                 return ZERO
-            coeff *= f.value
+            coeff = f.value if coeff is None else coeff * f.value
             continue
         if isinstance(f, Pow):
             base, e = f.base, f.exponent
@@ -373,16 +385,18 @@ def mul(*factors) -> Expr:
         if isinstance(rebuilt, Rat):
             if rebuilt.value == 0:
                 return ZERO
-            coeff *= rebuilt.value
+            coeff = rebuilt.value if coeff is None else coeff * rebuilt.value
         elif isinstance(rebuilt, Mul):
             # pow_ may split (e.g. rational-root folding); fold its pieces
             for g in rebuilt.factors:
                 if isinstance(g, Rat):
-                    coeff *= g.value
+                    coeff = g.value if coeff is None else coeff * g.value
                 else:
                     parts.append(g)
         else:
             parts.append(rebuilt)
+    if coeff is None:
+        coeff = ONE.value
     if coeff == 0:
         return ZERO
     if not parts:

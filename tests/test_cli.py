@@ -144,6 +144,7 @@ class TestMain:
         ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3", "--seed", "-1"],
         ["suite", "--suites", "spectrum", "--config", "seed = -1"],
         ["x2", "verify", "--alpha", "1e400"],
+        ["x2", "verify", "--alpha", "1e200"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if "--config" in argv:  # the argument after it is the file's content

@@ -22,6 +22,7 @@ from qsusy.expr import (
 )
 from qsusy.invariance import SamplePlan, SamplingError, safe_points
 from qsusy.parser import ParseError
+import constructor_oracle
 from scalar_oracle import evaluate as scalar_evaluate
 
 z = var("z")
@@ -300,6 +301,52 @@ def test_memos_stay_bounded_over_a_suite():
     for name in _MEMOIZED:
         info = getattr(expr_mod, name).cache_info()
         assert info.maxsize == expr_mod._MEMO and info.currsize <= expr_mod._MEMO
+
+
+# constructors that keep existing nodes against ones that rebuild every term ---
+
+@settings(max_examples=80, deadline=None)
+@given(_expr, _expr, _rational)
+def test_add_and_mul_match_the_rebuilding_constructors(e1, e2, c):
+    k = rat(c)
+    calls = [("add", (e1, e2)), ("add", (e1, e2, e1)), ("add", (mul(k, e1), e2, mul(3, e1))),
+             ("add", (e1, mul(-1, e1), k)), ("add", (add(e1, k), add(e2, rat(2)))),
+             ("mul", (e1, e2)), ("mul", (k, e1, rat(-2), e2)), ("mul", (e1, pow_(e1, -1))),
+             ("mul", (k, add(e1, e2))), ("mul", (e2, e2, e1))]
+    for name, args in calls:
+        got = _built(getattr(expr_mod, name).__wrapped__, *args)
+        want = _built(getattr(constructor_oracle, name), *args)
+        assert got == want
+        if not isinstance(got, tuple):
+            assert sort_key(got) == sort_key(want)
+
+
+def test_add_keeps_a_term_that_shares_its_core_with_no_other():
+    t, u = mul(3, z, sym("a")), fn("sin", z)
+    s = add(t, u)
+    assert isinstance(s, Add) and any(x is t for x in s.terms)
+    assert any(x is u for x in s.terms)
+
+
+def test_add_rebuilds_a_term_whose_coefficient_merged():
+    t = mul(3, z, sym("a"))
+    s = add(t, t)
+    assert s is not t and s == mul(6, z, sym("a")) == constructor_oracle.add(t, t)
+    assert add(t, mul(-3, sym("a"), z)) == rat(0)
+
+
+def test_a_product_is_split_into_coefficient_and_core_once():
+    t = mul(rat(2, 3), z, sym("a"))
+    assert expr_mod._coeff_core(t) is expr_mod._coeff_core(t)
+    c, core = expr_mod._coeff_core(t)
+    assert c == Fraction(2, 3) and core == mul(z, sym("a"))
+    assert expr_mod._coeff_core(core) == (1, core)
+
+
+def test_rat_hashes_by_its_reduced_value():
+    assert Rat(Fraction(2, 4)) == Rat(Fraction(1, 2))
+    assert hash(Rat(Fraction(2, 4))) == hash(Rat(Fraction(1, 2)))
+    assert hash(Rat(3)) == hash(Rat(Fraction(6, 2))) and Rat(3) != Rat(Fraction(1, 3))
 
 
 def test_canonical_eval_agrees_with_raw_combination():
