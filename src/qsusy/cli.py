@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from . import __version__
 from .expr import Binding, ExprError
-from .parser import parse, to_string, ParseError
+from .parser import parse, to_string
 from .diffop import pretty
 from .families import monomial_family, literature_ops, build_J, build_K
 from .invariance import SamplePlan, check_invariant
 from .models import build_example, verify_susy_conditions, algebraic_spectrum
 from .numerics import Grid, fd_spectrum, normalizability_probe
-from .suites import SUITES, seed_basis, partner_basis, record
+from .suites import SUITES, seed_basis, partner_basis, record, identity_record
 
 
 class ConfigError(Exception):
@@ -304,12 +304,7 @@ def _cmd_x2(args) -> int:
     except OverflowError as exc:
         # alpha itself fits a float, but the frame's alpha^2..alpha^4 may not
         raise ConfigError(f"alpha {args.alpha!r} overflows a float in the x2 frame: {exc}") from exc
-    checks = []
-    for r in results:
-        ok = None if r["status"] == "skipped" else r["status"] == "passed"
-        checks.append(record(r["id"], r["id"], ok, r.get("residual"),
-                             time.monotonic() - r["seconds"]))
-    report = Report(cfg, checks)
+    report = Report(cfg, [identity_record(r, r["id"]) for r in results])
     _write_or_print(report.to_json(), args.json)
     return 0 if report.summary["fail"] == 0 else 1
 
@@ -427,10 +422,8 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExprError as exc:
+    except (ConfigError, ExprError, OSError) as exc:
+        # OSError: a config file that cannot be read, a report that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

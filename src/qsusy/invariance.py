@@ -122,44 +122,56 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
         f"could only find {len(out)} of {need} usable sample points")
 
 
-def _sampled_action(op: DiffOp, V: Subspace, plan: SamplePlan, bind: Binding | None):
-    """Points, basis values B, and signed (Y) and magnitude (G) sums of op(b_i).
+def _sampled_actions(ops: list, fs: list, plan: SamplePlan, bind: Binding | None,
+                     count: int | None = None):
+    """Points, values F of fs, each op's signed sums Y of op(f_i), and one
+    magnitude sum G over the terms of all ops.
 
-    One point search covers the elements and every (coefficient, derivative)
-    pair of the action.  The magnitude sums measure how much floating-point
-    cancellation went into each image value; residuals are judged relative to
-    them.  Terms are added one at a time in pair order, not pairwise, so the
-    sums stay bit-stable.
+    One point search covers fs, every coefficient of every op and the
+    derivatives of fs the ops need.  G measures how much floating-point
+    cancellation went into the image values; residuals are judged relative to
+    it.  Terms are added one at a time, op by op in coefficient order, not
+    pairwise, so the sums stay bit-stable.
     """
-    if op.var != V.variable:
-        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
-    elements = V.elements
-    n = len(elements)
-    pairs = [[(c, diff(b, op.var, k)) for k, c in op.coeffs.items()] for b in elements]
-    pts, A = safe_points(elements + [e for row in pairs for pair in row for e in pair],
-                         plan, bind)
-    T = A[:, n::2] * A[:, n + 1::2]
-    Y = np.zeros((len(pts), n))
-    G = np.zeros_like(Y)
-    col = 0
-    for i, row in enumerate(pairs):
-        for t in T[:, col:col + len(row)].T:
-            Y[:, i] += t
-            G[:, i] += np.abs(t)
-        col += len(row)
-    return pts, A[:, :n], Y, G
+    v, n = ops[0].var, len(fs)
+    coeffs = [c for op in ops for c in op.coeffs.values()]
+    orders = sorted({k for op in ops for k in op.coeffs})
+    derivs = [diff(f, v, k) for k in orders for f in fs]
+    pts, A = safe_points(fs + coeffs + derivs, plan, bind, count)
+    C, D = A[:, n:n + len(coeffs)], A[:, n + len(coeffs):]
+    G = np.zeros((len(pts), n))
+    Ys, col = [], 0
+    for op in ops:
+        Y = np.zeros_like(G)
+        for k in op.coeffs:
+            j = orders.index(k) * n
+            t = C[:, col:col + 1] * D[:, j:j + n]
+            Y += t
+            G += np.abs(t)
+            col += 1
+        Ys.append(Y)
+    return pts, A[:, :n], Ys, G
 
 
-def _relative(R: np.ndarray, G: np.ndarray, B: np.ndarray, tol: float):
-    """Per column, max |R| over 1 + the larger of its term magnitude and max |B|."""
-    r = np.abs(R).max(axis=0) / (1.0 + np.maximum(G.max(axis=0), np.abs(B).max()))
-    return [float(x) for x in r], bool(np.all(r <= tol))
+def relative_residual(R: np.ndarray, S) -> np.ndarray:
+    """Per column, max |R| / (1 + S), for a scale S that broadcasts against R.
+
+    Rounding is monotone, so where S is constant down a column this equals
+    max |R| over (1 + S) bit for bit.
+    """
+    return (np.abs(R) / (1.0 + S)).max(axis=0)
 
 
 def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
                     bind: Binding | None = None) -> Verdict:
-    """Least-squares membership of op(b_i) in span(V), certified on holdouts."""
-    pts, B_all, Y_all, G_all = _sampled_action(op, V, plan, bind)
+    """Least-squares membership of op(b_i) in span(V), certified on holdouts.
+
+    Each residual is scaled by the larger of its image's term magnitudes and
+    the largest basis value.
+    """
+    if op.var != V.variable:
+        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
+    pts, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
     B_fit = B_all[:plan.m]
     cond = float(np.linalg.cond(B_fit))
     if not np.isfinite(cond) or cond > plan.cond_ceiling:
@@ -169,17 +181,23 @@ def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
     scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
     M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_all[:plan.m], rcond=None)
     M = M_hat / scales[:, None]
-    residuals, ok = _relative(Y_all - B_all @ M, G_all, B_all, plan.tol)
+    r = relative_residual(Y_all - B_all @ M,
+                          np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
+    ok = bool(np.all(r <= plan.tol))
     # M returned in the (j, i) layout: column i holds the coordinates of op(b_i)
-    return Verdict(ok, residuals, M if ok else None, cond,
+    return Verdict(ok, r.tolist(), M if ok else None, cond,
                    {"points": pts, "fit_matrix_cond": cond})
 
 
 def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
                       bind: Binding | None = None) -> Verdict:
-    pts, B_all, Y_all, G_all = _sampled_action(op, V, plan, bind)
-    residuals, ok = _relative(Y_all, G_all, B_all, plan.tol)
-    return Verdict(ok, residuals, None, float(np.linalg.cond(B_all)), {"points": pts})
+    """op(b_i) = 0 for every element, on the scale check_invariant uses."""
+    if op.var != V.variable:
+        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
+    pts, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
+    r = relative_residual(Y_all, np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
+    return Verdict(bool(np.all(r <= plan.tol)), r.tolist(), None,
+                   float(np.linalg.cond(B_all)), {"points": pts})
 
 
 def restricted_matrix(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
@@ -204,34 +222,15 @@ def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
     """Compare operators by their action on the default probes at 12 safe points.
 
     Differences are judged relative to the summed term magnitudes of the two
-    applications, so cancellation-heavy coefficients do not masquerade as
-    disagreement.  One point search covers both coefficient sets, the probes
-    and their derivatives; the probes are entire, so each probe gets the
-    points its own search would.
+    applications, point by point, so cancellation-heavy coefficients do not
+    masquerade as disagreement.  The probes are entire, so the one point
+    search gives each probe the points its own search would.
     """
     if a.var != b.var:
         raise OperatorError("variable tags differ")
-    v = a.var
-    probes = default_probes(v)
-    terms = list(a.coeffs.items()) + list(b.coeffs.items())
-    orders = sorted(set(a.coeffs) | set(b.coeffs))
-    derivs = [diff(psi, v, k) for psi in probes for k in orders]
-    pts, V = safe_points([c for _, c in terms] + probes + derivs, plan, bind,
-                         count=12)
-    D = V[:, len(terms) + len(probes):]
-    worst = 0.0
-    for p in range(len(probes)):
-        va, vb, mag = np.zeros((3, len(pts)))
-        # one sequential magnitude sum over the a terms, then the b terms
-        for n, (k, _) in enumerate(terms):
-            t = V[:, n] * D[:, p * len(orders) + orders.index(k)]
-            if n < len(a.coeffs):
-                va += t
-            else:
-                vb += t
-            mag += np.abs(t)
-        rel = np.abs(va - vb) / (1.0 + mag)
-        worst = max(worst, float(rel.max(initial=0.0)))
+    _, _, (Ya, Yb), G = _sampled_actions([a, b], default_probes(a.var), plan, bind,
+                                         count=12)
+    worst = float(relative_residual(Ya - Yb, G).max(initial=0.0))
     return worst <= tol, worst
 
 
@@ -337,9 +336,10 @@ def verify_commutator_table(f, plan: SamplePlan = SamplePlan(),
     """Check all 28 commutator identities for a concrete generating function.
 
     The identities are built once, with f opaque; f is bound at evaluation.
-    Each record carries the "seconds" spent on its own identity.
+    Each record carries the "seconds" spent on its own identity.  Raises
+    DegenerateFunctionError where f'' vanishes identically.
     """
-    bind = Binding(funcs={"f": as_expr(f)})
+    bind = Binding(funcs={"f": _fctx(f).concrete})
     results = []
     for i in range(1, 9):
         for j in range(i + 1, 9):

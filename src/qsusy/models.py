@@ -22,7 +22,7 @@ from .diffop import DiffOp, compose, gauge_conjugate, expand_factored, pullback
 from .families import GeneralCoefficients, build_H_minus, build_H_plus, FContext
 from .invariance import (
     Subspace, SamplePlan, Verdict, check_invariant, restricted_matrix,
-    safe_points, ops_equal_numeric,
+    safe_points, ops_equal_numeric, relative_residual,
 )
 
 
@@ -364,12 +364,12 @@ def _validate_model(model: ModelSpec):
     all_exprs = list(checks.values())
     n = len(all_exprs)
     pts, V = safe_points(all_exprs + [model.W, model.E, model.F, zp], plan, bind, count=8)
-    scale = 1.0 + float(np.abs(np.hstack([V[:, n:], values([Aq, Qq], pts, bind)])).max())
-    resid = np.abs(V[:, :n]).max(axis=0) / scale
+    scale = float(np.abs(np.hstack([V[:, n:], values([Aq, Qq], pts, bind)])).max())
+    resid = relative_residual(V[:, :n], scale)
     bad = {name: float(r) for name, r in zip(checks, resid) if r > 1e-8}
     if bad:
         raise ModelConsistencyError(f"printed forms are inconsistent: {bad}")
-    model.diagnostics["consistency_scale"] = scale
+    model.diagnostics["consistency_scale"] = 1.0 + scale
 
 
 def _compose_z(e_z: Expr, z_of_q: Expr) -> Expr:
@@ -391,13 +391,13 @@ def verify_susy_conditions(model: ModelSpec,
     F1p, F2p = diff(F1, Q), diff(F2, Q)
     scale_exprs = [F1p, F2p, diff(F1p, Q), diff(F2p, Q), F1, F2]
     pts, V = safe_points([cond2, cond3] + scale_exprs, plan, bind, count=10)
-    scale = 1.0 + float(np.abs(V[:, 2:]).max())
+    scale = float(np.abs(V[:, 2:]).max())
 
     Cs = model.coeffs.to_integration_constants()
     tF1, tF2 = f1f2_from_constants(Cs[:5], model.f_of_z, "z")
     m1 = add(_compose_z(tF1, model.z_of_q), mul(MINUS_ONE, F1))
     m2 = add(_compose_z(tF2, model.z_of_q), mul(MINUS_ONE, F2))
-    resid = np.abs(np.hstack([V[:, :2], values([m1, m2], pts, bind)])).max(axis=0) / scale
+    resid = relative_residual(np.hstack([V[:, :2], values([m1, m2], pts, bind)]), scale)
     r2, r3, rm1, rm2 = map(float, resid)
 
     P3 = model.supercharge_minus()
@@ -412,8 +412,7 @@ def verify_susy_conditions(model: ModelSpec,
         ra = right.apply(psi)
         _, V = safe_points([la, ra], plan, bind, count=8)
         va, vb = V.T
-        rel = np.abs(va - vb) / (1.0 + np.maximum(np.abs(va), np.abs(vb)))
-        worst = max(worst, float(rel.max()))
+        worst = max(worst, float(relative_residual(va - vb, np.abs(V).max(axis=1))))
     return IntertwiningResidual(r2, r3, rm1, rm2, worst)
 
 
@@ -448,13 +447,9 @@ def algebraic_spectrum(model: ModelSpec, side: str,
     _, V = safe_points(elements + h_applied, plan, bind, count=8)
     Bv, Hv = V[:, :len(elements)], V[:, len(elements):]
     residuals = []
-    for i in range(len(eigvals)):
-        c = vecs[:, i]
-        hpsi = Hv @ c
-        psi = Bv @ c
-        num = np.max(np.abs(hpsi - eigvals[i] * psi))
-        den = 1.0 + np.max(np.abs(eigvals[i] * psi))
-        residuals.append(float(num / den))
+    for lam, c in zip(eigvals, vecs.T):
+        lam_psi = lam * (Bv @ c)
+        residuals.append(float(relative_residual(Hv @ c - lam_psi, np.abs(lam_psi).max())))
     return AlgebraicSpectrum([complex(ev) for ev in eigvals], vecs, residuals,
                              diagnostics)
 

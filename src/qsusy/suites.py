@@ -28,7 +28,7 @@ from .families import (
 from .invariance import (
     Subspace, SamplePlan, check_invariant, check_annihilates,
     verify_commutator_table, check_lie_closure, ops_equal_numeric,
-    safe_points,
+    _sampled_actions,
 )
 from .models import (
     build_example, verify_susy_conditions, sector_invariance,
@@ -51,6 +51,17 @@ def record(check_id: str, anchor: str, ok, residual, t0) -> dict:
     return {"id": check_id, "anchor": anchor, "verdict": verdict,
             "residual": float(residual) if finite else None,
             "millis": round(1000.0 * (time.monotonic() - t0), 3)}
+
+
+def identity_record(rec: dict, anchor: str) -> dict:
+    """The check record of an x2.verify_x2_identities result, keeping the
+    reason of a skip."""
+    ok = None if rec["status"] == "skipped" else rec["status"] == "passed"
+    out = record(rec["id"], anchor, ok, rec.get("residual"),
+                 time.monotonic() - rec["seconds"])
+    if "reason" in rec:
+        out["reason"] = rec["reason"]
+    return out
 
 
 FAMILY_F_SET = {
@@ -408,15 +419,12 @@ def _monomial_partner(lam) -> Subspace:
 
 def _independent_of(op: DiffOp, existing: list[DiffOp], space: Subspace,
                     plan: SamplePlan) -> bool:
-    elements = space.elements
-    applied = [[o.apply(b) for b in elements] for o in existing + [op]]
-    flat = [e for row in applied for e in row]
-    n = len(elements)
-    _, V = safe_points(elements + flat, plan, count=10)
+    """op is independent of existing on space: its images at 10 safe points
+    raise the rank of the others'."""
+    _, _, Ys, _ = _sampled_actions(existing + [op], space.elements, plan, None, count=10)
     # one feature vector per operator: each element's image at every point
-    feats = [V[:, n * k:n * (k + 1)].T.ravel() for k in range(1, len(applied) + 1)]
-    M_existing = np.array(feats[:-1])
-    M_all = np.array(feats)
+    M_all = np.array([Y.T.ravel() for Y in Ys])
+    M_existing = M_all[:-1]
     r0 = np.linalg.matrix_rank(M_existing, tol=1e-8 * np.abs(M_existing).max())
     r1 = np.linalg.matrix_rank(M_all, tol=1e-8 * np.abs(M_all).max())
     return r1 == r0 + 1
@@ -516,10 +524,7 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
                       Fraction(-3): ("minus", "plus")}
     for a in alphas:
         for rec in x2mod.verify_x2_identities(a, plan, sides=sides_by_alpha.get(a, ("minus",))):
-            ok = None if rec["status"] == "skipped" else rec["status"] == "passed"
-            checks.append(record(rec["id"],
-                                 f"combination identity {rec['id']}",
-                                 ok, rec.get("residual"), time.monotonic() - rec["seconds"]))
+            checks.append(identity_record(rec, f"combination identity {rec['id']}"))
     t0 = time.monotonic()
     ok = _reduction_checks_pass()
     checks.append(record("x2:reduction", "plain-frame reductions recover the gallery",

@@ -18,7 +18,7 @@ from qsusy.families import (
 )
 from qsusy.invariance import (
     SamplePlan, check_annihilates, check_invariant, check_lie_closure,
-    ops_equal_numeric, verify_commutator_table,
+    ops_equal_numeric, safe_points, verify_commutator_table,
 )
 from qsusy.models import (
     algebraic_spectrum, build_example, sector_invariance, verify_susy_conditions,
@@ -183,11 +183,12 @@ def test_criterion_06_monomial_specializations():
             f"literature-basis maps (worst {worst:.2e})")
 
 
-def test_criterion_07_newly_listed_operators():
+def _newly_listed_cases() -> dict:
+    """label: (operator, its space, the catalogued operators of that side)."""
     lam = Fraction(5, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cases = {
+        return {
             "C:J1": (monomial_J(1, lam), seed_basis(pow_(z, rat(lam))),
                      list(literature_ops("C", "minus", rat(lam)).values())),
             "C:J2": (monomial_J(2, lam), seed_basis(pow_(z, rat(lam))),
@@ -201,6 +202,10 @@ def test_criterion_07_newly_listed_operators():
             "B:K1": (monomial_K(1, Fraction(3)), _monomial_partner(rat(3)),
                      list(literature_ops("B", "plus").values())),
         }
+
+
+def test_criterion_07_newly_listed_operators():
+    cases = _newly_listed_cases()
     ok = True
     for label, (op, space, existing) in cases.items():
         v = check_invariant(op, space, PLAN)
@@ -209,6 +214,30 @@ def test_criterion_07_newly_listed_operators():
         assert v.passed and indep, label
     verdict(7, bool(ok), f"{len(cases)} newly listed operators invariant and "
                          "independent of the catalogued sets")
+
+
+def _independent_of_symbolic(op, existing, space, plan) -> bool:
+    """The rank test on symbolic images o.apply(b) that _independent_of replaced."""
+    elements = space.elements
+    applied = [[o.apply(b) for b in elements] for o in existing + [op]]
+    n = len(elements)
+    _, V = safe_points(elements + [e for row in applied for e in row], plan, count=10)
+    feats = [V[:, n * k:n * (k + 1)].T.ravel() for k in range(1, len(applied) + 1)]
+    M_existing, M_all = np.array(feats[:-1]), np.array(feats)
+    r0 = np.linalg.matrix_rank(M_existing, tol=1e-8 * np.abs(M_existing).max())
+    r1 = np.linalg.matrix_rank(M_all, tol=1e-8 * np.abs(M_all).max())
+    return r1 == r0 + 1
+
+
+def test_independence_matches_symbolic_images():
+    # the suite's plan and this file's; a sum of catalogued operators is the
+    # dependent control
+    for plan in (SamplePlan(), PLAN):
+        for label, (op, space, existing) in _newly_listed_cases().items():
+            for cand, want in ((op, True), (existing[0] + existing[1], False)):
+                got = _independent_of(cand, existing, space, plan)
+                assert got == _independent_of_symbolic(cand, existing, space, plan) == want, \
+                    (label, want)
 
 
 def test_criterion_08_models():

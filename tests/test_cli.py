@@ -167,6 +167,33 @@ class TestMain:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_verify_commutators_degenerate_f(self, capsys):
+        assert main(["verify", "commutators", "--f", "z"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "second derivative" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--suites", "lie-closure", "--config", "{missing}/q.cfg"],
+        ["verify", "invariance", "--f", "z^3", "--ops", "J1", "--json", "{missing}/x.json"],
+        ["suite", "--suites", "lie-closure", "--md", "{missing}/r.md"],
+        ["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5", "--out", "{missing}/m.md"],
+    ])
+    def test_file_errors_exit_2(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "no-such-dir") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no-such-dir" in err
+
+    def test_x2_skips_carry_their_reason(self, capsys):
+        assert main(["x2", "verify", "--alpha", "2", "--side", "plus"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["verdict"] for c in doc["checks"]] == ["skipped"] * 4
+        assert all(c["reason"] == "parameter excluded by a printed denominator"
+                   for c in doc["checks"])
+
     def test_model_report(self, capsys):
         rc = main(["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5",
                    "--report", "json"])

@@ -263,6 +263,58 @@ class TestOneSearchPerPair:
         assert len(seen) == 8 and all(r["status"] == "passed" for r in recs)
 
 
+def _invariant_per_element(op, V, plan=SamplePlan(), annihilate=False):
+    """The per-element pair loop and relative residual that check_invariant
+    and check_annihilates replaced: (passed, residuals, matrix)."""
+    elements = V.elements
+    n = len(elements)
+    pairs = [[(c, diff(b, op.var, k)) for k, c in op.coeffs.items()] for b in elements]
+    pts, A = safe_points(elements + [e for row in pairs for pair in row for e in pair], plan)
+    T = A[:, n::2] * A[:, n + 1::2]
+    B, Y, G = A[:, :n], np.zeros((len(pts), n)), np.zeros((len(pts), n))
+    col = 0
+    for i, row in enumerate(pairs):
+        for t in T[:, col:col + len(row)].T:
+            Y[:, i] += t
+            G[:, i] += np.abs(t)
+        col += len(row)
+    M = None
+    if not annihilate:
+        B_fit = B[:plan.m]
+        scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
+        M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y[:plan.m], rcond=None)
+        M = M_hat / scales[:, None]
+        Y = Y - B @ M
+    r = np.abs(Y).max(axis=0) / (1.0 + np.maximum(G.max(axis=0), np.abs(B).max()))
+    ok = bool(np.all(r <= plan.tol))
+    return ok, [float(x) for x in r], M if ok else None
+
+
+@pytest.mark.parametrize("label", ["z^3", "exp(z)", "log(z)", "sin(z)", "cubic"])
+def test_one_action_matches_per_element_loop(label):
+    """check_invariant and check_annihilates give the per-element loop's
+    verdict, residuals and matrix, bit for bit."""
+    from qsusy.families import build_P3_minus, build_P3_plus
+
+    f = parse(suites.FAMILY_F_SET[label])
+    V, Vk = suites.seed_basis(f), suites.partner_basis(f)
+    plan, kplan = SamplePlan(), SamplePlan(tol=1e-10)
+    cases = [(check_invariant, build_J(i, f), V, plan) for i in range(1, 10)]
+    cases += [(check_invariant, build_K(i, f), Vk, plan) for i in range(1, 9)]
+    cases += [(check_invariant, DiffOp.mult("z", z), V, plan),
+              (check_annihilates, build_P3_minus(f), V, kplan),
+              (check_annihilates, build_P3_plus(f), Vk, kplan),
+              (check_annihilates, DiffOp.d("z"), V, kplan)]
+    verdicts = []
+    for check, op, space, p in cases:
+        v = check(op, space, p)
+        ok, residuals, M = _invariant_per_element(op, space, p, check is check_annihilates)
+        assert (v.passed, v.residuals) == (ok, residuals)
+        assert (v.matrix is None and M is None) or np.array_equal(v.matrix, M)
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
 def test_commutator_identities_are_built_once(monkeypatch):
     from qsusy.diffop import commutator
 
