@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,10 +18,10 @@ from .expr import Binding, ExprError
 from .parser import parse, to_string
 from .diffop import pretty
 from .families import monomial_family, literature_ops, build_J, build_K
-from .invariance import SamplePlan, check_invariant
+from .invariance import SamplePlan, checks, check_invariant, verify_commutator_table
 from .models import build_example, verify_susy_conditions, algebraic_spectrum
 from .numerics import Grid, fd_spectrum, normalizability_probe
-from .suites import SUITES, seed_basis, partner_basis, record, identity_record
+from .suites import SUITES, seed_basis, partner_basis
 
 
 class ConfigError(Exception):
@@ -196,32 +195,31 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@checks
+def _invariance_checks(f, names: list, plan: SamplePlan):
+    gallery = {"J": (build_J, seed_basis(f)), "K": (build_K, partner_basis(f))}
+    for name in names:
+        name = name.strip()
+        if name[:1] not in gallery or not name[1:].isdecimal():
+            raise ConfigError(f"unknown operator {name!r}; expected J<n> or K<n>")
+        build, space = gallery[name[0]]
+        v = check_invariant(build(int(name[1:]), f), space, plan)
+        yield f"verify:{name}", f"invariance of {name}", v.passed, max(v.residuals)
+
+
 def _cmd_verify(args) -> int:
     cfg = SuiteConfig(suites=[], seed=args.seed, tol=args.tol)
     plan = cfg.plan()
-    checks = []
+    f = parse(args.f)
     if args.what == "invariance":
-        f = parse(args.f)
         ops = args.ops.split(",") if args.ops else [f"J{i}" for i in range(1, 9)]
-        gallery = {"J": (build_J, seed_basis(f)), "K": (build_K, partner_basis(f))}
-        for name in ops:
-            name = name.strip()
-            if name[:1] not in gallery or not name[1:].isdecimal():
-                raise ConfigError(f"unknown operator {name!r}; expected J<n> or K<n>")
-            build, space = gallery[name[0]]
-            t0 = time.monotonic()
-            v = check_invariant(build(int(name[1:]), f), space, plan)
-            checks.append(record(f"verify:{name}", f"invariance of {name}",
-                                 v.passed, max(v.residuals), t0))
+        records = _invariance_checks(f, ops, plan)
     elif args.what == "commutators":
-        from .invariance import verify_commutator_table
-
-        for rec in verify_commutator_table(parse(args.f), plan):
-            checks.append(record(f"verify:{rec['id']}", rec["id"], rec["passed"],
-                                 rec["residual"], time.monotonic() - rec["seconds"]))
+        records = [dict(rec, id=f"verify:{rec['id']}")
+                   for rec in verify_commutator_table(f, plan)]
     else:
         raise ConfigError(f"unknown verification target {args.what!r}")
-    report = Report(cfg, checks)
+    report = Report(cfg, records)
     _write_or_print(report.to_json(), args.json)
     return 0 if report.summary["fail"] == 0 else 1
 
@@ -304,7 +302,7 @@ def _cmd_x2(args) -> int:
     except OverflowError as exc:
         # alpha itself fits a float, but the frame's alpha^2..alpha^4 may not
         raise ConfigError(f"alpha {args.alpha!r} overflows a float in the x2 frame: {exc}") from exc
-    report = Report(cfg, [identity_record(r, r["id"]) for r in results])
+    report = Report(cfg, results)
     _write_or_print(report.to_json(), args.json)
     return 0 if report.summary["fail"] == 0 else 1
 

@@ -8,10 +8,11 @@ generating functions where structural equality of canonical forms is too weak.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -57,14 +58,47 @@ class Subspace:
     prefactor: Expr | None = None
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
     def elements(self) -> list:
         if self.prefactor is None:
             return list(self.basis)
         return [mul(self.prefactor, b) for b in self.basis]
+
+
+def record(check_id: str, anchor: str, ok, residual, t0, reason=None) -> dict:
+    """One check record; ok=None means skipped, and a non-finite residual is null.
+
+    millis is the time since t0 on the time.monotonic() clock.
+    """
+    verdict = "pass" if ok else "fail"
+    if ok is None:
+        verdict = "skipped"
+    finite = residual is not None and math.isfinite(residual)
+    out = {"id": check_id, "anchor": anchor, "verdict": verdict,
+           "residual": float(residual) if finite else None,
+           "millis": round(1000.0 * (time.monotonic() - t0), 3)}
+    if reason is not None:
+        out["reason"] = reason
+    return out
+
+
+def checks(gen):
+    """Run a generator of check outcomes and return their records.
+
+    An outcome is (id, anchor, ok, residual[, reason]).  It is charged the
+    time since the previous outcome, or since the call for the first, so the
+    records of one call sum to its time.  A finished record (a dict, from a
+    nested call of a decorated function) passes through unchanged and
+    restarts the clock.
+    """
+    @wraps(gen)
+    def run(*args, **kwargs):
+        out = []
+        t0 = time.monotonic()
+        for item in gen(*args, **kwargs):
+            out.append(item if isinstance(item, dict) else record(*item[:4], t0, *item[4:]))
+            t0 = time.monotonic()
+        return out
+    return run
 
 
 @dataclass
@@ -331,24 +365,20 @@ def _commutator_identity(i: int, j: int) -> tuple[DiffOp, DiffOp]:
     return commutator(build_J(i, fc), build_J(j, fc)), commutator_rhs(i, j, fc)
 
 
-def verify_commutator_table(f, plan: SamplePlan = SamplePlan(),
-                            tol: float = 1e-8) -> list[dict]:
+@checks
+def verify_commutator_table(f, plan: SamplePlan = SamplePlan(), tol: float = 1e-8):
     """Check all 28 commutator identities for a concrete generating function.
 
     The identities are built once, with f opaque; f is bound at evaluation.
-    Each record carries the "seconds" spent on its own identity.  Raises
+    Each record's id and anchor name the identity.  Raises
     DegenerateFunctionError where f'' vanishes identically.
     """
     bind = Binding(funcs={"f": _fctx(f).concrete})
-    results = []
     for i in range(1, 9):
         for j in range(i + 1, 9):
-            t0 = time.monotonic()
             lhs, rhs = _commutator_identity(i, j)
             ok, res = ops_equal_numeric(lhs, rhs, bind, plan, tol=tol)
-            results.append({"id": f"[J{i},J{j}]", "passed": ok, "residual": res,
-                            "seconds": time.monotonic() - t0})
-    return results
+            yield f"[J{i},J{j}]", f"[J{i},J{j}]", ok, res
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ class GridError(ExprError):
     pass
 
 
+MAX_NODES = 10**6
+
+
 @dataclass(frozen=True)
 class Grid:
     q_lo: float
@@ -28,8 +31,8 @@ class Grid:
     n: int = 2000
 
     def __post_init__(self):
-        if self.n < 200:
-            raise GridError("need at least 200 grid points")
+        if not 200 <= self.n <= MAX_NODES:
+            raise GridError(f"need 200 to {MAX_NODES} grid points, got {self.n}")
         if not self.q_hi > self.q_lo:
             raise GridError("empty interval")
 

@@ -1,14 +1,14 @@
 """Named verification suites: each returns a list of check records.
 
-A check record is {"id", "anchor", "verdict", "residual", "millis"}; verdict
-is one of "pass", "fail", "skipped".  Suites are deterministic for a fixed
-(config, seed) pair.
+A check record is {"id", "anchor", "verdict", "residual", "millis"}, plus a
+"reason" on some skips and failures; verdict is one of "pass", "fail",
+"skipped".  Each suite is a generator of check outcomes run by
+invariance.checks, which builds and times the records.  Suites are
+deterministic for a fixed (config, seed) pair.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +26,7 @@ from .families import (
     expand_in_literature_basis, assemble_from_literature_basis,
 )
 from .invariance import (
-    Subspace, SamplePlan, check_invariant, check_annihilates,
+    Subspace, SamplePlan, checks, check_invariant, check_annihilates,
     verify_commutator_table, check_lie_closure, ops_equal_numeric,
     _sampled_actions,
 )
@@ -36,32 +36,6 @@ from .models import (
 )
 from .numerics import Grid, fd_spectrum, normalizability_probe
 from . import x2 as x2mod
-
-
-def record(check_id: str, anchor: str, ok, residual, t0) -> dict:
-    """One check record; ok=None means skipped, and a non-finite residual is null.
-
-    millis is the time since t0 on the time.monotonic() clock; a verifier
-    record that timed itself passes t0 = time.monotonic() - rec["seconds"].
-    """
-    verdict = "pass" if ok else "fail"
-    if ok is None:
-        verdict = "skipped"
-    finite = residual is not None and math.isfinite(residual)
-    return {"id": check_id, "anchor": anchor, "verdict": verdict,
-            "residual": float(residual) if finite else None,
-            "millis": round(1000.0 * (time.monotonic() - t0), 3)}
-
-
-def identity_record(rec: dict, anchor: str) -> dict:
-    """The check record of an x2.verify_x2_identities result, keeping the
-    reason of a skip."""
-    ok = None if rec["status"] == "skipped" else rec["status"] == "passed"
-    out = record(rec["id"], anchor, ok, rec.get("residual"),
-                 time.monotonic() - rec["seconds"])
-    if "reason" in rec:
-        out["reason"] = rec["reason"]
-    return out
 
 
 FAMILY_F_SET = {
@@ -92,43 +66,33 @@ def partner_basis(f_expr, variable: str = "z") -> Subspace:
                     prefactor=pow_(fpp, -1))
 
 
-def suite_families(plan: SamplePlan) -> list[dict]:
-    checks = []
+@checks
+def suite_families(plan: SamplePlan):
+    kplan = replace(plan, tol=1e-10)
     for label, text in FAMILY_F_SET.items():
         f = parse(text)
         V = seed_basis(f)
         Vk = partner_basis(f)
         for i in range(1, 9):
-            t0 = time.monotonic()
             v = check_invariant(build_J(i, f), V, plan)
-            checks.append(record(f"families:J{i}:{label}",
-                                 f"J-gallery invariance, f={label}",
-                                 v.passed, max(v.residuals), t0))
-            t0 = time.monotonic()
+            yield (f"families:J{i}:{label}", f"J-gallery invariance, f={label}",
+                   v.passed, max(v.residuals))
             v = check_invariant(build_K(i, f), Vk, plan)
-            checks.append(record(f"families:K{i}:{label}",
-                                 f"K-gallery invariance, f={label}",
-                                 v.passed, max(v.residuals), t0))
-        t0 = time.monotonic()
-        kplan = replace(plan, tol=1e-10)
+            yield (f"families:K{i}:{label}", f"K-gallery invariance, f={label}",
+                   v.passed, max(v.residuals))
         v = check_annihilates(build_P3_minus(f), V, kplan)
-        checks.append(record(f"families:P3minus:{label}",
-                             f"seed-space annihilation, f={label}",
-                             v.passed, max(v.residuals), t0))
-        t0 = time.monotonic()
+        yield (f"families:P3minus:{label}", f"seed-space annihilation, f={label}",
+               v.passed, max(v.residuals))
         v = check_annihilates(build_P3_plus(f), Vk, kplan)
-        checks.append(record(f"families:P3plus:{label}",
-                             f"partner-space annihilation, f={label}",
-                             v.passed, max(v.residuals), t0))
-    return checks
+        yield (f"families:P3plus:{label}", f"partner-space annihilation, f={label}",
+               v.passed, max(v.residuals))
 
 
-def suite_construction(plan: SamplePlan, draws: int = 50) -> list[dict]:
+@checks
+def suite_construction(plan: SamplePlan, draws: int = 50):
     """Route equivalence for the gauged Hamiltonians and the parameter map."""
     rng = np.random.default_rng(plan.seed)
-    checks = []
     fz = parse("z^3 + z")
-    t0 = time.monotonic()
     worst = 0.0
     ok = True
     for _ in range(draws):
@@ -140,10 +104,8 @@ def suite_construction(plan: SamplePlan, draws: int = 50) -> list[dict]:
         good, res = ops_equal_numeric(h1, h2, None, plan)
         ok = ok and good
         worst = max(worst, res)
-    checks.append(record("construction:Hminus-routes",
-                         "gallery sum vs direct coefficient assembly",
-                         ok, worst, t0))
-    t0 = time.monotonic()
+    yield ("construction:Hminus-routes", "gallery sum vs direct coefficient assembly",
+           ok, worst)
     ok = True
     for _ in range(draws):
         Cs = [Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 5)))
@@ -152,10 +114,7 @@ def suite_construction(plan: SamplePlan, draws: int = 50) -> list[dict]:
         back = gc.to_integration_constants()
         from .expr import as_expr
         ok = ok and all(as_expr(a) == b for a, b in zip(Cs, back))
-    checks.append(record("construction:param-roundtrip",
-                         "integration-constant map round trip",
-                         ok, 0.0, t0))
-    t0 = time.monotonic()
+    yield "construction:param-roundtrip", "integration-constant map round trip", ok, 0.0
     ok = True
     worst = 0.0
     for _ in range(10):
@@ -167,30 +126,23 @@ def suite_construction(plan: SamplePlan, draws: int = 50) -> list[dict]:
         good, res = ops_equal_numeric(h1, h2, None, plan)
         ok = ok and good
         worst = max(worst, res)
-    checks.append(record("construction:Hplus-routes",
-                         "partner gallery sum vs conjugation assembly",
-                         ok, worst, t0))
-    return checks
+    yield ("construction:Hplus-routes", "partner gallery sum vs conjugation assembly",
+           ok, worst)
 
 
+@checks
 def suite_commutators(plan: SamplePlan, f_texts=("z^3", "exp(z)", "z^(7/3)"),
-                      tol: float = 1e-8) -> list[dict]:
-    checks = []
+                      tol: float = 1e-8):
     for text in f_texts:
-        f = parse(text)
-        for rec in verify_commutator_table(f, plan, tol=tol):
-            checks.append(record(f"commutators:{rec['id']}:f={text}",
-                                 f"commutator table {rec['id']}, f={text}",
-                                 rec["passed"], rec["residual"],
-                                 time.monotonic() - rec["seconds"]))
-    return checks
+        for rec in verify_commutator_table(parse(text), plan, tol=tol):
+            yield dict(rec, id=f"commutators:{rec['id']}:f={text}",
+                       anchor=f"commutator table {rec['id']}, f={text}")
 
 
-def suite_lie_closure(plan: SamplePlan) -> list[dict]:
-    checks = []
+@checks
+def suite_lie_closure(plan: SamplePlan):
     grid_am = [Fraction(-2), Fraction(-1, 2), Fraction(1), Fraction(2), Fraction(3)]
     grid_a0 = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
-    t0 = time.monotonic()
     closures = []
     total = 0
     for am in grid_am:
@@ -208,26 +160,22 @@ def suite_lie_closure(plan: SamplePlan) -> list[dict]:
                     closures.append((am, a0, ap, kind))
     expected = [(am, Fraction(-1, 2), 1 / am, "inverse") for am in grid_am]
     ok = sorted(map(str, closures)) == sorted(map(str, expected))
-    checks.append(record("lie-closure:sweep",
-                         f"{total}-point closure sweep finds exactly the special family",
-                         ok, float(len(closures)), t0))
-    t0 = time.monotonic()
+    yield ("lie-closure:sweep",
+           f"{total}-point closure sweep finds exactly the special family",
+           ok, float(len(closures)))
     rep = check_lie_closure(Fraction(2), Fraction(-1, 2), Fraction(1, 2),
                             parse("-z^2/4"), plan)
-    ok = rep.closed and rep.first_order
-    checks.append(record("lie-closure:structure-constants",
-                         "closed algebra with the stated structure constants",
-                         ok, max(rep.structure_residuals.values()), t0))
-    return checks
+    yield ("lie-closure:structure-constants",
+           "closed algebra with the stated structure constants",
+           rep.closed and rep.first_order, max(rep.structure_residuals.values()))
 
 
-def suite_monomial(plan: SamplePlan) -> list[dict]:
+@checks
+def suite_monomial(plan: SamplePlan):
     """Specializations, correspondence maps, and the newly-listed operators."""
     import warnings
     from .diffop import equal_canonical
 
-    checks = []
-    t0 = time.monotonic()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         c3 = monomial_family("C", Fraction(3))
@@ -235,32 +183,20 @@ def suite_monomial(plan: SamplePlan) -> list[dict]:
     b = monomial_family("B")
     a = monomial_family("A")
     ok = all(equal_canonical(x, y) for x, y in zip(c3["J"] + c3["K"], b["J"] + b["K"]))
-    checks.append(record("monomial:C(3)==B", "type C at exponent 3 equals type B lists",
-                         ok, 0.0, t0))
-    t0 = time.monotonic()
+    yield "monomial:C(3)==B", "type C at exponent 3 equals type B lists", ok, 0.0
     ok = all(equal_canonical(x, y) for x, y in zip(c2["J"] + c2["K"], a["J"] + a["K"]))
-    checks.append(record("monomial:C(2)==A", "type C at exponent 2 equals type A lists",
-                         ok, 0.0, t0))
-
-    lam = Fraction(5, 2)
-    t0 = time.monotonic()
-    ok = _correspondence_C(lam)
-    checks.append(record("monomial:correspondence-C",
-                         "catalogued type C operators match the rescaled gallery",
-                         ok, 0.0, t0))
-    t0 = time.monotonic()
-    ok = _correspondence_B()
-    checks.append(record("monomial:correspondence-B",
-                         "catalogued type B operators match the rescaled gallery",
-                         ok, 0.0, t0))
-    t0 = time.monotonic()
+    yield "monomial:C(2)==A", "type C at exponent 2 equals type A lists", ok, 0.0
+    yield ("monomial:correspondence-C",
+           "catalogued type C operators match the rescaled gallery",
+           _correspondence_C(Fraction(5, 2)), 0.0)
+    yield ("monomial:correspondence-B",
+           "catalogued type B operators match the rescaled gallery",
+           _correspondence_B(), 0.0)
     ok, reading = _correspondence_A()
-    checks.append(record("monomial:correspondence-A",
-                         f"catalogued type A operators match (exponent reading: {reading})",
-                         ok, 0.0, t0))
+    yield ("monomial:correspondence-A",
+           f"catalogued type A operators match (exponent reading: {reading})", ok, 0.0)
 
     for fam, lam_ in (("A", Fraction(2)), ("B", Fraction(3)), ("C", Fraction(5, 2))):
-        t0 = time.monotonic()
         rng = np.random.default_rng(plan.seed + ord(fam))
         worst = 0.0
         ok = True
@@ -270,28 +206,22 @@ def suite_monomial(plan: SamplePlan) -> list[dict]:
             gc = GeneralCoefficients(*vals)
             lb = expand_in_literature_basis(gc, fam, lam_)
             assembled = assemble_from_literature_basis(lb, lam_)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                direct = build_H_minus(gc, pow_(var("z"), lam_))
+            direct = build_H_minus(gc, pow_(var("z"), lam_))
             good, res = ops_equal_numeric(assembled, direct, None, plan)
             ok = ok and good
             worst = max(worst, res)
-        checks.append(record(f"monomial:literature-basis-{fam}",
-                             f"literature-basis expansion rebuilds the operator, type {fam}",
-                             ok, worst, t0))
+        yield (f"monomial:literature-basis-{fam}",
+               f"literature-basis expansion rebuilds the operator, type {fam}",
+               ok, worst)
 
-    checks.extend(_newly_listed_checks(plan))
-    return checks
+    yield from _newly_listed_checks(plan)
 
 
 def _correspondence_C(lam) -> bool:
-    import warnings
     from .diffop import equal_canonical
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        J = {i: monomial_J(i, lam) for i in range(1, 9)}
-        K = {i: monomial_K(i, lam) for i in range(1, 9)}
+    J = {i: monomial_J(i, lam) for i in range(1, 9)}
+    K = {i: monomial_K(i, lam) for i in range(1, 9)}
     lit = literature_ops("C", "minus", lam)
     litk = literature_ops("C", "plus", lam)
     lm1 = add(lam, -1)
@@ -378,12 +308,11 @@ def _correspondence_A() -> tuple[bool, str]:
     return False, "neither"
 
 
-def _newly_listed_checks(plan: SamplePlan) -> list[dict]:
+def _newly_listed_checks(plan: SamplePlan):
     """The gallery members absent from earlier catalogues: invariance plus
-    linear independence from the catalogued sets."""
+    linear independence from the catalogued sets, as check outcomes."""
     import warnings
 
-    checks = []
     lam = Fraction(5, 2)
     x = var("z")
     with warnings.catch_warnings():
@@ -403,13 +332,11 @@ def _newly_listed_checks(plan: SamplePlan) -> list[dict]:
                      list(literature_ops("B", "plus").values())),
         }
     for label, (op, space, existing) in candidates.items():
-        t0 = time.monotonic()
         v = check_invariant(op, space, plan)
         indep = _independent_of(op, existing, space, plan)
-        checks.append(record(f"monomial:new-{label}",
-                             f"newly listed operator {label}: invariant and independent",
-                             v.passed and indep, max(v.residuals), t0))
-    return checks
+        yield (f"monomial:new-{label}",
+               f"newly listed operator {label}: invariant and independent",
+               v.passed and indep, max(v.residuals))
 
 
 def _monomial_partner(lam) -> Subspace:
@@ -430,8 +357,8 @@ def _independent_of(op: DiffOp, existing: list[DiffOp], space: Subspace,
     return r1 == r0 + 1
 
 
-def suite_models(plan: SamplePlan, draws_per_example: int = 2) -> list[dict]:
-    checks = []
+@checks
+def suite_models(plan: SamplePlan, draws_per_example: int = 2):
     rng = np.random.default_rng(plan.seed)
 
     def param_draws(example_id):
@@ -450,55 +377,41 @@ def suite_models(plan: SamplePlan, draws_per_example: int = 2) -> list[dict]:
     for eid in (1, 2, 3):
         for k, params in enumerate(param_draws(eid)):
             tag = f"example{eid}:draw{k}"
-            t0 = time.monotonic()
             try:
                 model = build_example(eid, Binding(params=params))
             except Exception as exc:  # noqa: BLE001 - reported as a failed check
-                rec = record(f"models:{tag}:build", f"closed-form model build, {tag}",
-                             False, None, t0)
-                rec["reason"] = f"{type(exc).__name__}: {exc}"
-                checks.append(rec)
+                yield (f"models:{tag}:build", f"closed-form model build, {tag}",
+                       False, None, f"{type(exc).__name__}: {exc}")
                 continue
-            checks.append(record(f"models:{tag}:build",
-                                 f"closed-form model build, {tag}", True, 0.0, t0))
-            t0 = time.monotonic()
+            yield f"models:{tag}:build", f"closed-form model build, {tag}", True, 0.0
             res = verify_susy_conditions(model, plan)
-            checks.append(record(f"models:{tag}:conditions",
-                                 f"compatibility and intertwining residuals, {tag}",
-                                 res.max_residual < 1e-8, res.max_residual, t0))
+            yield (f"models:{tag}:conditions",
+                   f"compatibility and intertwining residuals, {tag}",
+                   res.max_residual < 1e-8, res.max_residual)
             for side in ("minus", "plus"):
-                t0 = time.monotonic()
                 v = sector_invariance(model, side, plan)
-                checks.append(record(f"models:{tag}:sector-{side}",
-                                     f"solvable sector preserved, {side} side, {tag}",
-                                     v.passed, max(v.residuals), t0))
-                t0 = time.monotonic()
-                sp = algebraic_spectrum(model, side, plan)
-                worst = max(sp.residuals)
-                checks.append(record(f"models:{tag}:spectrum-{side}",
-                                     f"algebraic eigenfunctions solve the equation, {side} side, {tag}",
-                                     worst < 1e-7, worst, t0))
-            t0 = time.monotonic()
+                yield (f"models:{tag}:sector-{side}",
+                       f"solvable sector preserved, {side} side, {tag}",
+                       v.passed, max(v.residuals))
+                worst = max(algebraic_spectrum(model, side, plan).residuals)
+                yield (f"models:{tag}:spectrum-{side}",
+                       f"algebraic eigenfunctions solve the equation, {side} side, {tag}",
+                       worst < 1e-7, worst)
             g = gauge_consistency_residual(model, plan)
-            checks.append(record(f"models:{tag}:gauge",
-                                 f"gauge conjugation matches the family build, {tag}",
-                                 g < 1e-8, g, t0))
-            t0 = time.monotonic()
+            yield (f"models:{tag}:gauge",
+                   f"gauge conjugation matches the family build, {tag}", g < 1e-8, g)
             p = partner_consistency_residual(model, plan)
-            checks.append(record(f"models:{tag}:partner",
-                                 f"partner potential recovered from conjugation, {tag}",
-                                 p < 1e-8, p, t0))
-    return checks
+            yield (f"models:{tag}:partner",
+                   f"partner potential recovered from conjugation, {tag}", p < 1e-8, p)
 
 
+@checks
 def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
-                                       Fraction(7, 2), Fraction(-3))) -> list[dict]:
-    checks = []
+                                       Fraction(7, 2), Fraction(-3))):
     for a in alphas:
         fr = x2mod.x2_frame(a)
         span = fr.span()
         part = fr.partner_span()
-        t0 = time.monotonic()
         ok = True
         worst = 0.0
         for i in range(1, 9):
@@ -508,32 +421,25 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
             v = check_invariant(x2mod.x2_K_gallery(a)[i], part, plan)
             ok = ok and v.passed
             worst = max(worst, max(v.residuals))
-        checks.append(record(f"x2:invariance:alpha={a}",
-                             f"frame operators preserve their spans, alpha={a}",
-                             ok, worst, t0))
-        t0 = time.monotonic()
+        yield (f"x2:invariance:alpha={a}",
+               f"frame operators preserve their spans, alpha={a}", ok, worst)
         pm, pp = x2mod.x2_supercharges(fr)
         va = check_annihilates(pm, span, plan)
         vb = check_annihilates(pp, part, plan)
-        checks.append(record(f"x2:kernels:alpha={a}",
-                             f"factorized third-order operators annihilate, alpha={a}",
-                             va.passed and vb.passed,
-                             max(max(va.residuals), max(vb.residuals)), t0))
+        yield (f"x2:kernels:alpha={a}",
+               f"factorized third-order operators annihilate, alpha={a}",
+               va.passed and vb.passed, max(max(va.residuals), max(vb.residuals)))
     sides_by_alpha = {Fraction(2): ("minus",), Fraction(3): ("minus",),
                       Fraction(5): ("minus", "plus"), Fraction(7, 2): ("minus", "plus"),
                       Fraction(-3): ("minus", "plus")}
     for a in alphas:
         for rec in x2mod.verify_x2_identities(a, plan, sides=sides_by_alpha.get(a, ("minus",))):
-            checks.append(identity_record(rec, f"combination identity {rec['id']}"))
-    t0 = time.monotonic()
-    ok = _reduction_checks_pass()
-    checks.append(record("x2:reduction", "plain-frame reductions recover the gallery",
-                         ok, 0.0, t0))
-    t0 = time.monotonic()
+            yield dict(rec, anchor=f"combination identity {rec['id']}")
+    yield ("x2:reduction", "plain-frame reductions recover the gallery",
+           _reduction_checks_pass(), 0.0)
     rank = x2mod.cij_coefficients(Fraction(2)).rank()
-    checks.append(record("x2:rank", "combination coefficient matrix has full rank",
-                         rank == 4, float(rank), t0))
-    return checks
+    yield ("x2:rank", "combination coefficient matrix has full rank",
+           rank == 4, float(rank))
 
 
 def _reduction_checks_pass() -> bool:
@@ -549,14 +455,11 @@ def _reduction_checks_pass() -> bool:
     return ok
 
 
-def suite_spectrum(plan: SamplePlan) -> list[dict]:
-    checks = []
-    t0 = time.monotonic()
+@checks
+def suite_spectrum(plan: SamplePlan):
     ev = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 4000), 3)
     err = float(np.abs(ev - np.array([0.5, 1.5, 2.5])).max())
-    checks.append(record("spectrum:harmonic", "oscillator fixture eigenvalues",
-                         err < 1e-4, err, t0))
-    t0 = time.monotonic()
+    yield "spectrum:harmonic", "oscillator fixture eigenvalues", err < 1e-4, err
     params = {"alpha": 1.0, "nu": 1.0, "b0": 3.0}
     model = build_example(1, Binding(params=params))
     sp = algebraic_spectrum(model, "minus", plan)
@@ -586,18 +489,14 @@ def suite_spectrum(plan: SamplePlan) -> list[dict]:
             dist = float(np.min(np.abs(fd - ev_alg)))
             worst = max(worst, dist)
             ok = ok and dist < 1e-3
-    checks.append(record("spectrum:example1-crosscheck",
-                         f"certified algebraic level appears in the grid spectrum "
-                         f"(wall sensitivity {sensitivity:.1e})",
-                         ok, worst, t0))
-    t0 = time.monotonic()
+    yield ("spectrum:example1-crosscheck",
+           f"certified algebraic level appears in the grid spectrum "
+           f"(wall sensitivity {sensitivity:.1e})", ok, worst)
     e1 = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 2000), 1)[0]
     e2 = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 4000), 1)[0]
     ok = abs(e2 - 0.5) <= 0.5 * abs(e1 - 0.5) + 1e-12
-    checks.append(record("spectrum:grid-refinement",
-                         "halving the spacing shrinks the eigenvalue error",
-                         ok, abs(e2 - 0.5), t0))
-    return checks
+    yield ("spectrum:grid-refinement", "halving the spacing shrinks the eigenvalue error",
+           ok, abs(e2 - 0.5))
 
 
 SUITES = {

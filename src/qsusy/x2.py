@@ -11,7 +11,6 @@ package.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,7 @@ from .expr import (
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import build_J, build_K, build_P3_minus, build_P3_plus, ParameterError
-from .invariance import Subspace, SamplePlan, ops_equal_numeric
+from .invariance import Subspace, SamplePlan, checks, ops_equal_numeric
 
 
 class FrameError(ExprError):
@@ -557,29 +556,26 @@ def _exact_zero_operator(op: DiffOp, n_points: int = 72) -> bool:
     return True
 
 
+@checks
 def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
-                         sides: tuple = ("minus", "plus"), tol: float = 1e-9) -> list[dict]:
+                         sides: tuple = ("minus", "plus"), tol: float = 1e-9):
     """Check the catalogued operators against combinations of the frame operators.
 
     Each identity is sampled in floating point; one that fails there gets an
-    exact rational certificate as a fallback.  Each record carries the
-    "seconds" spent on its own identity.  Raises ParameterError at alpha 0
-    or 1, where the frame degenerates and no identity is defined.
+    exact rational certificate as a fallback.  Each record's id and anchor
+    name the identity; a skip records its reason.  Raises ParameterError at
+    alpha 0 or 1, where the frame degenerates and no identity is defined.
     """
     from .expr import NotRationalError
 
     a = _frame_alpha(alpha)
-    results = []
     for side in sides:
         shift = a if side == "minus" else a - 3
         gallery = None
         for i in range(1, 5):
-            t0 = time.monotonic()
             rid = f"x2:{side}:{i}:alpha={a}"
             if not combination_admissible(i, side, a):
-                results.append({"id": rid, "status": "skipped",
-                                "reason": "parameter excluded by a printed denominator",
-                                "seconds": time.monotonic() - t0})
+                yield rid, rid, None, None, "parameter excluded by a printed denominator"
                 continue
             coeffs = cij_coefficients(shift)
             if side == "minus":
@@ -606,6 +602,4 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                         ok, res = True, 0.0
                 except NotRationalError:
                     pass
-            results.append({"id": rid, "status": "passed" if ok else "failed",
-                            "residual": res, "seconds": time.monotonic() - t0})
-    return results
+            yield rid, rid, ok, res

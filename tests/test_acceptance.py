@@ -109,7 +109,7 @@ def test_criterion_04_commutator_table():
         results = verify_commutator_table(parse(text), PLAN, tol=tol)
         total += len(results)
         worst = max(worst, max(r["residual"] for r in results))
-        assert all(r["passed"] for r in results), text
+        assert all(r["verdict"] == "pass" for r in results), text
     verdict(4, total == 84 and worst < tol,
             f"{total} commutator identities, worst residual {worst:.2e}")
 
@@ -325,10 +325,10 @@ def test_criterion_10_x2_suite():
         sides = ("minus", "plus") if a in (Fraction(5), Fraction(7, 2), Fraction(-3)) \
             else ("minus",)
         for rec in x2mod.verify_x2_identities(a, PLAN, sides=sides, tol=1e-9):
-            if rec["status"] == "skipped":
+            if rec["verdict"] == "skipped":
                 continue
             n_id += 1
-            ok &= rec["status"] == "passed" and rec["residual"] < 1e-9
+            ok &= rec["verdict"] == "pass" and rec["residual"] < 1e-9
             worst_id = max(worst_id, rec["residual"])
     u = var("u")
     fr_plain = x2mod.WronskianFrame(rat(1), u, opaque("f", 0, u), "u")

@@ -9,7 +9,7 @@ from qsusy.cli import (
     ConfigError, Report, SuiteConfig, main, run_suite,
     _parse_bindings,
 )
-from qsusy.suites import record
+from qsusy.invariance import record
 
 
 class TestSuiteConfig:
@@ -145,6 +145,7 @@ class TestMain:
         ["suite", "--suites", "spectrum", "--config", "seed = -1"],
         ["x2", "verify", "--alpha", "1e400"],
         ["x2", "verify", "--alpha", "1e200"],
+        ["spectrum", "--potential", "q^2/2", "--grid", "100000000", "--lo", "0", "--hi", "1"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if "--config" in argv:  # the argument after it is the file's content
@@ -286,7 +287,7 @@ def test_identity_records_are_charged_their_own_time():
     assert identities and all(c["millis"] > 0 for c in identities
                               if c["verdict"] != "skipped")
     # the identity work is inside the records, not between them
-    assert sum(c["millis"] for c in x2) > wall / 2
+    assert sum(c["millis"] for c in x2) > 0.9 * wall
     table = suite_commutators(plan, f_texts=("z^3",))
     assert len(table) == 28
     assert max(c["millis"] for c in table) <= sum(c["millis"] for c in table) / 2

@@ -252,6 +252,16 @@ class TestMonomialFamilies:
         with pytest.warns(UserWarning):
             monomial_J(1, Fraction(-1))
 
+    def test_monomial_suite_raises_no_warning(self):
+        # the suite silences only the exponents that warn by design
+        from qsusy.invariance import SamplePlan
+        from qsusy.suites import suite_monomial
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = suite_monomial(SamplePlan())
+        assert len(checks) == 14 and all(c["verdict"] == "pass" for c in checks)
+
     def test_normalization_against_raw_gallery(self):
         lam = Fraction(5, 2)
         f = pow_(z, rat(lam))

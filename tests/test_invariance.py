@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from qsusy.diffop import DiffOp
 from qsusy.expr import diff, values
 from qsusy.families import build_J, build_K, monomial_J
 from qsusy.invariance import (
-    IllConditionedBasisError, SamplePlan, SamplingError, Subspace,
+    IllConditionedBasisError, SamplePlan, SamplingError, Subspace, checks,
     check_annihilates, check_invariant, check_lie_closure, commutator_rhs, default_probes,
     ops_equal_numeric, restricted_matrix, safe_points, verify_commutator_table,
 )
@@ -254,13 +255,13 @@ class TestOneSearchPerPair:
 
     def test_commutator_identities(self, monkeypatch):
         seen = _against_oracle(monkeypatch, invariance)
-        assert all(r["passed"] for r in verify_commutator_table(parse("exp(z)")))
+        assert all(r["verdict"] == "pass" for r in verify_commutator_table(parse("exp(z)")))
         assert len(seen) == 28
 
     def test_x2_identities(self, monkeypatch):
         seen = _against_oracle(monkeypatch, x2)
         recs = x2.verify_x2_identities(Fraction(7, 2), SamplePlan())
-        assert len(seen) == 8 and all(r["status"] == "passed" for r in recs)
+        assert len(seen) == 8 and all(r["verdict"] == "pass" for r in recs)
 
 
 def _invariant_per_element(op, V, plan=SamplePlan(), annihilate=False):
@@ -323,7 +324,7 @@ def test_commutator_identities_are_built_once(monkeypatch):
     monkeypatch.setattr(invariance, "commutator",
                         lambda a, b: built.append((a, b)) or commutator(a, b))
     for text in ("z^3", "z^(7/3)"):
-        assert all(r["passed"] for r in verify_commutator_table(parse(text)))
+        assert all(r["verdict"] == "pass" for r in verify_commutator_table(parse(text)))
     assert len(built) == 28
 
 
@@ -332,7 +333,7 @@ class TestCommutatorTable:
     def test_all_entries(self, f_text):
         results = verify_commutator_table(parse(f_text), tol=1e-8)
         assert len(results) == 28
-        bad = [r for r in results if not r["passed"]]
+        bad = [r for r in results if r["verdict"] != "pass"]
         assert not bad, bad
 
     def test_specific_entry_j1_j4(self):
@@ -390,3 +391,59 @@ class TestLieClosure:
         rep = check_lie_closure(1, Fraction(-1, 2), 1, parse("z^3"))
         assert not rep.closed
         assert max(rep.commutator_orders.values()) == 3
+
+
+class TestChecksRunner:
+    def test_outcomes_become_records(self):
+        @checks
+        def outcomes():
+            yield "a", "first", True, 1e-12
+            yield "b", "second", False, float("inf")
+            yield "c", "third", None, None, "not applicable"
+            yield "d", "fourth", np.bool_(True), np.float64("nan")
+
+        recs = outcomes()
+        assert [(r["id"], r["anchor"], r["verdict"], r["residual"]) for r in recs] == [
+            ("a", "first", "pass", 1e-12), ("b", "second", "fail", None),
+            ("c", "third", "skipped", None), ("d", "fourth", "pass", None)]
+        assert recs[2]["reason"] == "not applicable"
+        assert all("reason" not in r for r in recs if r["id"] != "c")
+        assert all(r["millis"] >= 0 for r in recs)
+
+    def test_finished_record_passes_through(self):
+        done = {"id": "x", "anchor": "done", "verdict": "pass",
+                "residual": 0.0, "millis": 123.0}
+
+        @checks
+        def outcomes():
+            time.sleep(0.05)
+            yield done
+            yield "y", "after", True, 0.0
+
+        recs = outcomes()
+        assert recs[0] is done and recs[0] == {"id": "x", "anchor": "done", "verdict": "pass",
+                                               "residual": 0.0, "millis": 123.0}
+        # the clock restarts at the finished record: the sleep is not charged to y
+        assert recs[1]["millis"] < 50.0
+
+    def test_exception_propagates(self):
+        @checks
+        def outcomes():
+            yield "a", "first", True, 0.0
+            raise SamplingError("no points")
+
+        with pytest.raises(SamplingError, match="no points"):
+            outcomes()
+
+    def test_millis_cover_the_call(self):
+        @checks
+        def outcomes():
+            for k in range(5):
+                time.sleep(0.01)
+                yield f"c{k}", "sleep", True, 0.0
+
+        t0 = time.monotonic()
+        recs = outcomes()
+        wall = 1000.0 * (time.monotonic() - t0)
+        assert all(r["millis"] >= 9.0 for r in recs)
+        assert sum(r["millis"] for r in recs) >= 0.9 * wall

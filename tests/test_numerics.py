@@ -40,6 +40,12 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(1.0, 1.0, 500)
 
+    def test_maximum_points(self):
+        # the bound is checked before any node is allocated
+        assert Grid(0.0, 1.0, 10**6).n == 10**6
+        with pytest.raises(GridError):
+            Grid(0.0, 1.0, 10**6 + 1)
+
     def test_spacing(self):
         g = Grid(0.0, 1.0, 201)
         assert g.h == pytest.approx(0.005)

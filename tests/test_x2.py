@@ -226,21 +226,21 @@ class TestCombinationIdentities:
     def test_minus_side(self, a):
         recs = verify_x2_identities(a, sides=("minus",))
         for r in recs:
-            assert r["status"] == "passed", r
+            assert r["verdict"] == "pass", r
             assert r["residual"] < 1e-9
 
     @pytest.mark.parametrize("a", [Fraction(5), Fraction(7, 2), Fraction(-3)])
     def test_plus_side(self, a):
         recs = verify_x2_identities(a, sides=("plus",))
         for r in recs:
-            assert r["status"] == "passed", r
+            assert r["verdict"] == "pass", r
             assert r["residual"] < 1e-9
 
     def test_excluded_alpha_skips(self):
         # alpha=-1 degenerates the frame outright (the two Wronskian columns
         # become proportional), so every combination check is skipped there
         recs = verify_x2_identities(Fraction(-1), sides=("minus",))
-        assert all(r["status"] == "skipped" for r in recs)
+        assert all(r["verdict"] == "skipped" for r in recs)
 
     @pytest.mark.parametrize("a", [Fraction(0), Fraction(1)])
     def test_degenerate_alpha_is_a_parameter_error(self, a):
@@ -254,7 +254,7 @@ class TestCombinationIdentities:
 
     def test_plus_side_shift_excludes_small_alphas(self):
         recs = verify_x2_identities(Fraction(3), sides=("plus",))
-        assert all(r["status"] == "skipped" for r in recs)
+        assert all(r["verdict"] == "skipped" for r in recs)
 
     def test_printed_constant_column_fails_on_plus_side(self):
         # regression: the partner-side additive constants differ from the
