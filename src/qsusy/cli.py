@@ -22,6 +22,7 @@ from .invariance import SamplePlan, checks, check_invariant, verify_commutator_t
 from .models import build_example, verify_susy_conditions, algebraic_spectrum
 from .numerics import Grid, fd_spectrum, normalizability_probe
 from .suites import SUITES, seed_basis, partner_basis
+from .x2 import verify_x2_identities
 
 
 class ConfigError(Exception):
@@ -290,8 +291,6 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_x2(args) -> int:
-    from .x2 import verify_x2_identities
-
     if args.action != "verify":
         raise ConfigError(f"unknown x2 action {args.action!r}")
     cfg = SuiteConfig(suites=[], seed=args.seed)

@@ -16,6 +16,7 @@ from .expr import (
     Expr, Var, Opaque, ZERO, ONE, MINUS_ONE, ExprError,
     add, mul, pow_, as_expr, diff, equal0, rebuild,
 )
+from .parser import to_string
 
 
 class OperatorError(ExprError):
@@ -212,8 +213,6 @@ def equal_canonical(a: DiffOp, b: DiffOp) -> bool:
 
 def pretty(op: DiffOp, fmt: str = "text") -> str:
     """Render highest order first, one term per derivative order."""
-    from .parser import to_string
-
     if op.is_zero():
         return "0"
     parts = []

@@ -61,7 +61,7 @@ class Expr:
         return self._hashable() == other._hashable()
 
     def __repr__(self):
-        from .parser import to_string
+        from .parser import to_string  # import cycle
 
         return to_string(self)
 
@@ -754,57 +754,108 @@ class NotRationalError(ExprError):
     pass
 
 
+# evaluate_exact runs e's tape: a flat program, one instruction per distinct
+# node, over slots that hold reduced numerators and denominators
+_ADD, _MUL, _POW, _VAR, _SYM, _CHECK, _RAISE = range(7)
+_TAPES = 8  # tapes kept, oldest dropped first (size from a sweep, CHANGES.md)
+_tapes: dict[int, tuple] = {}  # id(e) -> (e, tape); holding e keeps its id unique
+
+
+def _tape(e: Expr) -> tuple:
+    """(program, numerators, denominators, result slot) of e, compiled once.
+
+    Instructions (opcode, slot, arg) come in the order a memoized walk meets
+    the nodes, a power's exponent and its integer check before its base.  The
+    lists start with the constants: each Rat's value, and a sum's or product's
+    leading Rat as the start of its accumulation.  Fn, Opaque and a constant
+    non-integer exponent become one raising instruction; nothing below them
+    is walked.
+    """
+    hit = _tapes.get(id(e))
+    if hit is not None:
+        return hit[1]
+    prog, nums, dens, seen = [], [], [], {}
+
+    def slot(op=None, arg=None, q: Fraction = ZERO.value) -> int:
+        nums.append(q.numerator)
+        dens.append(q.denominator)
+        if op is not None:
+            prog.append((op, len(nums) - 1, arg))
+        return len(nums) - 1
+
+    def emit(x: Expr) -> int:
+        s = seen.get(id(x))
+        if s is None:
+            s = seen[id(x)] = _emit(x)
+        return s
+
+    def _emit(x: Expr) -> int:
+        if isinstance(x, Rat):
+            return slot(q=x.value)
+        if isinstance(x, (Add, Mul)):
+            summed = isinstance(x, Add)
+            kids, c = (x.terms, ZERO.value) if summed else (x.factors, ONE.value)
+            if kids and isinstance(kids[0], Rat):  # a canonical node's one constant
+                c, kids = kids[0].value, kids[1:]
+            return slot(_ADD if summed else _MUL, [emit(k) for k in kids], c)
+        if isinstance(x, Pow):
+            k = emit(x.exponent)
+            if not isinstance(x.exponent, Rat):
+                prog.append((_CHECK, k, "non-integer exponent"))
+            elif x.exponent.value.denominator != 1:
+                return slot(_RAISE, "non-integer exponent")
+            return slot(_POW, (emit(x.base), k))
+        if isinstance(x, (Var, Sym)):
+            return slot(_VAR, None) if isinstance(x, Var) else slot(_SYM, x.name)
+        return slot(_RAISE, f"{type(x).__name__} node is not rational")
+
+    tape = (prog, nums, dens, emit(e))
+    if len(_tapes) >= _TAPES:
+        del _tapes[next(iter(_tapes))]
+    _tapes[id(e)] = (e, tape)
+    return tape
+
+
 def evaluate_exact(e: Expr, at: Fraction,
                    params: dict[str, Fraction] | None = None) -> Fraction:
     """Exact rational evaluation; raises NotRationalError on transcendental or
-    opaque content and ZeroDivisionError at poles.  Each distinct node is
-    evaluated once (memo keyed by node id) to a reduced (numerator,
-    denominator) pair of ints; a power's exponent is evaluated before its base.
+    opaque content and ZeroDivisionError at poles, the first exception a tree
+    walk would raise.  Runs e's tape on fresh copies of its lists.
     """
-    memo: dict[int, tuple[int, int]] = {}
-
-    def ev(x: Expr) -> tuple[int, int]:
-        key = id(x)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _ev(x)
-        return hit
-
-    def _ev(x: Expr) -> tuple[int, int]:
-        if isinstance(x, Rat):
-            return x.value.as_integer_ratio()
-        if isinstance(x, Var):
-            return at.as_integer_ratio()
-        if isinstance(x, Sym):
-            if params and x.name in params:
-                return params[x.name].as_integer_ratio()
-            raise NotRationalError(f"parameter {x.name!r} has no rational value")
-        if isinstance(x, Add):
-            n, d = 0, 1
-            for t in x.terms:
-                tn, td = ev(t)
+    prog, nums, dens, out = _tape(e)
+    N, D = nums.copy(), dens.copy()
+    gcd = math.gcd
+    for op, s, a in prog:
+        if op == _MUL:
+            n, d = N[s], D[s]
+            for i in a:
+                n *= N[i]
+                d *= D[i]
+            g = gcd(n, d)
+            N[s], D[s] = n // g, d // g
+        elif op == _ADD:
+            n, d = N[s], D[s]
+            for i in a:
+                tn, td = N[i], D[i]
                 n, d = n * td + tn * d, d * td
-        elif isinstance(x, Mul):
-            n, d = 1, 1
-            for f in x.factors:
-                fn_, fd = ev(f)
-                n, d = n * fn_, d * fd
-        elif isinstance(x, Pow):
-            k, kd = ev(x.exponent)
-            if kd != 1:
-                raise NotRationalError("non-integer exponent")
-            n, d = ev(x.base)
+            g = gcd(n, d)
+            N[s], D[s] = n // g, d // g
+        elif op == _POW:
+            n, d, k = N[a[0]], D[a[0]], N[a[1]]
             if k < 0:
                 if n == 0:
                     raise ZeroDivisionError("zero base with a negative exponent")
                 n, d, k = (-d, -n, -k) if n < 0 else (d, n, -k)
-            return n**k, d**k  # a power of a reduced pair is reduced
-        else:
-            raise NotRationalError(f"{type(x).__name__} node is not rational")
-        g = math.gcd(n, d)
-        return n // g, d // g
-
-    return Fraction(*ev(e))
+            N[s], D[s] = n**k, d**k  # a power of a reduced pair is reduced
+        elif op == _VAR:
+            N[s], D[s] = at.as_integer_ratio()
+        elif op == _SYM:
+            if not params or a not in params:
+                raise NotRationalError(f"parameter {a!r} has no rational value")
+            N[s], D[s] = params[a].as_integer_ratio()
+        elif op == _RAISE or D[s] != 1:  # or a _CHECK of an exponent that is not an integer
+            raise NotRationalError(a)
+    return Fraction(N[out], D[out])
 
 
 class Binding:

@@ -65,7 +65,8 @@ class Subspace:
 
 
 def record(check_id: str, anchor: str, ok, residual, t0, reason=None) -> dict:
-    """One check record; ok=None means skipped, and a non-finite residual is null.
+    """One check record; ok=None means skipped, and a non-finite residual is
+    null, with that value as the reason when the caller gives none.
 
     millis is the time since t0 on the time.monotonic() clock.
     """
@@ -73,6 +74,8 @@ def record(check_id: str, anchor: str, ok, residual, t0, reason=None) -> dict:
     if ok is None:
         verdict = "skipped"
     finite = residual is not None and math.isfinite(residual)
+    if reason is None and residual is not None and not finite:
+        reason = f"residual not finite: {residual}"
     out = {"id": check_id, "anchor": anchor, "verdict": verdict,
            "residual": float(residual) if finite else None,
            "millis": round(1000.0 * (time.monotonic() - t0), 3)}

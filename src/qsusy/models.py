@@ -16,12 +16,14 @@ import numpy as np
 
 from .expr import (
     Expr, Binding, Rat, Var, ONE, MINUS_ONE, ExprError,
-    add, mul, pow_, fn, var, sym, as_expr, diff, values,
+    add, mul, pow_, fn, var, sym, as_expr, diff, substitute_var, values,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, expand_factored, pullback
-from .families import GeneralCoefficients, build_H_minus, build_H_plus, FContext
+from .families import (
+    GeneralCoefficients, abc_profile, build_H_minus, build_H_plus, FContext,
+)
 from .invariance import (
-    Subspace, SamplePlan, Verdict, check_invariant, restricted_matrix,
+    Subspace, SamplePlan, Verdict, check_invariant, default_probes, restricted_matrix,
     safe_points, ops_equal_numeric, relative_residual,
 )
 
@@ -354,7 +356,6 @@ def _validate_model(model: ModelSpec):
     Vm, Vp = potential_pair(model.W, model.E, model.F)
     checks["V-"] = add(model.V_minus, mul(MINUS_ONE, Vm))
     checks["V+"] = add(model.V_plus, mul(MINUS_ONE, Vp))
-    from .families import abc_profile
     A, B, C = abc_profile(model.coeffs, FContext(model.f_of_z, "z"))
     Aq = _compose_z(A, model.z_of_q)
     Qq = _compose_z(add(B, mul(_half, diff(A, "z"))), model.z_of_q)
@@ -373,8 +374,6 @@ def _validate_model(model: ModelSpec):
 
 
 def _compose_z(e_z: Expr, z_of_q: Expr) -> Expr:
-    from .expr import substitute_var
-
     return substitute_var(e_z, "z", z_of_q)
 
 
@@ -405,7 +404,6 @@ def verify_susy_conditions(model: ModelSpec,
     Hp = model.hamiltonian("plus")
     left = compose(P3, Hm)
     right = compose(Hp, P3)
-    from .invariance import default_probes
     worst = 0.0
     for psi in default_probes(Q):
         la = left.apply(psi)

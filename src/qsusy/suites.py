@@ -9,16 +9,17 @@ deterministic for a fixed (config, seed) pair.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from .expr import (
-    Binding, ONE, Var, add, mul, opaque, pow_, var,
+    Binding, ONE, Var, add, as_expr, diff, mul, opaque, pow_, var,
 )
 from .parser import parse
-from .diffop import DiffOp
+from .diffop import DiffOp, equal_canonical
 from .families import (
     GeneralCoefficients, build_J, build_K, build_P3_minus, build_P3_plus,
     build_H_minus, build_H_minus_direct, build_H_plus, build_H_plus_direct,
@@ -57,8 +58,6 @@ def seed_basis(f_expr, variable: str = "z") -> Subspace:
 
 
 def partner_basis(f_expr, variable: str = "z") -> Subspace:
-    from .expr import diff
-
     x = Var(variable)
     fp = diff(f_expr, variable)
     fpp = diff(f_expr, variable, 2)
@@ -112,7 +111,6 @@ def suite_construction(plan: SamplePlan, draws: int = 50):
               for _ in range(8)]
         gc = GeneralCoefficients.from_integration_constants(Cs)
         back = gc.to_integration_constants()
-        from .expr import as_expr
         ok = ok and all(as_expr(a) == b for a, b in zip(Cs, back))
     yield "construction:param-roundtrip", "integration-constant map round trip", ok, 0.0
     ok = True
@@ -173,9 +171,6 @@ def suite_lie_closure(plan: SamplePlan):
 @checks
 def suite_monomial(plan: SamplePlan):
     """Specializations, correspondence maps, and the newly-listed operators."""
-    import warnings
-    from .diffop import equal_canonical
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         c3 = monomial_family("C", Fraction(3))
@@ -218,8 +213,6 @@ def suite_monomial(plan: SamplePlan):
 
 
 def _correspondence_C(lam) -> bool:
-    from .diffop import equal_canonical
-
     J = {i: monomial_J(i, lam) for i in range(1, 9)}
     K = {i: monomial_K(i, lam) for i in range(1, 9)}
     lit = literature_ops("C", "minus", lam)
@@ -242,8 +235,6 @@ def _correspondence_C(lam) -> bool:
 
 
 def _correspondence_B() -> bool:
-    from .diffop import equal_canonical
-
     fam = monomial_family("B")
     J = {i + 1: op for i, op in enumerate(fam["J"])}
     K = {i + 1: op for i, op in enumerate(fam["K"])}
@@ -272,8 +263,6 @@ def _correspondence_B() -> bool:
 def _correspondence_A() -> tuple[bool, str]:
     """The printed type A map carries an exponent-argument ambiguity; both
     readings are tried and the one that verifies is reported."""
-    from .diffop import equal_canonical
-
     fam = monomial_family("A")
     J = {i + 1: op for i, op in enumerate(fam["J"])}
     K = {i + 1: op for i, op in enumerate(fam["K"])}
@@ -287,7 +276,6 @@ def _correspondence_A() -> tuple[bool, str]:
               and equal_canonical(lit["J00"], J[3]))
     reading2 = (equal_canonical(lit["J+0"], J[6])
                 and equal_canonical(lit["J++"], J[8]))
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         J3 = {i: monomial_J(i, Fraction(3)) for i in (6, 8)}
@@ -311,8 +299,6 @@ def _correspondence_A() -> tuple[bool, str]:
 def _newly_listed_checks(plan: SamplePlan):
     """The gallery members absent from earlier catalogues: invariance plus
     linear independence from the catalogued sets, as check outcomes."""
-    import warnings
-
     lam = Fraction(5, 2)
     x = var("z")
     with warnings.catch_warnings():
@@ -443,8 +429,6 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
 
 
 def _reduction_checks_pass() -> bool:
-    from .diffop import equal_canonical
-
     u = var("u")
     fr = x2mod.WronskianFrame(ONE, u, opaque("f", 0, u), "u")
     ok = all(equal_canonical(x2mod.wronskian_J(i, fr), build_J(i, None, "u"))

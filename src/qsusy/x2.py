@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .expr import (
-    Expr, Rat, Var, ZERO, ONE, MINUS_ONE, ExprError,
-    add, expand, mul, pow_, as_expr, diff,
+    Expr, Rat, Var, ZERO, ONE, MINUS_ONE, ExprError, NotRationalError,
+    add, evaluate_exact, expand, mul, pow_, as_expr, diff,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import build_J, build_K, build_P3_minus, build_P3_plus, ParameterError
@@ -533,10 +533,8 @@ def _exact_zero_operator(op: DiffOp, n_points: int = 72) -> bool:
     assumption nothing checks yet: each coefficient's numerator, written over
     a common denominator, has degree below n_points (72), so that many zeros
     force it to vanish identically.  Propagating a degree bound through the
-    expression would make it one; that is still open (ROADMAP.md, item 2).
+    expression would make it one; that is still open (ROADMAP.md, item 1).
     """
-    from .expr import evaluate_exact
-
     pts = [Fraction(7 * k + 3, 16) for k in range(1, 3 * n_points)]
     for k, c in op.coeffs.items():
         clean = 0
@@ -566,8 +564,6 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
     name the identity; a skip records its reason.  Raises ParameterError at
     alpha 0 or 1, where the frame degenerates and no identity is defined.
     """
-    from .expr import NotRationalError
-
     a = _frame_alpha(alpha)
     for side in sides:
         shift = a if side == "minus" else a - 3

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import signal
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from qsusy import (
     add, diff, differentiate, equal0, evaluate, expand, fn, mul, opaque,
     parse, pow_, rat, substitute, substitute_opaque, sym, to_string, var,
 )
-from qsusy import expr as expr_mod
+from qsusy import expr as expr_mod, x2
 from qsusy.cli import SuiteConfig, run_suite
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
@@ -629,6 +630,12 @@ def _outcome(f, *args):
         return type(exc)
 
 
+def _failure(f, *args):
+    with pytest.raises((NotRationalError, ZeroDivisionError)) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_exact_expr, st.one_of(st.sampled_from(_poles), _rational), _exact_params)
 @example(Pow(z, pow_(z, -1)), Fraction(-1), None)  # a negative reciprocal as an exponent
@@ -644,19 +651,96 @@ def test_evaluate_exact_raises_what_the_walk_raises_first():
     assert _outcome(evaluate_exact, Pow(sym("b"), pow_(z, -1)), Fraction(0)) is ZeroDivisionError
     assert _outcome(evaluate_exact, add(fn("sin", z), pow_(z, -1)), Fraction(0)) is NotRationalError
     assert _outcome(evaluate_exact, pow_(z - 1, -1), Fraction(1)) is ZeroDivisionError
+    nonint = (NotRationalError, "non-integer exponent")
+    cases = [
+        # a constant non-integer exponent is checked before its base runs
+        (Pow(pow_(z, -1), rat(1, 2)), Fraction(0), nonint),
+        (Pow(fn("sin", z), rat(1, 2)), Fraction(1), nonint),
+        # z is an exponent that is not an integer at 1/2, where the base has a pole
+        (Pow(pow_(2 * z - 1, -1), z), Fraction(1, 2), nonint),
+        # Fn and Opaque raise without their argument being evaluated
+        (fn("exp", pow_(z, -1)), Fraction(0), (NotRationalError, "Fn node is not rational")),
+        (opaque("f", 0, sym("b")), Fraction(1), (NotRationalError, "Opaque node is not rational")),
+    ]
+    for e, x, want in cases:
+        assert _failure(evaluate_exact, e, x) == _failure(_exact_oracle, e, x) == want
+
+
+# the tape evaluate_exact runs ------------------------------------------------------
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail, instead of hang, a block still running after `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
     # e(k+1) = e(k)*z + e(k)*z^2: 203 distinct nodes, 2^40 tree paths; the
-    # unmemoized walk already takes seconds at depth 18
-    e = z + sym("a")
+    # unmemoized walk already takes seconds at depth 18.  The two raw DAGs
+    # from fresh leaves are isomorphic and share no node: comparing them with
+    # == would walk every path, so the tape cache must key on identity
+    def raw():
+        x = Var("z")
+        e = Add((x, Sym("a")))
+        for _ in range(40):
+            e = Add((Mul((e, x)), Mul((e, Pow(x, Rat(2))))))
+        return e
+
+    canonical = z + sym("a")
     for _ in range(40):
-        e = add(mul(e, z), mul(e, pow_(z, 2)))
+        canonical = add(mul(canonical, z), mul(canonical, pow_(z, 2)))
     x, a = Fraction(3, 2), Fraction(-1, 7)
-    t0 = time.perf_counter()
-    got = evaluate_exact(e, x, {"a": a})
-    assert time.perf_counter() - t0 < 1.0
-    assert got == (x + a) * (x + x * x) ** 40
+    for e in (canonical, raw(), raw()):
+        t0 = time.perf_counter()
+        with _deadline(5.0):
+            got = evaluate_exact(e, x, {"a": a})
+        assert time.perf_counter() - t0 < 1.0
+        assert got == (x + a) * (x + x * x) ** 40
+
+
+def test_tapes_stay_within_their_bound():
+    # the x2-exact loop: every coefficient of each identity at each point, so
+    # more coefficients pass through than the cache holds
+    a, pts = Fraction(7, 2), [Fraction(7 * k + 3, 16) for k in range(1, 5)]
+    for side, shift in (("minus", a), ("plus", a - 3)):
+        coeffs = x2.cij_coefficients(shift)
+        if side == "minus":
+            gallery = x2.x2_J_gallery(a)
+        else:
+            gallery = {j: x2.x2b_conjugated_K(j, a) for j in range(1, 9)}
+        for i in range(1, 5):
+            const = coeffs.C(i, 0) if side == "minus" else x2.kside_constant(i, shift)
+            op = x2.literature_x2(i, side, a) - DiffOp.mult(x2.U, const)
+            for j in range(1, 9):
+                if coeffs.C(i, j):
+                    op = op - gallery[j].scaled(coeffs.C(i, j))
+            cs = list(op.coeffs.values())
+            tapes = [expr_mod._tape(c) for c in cs]
+            for x in pts:
+                assert all(evaluate_exact(c, x) == 0 for c in cs)
+            # one tape per coefficient, reused at every point
+            assert all(expr_mod._tape(c) is t for c, t in zip(cs, tapes))
+            held = len(expr_mod._tapes)  # the cached DAGs are too deep to print
+            assert held <= expr_mod._TAPES
+
+
+def test_a_call_that_raises_leaves_the_tape_intact():
+    e = add(mul(3, z, z), mul(2, pow_(z - 1, -1)), sym("a"))
+    with pytest.raises(ZeroDivisionError):
+        evaluate_exact(e, Fraction(1), {"a": Fraction(1)})
+    with pytest.raises(NotRationalError, match="parameter 'a'"):
+        evaluate_exact(e, Fraction(2))
+    for x in (Fraction(2), Fraction(-1, 3)):
+        assert evaluate_exact(e, x, {"a": Fraction(5)}) == 3 * x * x + 2 / (x - 1) + 5
 
 
 # the rewriting core -------------------------------------------------------------

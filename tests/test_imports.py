@@ -1,6 +1,7 @@
-"""Stdlib stand-ins for a linter: every import in the package modules is used,
-only the expression core reads child-node tuples directly, every top-level
-definition is reached, and the names the traced bench run wraps exist."""
+"""Stdlib stand-ins for a linter: every import in the package modules is used
+and made at module level, only the expression core reads child-node tuples
+directly, every top-level definition is reached, and the names the traced
+bench run wraps exist."""
 
 import ast
 import importlib
@@ -63,6 +64,33 @@ def test_detector_flags_an_unused_local_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def local_imports(source: str) -> list[int]:
+    """Lines of the imports made inside a function, except those marked
+    "# import cycle": a module-level import there would fail."""
+    lines = source.splitlines()
+    return sorted({n.lineno for scope in ast.walk(ast.parse(source))
+                   if isinstance(scope, _FUNCTIONS) for n in ast.walk(scope)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))
+                   and not lines[n.lineno - 1].endswith("# import cycle")})
+
+
+def test_detector_flags_a_local_import():
+    source = ("import os\n\n"
+              "def f():\n    import math\n    return math.pi\n\n"
+              "def g():\n    from .parser import to_string  # import cycle\n"
+              "    return to_string\n\n"
+              "class C:\n    def m(self):\n        def inner():\n"
+              "            from os import sep\n            return sep\n        return inner\n")
+    assert local_imports(source) == [4, 14]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_module_level(path):
+    # a function-local import hides a dependency; the one kind kept breaks an
+    # import cycle and says so
+    assert local_imports(path.read_text(encoding="utf-8")) == []
 
 
 def child_tuple_reads(source: str) -> list[int]:

@@ -406,9 +406,20 @@ class TestChecksRunner:
         assert [(r["id"], r["anchor"], r["verdict"], r["residual"]) for r in recs] == [
             ("a", "first", "pass", 1e-12), ("b", "second", "fail", None),
             ("c", "third", "skipped", None), ("d", "fourth", "pass", None)]
-        assert recs[2]["reason"] == "not applicable"
-        assert all("reason" not in r for r in recs if r["id"] != "c")
+        assert [r.get("reason") for r in recs] == [
+            None, "residual not finite: inf", "not applicable", "residual not finite: nan"]
         assert all(r["millis"] >= 0 for r in recs)
+
+    def test_non_finite_residual_reasons(self):
+        @checks
+        def outcomes():
+            yield "a", "minus", False, float("-inf")
+            yield "b", "caller", False, float("nan"), "solver diverged"
+            yield "c", "none", None, None
+
+        recs = outcomes()
+        assert [(r["residual"], r.get("reason")) for r in recs] == [
+            (None, "residual not finite: -inf"), (None, "solver diverged"), (None, None)]
 
     def test_finished_record_passes_through(self):
         done = {"id": "x", "anchor": "done", "verdict": "pass",
