@@ -10,6 +10,7 @@ canonical form fall back to numeric sampling.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Union
@@ -914,7 +915,9 @@ def _merge(faults) -> np.ndarray | None:
 
 def _flag(fault, cond: np.ndarray, errors: list, make):
     """Record make(k), the exception at point k, for each point k where cond
-    holds and no earlier fault did; the point's fault indexes it in errors."""
+    holds and no earlier fault did; the point's fault indexes it in errors.
+    A one-element cond or fault holds at every point (such a fault is never 0,
+    so no point is left to flag)."""
     if not cond.any():
         return fault
     new = np.flatnonzero(cond if fault is None else cond & (fault == 0))
@@ -924,22 +927,23 @@ def _flag(fault, cond: np.ndarray, errors: list, make):
     return out
 
 
-def _map(fast, slow, cols: list, fault, errors: list):
-    """fast(*args) per point without a fault, args taken from cols (arrays whose
-    first axis runs over the points) as Python floats, so each element goes
-    through the CPython/libm routine itself.  If fast raises anywhere,
-    slow(*args) is applied point by point instead, and the exception slow
-    raises at a point is recorded there."""
-    n = len(cols[0])
+def _map(fast, slow, cols: list, fault, errors: list, rows: bool = False):
+    """fast(*args) per point without a fault, args taken from cols (columns of
+    one element or one per point) as Python floats, so each element goes
+    through the CPython/libm routine itself; with rows, fast(args) instead.
+    If fast raises anywhere, slow is applied point by point instead, and the
+    exception slow raises at a point is recorded there."""
+    n = max(map(len, cols))
     idx = None if fault is None else np.flatnonzero(fault == 0)
-    args = [(c if idx is None else c[idx]).tolist() for c in cols]
+    args = [itertools.repeat(c.item()) if len(c) < n
+            else (c if idx is None else c[idx]).tolist() for c in cols]
     try:
-        got = list(map(fast, *args))
+        got = list(map(fast, zip(*args)) if rows else map(fast, *args))
     except (ArithmeticError, ValueError):
         got, raised = [], {}
         for k, a in enumerate(zip(*args)):
             try:
-                got.append(slow(*a))
+                got.append(slow(a) if rows else slow(*a))
             except (ArithmeticError, ValueError) as exc:
                 got.append(_NAN)
                 raised[k if idx is None else int(idx[k])] = exc
@@ -980,9 +984,14 @@ def values_and_faults(exprs: list, points, bind: Binding | None = None):
     and V[i, j] is meaningless; errors[0] is None.
 
     Every distinct node is evaluated once per block of up to _BLOCK points
-    (memo keyed by node id), over the whole block at once.  Mul multiplies in
-    factor order, Add takes math.fsum per point, and Pow and the elementary
-    functions call the Python/libm routine per element.  The rules:
+    (memo keyed by node id), over the whole block at once.  A node that
+    cannot vary with the point (a Rat, a Sym, anything built only from them)
+    is a one-element column, computed once per block and spread by numpy
+    broadcasting; a fault there records one exception for every point of the
+    block.  Mul multiplies in factor order, Add takes math.fsum per point
+    over a zip of its term columns, and Pow and the elementary functions call
+    the Python/libm routine per element, a one-element operand (such as a
+    constant exponent) repeated as a scalar.  The rules:
     - x^e with e < 0 and |x| < EPS_POLE is a PoleError naming |x|;
     - x^e with x < 0 and e not an integer is an EvalDomainError (round() of a
       non-finite e raises its own error first);
@@ -1011,18 +1020,20 @@ def values_and_faults(exprs: list, points, bind: Binding | None = None):
 def _walker(x0: np.ndarray, b: Binding, errors: list):
     """ev(expr) -> (values, faults or None) over the points x0, memoized; a
     nonzero fault indexes the exception recorded in errors."""
-    n = len(x0)
     rats: dict[tuple, tuple] = {}  # one column per rational value
 
     def flag(fault, cond, make):
         return _flag(fault, cond, errors, make)
 
     def fail(fault, make):  # every point without an earlier fault
-        return np.full(n, _NAN), flag(fault, np.ones(n, bool), make)
+        return np.full(1, _NAN), flag(fault, np.ones(1, bool), make)
+
+    def value_at(col: np.ndarray, k: int) -> float:  # at point k, also of one element
+        return float(col[k if len(col) > 1 else 0])
 
     def constant(value):
         try:
-            return np.full(n, float(value)), None
+            return np.full(1, float(value)), None
         except (ArithmeticError, ValueError, TypeError) as exc:
             return fail(None, lambda k: exc)
 
@@ -1055,14 +1066,13 @@ def _walker(x0: np.ndarray, b: Binding, errors: list):
             if t is Mul:
                 kids = [ev(f) for f in x.factors]
                 out = kids[0][0]
-                for v, _ in kids[1:]:
-                    out = out * v
+                for v, _ in kids[1:]:  # numpy multiplies by a 0-d array faster than by a (1,) one
+                    out = out * v if len(out) == len(v) else out.squeeze() * v.squeeze()
                 return out, _merge([f for _, f in kids])
             if t is Add:
                 kids = [ev(u) for u in x.terms]
                 fault = _merge([f for _, f in kids])
-                rows = np.array([v for v, _ in kids]).T  # one row of terms per point
-                return _map(math.fsum, math.fsum, [rows], fault, errors)
+                return _map(math.fsum, math.fsum, [v for v, _ in kids], fault, errors, rows=True)
             if t is Var:
                 return at, None
             if t is Pow:
@@ -1071,7 +1081,7 @@ def _walker(x0: np.ndarray, b: Binding, errors: list):
                 fault = _merge((bf, ef))
                 r = x.exponent.value if type(x.exponent) is Rat else None
                 pole = (lambda k: PoleError(
-                    f"divisor magnitude {abs(float(base[k])):.3e} below pole guard"))
+                    f"divisor magnitude {abs(value_at(base, k)):.3e} below pole guard"))
                 if r is None:
                     fault = flag(fault, (expo < 0) & (np.abs(base) < EPS_POLE), pole)
                 elif r.numerator < 0:
@@ -1079,7 +1089,7 @@ def _walker(x0: np.ndarray, b: Binding, errors: list):
                 if r is None or r.denominator != 1:
                     neg = base < 0
                     finite = np.isfinite(expo)
-                    fault = flag(fault, neg & ~finite, lambda k: round_error(float(expo[k])))
+                    fault = flag(fault, neg & ~finite, lambda k: round_error(value_at(expo, k)))
                     fault = flag(fault, neg & finite & (expo != np.floor(expo)), lambda k:
                                  EvalDomainError("negative base with non-integer exponent"))
                 return _map(pow, _pow1, [base, expo], fault, errors)
@@ -1114,7 +1124,10 @@ def _walker(x0: np.ndarray, b: Binding, errors: list):
                 if sub is None:
                     sub = inner[id(a)] = context(a)
                 v, df = sub(d)
-                return v, _merge((fault, df))
+                fault = _merge((fault, df))
+                if fault is not None and len(fault) > len(v):  # a constant of a varying argument
+                    v = v.repeat(len(fault))
+                return v, fault
             return fail(None, lambda k: ExprError(f"unexpected node {type(x)}"))
 
         return ev

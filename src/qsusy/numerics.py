@@ -65,8 +65,9 @@ def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None) ->
         if hard[i]:
             raise GridError(f"potential cannot be evaluated at node q={qs[i]}: "
                             f"{type(err).__name__}: {err}") from err
-        kind = "singular" if fault[i] else "not finite"
-        raise GridError(f"potential {kind} at node q={qs[i]}")
+        if fault[i]:
+            raise GridError(f"potential singular at node q={qs[i]}: {err}")
+        raise GridError(f"potential not finite at node q={qs[i]}")
     h = grid.h
     diag = 1.0 / h**2 + vals
     off = np.full(len(qs) - 1, -0.5 / h**2)

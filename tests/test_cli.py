@@ -168,6 +168,18 @@ class TestMain:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("potential, cause", [
+        ("a*q^2", "parameter 'a' is not bound"),
+        ("q^2+log(-1)", "log of non-positive value"),
+        ("f(q)", "opaque function 'f' is not bound"),
+    ])
+    def test_singular_potential_names_the_cause(self, capsys, potential, cause):
+        argv = ["spectrum", "--potential", potential, "--lo", "-5", "--hi", "5", "--grid", "300"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: potential singular at node q=") and err.count("\n") == 1
+        assert err.endswith(f": {cause}\n")
+
     def test_verify_commutators_degenerate_f(self, capsys):
         assert main(["verify", "commutators", "--f", "z"]) == 2
         err = capsys.readouterr().err

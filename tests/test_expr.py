@@ -3,6 +3,7 @@ import math
 import signal
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -479,11 +480,9 @@ _nested = Binding(funcs={"f": add(mul(opaque("g", 0, pow_(z, 2)), z), fn("log", 
                          "g": add(fn("tan", z), pow_(z + 1, -1))})
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_pole_expr, min_size=1, max_size=3), _pole_points, st.floats(-2.0, 2.0))
-def test_kernel_matches_evaluate_bit_for_bit(exprs, pts, a):
-    # each faulting entry records the oracle's exception, type and message
-    bind = _nested.with_params(a=a)
+def _assert_kernel_is_the_oracle(exprs, pts, bind):
+    """Every entry of the kernel is the oracle's value, or faults with the
+    oracle's exception, type and message."""
     V, F, errors = values_and_faults(exprs, pts, bind)
     assert V.shape == F.shape == (len(pts), len(exprs))
     assert errors[0] is None
@@ -501,6 +500,65 @@ def test_kernel_matches_evaluate_bit_for_bit(exprs, pts, a):
                 assert np.isnan(got)
             else:
                 assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pole_expr, min_size=1, max_size=3), _pole_points, st.floats(-2.0, 2.0))
+def test_kernel_matches_evaluate_bit_for_bit(exprs, pts, a):
+    _assert_kernel_is_the_oracle(exprs, pts, _nested.with_params(a=a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pole_expr, min_size=1, max_size=3), _pole_points, st.floats(-2.0, 2.0))
+def test_kernel_matches_evaluate_over_blocks_of_two_points(exprs, pts, a):
+    # one-element columns meet point-dependent siblings in every block
+    with mock.patch.object(expr_mod, "_BLOCK", 2):
+        _assert_kernel_is_the_oracle(exprs, pts, _nested.with_params(a=a))
+
+
+_a = sym("a")
+_many = np.linspace(-2.0, 2.0, 2501)  # three blocks of points, 0.0 among them
+
+
+@pytest.mark.parametrize("bad, a", [(pow_(_a - 1, -1), 1.0),    # a constant pole
+                                    (fn("log", _a), -1.0)])      # a constant domain error
+def test_point_independent_fault_faults_every_point(bad, a):
+    exprs = [add(bad, z), add(bad, fn("log", z + 1)), mul(fn("exp", z), bad)]
+    bind = Binding(params={"a": a})
+    _assert_kernel_is_the_oracle(exprs, _many, bind)
+    _, F, errors = values_and_faults(exprs[:1], _many, bind)
+    assert F.all()
+    assert len(errors) == 1 + math.ceil(len(_many) / expr_mod._BLOCK)  # one per block
+
+
+@pytest.mark.parametrize("e, a", [
+    (pow_(_a - 1, z), 1.0),                               # a zero base, a pole at z < 0
+    (pow_(-1 - z * z, fn("exp", fn("exp", _a))), 10.0),   # an infinite exponent
+    (fn("exp", opaque("f", 1, pow_(z, -1))), 0.0),        # f' = 1 of an argument that faults
+])
+def test_one_element_operand_of_a_point_dependent_node(e, a):
+    _assert_kernel_is_the_oracle([e], _many, Binding(params={"a": a}, funcs={"f": z}))
+
+
+def test_clean_point_independent_term_is_the_oracle():
+    e, bind = add(mul(pow_(_a - 1, -1), fn("exp", _a)), fn("sin", z)), Binding(params={"a": 3.0})
+    V, F, _ = values_and_faults([e], _many, bind)
+    assert not F.any()
+    assert V[:, 0].tobytes() == np.array([scalar_evaluate(e, x, bind) for x in _many]).tobytes()
+
+
+def test_point_independent_node_is_evaluated_once_per_block(monkeypatch):
+    calls, exp = [0], math.exp
+
+    def counted(x):
+        calls[0] += 1
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    e = add(mul(fn("exp", _a), z), fn("exp", z))
+    pts = np.linspace(-1.0, 1.0, 3000)
+    values_and_faults([e], pts, Binding(params={"a": 0.5}))
+    assert calls[0] <= len(pts) + math.ceil(len(pts) / expr_mod._BLOCK)
 
 
 @settings(max_examples=150, deadline=None)

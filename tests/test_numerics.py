@@ -10,15 +10,15 @@ from qsusy.numerics import Grid, GridError, fd_spectrum, normalizability_probe
 from scalar_oracle import evaluate as scalar_evaluate
 
 
-def _reference_fd_spectrum(V, grid, k):
+def _reference_fd_spectrum(V, grid, k, bind=None):
     """fd_spectrum built node by node with the scalar evaluator."""
     qs = grid.interior()
     vals = np.empty(len(qs))
     for i, q in enumerate(qs):
         try:
-            v = scalar_evaluate(V, float(q))
-        except EvalError:
-            raise GridError(f"potential singular at node q={q}") from None
+            v = scalar_evaluate(V, float(q), bind)
+        except EvalError as exc:
+            raise GridError(f"potential singular at node q={q}: {exc}") from None
         except (ArithmeticError, ValueError) as exc:
             raise GridError(f"potential cannot be evaluated at node q={q}: "
                             f"{type(exc).__name__}: {exc}") from exc
@@ -144,6 +144,16 @@ class TestNormalizability:
         # inside evaluate; that is not a divergence verdict
         with pytest.raises(ValueError):
             normalizability_probe(parse("sin(exp(exp(q)))", "q"), (0.0, math.inf))
+
+
+def test_bound_model_potential_matches_scalar_reference():
+    from qsusy.models import build_example
+
+    model = build_example(1, Binding(params={"alpha": 1.1, "nu": 0.9, "b0": 3.5}))
+    grid = Grid(*model.fd_domain, 2000)
+    want = _reference_fd_spectrum(model.V_minus, grid, 6, model.binding)
+    got = fd_spectrum(model.V_minus, grid, 6, model.binding)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_fd_agrees_with_algebraic_level():
