@@ -1,7 +1,8 @@
 """Command-line entry point: operator catalogues, targeted verifications,
 model reports, and the orchestrated verification suites.
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 configuration error.
+Exit codes: 0 all checks pass, 1 at least one failure, 2 configuration error,
+or a run that decided no check (none ran, or every one was skipped).
 """
 
 from __future__ import annotations
@@ -163,6 +164,15 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _exit_code(report: Report) -> int:
+    """0 when every decided check passed, 1 when one failed; a run that
+    decided no check (none ran, or all were skipped) is a ConfigError."""
+    s = report.summary
+    if s["pass"] + s["fail"] == 0:
+        raise ConfigError(f"no check was decided: {s['skipped']} of {s['total']} skipped")
+    return 0 if s["fail"] == 0 else 1
+
+
 def _write_or_print(text: str, path: str | None):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -222,7 +232,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"unknown verification target {args.what!r}")
     report = Report(cfg, records)
     _write_or_print(report.to_json(), args.json)
-    return 0 if report.summary["fail"] == 0 else 1
+    return _exit_code(report)
 
 
 def _cmd_model(args) -> int:
@@ -303,7 +313,7 @@ def _cmd_x2(args) -> int:
         raise ConfigError(f"alpha {args.alpha!r} overflows a float in the x2 frame: {exc}") from exc
     report = Report(cfg, results)
     _write_or_print(report.to_json(), args.json)
-    return 0 if report.summary["fail"] == 0 else 1
+    return _exit_code(report)
 
 
 def _cmd_spectrum(args) -> int:
@@ -347,10 +357,11 @@ def _cmd_suite(args) -> int:
         _write_or_print(report.to_markdown(), args.md)
     if not args.json and not args.md:
         print(report.to_markdown())
+    code = _exit_code(report)
     s = report.summary
     print(f"[qsusy] {s['pass']} pass / {s['fail']} fail / {s['skipped']} skipped",
           file=sys.stderr)
-    return 0 if s["fail"] == 0 else 1
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

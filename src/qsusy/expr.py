@@ -940,13 +940,15 @@ def _map(fast, slow, cols: list, fault, errors: list, rows: bool = False):
     try:
         got = list(map(fast, zip(*args)) if rows else map(fast, *args))
     except (ArithmeticError, ValueError):
+        got = None
+    if got is None:  # outside the handler, so no exception chains to the fast one's
         got, raised = [], {}
         for k, a in enumerate(zip(*args)):
             try:
                 got.append(slow(a) if rows else slow(*a))
             except (ArithmeticError, ValueError) as exc:
                 got.append(_NAN)
-                raised[k if idx is None else int(idx[k])] = exc
+                raised[k if idx is None else int(idx[k])] = exc.with_traceback(None)
         if raised:
             cond = np.zeros(n, bool)
             cond[list(raised)] = True
@@ -983,15 +985,17 @@ def values_and_faults(exprs: list, points, bind: Binding | None = None):
     first in evaluation order: children before their parent, in child order)
     and V[i, j] is meaningless; errors[0] is None.
 
-    Every distinct node is evaluated once per block of up to _BLOCK points
-    (memo keyed by node id), over the whole block at once.  A node that
-    cannot vary with the point (a Rat, a Sym, anything built only from them)
-    is a one-element column, computed once per block and spread by numpy
-    broadcasting; a fault there records one exception for every point of the
-    block.  Mul multiplies in factor order, Add takes math.fsum per point
-    over a zip of its term columns, and Pow and the elementary functions call
-    the Python/libm routine per element, a one-element operand (such as a
-    constant exponent) repeated as a scalar.  The rules:
+    Each block of up to _BLOCK points gets a fresh _Context, in which every
+    distinct node is evaluated once, over the whole block at once; nothing is
+    kept between calls (invariance's point search keeps contexts for a checks
+    run).  A node that cannot vary with the point (a Rat, a Sym, anything
+    built only from them) is a one-element column, computed once per block
+    and spread by numpy broadcasting; a fault there records one exception for
+    every point of the block.  Mul multiplies in factor order, Add takes
+    math.fsum per point over a zip of its term columns, and Pow and the
+    elementary functions call the Python/libm routine per element, a
+    one-element operand (such as a constant exponent) repeated as a scalar.
+    The rules:
     - x^e with e < 0 and |x| < EPS_POLE is a PoleError naming |x|;
     - x^e with x < 0 and e not an integer is an EvalDomainError (round() of a
       non-finite e raises its own error first);
@@ -999,27 +1003,63 @@ def values_and_faults(exprs: list, points, bind: Binding | None = None):
     - tan(a) with |cos(a)| < EPS_POLE is a PoleError;
     - an unbound parameter or opaque function is an UnboundSymbolError;
     - exp and a power of a non-negative base give inf on overflow; any other
-      error a routine raises is recorded as raised.
+      error a routine raises is recorded as raised, without its traceback.
     Exception objects are built only where a point faults.
     """
     x0 = np.array(points, dtype=float)
     V = np.empty((len(x0), len(exprs)))
     F = np.zeros((len(x0), len(exprs)), np.int32)
     errors: list = [None]
-    with np.errstate(all="ignore"):
-        for start in range(0, len(x0), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            ev = _walker(x0[block], bind or EMPTY_BINDING, errors)
-            for j, e in enumerate(exprs):
-                V[block, j], f = ev(e)
-                if f is not None:
-                    F[block, j] = f
+    for start in range(0, len(x0), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        V[block], F[block] = _walker(x0[block], bind or EMPTY_BINDING, errors).columns(exprs)
     return V, F, errors
 
 
-def _walker(x0: np.ndarray, b: Binding, errors: list):
-    """ev(expr) -> (values, faults or None) over the points x0, memoized; a
-    nonzero fault indexes the exception recorded in errors."""
+class _Context:
+    """Memoized columns over the points `at`: ev(x) gives x's read-only
+    values and its faults (or None), each node evaluated once for the life of
+    the context.  node is _walker's rule function, which holds the binding,
+    the errors list and the rational columns.  The memo is keyed by node id,
+    so roots holds every expression columns() was given: no key can be reused
+    by another node while the context lives.  Nothing refers back to a
+    context, so reference counting frees its columns when it is dropped.
+    """
+
+    __slots__ = ("at", "node", "errors", "memo", "inner", "roots")
+
+    def __init__(self, at: np.ndarray, node, errors: list):
+        self.at, self.node, self.errors = at, node, errors
+        self.memo: dict[int, tuple] = {}
+        self.inner: dict[int, _Context] = {}
+        self.roots: list = []
+
+    def ev(self, x: Expr):
+        out = self.memo.get(id(x))
+        if out is None:
+            out = self.memo[id(x)] = self.node(x, self)
+            out[0].flags.writeable = False
+        return out
+
+    def columns(self, exprs: list):
+        """(V, F) of exprs over the block, as values_and_faults gives them."""
+        V = np.empty((len(self.at), len(exprs)))
+        F = np.zeros((len(self.at), len(exprs)), np.int32)
+        with np.errstate(all="ignore"):
+            for j, e in enumerate(exprs):
+                out = self.memo.get(id(e))
+                if out is None:
+                    self.roots.append(e)
+                    out = self.ev(e)
+                V[:, j], f = out
+                if f is not None:
+                    F[:, j] = f
+        return V, F
+
+
+def _walker(x0: np.ndarray, b: Binding, errors: list) -> _Context:
+    """A context over the points x0 whose nonzero faults index the
+    exceptions recorded in errors."""
     rats: dict[tuple, tuple] = {}  # one column per rational value
 
     def flag(fault, cond, make):
@@ -1035,104 +1075,96 @@ def _walker(x0: np.ndarray, b: Binding, errors: list):
         try:
             return np.full(1, float(value)), None
         except (ArithmeticError, ValueError, TypeError) as exc:
+            exc = exc.with_traceback(None)  # its frames would hold this one
             return fail(None, lambda k: exc)
 
     def round_error(v: float) -> Exception:
         try:
             round(v)  # raises for the non-finite v it is given
         except (OverflowError, ValueError) as exc:
-            return exc
+            return exc.with_traceback(None)
 
-    def context(at: np.ndarray):
-        # an opaque argument's column opens its own context: Var means `at`
-        # there, so memo entries and nested contexts never leak between them
-        memo: dict[int, tuple] = {}
-        inner: dict[int, object] = {}
-
-        def ev(x: Expr):
-            out = memo.get(id(x))
+    def node(x: Expr, cx: _Context):
+        ev = cx.ev
+        t = type(x)
+        if t is Rat:
+            key = (x.value.numerator, x.value.denominator)
+            out = rats.get(key)
             if out is None:
-                out = memo[id(x)] = node(x)
+                out = rats[key] = constant(x.value)
             return out
+        if t is Mul:
+            kids = [ev(f) for f in x.factors]
+            out = kids[0][0]
+            for v, _ in kids[1:]:  # numpy multiplies by a 0-d array faster than by a (1,) one
+                out = out * v if len(out) == len(v) else out.squeeze() * v.squeeze()
+            return out, _merge([f for _, f in kids])
+        if t is Add:
+            kids = [ev(u) for u in x.terms]
+            fault = _merge([f for _, f in kids])
+            return _map(math.fsum, math.fsum, [v for v, _ in kids], fault, errors, rows=True)
+        if t is Var:
+            return cx.at, None
+        if t is Pow:
+            base, bf = ev(x.base)
+            expo, ef = ev(x.exponent)
+            fault = _merge((bf, ef))
+            r = x.exponent.value if type(x.exponent) is Rat else None
+            pole = (lambda k: PoleError(
+                f"divisor magnitude {abs(value_at(base, k)):.3e} below pole guard"))
+            if r is None:
+                fault = flag(fault, (expo < 0) & (np.abs(base) < EPS_POLE), pole)
+            elif r.numerator < 0:
+                fault = flag(fault, np.abs(base) < EPS_POLE, pole)
+            if r is None or r.denominator != 1:
+                neg = base < 0
+                finite = np.isfinite(expo)
+                fault = flag(fault, neg & ~finite, lambda k: round_error(value_at(expo, k)))
+                fault = flag(fault, neg & finite & (expo != np.floor(expo)), lambda k:
+                             EvalDomainError("negative base with non-integer exponent"))
+            return _map(pow, _pow1, [base, expo], fault, errors)
+        if t is Fn:
+            a, fault = ev(x.arg)
+            name = x.name
+            if name == "exp":
+                return _map(math.exp, _exp1, [a], fault, errors)
+            if name == "log":
+                fault = flag(fault, a <= 0,
+                             lambda k: EvalDomainError("log of non-positive value"))
+                fault = flag(fault, a < EPS_POLE,
+                             lambda k: PoleError("log argument inside pole guard"))
+                return _map(math.log, math.log, [a], fault, errors)
+            if name == "tan":
+                c, fault = _map(math.cos, math.cos, [a], fault, errors)
+                fault = flag(fault, np.abs(c) < EPS_POLE, lambda k: PoleError("tan at a pole"))
+            f = getattr(math, name)
+            return _map(f, f, [a], fault, errors)
+        if t is Sym:
+            if x.name not in b.params:
+                return fail(None, lambda k: UnboundSymbolError(
+                    f"parameter {x.name!r} is not bound"))
+            return constant(b.params[x.name])
+        if t is Opaque:
+            a, fault = ev(x.arg)
+            try:
+                _, d = b.func_derivative(x.name, x.order)
+            except ExprError as exc:
+                exc = exc.with_traceback(None)
+                return fail(fault, lambda k: exc)
+            # an opaque argument's column opens its own context: Var means `a`
+            # there, so memo entries and nested contexts never leak between
+            # them; arguments with one column share a context
+            sub = cx.inner.get(id(a))
+            if sub is None:
+                sub = cx.inner[id(a)] = _Context(a, cx.node, errors)
+            v, df = sub.ev(d)
+            fault = _merge((fault, df))
+            if fault is not None and len(fault) > len(v):  # a constant of a varying argument
+                v = v.repeat(len(fault))
+            return v, fault
+        return fail(None, lambda k: ExprError(f"unexpected node {type(x)}"))
 
-        def node(x: Expr):
-            t = type(x)
-            if t is Rat:
-                key = (x.value.numerator, x.value.denominator)
-                out = rats.get(key)
-                if out is None:
-                    out = rats[key] = constant(x.value)
-                return out
-            if t is Mul:
-                kids = [ev(f) for f in x.factors]
-                out = kids[0][0]
-                for v, _ in kids[1:]:  # numpy multiplies by a 0-d array faster than by a (1,) one
-                    out = out * v if len(out) == len(v) else out.squeeze() * v.squeeze()
-                return out, _merge([f for _, f in kids])
-            if t is Add:
-                kids = [ev(u) for u in x.terms]
-                fault = _merge([f for _, f in kids])
-                return _map(math.fsum, math.fsum, [v for v, _ in kids], fault, errors, rows=True)
-            if t is Var:
-                return at, None
-            if t is Pow:
-                base, bf = ev(x.base)
-                expo, ef = ev(x.exponent)
-                fault = _merge((bf, ef))
-                r = x.exponent.value if type(x.exponent) is Rat else None
-                pole = (lambda k: PoleError(
-                    f"divisor magnitude {abs(value_at(base, k)):.3e} below pole guard"))
-                if r is None:
-                    fault = flag(fault, (expo < 0) & (np.abs(base) < EPS_POLE), pole)
-                elif r.numerator < 0:
-                    fault = flag(fault, np.abs(base) < EPS_POLE, pole)
-                if r is None or r.denominator != 1:
-                    neg = base < 0
-                    finite = np.isfinite(expo)
-                    fault = flag(fault, neg & ~finite, lambda k: round_error(value_at(expo, k)))
-                    fault = flag(fault, neg & finite & (expo != np.floor(expo)), lambda k:
-                                 EvalDomainError("negative base with non-integer exponent"))
-                return _map(pow, _pow1, [base, expo], fault, errors)
-            if t is Fn:
-                a, fault = ev(x.arg)
-                name = x.name
-                if name == "exp":
-                    return _map(math.exp, _exp1, [a], fault, errors)
-                if name == "log":
-                    fault = flag(fault, a <= 0,
-                                 lambda k: EvalDomainError("log of non-positive value"))
-                    fault = flag(fault, a < EPS_POLE,
-                                 lambda k: PoleError("log argument inside pole guard"))
-                    return _map(math.log, math.log, [a], fault, errors)
-                if name == "tan":
-                    c, fault = _map(math.cos, math.cos, [a], fault, errors)
-                    fault = flag(fault, np.abs(c) < EPS_POLE, lambda k: PoleError("tan at a pole"))
-                f = getattr(math, name)
-                return _map(f, f, [a], fault, errors)
-            if t is Sym:
-                if x.name not in b.params:
-                    return fail(None, lambda k: UnboundSymbolError(
-                        f"parameter {x.name!r} is not bound"))
-                return constant(b.params[x.name])
-            if t is Opaque:
-                a, fault = ev(x.arg)
-                try:
-                    _, d = b.func_derivative(x.name, x.order)
-                except ExprError as exc:
-                    return fail(fault, lambda k: exc)
-                sub = inner.get(id(a))  # arguments with one column share a context
-                if sub is None:
-                    sub = inner[id(a)] = context(a)
-                v, df = sub(d)
-                fault = _merge((fault, df))
-                if fault is not None and len(fault) > len(v):  # a constant of a varying argument
-                    v = v.repeat(len(fault))
-                return v, fault
-            return fail(None, lambda k: ExprError(f"unexpected node {type(x)}"))
-
-        return ev
-
-    return context(x0)
+    return _Context(x0, node, errors)
 
 
 def values(exprs: list, points, bind: Binding | None = None) -> np.ndarray:

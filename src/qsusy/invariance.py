@@ -17,8 +17,8 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .expr import (
-    Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, EvalError,
-    mul, pow_, fn, var, as_expr, diff, values_and_faults,
+    EMPTY_BINDING, Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, EvalError,
+    mul, pow_, fn, var, as_expr, diff, _walker,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
 from .families import _fctx, build_J
@@ -84,6 +84,49 @@ def record(check_id: str, anchor: str, ok, residual, t0, reason=None) -> dict:
     return out
 
 
+class _Store:
+    """What one checks run keeps for its point searches: the candidate draws
+    of each (seed, intervals, need), drawn once and read-only, and one kernel
+    context per (candidate chunk, binding), so a node the run has evaluated
+    on a chunk is not evaluated there again.  A context holds its chunk, its
+    binding and its roots, so no id it is keyed by can be reused while it
+    lives; one whose memo has passed _CONTEXT_NODES entries is replaced.
+    """
+
+    def __init__(self):
+        self.draws: dict = {}     # (seed, intervals, need) -> (rng, chunks of each interval)
+        self.contexts: dict = {}  # (id(chunk), id(binding)) -> kernel context
+
+    def candidates(self, plan: SamplePlan, need: int):
+        """The candidate chunks of 2*need draws, in draw order; an interval is
+        drawn when a search first reaches it."""
+        key = (plan.seed, plan.intervals, need)
+        if key not in self.draws:
+            self.draws[key] = (np.random.default_rng(plan.seed), [])
+        rng, drawn = self.draws[key]
+        for k, (lo, hi) in enumerate(plan.intervals):
+            if k == len(drawn):
+                draws = rng.uniform(lo, hi, size=60 * need)
+                draws.flags.writeable = False
+                step = max(2 * need, 1)
+                drawn.append([draws[i:i + step] for i in range(0, len(draws), step)])
+            yield from drawn[k]
+
+    def columns(self, exprs: list, chunk: np.ndarray, bind: Binding | None):
+        """values_and_faults(exprs, chunk, bind), from the chunk's context."""
+        b = bind or EMPTY_BINDING
+        key = (id(chunk), id(b))
+        cx = self.contexts.get(key)
+        if cx is None or len(cx.memo) > _CONTEXT_NODES:
+            cx = self.contexts[key] = _walker(chunk, b, [None])
+        V, F = cx.columns(exprs)
+        return V, F, cx.errors
+
+
+_CONTEXT_NODES = 1000  # memo entries a context may pass before it is dropped (sweep: CHANGES.md)
+_store: _Store | None = None  # the store of the checks run in progress
+
+
 def checks(gen):
     """Run a generator of check outcomes and return their records.
 
@@ -92,15 +135,26 @@ def checks(gen):
     records of one call sum to its time.  A finished record (a dict, from a
     nested call of a decorated function) passes through unchanged and
     restarts the clock.
+
+    The outermost run owns one _Store for every point search inside it,
+    nested runs included, and drops it when it ends, however it ends.
     """
     @wraps(gen)
     def run(*args, **kwargs):
-        out = []
-        t0 = time.monotonic()
-        for item in gen(*args, **kwargs):
-            out.append(item if isinstance(item, dict) else record(*item[:4], t0, *item[4:]))
+        global _store
+        outermost = _store is None
+        if outermost:
+            _store = _Store()
+        try:
+            out = []
             t0 = time.monotonic()
-        return out
+            for item in gen(*args, **kwargs):
+                out.append(item if isinstance(item, dict) else record(*item[:4], t0, *item[4:]))
+                t0 = time.monotonic()
+            return out
+        finally:
+            if outermost:
+                _store = None
     return run
 
 
@@ -122,41 +176,67 @@ def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
 
     Returns (points, V) with V[i, j] the value of exprs[j] at points[i]: the
     kernel rows that accepted the points, bit-equal to values(exprs, points,
-    bind).  Failed draws become guard-ball centers: later candidates inside the
-    exclusion radius of a detected singular point are rejected without
-    re-evaluation.  Draws are evaluated in chunks of 2*count through the batch
-    kernel; the rules are then replayed in draw order, so the result is the
-    one a point-by-point search would give.
+    bind).  The candidates depend only on the plan's seed and intervals and
+    on count: 60*count uniform draws from each interval in turn, from one
+    default_rng(plan.seed), taken in chunks of 2*count.  A draw is rejected
+    where an expression faults or its value is not finite or above the
+    magnitude cap; a later draw within the exclusion radius of a rejected
+    one, or within a tenth of it of an accepted point, is skipped unseen.  An
+    error that is not an EvalError at a rejected draw is raised.
+
+    The draws and their kernel columns come from the checks run's _Store, or
+    outside a run from a store of this call alone.  The verdicts come from
+    array masks; only draws near an earlier draw or point (_near) replay the
+    exclusion rules in Python, in draw order, so the result is the one a
+    point-by-point search gives.
     """
     need = count if count is not None else plan.m + plan.holdout
-    rng = np.random.default_rng(plan.seed)
-    out: list[float] = []
+    store = _store if _store is not None else _Store()
+    out: list[float] = []  # the points accepted so far, and their rows
     rows: list[np.ndarray] = []
-    bad: list[float] = []
-    for lo, hi in plan.intervals:
-        draws = rng.uniform(lo, hi, size=60 * need)
-        for start in range(0, len(draws), max(2 * need, 1)):
-            chunk = draws[start:start + 2 * need]
-            V, F, errors = values_and_faults(exprs, chunk, bind)
-            # per point and expression: a fault or a value out of range
-            S = (F != 0) | ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap)
-            for x, row, f, v in zip(chunk.tolist(), S, F, V):
-                if any(abs(x - g) < plan.exclusion for g in bad):
-                    continue
-                if any(abs(x - p) < plan.exclusion / 10 for p in out):
-                    continue
-                if row.any():
-                    err = errors[f[row.argmax()]]  # None for a value out of range
-                    if err is not None and not isinstance(err, EvalError):
-                        raise err
-                    bad.append(x)
-                    continue
-                out.append(x)
-                rows.append(v)
-                if len(out) >= need:
-                    return np.array(out), np.array(rows)
+    bad: list[float] = []  # the draws rejected so far
+    for chunk in store.candidates(plan, need):
+        V, F, errors = store.columns(exprs, chunk, bind)
+        # per draw and expression: a fault or a value out of range
+        S = (F != 0) | ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap)
+        rejected = S.any(axis=1)
+        kept = np.ones(len(chunk), bool)  # not skipped by an exclusion rule
+        for i in _near(chunk, out + bad, plan.exclusion):
+            x = float(chunk[i])
+            prior_bad = bad + chunk[:i][kept[:i] & rejected[:i]].tolist()
+            prior_out = out + chunk[:i][kept[:i] & ~rejected[:i]].tolist()
+            kept[i] = not (any(abs(x - g) < plan.exclusion for g in prior_bad)
+                           or any(abs(x - p) < plan.exclusion / 10 for p in prior_out))
+        ok = (kept & ~rejected).nonzero()[0]
+        end = len(chunk) if len(out) + len(ok) < need else ok[need - len(out) - 1] + 1
+        failed = kept[:end] & rejected[:end]
+        for i in failed.nonzero()[0].tolist():
+            err = errors[F[i, S[i].argmax()]]  # None for a value out of range
+            if err is not None and not isinstance(err, EvalError):
+                raise err
+        ok = ok[ok < end]
+        out += chunk[ok].tolist()
+        rows.append(V[ok])
+        if len(out) >= need:
+            return np.array(out), np.concatenate(rows)
+        bad += chunk[failed].tolist()
     raise SamplingError(
         f"could only find {len(out)} of {need} usable sample points")
+
+
+def _near(x: np.ndarray, others: list, radius: float) -> list:
+    """The indices i of x with another element of x, or one of others, closer
+    than radius to x[i]: a superset of the draws an exclusion rule can reach."""
+    allx = np.concatenate([x, others]) if others else x
+    order = allx.argsort(kind="stable")
+    s = allx[order]
+    close = s[1:] - s[:-1] < radius
+    if not close.any():
+        return []
+    hit = np.zeros(len(allx), bool)
+    hit[order[1:][close]] = True
+    hit[order[:-1][close]] = True
+    return hit[:len(x)].nonzero()[0].tolist()
 
 
 def _sampled_actions(ops: list, fs: list, plan: SamplePlan, bind: Binding | None,

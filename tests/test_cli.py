@@ -10,6 +10,7 @@ from qsusy.cli import (
     _parse_bindings,
 )
 from qsusy.invariance import record
+from qsusy.x2 import verify_x2_identities
 
 
 class TestSuiteConfig:
@@ -96,6 +97,16 @@ class TestDeterminism:
         r1 = run_suite(cfg1).to_json(include_timing=False)
         r2 = run_suite(cfg2).to_json(include_timing=False)
         assert r1 == r2
+
+
+def _untimed(text: str) -> str:
+    """A printed report with the millis of its checks dropped."""
+    if not text.startswith("{"):
+        return text
+    doc = json.loads(text)
+    for c in doc["checks"]:
+        c.pop("millis")
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestMain:
@@ -201,7 +212,7 @@ class TestMain:
         assert "no-such-dir" in err
 
     def test_x2_skips_carry_their_reason(self, capsys):
-        assert main(["x2", "verify", "--alpha", "2", "--side", "plus"]) == 0
+        assert main(["x2", "verify", "--alpha", "2", "--side", "plus"]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert [c["verdict"] for c in doc["checks"]] == ["skipped"] * 4
         assert all(c["reason"] == "parameter excluded by a printed denominator"
@@ -225,14 +236,31 @@ class TestMain:
 
     def test_x2_skips_excluded(self, tmp_path):
         # the frame degenerates at alpha=-1, so every identity check is
-        # reported skipped rather than failed
+        # reported skipped rather than failed, and a run that decides no
+        # check is not a pass
         out = tmp_path / "x2.json"
         rc = main(["x2", "verify", "--alpha", "-1", "--side", "minus",
                    "--json", str(out)])
-        assert rc == 0
+        assert rc == 2
         doc = json.loads(out.read_text())
         assert doc["summary"]["skipped"] == 4
         assert doc["summary"]["fail"] == 0
+
+    @pytest.mark.parametrize("argv, report", [
+        (["suite", "--suites", ","],
+         lambda: run_suite(SuiteConfig(suites=[])).to_markdown()),
+        (["x2", "verify", "--alpha", "4", "--side", "plus"],
+         lambda: Report(SuiteConfig(suites=[]), verify_x2_identities(
+             Fraction(4), SuiteConfig(suites=[]).plan(), sides=("plus",))).to_json()),
+    ])
+    def test_a_run_that_decides_no_check_exits_2(self, capsys, argv, report):
+        # no check run, or every one skipped: the report is written as it
+        # was, then one error line, never a silent pass
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert err.startswith("error: no check was decided") and err.count("\n") == 1
+        assert _untimed(out) == _untimed(report() + "\n")
 
     def test_spectrum_potential(self, capsys):
         rc = main(["spectrum", "--potential", "q^2/2", "--grid", "2000", "--k", "2"])

@@ -480,10 +480,10 @@ _nested = Binding(funcs={"f": add(mul(opaque("g", 0, pow_(z, 2)), z), fn("log", 
                          "g": add(fn("tan", z), pow_(z + 1, -1))})
 
 
-def _assert_kernel_is_the_oracle(exprs, pts, bind):
-    """Every entry of the kernel is the oracle's value, or faults with the
-    oracle's exception, type and message."""
-    V, F, errors = values_and_faults(exprs, pts, bind)
+def _assert_kernel_is_the_oracle(exprs, pts, bind, got=None):
+    """Every entry of the kernel (or of got, a (V, F, errors) it gave) is the
+    oracle's value, or faults with the oracle's exception, type and message."""
+    V, F, errors = got or values_and_faults(exprs, pts, bind)
     assert V.shape == F.shape == (len(pts), len(exprs))
     assert errors[0] is None
     for i, x in enumerate(pts):
@@ -514,6 +514,18 @@ def test_kernel_matches_evaluate_over_blocks_of_two_points(exprs, pts, a):
     # one-element columns meet point-dependent siblings in every block
     with mock.patch.object(expr_mod, "_BLOCK", 2):
         _assert_kernel_is_the_oracle(exprs, pts, _nested.with_params(a=a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_pole_expr, min_size=1, max_size=3), st.lists(_pole_expr, min_size=1, max_size=3),
+       _pole_points.filter(len), st.floats(-2.0, 2.0))
+def test_a_kept_context_is_the_oracle_call_after_call(first, second, pts, a):
+    # a point search in a checks run keeps one context per candidate chunk:
+    # its memo, rational columns and errors serve every later call
+    bind = _nested.with_params(a=a)
+    cx = expr_mod._walker(np.array(pts, dtype=float), bind, [None])
+    for exprs in (first, second, first + second, second):
+        _assert_kernel_is_the_oracle(exprs, pts, bind, (*cx.columns(exprs), cx.errors))
 
 
 _a = sym("a")

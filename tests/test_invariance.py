@@ -1,13 +1,17 @@
+import gc
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qsusy import Binding, EvalError, add, fn, mul, opaque, parse, pow_, rat, var
+from qsusy import (
+    Add, Binding, EvalError, Fn, Mul, Rat, Var, add, fn, mul, opaque, parse, pow_, rat, sym, var,
+)
 from qsusy import invariance, suites, x2
 from qsusy.diffop import DiffOp
-from qsusy.expr import diff, values
+from qsusy.expr import diff, values, values_and_faults
 from qsusy.families import build_J, build_K, monomial_J
 from qsusy.invariance import (
     IllConditionedBasisError, SamplePlan, SamplingError, Subspace, checks,
@@ -194,6 +198,116 @@ def test_safe_points_matches_point_by_point_search(case):
         want = _outcome(_reference_safe_points, exprs, plan, bind)
         assert (list if isinstance(want, list) else want[0]) is ends_in
         assert _outcome(safe_points, exprs, plan, bind) == want, seed
+
+
+# one checks run keeps its candidate draws and kernel columns in one store ------
+
+def _search(exprs, plan, bind, count):
+    """safe_points' points and rows as bytes, or the type and message of what
+    it raises."""
+    try:
+        pts, V = safe_points(exprs, plan, bind, count)
+    except (SamplingError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return pts.tobytes(), V.tobytes()
+
+
+_fz = fn("exp", z)
+_pole = pow_(z - 2, -1)
+_exp_f = Binding(funcs={"f": _fz})
+_SHARED_CALLS = [  # (expressions, plan, binding, count): nodes, draws and bindings shared
+    ([_fz, mul(_fz, z)], SamplePlan(seed=3), None, 8),
+    ([mul(_fz, z), _pole, add(_fz, fn("log", z))], SamplePlan(seed=3), None, 8),
+    ([opaque("f", 1, z), opaque("f", 0, z), _fz], SamplePlan(seed=3), _exp_f, 8),
+    ([opaque("f", 1, z), opaque("f", 0, z)], SamplePlan(seed=3),
+     Binding(funcs={"f": fn("log", z - 2)}), 8),            # another f on the same chunk
+    ([opaque("f", 2, z), mul(opaque("f", 0, z), z)], SamplePlan(seed=3),
+     Binding(funcs={"f": _fz}), 8),                          # an equal binding, not the same
+    ([mul(sym("a"), _fz), pow_(sym("a") - rat(1, 2), -1)], SamplePlan(seed=3),
+     Binding(params={"a": 0.5}), 8),                         # a pole at every point
+    ([mul(sym("a"), _fz), _pole], SamplePlan(seed=3), Binding(params={"a": 2.0}), 8),
+    ([_pole, fn("log", z - 3)], SamplePlan(seed=3, tol=1e-10), None, 8),  # the same draws
+    ([_pole, add(_fz, fn("log", z))], SamplePlan(seed=3), None, 18),
+    ([add(opaque("f", 0, pow_(z, 2)), z), _pole], SamplePlan(seed=5),
+     Binding(funcs={"f": mul(opaque("g", 0, z), z), "g": fn("log", z - 1)}), 12),
+    ([fn("sin", fn("exp", fn("exp", z)))], SamplePlan(seed=3, intervals=((6.0, 7.0),)),
+     None, 8),                                               # raises ValueError
+]
+_CALLS = _SHARED_CALLS + [(exprs, SamplePlan(seed=seed, **kw), bind, None)
+                          for exprs, kw, bind, _ in _SEARCH_CASES.values() for seed in range(4)]
+
+
+@invariance.checks
+def _in_one_run(calls, got):
+    for k, call in enumerate(calls):
+        got.append(_search(*call))
+        yield str(k), "search", True, 0.0
+
+
+def test_one_run_gives_each_search_what_it_gives_alone():
+    alone = [_search(*call) for call in _CALLS]
+    for call, want in zip(_CALLS, alone):
+        ref = _outcome(lambda e, p, b: _reference_safe_points(e, p, b, call[3]), *call[:3])
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert want == ref
+        else:
+            assert np.frombuffer(want[0]).tolist() == ref
+            assert want[1] == values(call[0], np.frombuffer(want[0]), call[2]).tobytes()
+    assert {w[0] if isinstance(w[0], type) else list for w in alone} == {
+        list, SamplingError, ValueError}
+    for order in (range(len(_CALLS)), range(len(_CALLS) - 1, -1, -1)):
+        got = []
+        _in_one_run([_CALLS[k] for k in order], got)
+        assert got == [alone[k] for k in order]
+
+
+def test_a_stored_context_holds_its_roots():
+    # the kernel memo is keyed by node id: were a root freed, a fresh node
+    # could take its id and be handed the old node's column
+    plan = SamplePlan(seed=11)
+
+    @invariance.checks
+    def fresh_nodes():
+        for k in range(1, 60):
+            e = Add((Mul((Rat(k), Var("z"))), Fn("exp", Var("z"))))  # no memo keeps these
+            pts, V = safe_points([e], plan, count=6)
+            yield str(k), "fresh", V.tobytes() == values([e], pts).tobytes(), 0.0
+
+    assert [r["verdict"] for r in fresh_nodes()] == ["pass"] * 59
+
+
+def test_no_store_survives_its_run():
+    store, shared = [], []
+
+    @invariance.checks
+    def inner():
+        shared.append(invariance._store is store[0]())  # a nested run shares the store
+        safe_points([_fz, _pole], SamplePlan(), _exp_f)
+        yield "inner", "nested", True, 0.0
+
+    @invariance.checks
+    def outer():
+        store.append(weakref.ref(invariance._store))
+        yield from inner()
+        yield from inner()
+        raise SamplingError("the run ends here")
+
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(SamplingError):
+            outer()
+        assert shared == [True, True]
+        assert invariance._store is None and store[0]() is None  # freed without the collector
+    finally:
+        gc.enable()
+
+
+def test_a_run_and_a_kernel_call_leave_no_garbage():
+    gc.collect()
+    values_and_faults([add(mul(rat(1, 2), z, z), mul(3, fn("exp", z)))], np.linspace(0, 1, 3000))
+    verify_commutator_table(parse("exp(z)"), SamplePlan(seed=3))
+    assert gc.collect() == 0
 
 
 def _ops_equal_per_probe(a, b, bind=None, plan=SamplePlan(), tol=1e-9):
