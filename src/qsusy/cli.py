@@ -173,6 +173,16 @@ def _exit_code(report: Report) -> int:
     return 0 if s["fail"] == 0 else 1
 
 
+def _model(example: int, bindings: dict):
+    """build_example, whose validation samples the model: a binding that fits
+    a float can still overflow there, and that is bad input."""
+    try:
+        return build_example(example, Binding(params=bindings))
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"bindings {bindings} cannot be evaluated in the model: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
 def _write_or_print(text: str, path: str | None):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -238,7 +248,7 @@ def _cmd_verify(args) -> int:
 def _cmd_model(args) -> int:
     bindings = _parse_bindings(args.bind)
     plan = SuiteConfig(suites=[], seed=args.seed).plan()
-    model = build_example(args.example, Binding(params=bindings))
+    model = _model(args.example, bindings)
     res = verify_susy_conditions(model, plan)
     doc = {
         "example": args.example,
@@ -322,7 +332,7 @@ def _cmd_spectrum(args) -> int:
     plan = SuiteConfig(suites=[], seed=args.seed).plan()
     bindings = _parse_bindings(args.bind)
     if args.example:
-        model = build_example(args.example, Binding(params=bindings))
+        model = _model(args.example, bindings)
         if model.fd_domain is None:
             raise ConfigError("this model family has no designated grid domain")
         lo, hi = model.fd_domain

@@ -1168,12 +1168,13 @@ def _walker(x0: np.ndarray, b: Binding, errors: list) -> _Context:
 
 
 def values(exprs: list, points, bind: Binding | None = None) -> np.ndarray:
-    """Value matrix of shape (len(points), len(exprs)), from the batch kernel.
+    """Value matrix of shape (len(points), len(exprs)), from the batch kernel,
+    at points the caller fixed; evaluate is a one-point call of it.
 
     If an entry faults, the exception recorded at the first faulting entry in
     the order of a scalar loop (expression by expression, then point by
-    point) is raised.  Every strict sampled check evaluates through this
-    function.
+    point) is raised.  The sampled checks do not call it: each reads the rows
+    of its one safe_points search.
     """
     V, F, errors = values_and_faults(exprs, points, bind)
     if F.any():

@@ -16,7 +16,7 @@ import numpy as np
 
 from .expr import (
     Expr, Binding, Rat, Var, ONE, MINUS_ONE, ExprError,
-    add, mul, pow_, fn, var, sym, as_expr, diff, substitute_var, values,
+    add, mul, pow_, fn, var, sym, as_expr, diff, substitute_var,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, expand_factored, pullback
 from .families import (
@@ -361,11 +361,10 @@ def _validate_model(model: ModelSpec):
     Qq = _compose_z(add(B, mul(_half, diff(A, "z"))), model.z_of_q)
     checks["2A=z'^2"] = add(mul(Rat(2), Aq), mul(MINUS_ONE, pow_(zp, 2)))
     checks["Q=-z'W"] = add(Qq, mul(zp, model.W))
-    plan = model.plan()
-    all_exprs = list(checks.values())
-    n = len(all_exprs)
-    pts, V = safe_points(all_exprs + [model.W, model.E, model.F, zp], plan, bind, count=8)
-    scale = float(np.abs(np.hstack([V[:, n:], values([Aq, Qq], pts, bind)])).max())
+    n = len(checks)
+    _, V = safe_points([*checks.values(), model.W, model.E, model.F, zp, Aq, Qq],
+                       model.plan(), bind, count=8)
+    scale = float(np.abs(V[:, n:]).max())
     resid = relative_residual(V[:, :n], scale)
     bad = {name: float(r) for name, r in zip(checks, resid) if r > 1e-8}
     if bad:
@@ -388,29 +387,23 @@ def verify_susy_conditions(model: ModelSpec,
     cond2, cond3 = constraint_residual_exprs(W, E, F)
     F1, F2 = first_integrals(W, E, F)
     F1p, F2p = diff(F1, Q), diff(F2, Q)
-    scale_exprs = [F1p, F2p, diff(F1p, Q), diff(F2p, Q), F1, F2]
-    pts, V = safe_points([cond2, cond3] + scale_exprs, plan, bind, count=10)
-    scale = float(np.abs(V[:, 2:]).max())
-
     Cs = model.coeffs.to_integration_constants()
     tF1, tF2 = f1f2_from_constants(Cs[:5], model.f_of_z, "z")
     m1 = add(_compose_z(tF1, model.z_of_q), mul(MINUS_ONE, F1))
     m2 = add(_compose_z(tF2, model.z_of_q), mul(MINUS_ONE, F2))
-    resid = relative_residual(np.hstack([V[:, :2], values([m1, m2], pts, bind)]), scale)
-    r2, r3, rm1, rm2 = map(float, resid)
+    scale_exprs = [F1p, F2p, diff(F1p, Q), diff(F2p, Q), F1, F2]
+    _, V = safe_points([cond2, cond3, m1, m2] + scale_exprs, plan, bind, count=10)
+    scale = float(np.abs(V[:, 4:]).max())
+    r2, r3, rm1, rm2 = map(float, relative_residual(V[:, :4], scale))
 
+    # the intertwining P3 H- = H+ P3, applied to each probe on both sides
     P3 = model.supercharge_minus()
-    Hm = model.hamiltonian("minus")
-    Hp = model.hamiltonian("plus")
-    left = compose(P3, Hm)
-    right = compose(Hp, P3)
-    worst = 0.0
-    for psi in default_probes(Q):
-        la = left.apply(psi)
-        ra = right.apply(psi)
-        _, V = safe_points([la, ra], plan, bind, count=8)
-        va, vb = V.T
-        worst = max(worst, float(relative_residual(va - vb, np.abs(V).max(axis=1))))
+    left = compose(P3, model.hamiltonian("minus"))
+    right = compose(model.hamiltonian("plus"), P3)
+    images = [side.apply(psi) for psi in default_probes(Q) for side in (left, right)]
+    _, V = safe_points(images, plan, bind, count=8)
+    La, Ra = V[:, 0::2], V[:, 1::2]
+    worst = float(relative_residual(La - Ra, np.maximum(np.abs(La), np.abs(Ra))).max())
     return IntertwiningResidual(r2, r3, rm1, rm2, worst)
 
 

@@ -27,7 +27,7 @@ from .families import (
     expand_in_literature_basis, assemble_from_literature_basis,
 )
 from .invariance import (
-    Subspace, SamplePlan, checks, check_invariant, check_annihilates,
+    Subspace, SamplePlan, InvarianceError, checks, check_invariant, check_annihilates,
     verify_commutator_table, check_lie_closure, ops_equal_numeric,
     _sampled_actions,
 )
@@ -87,22 +87,27 @@ def suite_families(plan: SamplePlan):
                v.passed, max(v.residuals))
 
 
+def _routes_agree(plan: SamplePlan, rng, draws: int, top: int, den: int, routes):
+    """(ok, worst residual) of ops_equal_numeric on the two operators
+    routes(gc) for draws coefficient sets gc of nine Fractions, each a
+    numerator in [-top, top] over a denominator in [1, den), drawn in turn."""
+    ok, worst = True, 0.0
+    for _ in range(draws):
+        vals = [Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, den)))
+                for _ in range(9)]
+        good, res = ops_equal_numeric(*routes(GeneralCoefficients(*vals)), None, plan)
+        ok = ok and good
+        worst = max(worst, res)
+    return ok, worst
+
+
 @checks
 def suite_construction(plan: SamplePlan, draws: int = 50):
     """Route equivalence for the gauged Hamiltonians and the parameter map."""
     rng = np.random.default_rng(plan.seed)
     fz = parse("z^3 + z")
-    worst = 0.0
-    ok = True
-    for _ in range(draws):
-        vals = [Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 5)))
-                for _ in range(9)]
-        gc = GeneralCoefficients(*vals)
-        h1 = build_H_minus(gc, fz)
-        h2 = build_H_minus_direct(gc, fz)
-        good, res = ops_equal_numeric(h1, h2, None, plan)
-        ok = ok and good
-        worst = max(worst, res)
+    ok, worst = _routes_agree(plan, rng, draws, 12, 5, lambda gc: (
+        build_H_minus(gc, fz), build_H_minus_direct(gc, fz)))
     yield ("construction:Hminus-routes", "gallery sum vs direct coefficient assembly",
            ok, worst)
     ok = True
@@ -113,17 +118,8 @@ def suite_construction(plan: SamplePlan, draws: int = 50):
         back = gc.to_integration_constants()
         ok = ok and all(as_expr(a) == b for a, b in zip(Cs, back))
     yield "construction:param-roundtrip", "integration-constant map round trip", ok, 0.0
-    ok = True
-    worst = 0.0
-    for _ in range(10):
-        vals = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
-                for _ in range(9)]
-        gc = GeneralCoefficients(*vals)
-        h1 = build_H_plus(gc, fz)
-        h2 = build_H_plus_direct(gc, fz)
-        good, res = ops_equal_numeric(h1, h2, None, plan)
-        ok = ok and good
-        worst = max(worst, res)
+    ok, worst = _routes_agree(plan, rng, 10, 6, 4, lambda gc: (
+        build_H_plus(gc, fz), build_H_plus_direct(gc, fz)))
     yield ("construction:Hplus-routes", "partner gallery sum vs conjugation assembly",
            ok, worst)
 
@@ -193,18 +189,9 @@ def suite_monomial(plan: SamplePlan):
 
     for fam, lam_ in (("A", Fraction(2)), ("B", Fraction(3)), ("C", Fraction(5, 2))):
         rng = np.random.default_rng(plan.seed + ord(fam))
-        worst = 0.0
-        ok = True
-        for _ in range(6):
-            vals = [Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 4)))
-                    for _ in range(9)]
-            gc = GeneralCoefficients(*vals)
-            lb = expand_in_literature_basis(gc, fam, lam_)
-            assembled = assemble_from_literature_basis(lb, lam_)
-            direct = build_H_minus(gc, pow_(var("z"), lam_))
-            good, res = ops_equal_numeric(assembled, direct, None, plan)
-            ok = ok and good
-            worst = max(worst, res)
+        ok, worst = _routes_agree(plan, rng, 6, 8, 4, lambda gc: (
+            assemble_from_literature_basis(expand_in_literature_basis(gc, fam, lam_), lam_),
+            build_H_minus(gc, pow_(var("z"), lam_))))
         yield (f"monomial:literature-basis-{fam}",
                f"literature-basis expansion rebuilds the operator, type {fam}",
                ok, worst)
@@ -379,10 +366,14 @@ def suite_models(plan: SamplePlan, draws_per_example: int = 2):
                 yield (f"models:{tag}:sector-{side}",
                        f"solvable sector preserved, {side} side, {tag}",
                        v.passed, max(v.residuals))
-                worst = max(algebraic_spectrum(model, side, plan).residuals)
+                try:  # the sector fit can fail at a tight tolerance
+                    sp, reason = algebraic_spectrum(model, side, plan), None
+                    worst = max(sp.residuals)
+                except InvarianceError as exc:
+                    worst, reason = None, f"{type(exc).__name__}: {exc}"
                 yield (f"models:{tag}:spectrum-{side}",
                        f"algebraic eigenfunctions solve the equation, {side} side, {tag}",
-                       worst < 1e-7, worst)
+                       worst is not None and worst < 1e-7, worst, reason)
             g = gauge_consistency_residual(model, plan)
             yield (f"models:{tag}:gauge",
                    f"gauge conjugation matches the family build, {tag}", g < 1e-8, g)
@@ -446,36 +437,40 @@ def suite_spectrum(plan: SamplePlan):
     yield "spectrum:harmonic", "oscillator fixture eigenvalues", err < 1e-4, err
     params = {"alpha": 1.0, "nu": 1.0, "b0": 3.0}
     model = build_example(1, Binding(params=params))
-    sp = algebraic_spectrum(model, "minus", plan)
-    sector = model.sector_minus
-    elements = sector.elements
-    found = []
-    for idx, ev_alg in enumerate(sp.eigenvalues):
-        if abs(ev_alg.imag) > 1e-10:
-            continue
-        coeffs = sp.coordinates[:, idx]
-        if abs(coeffs.imag).max() > 1e-10:
-            continue
-        psi = add(*(mul(float(c.real), b) for c, b in zip(coeffs, elements)))
-        verdict = normalizability_probe(psi, (0.0, float("inf")), model.binding)
-        if verdict == "normalizable":
-            found.append((float(ev_alg.real), psi))
-    ok = bool(found)
-    worst = 0.0
-    sensitivity = 0.0
-    if found:
-        lo, hi = model.fd_domain
-        fd = fd_spectrum(model.V_minus, Grid(lo, hi, 4000), 8, model.binding)
-        fd_shifted = fd_spectrum(model.V_minus, Grid(2 * lo, hi, 4000), 8,
-                                 model.binding)
-        sensitivity = float(np.max(np.abs(fd - fd_shifted)))
-        for ev_alg, _ in found:
-            dist = float(np.min(np.abs(fd - ev_alg)))
-            worst = max(worst, dist)
-            ok = ok and dist < 1e-3
-    yield ("spectrum:example1-crosscheck",
-           f"certified algebraic level appears in the grid spectrum "
-           f"(wall sensitivity {sensitivity:.1e})", ok, worst)
+    anchor = "certified algebraic level appears in the grid spectrum"
+    try:
+        sp = algebraic_spectrum(model, "minus", plan)
+    except InvarianceError as exc:  # the sector fit can fail at a tight tolerance
+        yield ("spectrum:example1-crosscheck", anchor, False, None,
+               f"{type(exc).__name__}: {exc}")
+    else:
+        elements = model.sector_minus.elements
+        found = []
+        for idx, ev_alg in enumerate(sp.eigenvalues):
+            if abs(ev_alg.imag) > 1e-10:
+                continue
+            coeffs = sp.coordinates[:, idx]
+            if abs(coeffs.imag).max() > 1e-10:
+                continue
+            psi = add(*(mul(float(c.real), b) for c, b in zip(coeffs, elements)))
+            verdict = normalizability_probe(psi, (0.0, float("inf")), model.binding)
+            if verdict == "normalizable":
+                found.append((float(ev_alg.real), psi))
+        ok = bool(found)
+        worst = 0.0
+        sensitivity = 0.0
+        if found:
+            lo, hi = model.fd_domain
+            fd = fd_spectrum(model.V_minus, Grid(lo, hi, 4000), 8, model.binding)
+            fd_shifted = fd_spectrum(model.V_minus, Grid(2 * lo, hi, 4000), 8,
+                                     model.binding)
+            sensitivity = float(np.max(np.abs(fd - fd_shifted)))
+            for ev_alg, _ in found:
+                dist = float(np.min(np.abs(fd - ev_alg)))
+                worst = max(worst, dist)
+                ok = ok and dist < 1e-3
+        yield ("spectrum:example1-crosscheck",
+               f"{anchor} (wall sensitivity {sensitivity:.1e})", ok, worst)
     e1 = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 2000), 1)[0]
     e2 = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 4000), 1)[0]
     ok = abs(e2 - 0.5) <= 0.5 * abs(e1 - 0.5) + 1e-12

@@ -191,6 +191,32 @@ class TestMain:
         assert err.startswith("error: potential singular at node q=") and err.count("\n") == 1
         assert err.endswith(f": {cause}\n")
 
+    @pytest.mark.parametrize("command", ["model", "spectrum"])
+    @pytest.mark.parametrize("bind, cause", [
+        ("alpha=1e300,nu=1,b0=1", "ValueError: -inf + inf in fsum"),
+        ("alpha=1,nu=1,b0=1e300", "OverflowError: "),
+    ])
+    def test_a_binding_that_overflows_the_model_names_the_cause(self, capsys, command,
+                                                                bind, cause):
+        assert main([command, "--example", "1", "--bind", bind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cannot be evaluated in the model: {cause}" in err
+
+    def test_a_fit_that_fails_at_the_tolerance_is_a_failed_check(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["suite", "--suites", "models,spectrum", "--tol", "1e-300", "--json", str(out)]
+        assert main(argv) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 48 + 3
+        fits = [c for c in checks
+                if ":spectrum-" in c["id"] or c["id"] == "spectrum:example1-crosscheck"]
+        assert len(fits) == 12 + 1
+        for c in fits:
+            assert c["verdict"] == "fail" and c["residual"] is None
+            assert c["reason"].startswith("InvarianceError: operator does not preserve")
+        assert "spectrum:grid-refinement" in {c["id"] for c in checks}
+
     def test_verify_commutators_degenerate_f(self, capsys):
         assert main(["verify", "commutators", "--f", "z"]) == 2
         err = capsys.readouterr().err

@@ -129,7 +129,7 @@ def test_detector_flags_an_evaluate_reference():
     "path", [p for p in MODULES if p.name != "expr.py"], ids=lambda p: p.name)
 def test_numeric_sampling_goes_through_the_batch_kernel(path):
     # evaluate is a one-point call for callers outside the package; every
-    # module samples through expr.values / expr.values_and_faults
+    # module samples through invariance.safe_points or expr.values_and_faults
     assert evaluate_refs(path.read_text(encoding="utf-8")) == []
 
 

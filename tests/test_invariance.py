@@ -9,14 +9,15 @@ import pytest
 from qsusy import (
     Add, Binding, EvalError, Fn, Mul, Rat, Var, add, fn, mul, opaque, parse, pow_, rat, sym, var,
 )
-from qsusy import invariance, suites, x2
-from qsusy.diffop import DiffOp
+from qsusy import expr, invariance, models, suites, x2
+from qsusy.diffop import DiffOp, commutator
 from qsusy.expr import diff, values, values_and_faults
 from qsusy.families import build_J, build_K, monomial_J
 from qsusy.invariance import (
     IllConditionedBasisError, SamplePlan, SamplingError, Subspace, checks,
     check_annihilates, check_invariant, check_lie_closure, commutator_rhs, default_probes,
-    ops_equal_numeric, restricted_matrix, safe_points, verify_commutator_table,
+    op_order_numeric, ops_equal_numeric, restricted_matrix, safe_points,
+    verify_commutator_table,
 )
 from scalar_oracle import evaluate as scalar_evaluate
 
@@ -496,15 +497,38 @@ class TestLieClosure:
         assert rep.closed and rep.first_order
         assert max(rep.structure_residuals.values()) < 1e-9
 
+    @staticmethod
+    def _commutators(am, a0, ap, f):
+        """[J-,J0], [J+,J0] and [J+,J-] of the shifted combinations."""
+        f = parse(f)
+        Jm = build_J(2, f) + build_J(4, f).scaled(am)
+        J0 = build_J(3, f) + build_J(5, f).scaled(a0)
+        Jp = build_J(6, f) + build_J(7, f).scaled(ap)
+        return [commutator(Jm, J0), commutator(Jp, J0), commutator(Jp, Jm)]
+
     def test_wrong_product_stays_second_order(self):
         rep = check_lie_closure(Fraction(2), Fraction(-1, 2), Fraction(1),
                                 parse("-z^2/4"))
-        assert rep.second_order and not rep.closed
+        assert not rep.closed
+        cs = self._commutators(Fraction(2), Fraction(-1, 2), Fraction(1), "-z^2/4")
+        assert [op_order_numeric(c, SamplePlan()) for c in cs] == [1, 2, 2]
 
     def test_cubic_not_closed(self):
         rep = check_lie_closure(1, Fraction(-1, 2), 1, parse("z^3"))
         assert not rep.closed
-        assert max(rep.commutator_orders.values()) == 3
+        cs = self._commutators(1, Fraction(-1, 2), 1, "z^3")
+        assert max(op_order_numeric(c, SamplePlan()) for c in cs) == 3
+
+
+def test_a_failed_joint_search_counts_every_coefficient():
+    flat = add(pow_(fn("sin", z), 2), pow_(fn("cos", z), 2), -1)  # zero only numerically
+    assert op_order_numeric(DiffOp("z", {0: z, 3: flat}), SamplePlan()) == 0
+    # log(-1 - z^2) faults at every draw, so the one search over all the
+    # coefficients fails, and each counts as nonzero: flat's order 3 wins
+    op = DiffOp("z", {0: z, 1: fn("log", add(-1, mul(-1, pow_(z, 2)))), 3: flat})
+    with pytest.raises(SamplingError):
+        safe_points(list(op.coeffs.values()), SamplePlan(), count=6)
+    assert op_order_numeric(op, SamplePlan()) == 3
 
 
 class TestChecksRunner:
@@ -572,3 +596,36 @@ class TestChecksRunner:
         wall = 1000.0 * (time.monotonic() - t0)
         assert all(r["millis"] >= 9.0 for r in recs)
         assert sum(r["millis"] for r in recs) >= 0.9 * wall
+
+
+def test_each_sampled_decision_makes_one_search(monkeypatch):
+    # one safe_points search per decision, and no kernel call outside it
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    search = spy("search", invariance.safe_points)
+    monkeypatch.setattr(invariance, "safe_points", search)
+    monkeypatch.setattr(models, "safe_points", search)
+    monkeypatch.setattr(expr, "values_and_faults", spy("kernel", expr.values_and_faults))
+
+    def searches(decide, *args):
+        calls.clear()
+        decide(*args)
+        return calls.copy()
+
+    f = parse("z^3")
+    bind = Binding(params={"alpha": 1.0, "nu": 1.0, "b0": 0.5})
+    assert searches(check_invariant, build_J(6, f), seed_space(f)) == ["search"]
+    assert searches(check_annihilates, DiffOp.d("z", 3), seed_space(z * z)) == ["search"]
+    assert searches(ops_equal_numeric, build_J(2, f), build_J(4, f)) == ["search"]
+    op = commutator(build_J(6, f), build_J(3, f))
+    assert len(op.coeffs) > 1
+    assert searches(op_order_numeric, op, SamplePlan()) == ["search"]
+    assert searches(models.build_example, 1, bind) == ["search"]
+    model = models.build_example(1, bind)
+    assert searches(models.verify_susy_conditions, model) == ["search", "search"]
