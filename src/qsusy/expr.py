@@ -229,8 +229,6 @@ class Opaque(Expr):
 ZERO = Rat(0)
 ONE = Rat(1)
 MINUS_ONE = Rat(-1)
-TWO = Rat(2)
-HALF = Rat(Fraction(1, 2))
 
 
 def as_expr(x) -> Expr:

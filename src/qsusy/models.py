@@ -158,7 +158,6 @@ class AlgebraicSpectrum:
     eigenvalues: list
     coordinates: np.ndarray
     residuals: list
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +427,6 @@ def algebraic_spectrum(model: ModelSpec, side: str,
     V = solvable_sector(model, side)
     M = restricted_matrix(H, V, plan, bind)
     eigvals, vecs = np.linalg.eig(M)
-    diagnostics = {}
-    cond_vec = np.linalg.cond(vecs)
-    if cond_vec > 1e8:
-        diagnostics["defective"] = True
-        diagnostics["eigvec_cond"] = float(cond_vec)
     elements = V.elements
     h_applied = [H.apply(b) for b in elements]
     _, V = safe_points(elements + h_applied, plan, bind, count=8)
@@ -441,8 +435,7 @@ def algebraic_spectrum(model: ModelSpec, side: str,
     for lam, c in zip(eigvals, vecs.T):
         lam_psi = lam * (Bv @ c)
         residuals.append(float(relative_residual(Hv @ c - lam_psi, np.abs(lam_psi).max())))
-    return AlgebraicSpectrum([complex(ev) for ev in eigvals], vecs, residuals,
-                             diagnostics)
+    return AlgebraicSpectrum([complex(ev) for ev in eigvals], vecs, residuals)
 
 
 def gauge_consistency_residual(model: ModelSpec,
@@ -453,8 +446,7 @@ def gauge_consistency_residual(model: ModelSpec,
     lhs = gauge_conjugate(g, model.hamiltonian("minus"))
     hz = build_H_minus(model.coeffs, model.f_of_z, "z")
     rhs = pullback(hz, Q, model.z_of_q)
-    ok, res = ops_equal_numeric(lhs, rhs, model.binding, plan, tol=plan.tol * 10)
-    return res
+    return ops_equal_numeric(lhs, rhs, model.binding, plan)[1]
 
 
 def partner_consistency_residual(model: ModelSpec,
@@ -465,6 +457,4 @@ def partner_consistency_residual(model: ModelSpec,
     hq_bar = pullback(hz, Q, model.z_of_q)
     g = fn("exp", mul(MINUS_ONE, model.gauge_plus))
     recovered = gauge_conjugate(g, hq_bar)
-    ok, res = ops_equal_numeric(recovered, model.hamiltonian("plus"),
-                                model.binding, plan, tol=plan.tol * 10)
-    return res
+    return ops_equal_numeric(recovered, model.hamiltonian("plus"), model.binding, plan)[1]

@@ -556,7 +556,7 @@ def _exact_zero_operator(op: DiffOp, n_points: int = 72) -> bool:
 
 @checks
 def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
-                         sides: tuple = ("minus", "plus"), tol: float = 1e-9):
+                         sides: tuple = ("minus", "plus")):
     """Check the catalogued operators against combinations of the frame operators.
 
     Each identity is sampled in floating point; one that fails there gets an
@@ -589,7 +589,7 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                 cij = coeffs.C(i, j)
                 if cij:
                     combo = combo + gallery[j].scaled(Rat(cij))
-            ok, res = ops_equal_numeric(target, combo, None, plan, tol=tol)
+            ok, res = ops_equal_numeric(target, combo, None, plan)
             if not ok:
                 # floating agreement can drown in coefficient cancellation;
                 # the rational fragment admits an exact certificate instead

@@ -86,8 +86,7 @@ def test_criterion_03_construction_equivalence():
                 for _ in range(9)]
         gc = GeneralCoefficients(*vals)
         ok, res = ops_equal_numeric(build_H_minus(gc, fz),
-                                    build_H_minus_direct(gc, fz), None, PLAN,
-                                    tol=1e-9)
+                                    build_H_minus_direct(gc, fz), None, PLAN)
         worst = max(worst, res)
         assert ok, res
     exact = True
@@ -106,7 +105,7 @@ def test_criterion_04_commutator_table():
     total = 0
     worst = 0.0
     for text in ("z^3", "exp(z)", "z^(7/3)"):
-        results = verify_commutator_table(parse(text), PLAN, tol=tol)
+        results = verify_commutator_table(parse(text), PLAN)  # decided at 10 * PLAN.tol
         total += len(results)
         worst = max(worst, max(r["residual"] for r in results))
         assert all(r["verdict"] == "pass" for r in results), text
@@ -175,7 +174,7 @@ def test_criterion_06_monomial_specializations():
                 warnings.simplefilter("ignore")
                 got = assemble_from_literature_basis(lb, lam)
                 want = build_H_minus(gc, pow_(z, rat(lam)))
-            good, res = ops_equal_numeric(got, want, None, PLAN, tol=1e-9)
+            good, res = ops_equal_numeric(got, want, None, PLAN)
             worst = max(worst, res)
             ok &= good
     verdict(6, bool(ok),
@@ -324,7 +323,7 @@ def test_criterion_10_x2_suite():
     for a in alphas:
         sides = ("minus", "plus") if a in (Fraction(5), Fraction(7, 2), Fraction(-3)) \
             else ("minus",)
-        for rec in x2mod.verify_x2_identities(a, PLAN, sides=sides, tol=1e-9):
+        for rec in x2mod.verify_x2_identities(a, PLAN, sides=sides):
             if rec["verdict"] == "skipped":
                 continue
             n_id += 1

@@ -216,6 +216,17 @@ class TestMain:
             assert c["verdict"] == "fail" and c["residual"] is None
             assert c["reason"].startswith("InvarianceError: operator does not preserve")
         assert "spectrum:grid-refinement" in {c["id"] for c in checks}
+        # the tolerance decides every sampled residual; only the grid checks'
+        # discretization bounds do not scale with it
+        passed = [c["id"] for c in checks if c["verdict"] == "pass" and c["residual"]]
+        assert sorted(passed) == ["spectrum:grid-refinement", "spectrum:harmonic"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "commutators", "--f", "z^3"],
+        ["suite", "--suites", "construction"],
+    ])
+    def test_the_tolerance_reaches_the_operator_identities(self, capsys, argv):
+        assert main(argv + ["--tol", "1e-300"]) == 1
 
     def test_verify_commutators_degenerate_f(self, capsys):
         assert main(["verify", "commutators", "--f", "z"]) == 2

@@ -8,7 +8,7 @@ from qsusy.diffop import (
     DiffOp, OperatorError, VariableMismatchError, commutator, compose,
     equal_canonical, expand_factored, gauge_conjugate, pretty, pullback,
 )
-from qsusy.invariance import ops_equal_numeric
+from qsusy.invariance import SamplePlan, ops_equal_numeric
 
 z = var("z")
 D = DiffOp.d("z")
@@ -88,7 +88,7 @@ class TestCommutator:
         lhs = (commutator(a, commutator(b, c))
                + commutator(b, commutator(c, a))
                + commutator(c, commutator(a, b)))
-        ok, res = ops_equal_numeric(lhs, DiffOp.zero("z"), tol=1e-8)
+        ok, res = ops_equal_numeric(lhs, DiffOp.zero("z"), plan=SamplePlan(tol=1e-8))
         assert ok, res
 
 
@@ -126,7 +126,7 @@ class TestGaugeConjugate:
         g = fn("exp", pow_(z, 2))
         op = DiffOp("z", {2: z, 1: rat(1)})
         back = gauge_conjugate(pow_(g, -1), gauge_conjugate(g, op))
-        ok, res = ops_equal_numeric(back, op, tol=1e-9)
+        ok, res = ops_equal_numeric(back, op, plan=SamplePlan(tol=1e-9))
         assert ok, res
 
 

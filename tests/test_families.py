@@ -13,7 +13,7 @@ from qsusy.families import (
     build_P3_minus, build_P3_plus, duality_K_from_J, expand_in_literature_basis,
     literature_ops, monomial_J, monomial_K, monomial_family,
 )
-from qsusy.invariance import ops_equal_numeric
+from qsusy.invariance import SamplePlan, ops_equal_numeric
 
 z = var("z")
 
@@ -307,7 +307,7 @@ class TestLiteratureBasis:
                 warnings.simplefilter("ignore")
                 assembled = assemble_from_literature_basis(lb, lam)
                 direct = build_H_minus(gc, pow_(z, rat(lam)))
-            ok, res = ops_equal_numeric(assembled, direct, tol=1e-9)
+            ok, res = ops_equal_numeric(assembled, direct, plan=SamplePlan(tol=1e-9))
             assert ok, (family, res)
 
     def test_spec_values_type_a(self):
@@ -342,7 +342,7 @@ class TestDuality:
         f = parse("exp(z)")
         for i in (3, 7):
             got = duality_K_from_J(i, f)
-            ok, res = ops_equal_numeric(got, build_K(i, f), tol=1e-9)
+            ok, res = ops_equal_numeric(got, build_K(i, f), plan=SamplePlan(tol=1e-9))
             assert ok, (i, res)
 
 

@@ -1,7 +1,7 @@
 """Stdlib stand-ins for a linter: every import in the package modules is used
 and made at module level, only the expression core reads child-node tuples
-directly, every top-level definition is reached, and the names the traced
-bench run wraps exist."""
+directly, no function takes a tolerance of its own, every top-level
+definition is reached, and the names the traced bench run wraps exist."""
 
 import ast
 import importlib
@@ -131,6 +131,34 @@ def test_numeric_sampling_goes_through_the_batch_kernel(path):
     # evaluate is a one-point call for callers outside the package; every
     # module samples through invariance.safe_points or expr.values_and_faults
     assert evaluate_refs(path.read_text(encoding="utf-8")) == []
+
+
+def tol_parameters(source: str) -> list[str]:
+    """The functions and lambdas, as "name (line n)", with a parameter named tol."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, _FUNCTIONS + (ast.Lambda,)):
+            a = n.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if any(x is not None and x.arg == "tol" for x in params):
+                out.append(f"{getattr(n, 'name', '<lambda>')} (line {n.lineno})")
+    return sorted(out)
+
+
+def test_detector_flags_a_tol_parameter():
+    source = ("def f(x, tol=1e-9):\n    return x\n\n"
+              "class C:\n    def m(self, *, tol):\n        return lambda tol: tol\n\n"
+              "def g(plan, **tol):\n    return plan.tol\n\n"
+              "def h(plan):\n    return replace(plan, tol=10 * plan.tol)\n")
+    assert tol_parameters(source) == [
+        "<lambda> (line 6)", "f (line 1)", "g (line 8)", "m (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_a_tolerance(path):
+    # SamplePlan.tol is the one tolerance of every sampled residual; a check
+    # that needs another margin states it as a multiple of plan.tol
+    assert tol_parameters(path.read_text(encoding="utf-8")) == []
 
 
 _RULE_ERRORS = ("PoleError", "EvalDomainError", "UnboundSymbolError")

@@ -5,7 +5,7 @@ import pytest
 from qsusy import equal0, mul, opaque, parse, pow_, rat, var
 from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.families import ParameterError, build_J, build_K, build_P3_minus
-from qsusy.invariance import check_annihilates, check_invariant, ops_equal_numeric
+from qsusy.invariance import SamplePlan, check_annihilates, check_invariant, ops_equal_numeric
 from qsusy.x2 import (
     FrameError, WronskianFrame, X2Coefficients, _exact_zero_operator, cij_coefficients,
     combination_admissible,
@@ -73,23 +73,25 @@ class TestTwoRoutes:
     def test_j_routes_agree(self, i):
         fr = x2_frame(Fraction(2))
         ok, res = ops_equal_numeric(wronskian_J(i, fr),
-                                    wronskian_J_via_conjugation(i, fr), tol=1e-9)
+                                    wronskian_J_via_conjugation(i, fr),
+                                    plan=SamplePlan(tol=1e-9))
         assert ok, (i, res)
 
     @pytest.mark.parametrize("i", [0, 1, 3, 8])
     def test_k_routes_agree(self, i):
         fr = x2_frame(Fraction(2))
         ok, res = ops_equal_numeric(wronskian_K(i, fr),
-                                    wronskian_K_via_conjugation(i, fr), tol=1e-9)
+                                    wronskian_K_via_conjugation(i, fr),
+                                    plan=SamplePlan(tol=1e-9))
         assert ok, (i, res)
 
     def test_supercharge_routes_agree(self):
         fr = x2_frame(Fraction(3))
         pm, pp = x2_supercharges(fr)
         cm, cp = supercharges_via_conjugation(fr)
-        ok, res = ops_equal_numeric(pm, cm, tol=1e-9)
+        ok, res = ops_equal_numeric(pm, cm, plan=SamplePlan(tol=1e-9))
         assert ok, res
-        ok, res = ops_equal_numeric(pp, cp, tol=1e-9)
+        ok, res = ops_equal_numeric(pp, cp, plan=SamplePlan(tol=1e-9))
         assert ok, res
 
     def test_smooth_frame_invariance(self):
