@@ -45,9 +45,9 @@ class SamplePlan:
 
     A residual passes at tol; the decisions that need a different margin state
     it once, as a fixed multiple: the P3 annihilations at tol / 10, the
-    commutator table, the closure identities and the models' conditions, gauge
-    and partner checks at 10 * tol, and the models' spectra and the exit code
-    of `qsusy model` at 100 * tol.
+    commutator table, the closure identities, the models' conditions, gauge
+    and partner checks and the exit code of `qsusy model` at 10 * tol, and
+    the models' spectra at 100 * tol.
     """
     m: int = 12
     holdout: int = 6
@@ -360,7 +360,7 @@ def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
     return worst <= plan.tol, worst
 
 
-def op_order_numeric(op: DiffOp, plan: SamplePlan) -> int:
+def op_order_numeric(op: DiffOp, plan: SamplePlan, bind: Binding | None = None) -> int:
     """Largest derivative order whose coefficient is not numerically zero
     (above 1e-8 in magnitude at some sample point).
 
@@ -369,7 +369,7 @@ def op_order_numeric(op: DiffOp, plan: SamplePlan) -> int:
     """
     orders = sorted(op.coeffs)
     try:
-        _, V = safe_points([op.coeffs[k] for k in orders], plan, count=6)
+        _, V = safe_points([op.coeffs[k] for k in orders], plan, bind, count=6)
     except SamplingError:
         return max(orders, default=-1)
     return max((k for k, big in zip(orders, (np.abs(V) > 1e-8).any(axis=0)) if big),
@@ -485,33 +485,46 @@ class ClosureReport:
     structure_residuals: dict
 
 
-def check_lie_closure(alpha_minus, alpha_zero, alpha_plus, f,
-                      plan: SamplePlan = SamplePlan()) -> ClosureReport:
-    """Probe whether J2+α₋J4, J3+α₀J5, J6+α₊J7 close an sl(2)-type algebra;
-    the three structure identities are decided at 10 * plan.tol."""
+def lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f):
+    """J₋ = J2+α₋J4, J₀ = J3+α₀J5, J₊ = J6+α₊J7 and the three structure
+    identities {name: (lhs, rhs)} of an sl(2)-type algebra among them."""
     f = as_expr(f)
     am, a0, ap = as_expr(alpha_minus), as_expr(alpha_zero), as_expr(alpha_plus)
     Jm = build_J(2, f) + build_J(4, f).scaled(am)
     J0 = build_J(3, f) + build_J(5, f).scaled(a0)
     Jp = build_J(6, f) + build_J(7, f).scaled(ap)
-    first_order = all(op_order_numeric(op, plan) <= 1 for op in (Jm, J0, Jp))
-    v = Jm.var
     half = Fraction(1, 2)
-    targets = {
+    return (Jm, J0, Jp), {
         "[J-,J0]=J-/2": (commutator(Jm, J0), Jm.scaled(as_expr(half))),
         "[J+,J0]=-J+/2": (commutator(Jp, J0), Jp.scaled(as_expr(-half))),
         "[J+,J-]=-2J0+1": (commutator(Jp, Jm),
-                           J0.scaled(as_expr(-2)) + DiffOp.identity(v)),
+                           J0.scaled(as_expr(-2)) + DiffOp.identity(Jm.var)),
     }
+
+
+def decide_lie_closure(ops, targets: dict, plan: SamplePlan = SamplePlan(),
+                       bind: Binding | None = None) -> ClosureReport:
+    """Whether lie_closure_identities' combinations are first order and its
+    identities hold under bind, each decided at 10 * plan.tol."""
+    first_order = all(op_order_numeric(op, plan, bind) <= 1 for op in ops)
     plan = replace(plan, tol=10 * plan.tol)
     resids = {}
     closed = True
     for key, (lhs, rhs) in targets.items():
         try:
-            ok, res = ops_equal_numeric(lhs, rhs, None, plan)
+            ok, res = ops_equal_numeric(lhs, rhs, bind, plan)
         except SamplingError:
             ok, res = False, float("inf")
         resids[key] = res
         closed = closed and ok
     closed = closed and first_order
     return ClosureReport(first_order, closed, resids)
+
+
+def check_lie_closure(alpha_minus, alpha_zero, alpha_plus, f,
+                      plan: SamplePlan = SamplePlan(),
+                      bind: Binding | None = None) -> ClosureReport:
+    """Probe whether J2+α₋J4, J3+α₀J5, J6+α₊J7 close an sl(2)-type algebra,
+    with any parameter left symbolic bound by bind."""
+    return decide_lie_closure(
+        *lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f), plan, bind)

@@ -10,13 +10,13 @@ deterministic for a fixed (config, seed) pair.
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .expr import (
-    Binding, ONE, Var, add, as_expr, diff, mul, opaque, pow_, var,
+    Binding, ONE, Var, add, as_expr, diff, mul, opaque, pow_, sym, var,
 )
 from .parser import parse
 from .diffop import DiffOp, equal_canonical
@@ -28,8 +28,8 @@ from .families import (
 )
 from .invariance import (
     Subspace, SamplePlan, InvarianceError, checks, check_invariant, check_annihilates,
-    verify_commutator_table, check_lie_closure, ops_equal_numeric,
-    _sampled_actions,
+    verify_commutator_table, check_lie_closure, lie_closure_identities,
+    decide_lie_closure, ops_equal_numeric, _sampled_actions,
 )
 from .models import (
     build_example, verify_susy_conditions, sector_invariance,
@@ -87,15 +87,19 @@ def suite_families(plan: SamplePlan):
                v.passed, max(v.residuals))
 
 
+COEFF_NAMES = tuple(f.name for f in fields(GeneralCoefficients))  # c0 ... a2
+
+
 def _routes_agree(plan: SamplePlan, rng, draws: int, top: int, den: int, routes):
-    """(ok, worst residual) of ops_equal_numeric on the two operators
-    routes(gc) for draws coefficient sets gc of nine Fractions, each a
-    numerator in [-top, top] over a denominator in [1, den), drawn in turn."""
+    """(ok, worst residual) of ops_equal_numeric on routes(gc), built once on
+    nine symbols, under draws bindings of nine Fractions, each a numerator in
+    [-top, top] over a denominator in [1, den), drawn in turn."""
+    a, b = routes(GeneralCoefficients(*map(sym, COEFF_NAMES)))
     ok, worst = True, 0.0
     for _ in range(draws):
         vals = [Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, den)))
-                for _ in range(9)]
-        good, res = ops_equal_numeric(*routes(GeneralCoefficients(*vals)), None, plan)
+                for _ in COEFF_NAMES]
+        good, res = ops_equal_numeric(a, b, Binding(dict(zip(COEFF_NAMES, map(float, vals)))), plan)
         ok = ok and good
         worst = max(worst, res)
     return ok, worst
@@ -136,20 +140,19 @@ def suite_commutators(plan: SamplePlan, f_texts=("z^3", "exp(z)", "z^(7/3)")):
 def suite_lie_closure(plan: SamplePlan):
     grid_am = [Fraction(-2), Fraction(-1, 2), Fraction(1), Fraction(2), Fraction(3)]
     grid_a0 = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
+    # built once per shape of f, with the three α symbolic; each point binds them
+    special, generic = (lie_closure_identities(sym("am"), sym("a0"), sym("ap"), parse(f))
+                        for f in ("-z^2/(2*am)", "z^3"))
     closures = []
     total = 0
     for am in grid_am:
         for a0 in grid_a0:
             for kind in ("inverse", "double", "generic-f"):
                 total += 1
-                if kind == "generic-f":
-                    f = parse("z^3")
-                    ap = Fraction(1)
-                else:
-                    f = mul(Fraction(-1, 2) / am, pow_(var("z"), 2))
-                    ap = 1 / am if kind == "inverse" else 2 / am
-                rep = check_lie_closure(am, a0, ap, f, plan)
-                if rep.closed:
+                ap = {"inverse": 1 / am, "double": 2 / am, "generic-f": Fraction(1)}[kind]
+                bind = Binding(params={"am": float(am), "a0": float(a0), "ap": float(ap)})
+                built = generic if kind == "generic-f" else special
+                if decide_lie_closure(*built, plan, bind).closed:
                     closures.append((am, a0, ap, kind))
     expected = [(am, Fraction(-1, 2), 1 / am, "inverse") for am in grid_am]
     ok = sorted(map(str, closures)) == sorted(map(str, expected))

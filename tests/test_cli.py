@@ -386,3 +386,27 @@ def test_failed_model_build_records_its_reason(monkeypatch):
     assert failed[0]["reason"].startswith("ModelParameterError: ")
     assert all("reason" not in c for c in checks if c["verdict"] != "fail")
     assert "ModelParameterError" in Report(SuiteConfig(), checks).to_json(include_timing=False)
+
+
+@pytest.mark.parametrize("scale, passes", [(5, True), (10, True), (50, False)])
+def test_model_exit_code_and_suite_share_the_conditions_margin(monkeypatch, capsys,
+                                                               scale, passes):
+    """`qsusy model` exits 0 exactly where models:*:conditions passes: the
+    largest condition residual at most 10 * tol."""
+    from dataclasses import replace
+    from qsusy import cli, models, suites
+    from qsusy.invariance import SamplePlan
+
+    tol = SamplePlan().tol
+
+    def conditions(model, plan):
+        return replace(models.verify_susy_conditions(model, plan), f2_match=scale * tol)
+
+    monkeypatch.setattr(cli, "verify_susy_conditions", conditions)
+    monkeypatch.setattr(suites, "verify_susy_conditions", conditions)
+    rc = main(["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5"])
+    capsys.readouterr()
+    assert rc == (0 if passes else 1)
+    checks = suites.suite_models(SamplePlan(), draws_per_example=1)
+    verdicts = {c["verdict"] for c in checks if c["id"].endswith(":conditions")}
+    assert verdicts == {"pass" if passes else "fail"}

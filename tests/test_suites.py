@@ -1,0 +1,153 @@
+"""The bound route checks and closure sweep: each operator pair is built once
+with symbolic parameters and every draw is decided under a Binding."""
+
+import json
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qsusy import Binding, add, parse, sym
+from qsusy.cli import SuiteConfig, run_suite
+from qsusy.families import (
+    GeneralCoefficients, build_H_minus, build_H_minus_direct, build_H_plus,
+    build_H_plus_direct,
+)
+from qsusy.invariance import (
+    SamplePlan, SamplingError, check_lie_closure, decide_lie_closure,
+    lie_closure_identities, ops_equal_numeric,
+)
+from qsusy import suites
+from qsusy.suites import COEFF_NAMES, _routes_agree
+
+FZ = parse("z^3 + z")
+PLAN = SamplePlan()
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "suite-all.json"
+
+
+def _symbolic():
+    return GeneralCoefficients(*map(sym, COEFF_NAMES))
+
+
+def _draws(n, top=12, den=5, seed=7):
+    rng = np.random.default_rng(seed)
+    return [[Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, den)))
+             for _ in COEFF_NAMES] for _ in range(n)]
+
+
+def _bind(vals):
+    return Binding(params={name: float(v) for name, v in zip(COEFF_NAMES, vals)})
+
+
+def test_coefficient_names_are_the_fields_in_order():
+    assert COEFF_NAMES == ("c0", "c1", "c2", "b0", "b1", "b2", "a0", "a1", "a2")
+
+
+# negative controls: binding must not make a route check vacuous -------------
+
+@pytest.mark.parametrize("build, direct, top, den", [
+    (build_H_minus, build_H_minus_direct, 12, 5),
+    (build_H_plus, build_H_plus_direct, 6, 4),
+])
+def test_a_perturbed_direct_route_fails_under_every_binding(build, direct, top, den):
+    def routes(gc):
+        return build(gc, FZ), direct(replace(gc, a2=add(gc.a2, Fraction(1, 10**6))), FZ)
+
+    ok, worst = _routes_agree(PLAN, np.random.default_rng(7), 3, top, den, routes)
+    assert not ok and worst > 10 * PLAN.tol
+    a, b = routes(_symbolic())
+    for vals in _draws(3, top, den):
+        assert not ops_equal_numeric(a, b, _bind(vals), PLAN)[0]
+
+
+def test_a_symbol_left_unbound_never_passes():
+    def routes(gc):
+        return build_H_minus(gc, FZ), build_H_minus_direct(replace(gc, a2=sym("stray")), FZ)
+
+    with pytest.raises(SamplingError):
+        _routes_agree(PLAN, np.random.default_rng(7), 3, 12, 5, routes)
+    a, b = build_H_minus(_symbolic(), FZ), build_H_minus_direct(_symbolic(), FZ)
+    partial = Binding(params={n: 1.0 for n in COEFF_NAMES if n != "b1"})
+    with pytest.raises(SamplingError):
+        ops_equal_numeric(a, b, partial, PLAN)
+
+
+def test_a_closure_point_with_an_unbound_alpha_is_not_closed():
+    built = lie_closure_identities(sym("am"), sym("a0"), sym("ap"), parse("-z^2/(2*am)"))
+    assert decide_lie_closure(*built, PLAN,
+                              Binding(params={"am": 2.0, "a0": -0.5, "ap": 0.5})).closed
+    rep = decide_lie_closure(*built, PLAN, Binding(params={"am": 2.0, "ap": 0.5}))
+    assert not rep.closed
+    assert all(r == float("inf") for r in rep.structure_residuals.values())
+
+
+# differential oracle: the concrete build against the symbolic build, bound --
+
+@pytest.mark.parametrize("build", [build_H_minus, build_H_minus_direct, build_H_plus,
+                                   build_H_plus_direct])
+def test_bound_symbolic_build_is_the_concrete_build(build):
+    symbolic = build(_symbolic(), FZ)
+    for vals in _draws(3):
+        concrete = build(GeneralCoefficients(*vals), FZ)
+        ok, res = ops_equal_numeric(concrete, symbolic, _bind(vals), PLAN)
+        assert ok, (vals, res)
+
+
+@pytest.mark.parametrize("ap", [Fraction(1, 2), Fraction(1)])  # closes / does not
+def test_bound_closure_build_is_the_concrete_build(ap):
+    am, a0 = Fraction(2), Fraction(-1, 2)
+    bind = Binding(params={"am": float(am), "a0": float(a0), "ap": float(ap)})
+    f_sym = parse("-z^2/(2*am)")
+    f = parse("-z^2/4")
+    ops_c, targets_c = lie_closure_identities(am, a0, ap, f)
+    ops_s, targets_s = lie_closure_identities(sym("am"), sym("a0"), sym("ap"), f_sym)
+    for c, s in zip(ops_c, ops_s):
+        assert ops_equal_numeric(c, s, bind, PLAN)[0]
+    for key in targets_c:
+        for c, s in zip(targets_c[key], targets_s[key]):
+            assert ops_equal_numeric(c, s, bind, PLAN)[0], key
+    concrete = check_lie_closure(am, a0, ap, f, PLAN)
+    bound = check_lie_closure(sym("am"), sym("a0"), sym("ap"), f_sym, PLAN, bind)
+    assert (bound.closed, bound.first_order) == (concrete.closed, concrete.first_order)
+    assert bound.closed == (ap == Fraction(1, 2))
+    for key, res in concrete.structure_residuals.items():
+        assert abs(bound.structure_residuals[key] - res) <= PLAN.tol * max(1.0, res)
+
+
+def test_routes_are_built_once_per_call(monkeypatch):
+    calls = []
+
+    def routes(gc):
+        calls.append(gc)
+        return build_H_minus(gc, FZ), build_H_minus_direct(gc, FZ)
+
+    ok, _ = _routes_agree(PLAN, np.random.default_rng(7), 4, 12, 5, routes)
+    assert ok and calls == [_symbolic()]
+    seen = []
+    real = suites._routes_agree
+
+    def spy(plan, rng, draws, top, den, routes):
+        count = []
+        out = real(plan, rng, draws, top, den, lambda gc: count.append(gc) or routes(gc))
+        seen.append(len(count))
+        return out
+
+    monkeypatch.setattr(suites, "_routes_agree", spy)
+    checks = suites.suite_construction(PLAN, draws=5)
+    assert seen == [1, 1] and all(c["verdict"] == "pass" for c in checks)
+
+
+# verdict gate: the report's verdicts are the benchmark's reference ----------
+
+@pytest.mark.parametrize("seed", [7, 12])
+def test_suite_verdicts_match_the_reference(seed):
+    reference = json.loads(REFERENCE.read_text())
+    expected = dict(reference["verdicts"])
+    for check_id, table in reference["seed_dependent"].items():
+        lo, hi = table["recorded_seeds"]
+        assert lo <= seed <= hi
+        expected[check_id] = "fail" if seed in table["fail_seeds"] else "pass"
+    got = {c["id"]: c["verdict"] for c in run_suite(SuiteConfig(seed=seed)).checks}
+    assert got == expected
