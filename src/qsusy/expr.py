@@ -986,13 +986,15 @@ def values_and_faults(exprs: list, points, bind: Binding | None = None):
     Each block of up to _BLOCK points gets a fresh _Context, in which every
     distinct node is evaluated once, over the whole block at once; nothing is
     kept between calls (invariance's point search keeps contexts for a checks
-    run).  A node that cannot vary with the point (a Rat, a Sym, anything
-    built only from them) is a one-element column, computed once per block
-    and spread by numpy broadcasting; a fault there records one exception for
-    every point of the block.  Mul multiplies in factor order, Add takes
-    math.fsum per point over a zip of its term columns, and Pow and the
-    elementary functions call the Python/libm routine per element, a
-    one-element operand (such as a constant exponent) repeated as a scalar.
+    run).  A node that cannot vary with the point (a Rat, a Sym bound to a
+    number, anything built only from them) is a one-element column, computed
+    once per block and spread by numpy broadcasting; a fault there records
+    one exception for every point of the block.  A Sym bound to an array (in
+    invariance's stacked walks, over one block) is that array, one value per
+    point.  Mul multiplies in factor order, Add takes math.fsum per point
+    over a zip of its term columns, and Pow and the elementary functions call
+    the Python/libm routine per element, a one-element operand (such as a
+    constant exponent) repeated as a scalar.
     The rules:
     - x^e with e < 0 and |x| < EPS_POLE is a PoleError naming |x|;
     - x^e with x < 0 and e not an integer is an EvalDomainError (round() of a
@@ -1141,7 +1143,8 @@ def _walker(x0: np.ndarray, b: Binding, errors: list) -> _Context:
             if x.name not in b.params:
                 return fail(None, lambda k: UnboundSymbolError(
                     f"parameter {x.name!r} is not bound"))
-            return constant(b.params[x.name])
+            value = b.params[x.name]  # an array in a stacked binding: one value per point
+            return (value, None) if isinstance(value, np.ndarray) else constant(value)
         if t is Opaque:
             a, fault = ev(x.arg)
             try:

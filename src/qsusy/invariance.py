@@ -18,7 +18,7 @@ import numpy as np
 
 from .expr import (
     EMPTY_BINDING, Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, EvalError,
-    mul, pow_, fn, var, as_expr, diff, _walker,
+    mul, pow_, fn, var, as_expr, diff, _walker, _BLOCK,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
 from .families import _fctx, build_J
@@ -95,15 +95,15 @@ def record(check_id: str, anchor: str, ok, residual, t0, reason=None) -> dict:
 class _Store:
     """What one checks run keeps for its point searches: the candidate draws
     of each (seed, intervals, need), drawn once and read-only, and one kernel
-    context per (candidate chunk, binding), so a node the run has evaluated
-    on a chunk is not evaluated there again.  A context holds its chunk, its
-    binding and its roots, so no id it is keyed by can be reused while it
-    lives; one whose memo has passed _CONTEXT_NODES entries is replaced.
+    context per (candidate chunk, batch of bindings), so a node the run has
+    evaluated there is not evaluated there again.  An entry holds its chunk,
+    bindings and roots, so no id it is keyed by can be reused while it lives;
+    one whose memo has passed _CONTEXT_NODES entries is replaced.
     """
 
     def __init__(self):
         self.draws: dict = {}     # (seed, intervals, need) -> (rng, chunks of each interval)
-        self.contexts: dict = {}  # (id(chunk), id(binding)) -> kernel context
+        self.contexts: dict = {}  # (id(chunk), id of each binding) -> (bindings, context)
 
     def candidates(self, plan: SamplePlan, need: int):
         """The candidate chunks of 2*need draws, in draw order; an interval is
@@ -120,15 +120,33 @@ class _Store:
                 drawn.append([draws[i:i + step] for i in range(0, len(draws), step)])
             yield from drawn[k]
 
-    def columns(self, exprs: list, chunk: np.ndarray, bind: Binding | None):
-        """values_and_faults(exprs, chunk, bind), from the chunk's context."""
-        b = bind or EMPTY_BINDING
-        key = (id(chunk), id(b))
-        cx = self.contexts.get(key)
-        if cx is None or len(cx.memo) > _CONTEXT_NODES:
-            cx = self.contexts[key] = _walker(chunk, b, [None])
-        V, F = cx.columns(exprs)
-        return V, F, cx.errors
+    def columns(self, exprs: list, chunk: np.ndarray, binds: list) -> list:
+        """values_and_faults(exprs, chunk, bind) for each bind of binds.
+
+        Bindings with the same parameter names and opaque functions are
+        stacked, up to _BLOCK points at a time: one context walks the chunk
+        repeated once per binding, each parameter the one value they agree on
+        or else a column of float(value) per point, and each reads its rows.
+        """
+        P, per, out = len(chunk), max(_BLOCK // len(chunk), 1), [None] * len(binds)
+        groups: dict = {}
+        for d, b in enumerate(binds):
+            groups.setdefault((tuple(sorted(b.params)), tuple(b.funcs.items())), []).append(d)
+        for ds in groups.values():
+            for batch in (ds[start:start + per] for start in range(0, len(ds), per)):
+                held = [binds[d] for d in batch]
+                key = (id(chunk), *map(id, held))
+                if key not in self.contexts or len(self.contexts[key][1].memo) > _CONTEXT_NODES:
+                    stacked = held[0].with_params(**{
+                        name: value if all(b.params[name] == value for b in held)
+                        else np.repeat([float(b.params[name]) for b in held], P)
+                        for name, value in held[0].params.items()})
+                    self.contexts[key] = held, _walker(np.tile(chunk, len(held)), stacked, [None])
+                cx = self.contexts[key][1]
+                V, F = cx.columns(exprs)
+                for k, d in enumerate(batch):
+                    out[d] = V[k * P:(k + 1) * P], F[k * P:(k + 1) * P], cx.errors
+        return out
 
 
 _CONTEXT_NODES = 1000  # memo entries a context may pass before it is dropped (sweep: CHANGES.md)
@@ -180,56 +198,80 @@ class Verdict:
 
 def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
                 count: int | None = None):
-    """Deterministic draw of points where every expression evaluates cleanly.
+    """(points, V) where exprs evaluate cleanly: safe_points_each for one binding."""
+    return _or_raise(safe_points_each(exprs, plan, [bind], count))[0]
 
-    Returns (points, V) with V[i, j] the value of exprs[j] at points[i]: the
-    kernel rows that accepted the points, bit-equal to values(exprs, points,
-    bind).  The candidates depend only on the plan's seed and intervals and
-    on count: 60*count uniform draws from each interval in turn, from one
-    default_rng(plan.seed), taken in chunks of 2*count.  A draw is rejected
-    where an expression faults or its value is not finite or above the
-    magnitude cap; a later draw within the exclusion radius of a rejected
-    one, or within a tenth of it of an accepted point, is skipped unseen.  An
-    error that is not an EvalError at a rejected draw is raised.
+
+def safe_points_each(exprs: list, plan: SamplePlan, binds: list,
+                     count: int | None = None) -> list:
+    """Per binding of binds, (points, V) with V[i, j] the value of exprs[j]
+    at points[i] under it, or the SamplingError its search ends in.
+
+    V holds the kernel rows that accepted the points, bit-equal to
+    values(exprs, points, bind).  The candidates depend only on the plan's
+    seed and intervals and on count: 60*count uniform draws from each
+    interval in turn, from one default_rng(plan.seed), taken in chunks of
+    2*count.  A draw is rejected where an expression faults or its value is
+    not finite or above the magnitude cap; a later draw within the exclusion
+    radius of a rejected one, or within a tenth of it of an accepted point,
+    is skipped unseen.  An error that is not an EvalError at a rejected draw
+    is raised.
 
     The draws and their kernel columns come from the checks run's _Store, or
-    outside a run from a store of this call alone.  The verdicts come from
+    outside a run from a store of this call alone; at each chunk one stacked
+    walk evaluates every binding still searching.  The verdicts come from
     array masks; only draws near an earlier draw or point (_near) replay the
-    exclusion rules in Python, in draw order, so the result is the one a
-    point-by-point search gives.
+    exclusion rules in Python, in draw order, so each binding gets the result
+    a point-by-point search of its own gives.
     """
     need = count if count is not None else plan.m + plan.holdout
     store = _store if _store is not None else _Store()
-    out: list[float] = []  # the points accepted so far, and their rows
-    rows: list[np.ndarray] = []
-    bad: list[float] = []  # the draws rejected so far
+    binds = [b or EMPTY_BINDING for b in binds]
+    # per binding: the points accepted so far, their rows, the draws rejected so far
+    state = [([], [], []) for _ in binds]
+    found: dict = {}
     for chunk in store.candidates(plan, need):
-        V, F, errors = store.columns(exprs, chunk, bind)
-        # per draw and expression: a fault or a value out of range
-        S = (F != 0) | ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap)
-        rejected = S.any(axis=1)
-        kept = np.ones(len(chunk), bool)  # not skipped by an exclusion rule
-        for i in _near(chunk, out + bad, plan.exclusion):
-            x = float(chunk[i])
-            prior_bad = bad + chunk[:i][kept[:i] & rejected[:i]].tolist()
-            prior_out = out + chunk[:i][kept[:i] & ~rejected[:i]].tolist()
-            kept[i] = not (any(abs(x - g) < plan.exclusion for g in prior_bad)
-                           or any(abs(x - p) < plan.exclusion / 10 for p in prior_out))
-        ok = (kept & ~rejected).nonzero()[0]
-        end = len(chunk) if len(out) + len(ok) < need else ok[need - len(out) - 1] + 1
-        failed = kept[:end] & rejected[:end]
-        for i in failed.nonzero()[0].tolist():
-            err = errors[F[i, S[i].argmax()]]  # None for a value out of range
-            if err is not None and not isinstance(err, EvalError):
-                raise err
-        ok = ok[ok < end]
-        out += chunk[ok].tolist()
-        rows.append(V[ok])
-        if len(out) >= need:
-            return np.array(out), np.concatenate(rows)
-        bad += chunk[failed].tolist()
-    raise SamplingError(
+        searching = [d for d in range(len(binds)) if d not in found]
+        cols = store.columns(exprs, chunk, [binds[d] for d in searching])
+        for d, (V, F, errors) in zip(searching, cols):
+            out, rows, bad = state[d]
+            # per draw and expression: a fault or a value out of range
+            S = (F != 0) | ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap)
+            rejected = S.any(axis=1)
+            kept = np.ones(len(chunk), bool)  # not skipped by an exclusion rule
+            for i in _near(chunk, out + bad, plan.exclusion):
+                x = float(chunk[i])
+                prior_bad = bad + chunk[:i][kept[:i] & rejected[:i]].tolist()
+                prior_out = out + chunk[:i][kept[:i] & ~rejected[:i]].tolist()
+                kept[i] = not (any(abs(x - g) < plan.exclusion for g in prior_bad)
+                               or any(abs(x - p) < plan.exclusion / 10 for p in prior_out))
+            ok = (kept & ~rejected).nonzero()[0]
+            end = len(chunk) if len(out) + len(ok) < need else ok[need - len(out) - 1] + 1
+            failed = kept[:end] & rejected[:end]
+            for i in failed.nonzero()[0].tolist():
+                err = errors[F[i, S[i].argmax()]]  # None for a value out of range
+                if err is not None and not isinstance(err, EvalError):
+                    raise err
+            ok = ok[ok < end]
+            out += chunk[ok].tolist()
+            rows.append(V[ok])
+            if len(out) >= need:
+                found[d] = np.array(out), np.concatenate(rows)
+            else:
+                bad += chunk[failed].tolist()
+        if len(found) == len(binds):
+            break
+    return [found[d] if d in found else SamplingError(
         f"could only find {len(out)} of {need} usable sample points")
+        for d, (out, _, _) in enumerate(state)]
+
+
+def _or_raise(found: list) -> list:
+    """A list form's result, raising its first SamplingError if it has one."""
+    for got in found:
+        if isinstance(got, SamplingError):
+            raise got
+    return found
 
 
 def _near(x: np.ndarray, others: list, radius: float) -> list:
@@ -249,8 +291,15 @@ def _near(x: np.ndarray, others: list, radius: float) -> list:
 
 def _sampled_actions(ops: list, fs: list, plan: SamplePlan, bind: Binding | None,
                      count: int | None = None):
-    """Points, values F of fs, each op's signed sums Y of op(f_i), and one
-    magnitude sum G over the terms of all ops.
+    """_sampled_actions_each for one binding."""
+    return _or_raise(_sampled_actions_each(ops, fs, plan, [bind], count))[0]
+
+
+def _sampled_actions_each(ops: list, fs: list, plan: SamplePlan, binds: list,
+                          count: int | None = None) -> list:
+    """Per binding: points, values F of fs, each op's signed sums Y of
+    op(f_i), and one magnitude sum G over the terms of all ops; or the
+    SamplingError of its point search.
 
     One point search covers fs, every coefficient of every op and the
     derivatives of fs the ops need.  G measures how much floating-point
@@ -262,20 +311,24 @@ def _sampled_actions(ops: list, fs: list, plan: SamplePlan, bind: Binding | None
     coeffs = [c for op in ops for c in op.coeffs.values()]
     orders = sorted({k for op in ops for k in op.coeffs})
     derivs = [diff(f, v, k) for k in orders for f in fs]
-    pts, A = safe_points(fs + coeffs + derivs, plan, bind, count)
-    C, D = A[:, n:n + len(coeffs)], A[:, n + len(coeffs):]
-    G = np.zeros((len(pts), n))
-    Ys, col = [], 0
-    for op in ops:
-        Y = np.zeros_like(G)
-        for k in op.coeffs:
-            j = orders.index(k) * n
-            t = C[:, col:col + 1] * D[:, j:j + n]
-            Y += t
-            G += np.abs(t)
-            col += 1
-        Ys.append(Y)
-    return pts, A[:, :n], Ys, G
+
+    def actions(pts, A):
+        C, D = A[:, n:n + len(coeffs)], A[:, n + len(coeffs):]
+        G = np.zeros((len(pts), n))
+        Ys, col = [], 0
+        for op in ops:
+            Y = np.zeros_like(G)
+            for k in op.coeffs:
+                j = orders.index(k) * n
+                t = C[:, col:col + 1] * D[:, j:j + n]
+                Y += t
+                G += np.abs(t)
+                col += 1
+            Ys.append(Y)
+        return pts, A[:, :n], Ys, G
+
+    return [got if isinstance(got, SamplingError) else actions(*got)
+            for got in safe_points_each(fs + coeffs + derivs, plan, binds, count)]
 
 
 def relative_residual(R: np.ndarray, S) -> np.ndarray:
@@ -344,8 +397,15 @@ def default_probes(variable: str) -> list:
 
 def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
                       plan: SamplePlan = SamplePlan()):
-    """Whether two operators agree on the default probes at 12 safe points:
-    (worst residual <= plan.tol, worst residual).
+    """(worst residual <= plan.tol, worst residual): ops_equal_each for one binding."""
+    return _or_raise(ops_equal_each(a, b, [bind], plan))[0]
+
+
+def ops_equal_each(a: DiffOp, b: DiffOp, binds: list,
+                   plan: SamplePlan = SamplePlan()) -> list:
+    """Per binding, whether two operators agree on the default probes at 12
+    safe points, (worst residual <= plan.tol, worst residual); or the
+    SamplingError of its point search.
 
     Differences are judged relative to the summed term magnitudes of the two
     applications, point by point, so cancellation-heavy coefficients do not
@@ -354,26 +414,28 @@ def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
     """
     if a.var != b.var:
         raise OperatorError("variable tags differ")
-    _, _, (Ya, Yb), G = _sampled_actions([a, b], default_probes(a.var), plan, bind,
-                                         count=12)
-    worst = float(relative_residual(Ya - Yb, G).max(initial=0.0))
-    return worst <= plan.tol, worst
+    out = []
+    for got in _sampled_actions_each([a, b], default_probes(a.var), plan, binds, count=12):
+        if not isinstance(got, SamplingError):
+            _, _, (Ya, Yb), G = got
+            worst = float(relative_residual(Ya - Yb, G).max(initial=0.0))
+            got = worst <= plan.tol, worst
+        out.append(got)
+    return out
 
 
-def op_order_numeric(op: DiffOp, plan: SamplePlan, bind: Binding | None = None) -> int:
-    """Largest derivative order whose coefficient is not numerically zero
-    (above 1e-8 in magnitude at some sample point).
+def op_order_each(op: DiffOp, plan: SamplePlan, binds: list) -> list:
+    """Per binding, the largest derivative order whose coefficient is not
+    numerically zero (above 1e-8 in magnitude at some sample point).
 
     One point search covers every coefficient.  If it fails, every
     coefficient counts as nonzero: the order is the structural one.
     """
     orders = sorted(op.coeffs)
-    try:
-        _, V = safe_points([op.coeffs[k] for k in orders], plan, bind, count=6)
-    except SamplingError:
-        return max(orders, default=-1)
-    return max((k for k, big in zip(orders, (np.abs(V) > 1e-8).any(axis=0)) if big),
-               default=-1)
+    return [max(orders, default=-1) if isinstance(got, SamplingError) else
+            max((k for k, big in zip(orders, (np.abs(got[1]) > 1e-8).any(axis=0)) if big),
+                default=-1)
+            for got in safe_points_each([op.coeffs[k] for k in orders], plan, binds, count=6)]
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +566,32 @@ def lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f):
 
 def decide_lie_closure(ops, targets: dict, plan: SamplePlan = SamplePlan(),
                        bind: Binding | None = None) -> ClosureReport:
-    """Whether lie_closure_identities' combinations are first order and its
-    identities hold under bind, each decided at 10 * plan.tol."""
-    first_order = all(op_order_numeric(op, plan, bind) <= 1 for op in ops)
+    """decide_lie_closure_each for one binding."""
+    return decide_lie_closure_each(ops, targets, plan, [bind])[0]
+
+
+def decide_lie_closure_each(ops, targets: dict, plan: SamplePlan, binds: list) -> list:
+    """Per binding, whether lie_closure_identities' combinations are first
+    order and its identities hold under it, each decided at 10 * plan.tol.
+
+    A binding leaves the order stage at its first operator above order 1; an
+    identity whose point search fails does not hold, at residual inf.
+    """
+    first_order = [True] * len(binds)
+    for op in ops:
+        live = [d for d, ok in enumerate(first_order) if ok]
+        if not live:
+            break
+        for d, order in zip(live, op_order_each(op, plan, [binds[d] for d in live])):
+            first_order[d] = order <= 1
     plan = replace(plan, tol=10 * plan.tol)
-    resids = {}
-    closed = True
+    closed, resids = list(first_order), [{} for _ in binds]
     for key, (lhs, rhs) in targets.items():
-        try:
-            ok, res = ops_equal_numeric(lhs, rhs, bind, plan)
-        except SamplingError:
-            ok, res = False, float("inf")
-        resids[key] = res
-        closed = closed and ok
-    closed = closed and first_order
-    return ClosureReport(first_order, closed, resids)
+        for d, got in enumerate(ops_equal_each(lhs, rhs, binds, plan)):
+            ok, resids[d][key] = ((False, float("inf")) if isinstance(got, SamplingError)
+                                  else got)
+            closed[d] = closed[d] and ok
+    return [ClosureReport(*report) for report in zip(first_order, closed, resids)]
 
 
 def check_lie_closure(alpha_minus, alpha_zero, alpha_plus, f,

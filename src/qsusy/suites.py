@@ -29,7 +29,7 @@ from .families import (
 from .invariance import (
     Subspace, SamplePlan, InvarianceError, checks, check_invariant, check_annihilates,
     verify_commutator_table, check_lie_closure, lie_closure_identities,
-    decide_lie_closure, ops_equal_numeric, _sampled_actions,
+    decide_lie_closure_each, ops_equal_each, _or_raise, _sampled_actions,
 )
 from .models import (
     build_example, verify_susy_conditions, sector_invariance,
@@ -91,18 +91,15 @@ COEFF_NAMES = tuple(f.name for f in fields(GeneralCoefficients))  # c0 ... a2
 
 
 def _routes_agree(plan: SamplePlan, rng, draws: int, top: int, den: int, routes):
-    """(ok, worst residual) of ops_equal_numeric on routes(gc), built once on
-    nine symbols, under draws bindings of nine Fractions, each a numerator in
-    [-top, top] over a denominator in [1, den), drawn in turn."""
+    """(ok, worst residual) of one ops_equal_each call on routes(gc), built
+    once on nine symbols, under draws bindings of nine Fractions, each a
+    numerator in [-top, top] over a denominator in [1, den), drawn in turn."""
     a, b = routes(GeneralCoefficients(*map(sym, COEFF_NAMES)))
-    ok, worst = True, 0.0
-    for _ in range(draws):
-        vals = [Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, den)))
-                for _ in COEFF_NAMES]
-        good, res = ops_equal_numeric(a, b, Binding(dict(zip(COEFF_NAMES, map(float, vals)))), plan)
-        ok = ok and good
-        worst = max(worst, res)
-    return ok, worst
+    binds = [Binding({name: float(Fraction(int(rng.integers(-top, top + 1)),
+                                           int(rng.integers(1, den))))
+                      for name in COEFF_NAMES}) for _ in range(draws)]
+    found = _or_raise(ops_equal_each(a, b, binds, plan))
+    return all(ok for ok, _ in found), max([0.0] + [res for _, res in found])
 
 
 @checks
@@ -144,16 +141,14 @@ def suite_lie_closure(plan: SamplePlan):
     special, generic = (lie_closure_identities(sym("am"), sym("a0"), sym("ap"), parse(f))
                         for f in ("-z^2/(2*am)", "z^3"))
     closures = []
-    total = 0
-    for am in grid_am:
-        for a0 in grid_a0:
-            for kind in ("inverse", "double", "generic-f"):
-                total += 1
-                ap = {"inverse": 1 / am, "double": 2 / am, "generic-f": Fraction(1)}[kind]
-                bind = Binding(params={"am": float(am), "a0": float(a0), "ap": float(ap)})
-                built = generic if kind == "generic-f" else special
-                if decide_lie_closure(*built, plan, bind).closed:
-                    closures.append((am, a0, ap, kind))
+    for built, kinds in ((special, ("inverse", "double")), (generic, ("generic-f",))):
+        points = [(am, a0, {"inverse": 1 / am, "double": 2 / am, "generic-f": Fraction(1)}[kind],
+                   kind) for am in grid_am for a0 in grid_a0 for kind in kinds]
+        binds = [Binding(params={"am": float(am), "a0": float(a0), "ap": float(ap)})
+                 for am, a0, ap, _ in points]
+        reports = decide_lie_closure_each(*built, plan, binds)  # each shape in one call
+        closures += [p for p, rep in zip(points, reports) if rep.closed]
+    total = len(grid_am) * len(grid_a0) * 3
     expected = [(am, Fraction(-1, 2), 1 / am, "inverse") for am in grid_am]
     ok = sorted(map(str, closures)) == sorted(map(str, expected))
     yield ("lie-closure:sweep",

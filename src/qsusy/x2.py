@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .expr import (
     Expr, Rat, Var, ZERO, ONE, MINUS_ONE, ExprError, NotRationalError,
-    add, evaluate_exact, expand, mul, pow_, as_expr, diff,
+    add, evaluate_exact, expand, mul, pow_, as_expr, diff, substitute_var,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import build_J, build_K, build_P3_minus, build_P3_plus, ParameterError
@@ -48,9 +48,15 @@ class WronskianFrame:
         self.W32 = add(mul(dp[2], p[1]), mul(MINUS_ONE, p[2], dp[1]))
         self.W3121 = add(mul(diff(self.W31, v), self.W21),
                          mul(MINUS_ONE, self.W31, diff(self.W21, v)))
-        # expansion is needed to detect hidden proportionality of the columns
-        if expand(self.W21) == ZERO or expand(self.W3121) == ZERO:
-            raise FrameError("degenerate frame: a defining Wronskian vanishes identically")
+        # a nonzero value at u = 1/3 proves a Wronskian does not vanish; only
+        # otherwise is expansion needed to detect hidden proportionality
+        for w in (self.W21, self.W3121):
+            try:
+                at = substitute_var(w, v, Rat(Fraction(1, 3)))
+            except ExprError:  # a pole at 1/3
+                at = ZERO
+            if (type(at) is not Rat or at == ZERO) and expand(w) == ZERO:
+                raise FrameError("degenerate frame: a defining Wronskian vanishes identically")
 
     def span(self) -> Subspace:
         return Subspace([self.phi1, self.phi2, self.phi3], self.variable)
@@ -441,6 +447,8 @@ class X2Coefficients:
         return rank
 
 
+# memoized like the galleries: equal parameters share an entry, whatever their type
+@lru_cache(maxsize=32)
 def cij_coefficients(alpha) -> X2Coefficients:
     """Combination coefficients; rows with a vanishing denominator at this
     parameter are marked unusable instead of poisoning the polynomial rows."""

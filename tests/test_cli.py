@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 from fractions import Fraction
@@ -354,18 +355,23 @@ def test_identity_records_are_charged_their_own_time():
 
     # the cold path, whatever ran before: identities and frames are memoized
     for cached in (invariance._commutator_identity, x2._x2_frame, x2._j_gallery,
-                   x2._k_gallery, x2._kb_gallery):
+                   x2._k_gallery, x2._kb_gallery, x2.cij_coefficients):
         cached.cache_clear()
     plan = SamplePlan()
-    t0 = time.monotonic()
-    x2 = suite_x2(plan, alphas=(Fraction(5),))
-    wall = 1000.0 * (time.monotonic() - t0)
+    # a collector pause is charged to whichever record it falls in
+    gc.disable()
+    try:
+        t0 = time.monotonic()
+        x2 = suite_x2(plan, alphas=(Fraction(5),))
+        wall = 1000.0 * (time.monotonic() - t0)
+        table = suite_commutators(plan, f_texts=("z^3",))
+    finally:
+        gc.enable()
     identities = [c for c in x2 if c["id"].startswith(("x2:minus:", "x2:plus:"))]
     assert identities and all(c["millis"] > 0 for c in identities
                               if c["verdict"] != "skipped")
     # the identity work is inside the records, not between them
     assert sum(c["millis"] for c in x2) > 0.9 * wall
-    table = suite_commutators(plan, f_texts=("z^3",))
     assert len(table) == 28
     assert max(c["millis"] for c in table) <= sum(c["millis"] for c in table) / 2
 

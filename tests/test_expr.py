@@ -14,7 +14,7 @@ from qsusy import (
     add, diff, differentiate, equal0, evaluate, expand, fn, mul, opaque,
     parse, pow_, rat, substitute, substitute_opaque, sym, to_string, var,
 )
-from qsusy import expr as expr_mod, x2
+from qsusy import expr as expr_mod, invariance, x2
 from qsusy.cli import SuiteConfig, run_suite
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
@@ -514,6 +514,30 @@ def test_kernel_matches_evaluate_over_blocks_of_two_points(exprs, pts, a):
     # one-element columns meet point-dependent siblings in every block
     with mock.patch.object(expr_mod, "_BLOCK", 2):
         _assert_kernel_is_the_oracle(exprs, pts, _nested.with_params(a=a))
+
+
+def _faults(F, errors):
+    return [(type(errors[k]), str(errors[k])) for k in F[F != 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_pole_expr, min_size=1, max_size=3), _pole_points.filter(bool),
+       st.lists(st.floats(1e-3, 2.0).filter(lambda a: abs(a - 1) > 1e-6), max_size=3))
+def test_a_stacked_walk_gives_each_binding_its_own_columns(exprs, pts, avals):
+    # a varies between the bindings and b does not; 1/(a - 1) meets its pole
+    # in the a = 1 slice only and log(a) its domain error in the a = -1 one
+    a = sym("a")
+    exprs = exprs + [pow_(a - 1, -1), fn("log", a), mul(sym("b"), z)]
+    binds = [_nested.with_params(a=v, b=0.5) for v in avals + [1.0, -1.0]]
+    chunk = np.array(pts)
+    stacked = invariance._Store().columns(exprs, chunk, binds)
+    for bind, (V, F, errors) in zip(binds, stacked):
+        V1, F1, errors1 = values_and_faults(exprs, chunk, bind)
+        assert np.array_equal(F != 0, F1 != 0)
+        assert V[F == 0].tobytes() == V1[F1 == 0].tobytes()
+        assert _faults(F, errors) == _faults(F1, errors1)
+    assert [F[:, -3].any() for _, F, _ in stacked] == [False] * len(avals) + [True, False]
+    assert [F[:, -2].any() for _, F, _ in stacked] == [False] * len(avals) + [False, True]
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,11 +12,12 @@ from qsusy import (
 from qsusy import expr, invariance, models, suites, x2
 from qsusy.diffop import DiffOp, commutator
 from qsusy.expr import diff, values, values_and_faults
-from qsusy.families import build_J, build_K, monomial_J
+from qsusy.families import build_H_minus, build_H_minus_direct, build_J, build_K, monomial_J
 from qsusy.invariance import (
     IllConditionedBasisError, SamplePlan, SamplingError, Subspace, checks,
     check_annihilates, check_invariant, check_lie_closure, commutator_rhs, default_probes,
-    op_order_numeric, ops_equal_numeric, restricted_matrix, safe_points,
+    decide_lie_closure, decide_lie_closure_each, lie_closure_identities, op_order_each,
+    ops_equal_each, ops_equal_numeric, restricted_matrix, safe_points, safe_points_each,
     verify_commutator_table,
 )
 from scalar_oracle import evaluate as scalar_evaluate
@@ -26,6 +27,12 @@ z = var("z")
 
 def seed_space(f):
     return Subspace([rat(1), z, f], "z")
+
+
+def op_order(op):
+    """op_order_each with no binding."""
+    (order,) = op_order_each(op, SamplePlan(), [None])
+    return order
 
 
 class TestCheckInvariant:
@@ -364,9 +371,19 @@ class TestOneSearchPerPair:
         assert True in verdicts and False in verdicts
 
     def test_h_minus_routes(self, monkeypatch):
-        seen = _against_oracle(monkeypatch, suites)
+        # each route check decides all of its draws in one stacked call; each
+        # draw's (ok, worst) is still the per-probe loop's for its binding alone
+        seen = []
+
+        def both(a, b, binds, plan=SamplePlan()):
+            got = ops_equal_each(a, b, binds, plan)
+            assert got == [_ops_equal_per_probe(a, b, bind, plan) for bind in binds]
+            seen.append(len(got))
+            return got
+
+        monkeypatch.setattr(suites, "ops_equal_each", both)
         checks = suites.suite_construction(SamplePlan(), draws=6)
-        assert len(seen) == 6 + 10 and all(c["verdict"] == "pass" for c in checks)
+        assert seen == [6, 10] and all(c["verdict"] == "pass" for c in checks)
 
     def test_commutator_identities(self, monkeypatch):
         seen = _against_oracle(monkeypatch, invariance)
@@ -511,24 +528,24 @@ class TestLieClosure:
                                 parse("-z^2/4"))
         assert not rep.closed
         cs = self._commutators(Fraction(2), Fraction(-1, 2), Fraction(1), "-z^2/4")
-        assert [op_order_numeric(c, SamplePlan()) for c in cs] == [1, 2, 2]
+        assert [op_order(c) for c in cs] == [1, 2, 2]
 
     def test_cubic_not_closed(self):
         rep = check_lie_closure(1, Fraction(-1, 2), 1, parse("z^3"))
         assert not rep.closed
         cs = self._commutators(1, Fraction(-1, 2), 1, "z^3")
-        assert max(op_order_numeric(c, SamplePlan()) for c in cs) == 3
+        assert max(op_order(c) for c in cs) == 3
 
 
 def test_a_failed_joint_search_counts_every_coefficient():
     flat = add(pow_(fn("sin", z), 2), pow_(fn("cos", z), 2), -1)  # zero only numerically
-    assert op_order_numeric(DiffOp("z", {0: z, 3: flat}), SamplePlan()) == 0
+    assert op_order(DiffOp("z", {0: z, 3: flat})) == 0
     # log(-1 - z^2) faults at every draw, so the one search over all the
     # coefficients fails, and each counts as nonzero: flat's order 3 wins
     op = DiffOp("z", {0: z, 1: fn("log", add(-1, mul(-1, pow_(z, 2)))), 3: flat})
     with pytest.raises(SamplingError):
         safe_points(list(op.coeffs.values()), SamplePlan(), count=6)
-    assert op_order_numeric(op, SamplePlan()) == 3
+    assert op_order(op) == 3
 
 
 class TestChecksRunner:
@@ -608,9 +625,8 @@ def test_each_sampled_decision_makes_one_search(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    search = spy("search", invariance.safe_points)
-    monkeypatch.setattr(invariance, "safe_points", search)
-    monkeypatch.setattr(models, "safe_points", search)
+    monkeypatch.setattr(invariance, "safe_points_each",
+                        spy("search", invariance.safe_points_each))
     monkeypatch.setattr(expr, "values_and_faults", spy("kernel", expr.values_and_faults))
 
     def searches(decide, *args):
@@ -625,7 +641,74 @@ def test_each_sampled_decision_makes_one_search(monkeypatch):
     assert searches(ops_equal_numeric, build_J(2, f), build_J(4, f)) == ["search"]
     op = commutator(build_J(6, f), build_J(3, f))
     assert len(op.coeffs) > 1
-    assert searches(op_order_numeric, op, SamplePlan()) == ["search"]
+    assert searches(op_order_each, op, SamplePlan(), [None, None]) == ["search"]
+    # a route check: one search for all of its draws, not one per draw
+    routes = (lambda gc: (build_H_minus(gc, f), build_H_minus_direct(gc, f)))
+    assert searches(suites._routes_agree, SamplePlan(), np.random.default_rng(3),
+                    5, 12, 5, routes) == ["search"]
     assert searches(models.build_example, 1, bind) == ["search"]
     model = models.build_example(1, bind)
     assert searches(models.verify_susy_conditions, model) == ["search", "search"]
+
+
+def test_stacked_search_is_each_bindings_own_search():
+    # log(z - a) rejects every draw below a: at a = 0 the first chunk is
+    # enough, at a = 2.4 the search needs later chunks, at a = 100 and with a
+    # unbound it finds no point; b puts one binding in a group of its own
+    a, b = sym("a"), sym("b")
+    exprs = [fn("log", z - a), mul(a, z), add(b, z)]
+    binds = [Binding(params={"a": 0.0, "b": 1.0}), Binding(params={"a": 2.4, "b": 1.0}),
+             Binding(params={"a": 100.0, "b": 1.0}), Binding(params={"a": 0.5, "b": 2.0}),
+             Binding(params={"a": 2.4}), None, Binding(params={"a": 1.0, "b": 1.0})]
+    plan = SamplePlan()
+    found = safe_points_each(exprs, plan, binds, count=6)
+    assert len(found) == len(binds)
+    kinds = []
+    for bind, got in zip(binds, found):
+        try:
+            pts, V = safe_points(exprs, plan, bind, count=6)
+        except SamplingError as exc:
+            assert type(got) is SamplingError and str(got) == str(exc)
+            kinds.append("error")
+            continue
+        assert pts.tobytes() == got[0].tobytes() and V.tobytes() == got[1].tobytes()
+        kinds.append("points")
+    assert kinds == ["points", "points", "error", "points", "error", "error", "points"]
+    # a = 2.4 accepts points past the first chunk of 12 draws
+    assert not set(found[1][0]) <= set(np.random.default_rng(plan.seed).uniform(0.5, 2.5, 12))
+
+
+def test_closure_bindings_leave_the_order_stage_at_their_first_high_order():
+    # on the special shape, (am, a0, ap) = (1, -1/2, 1) gives orders 1, 1, 1
+    # and (2, 0, 3) gives 1, 2, 2: the second skips the third operator
+    built = lie_closure_identities(sym("am"), sym("a0"), sym("ap"), parse("-z^2/(2*am)"))
+    closes = Binding(params={"am": 1.0, "a0": -0.5, "ap": 1.0})
+    second = Binding(params={"am": 2.0, "a0": 0.0, "ap": 3.0})
+    seen = []
+
+    def spy(op, plan, binds):
+        seen.append(list(binds))
+        return op_order_each(op, plan, binds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariance, "op_order_each", spy)
+        reports = decide_lie_closure_each(*built, SamplePlan(), [closes, second])
+        assert seen == [[closes, second], [closes, second], [closes]]
+        seen.clear()
+        alone = decide_lie_closure(*built, SamplePlan(), second)
+        assert seen == [[second], [second]]
+    assert [r.first_order for r in reports] == [True, False]
+    assert reports[0].closed and not reports[1].closed
+    assert alone == reports[1]
+    assert decide_lie_closure(*built, SamplePlan(), closes) == reports[0]
+
+
+def test_a_stacked_walk_covers_at_most_one_block(monkeypatch):
+    # five bindings of three points under a block of seven: walks of 2, 2 and 1
+    monkeypatch.setattr(invariance, "_BLOCK", 7)
+    chunk = np.array([0.5, 1.5, 2.5])
+    binds = [Binding(params={"a": float(k)}) for k in range(5)]
+    store = invariance._Store()
+    got = store.columns([mul(sym("a"), z)], chunk, binds)
+    assert sorted(len(held) for held, _ in store.contexts.values()) == [1, 2, 2]
+    assert [V[:, 0].tolist() for V, _, _ in got] == [[k * x for x in chunk] for k in range(5)]

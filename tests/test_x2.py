@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from qsusy import equal0, mul, opaque, parse, pow_, rat, var
+from qsusy import x2
 from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.families import ParameterError, build_J, build_K, build_P3_minus
 from qsusy.invariance import SamplePlan, check_annihilates, check_invariant, ops_equal_numeric
@@ -23,6 +25,30 @@ class TestFrame:
     def test_degenerate_rejected(self):
         with pytest.raises(FrameError):
             WronskianFrame(parse("u", "u"), parse("2*u", "u"), parse("u^3", "u"), "u")
+
+    @pytest.mark.parametrize("triple", [
+        ("u^2 + 1", "2*u^2 + 2", "u^3"),  # phi2 = 2 phi1: W21 vanishes
+        ("1", "u", "u + 2"),              # phi3 in span(phi1, phi2): W3121 vanishes
+    ])
+    def test_vanishing_wronskians_rejected(self, triple):
+        with pytest.raises(FrameError):
+            WronskianFrame(*(parse(t, "u") for t in triple), "u")
+
+    def test_only_an_undecided_wronskian_is_expanded(self):
+        # W21 = 1 is nonzero at u = 1/3; W3121 holds f'' and must be expanded
+        with mock.patch.object(x2, "expand", wraps=x2.expand) as spy:
+            WronskianFrame(rat(1), u, opaque("f", 0, u), "u")
+        assert spy.call_count == 1
+
+    def test_pool_frames_are_proved_nondegenerate_without_expansion(self):
+        # the nine frames of the x2-exact pool: each alpha and each alpha - 3
+        pool = [Fraction(7, 2), Fraction(11, 2), Fraction(-7, 2), Fraction(6), Fraction(13, 2)]
+        alphas = set(pool) | {a - 3 for a in pool}
+        assert len(alphas) == 9
+        with mock.patch.object(x2, "expand", wraps=x2.expand) as spy:
+            for a in alphas:
+                WronskianFrame(*(x2_seed_polynomial(n, a) for n in (1, 2, 3)), "u")
+        assert spy.call_count == 0
 
     def test_seed_polynomials(self):
         # n=1 entry for a generic parameter
