@@ -5,6 +5,10 @@ rational constants folded exactly, like powers merged (x^a * x^b -> x^(a+b)),
 and exp/log folded for rational multiples.  No full rational-function
 normalization is attempted; callers that need semantic equality beyond the
 canonical form fall back to numeric sampling.
+
+Nodes are hash-consed: structurally equal nodes are one object, so
+structural equality is identity, and == and hash on nodes are those of
+object.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from typing import Union
 
@@ -45,21 +50,42 @@ class EvalDomainError(EvalError):
 FN_NAMES = ("exp", "log", "sin", "cos", "tan")
 
 
+# every node is interned: _table maps a node's structural key to a weak
+# reference to the one live node with that key, and a node leaves the table
+# when nothing else holds it
+_table: dict = {}
+
+
+def _drop(ref: weakref.KeyedRef, table=_table):
+    if table.get(ref.key) is ref:  # and not a node built since under that key
+        del table[ref.key]
+
+
+def _make(cls, key, fields: tuple):
+    """A new node of cls under key, its slots set to fields in order (a slot
+    without a field starts as None)."""
+    x = object.__new__(cls)
+    for name, v in itertools.zip_longest(cls.__slots__, fields):
+        object.__setattr__(x, name, v)
+    object.__setattr__(x, "_key", None)
+    _table[key] = weakref.KeyedRef(x, _drop, key)
+    return x
+
+
 class Expr:
-    __slots__ = ("_h", "_key")
+    """A node; its children are nodes too, so its key (type and fields) is a
+    complete structural key, and == and hash are those of object."""
 
-    def _hashable(self):
-        raise NotImplementedError
+    __slots__ = ("_key", "__weakref__")
 
-    def __hash__(self):
-        return self._h
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _table.get(key)
+        x = None if ref is None else ref()
+        return _make(cls, key, fields) if x is None else x
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._h != other._h:
-            return False
-        return self._hashable() == other._hashable()
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
     def __repr__(self):
         from .parser import to_string  # import cycle
@@ -101,18 +127,19 @@ class Expr:
 class Rat(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Rational):
-        v = value if isinstance(value, Fraction) else Fraction(value)
-        object.__setattr__(self, "value", v)
-        # hashing the Fraction itself would cost a modular inverse
-        object.__setattr__(self, "_h", hash(("Rat", v.numerator, v.denominator)))
-        object.__setattr__(self, "_key", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    def _hashable(self):
-        return self.value
+    def __new__(cls, value: Rational):
+        # keyed by the reduced numerator, and denominator unless it is 1, so
+        # that a hit on an int builds no Fraction
+        if type(value) is int:
+            key = value
+        else:
+            value = value if isinstance(value, Fraction) else Fraction(value)
+            key = value.numerator if value.denominator == 1 else value.as_integer_ratio()
+        ref = _table.get(key)
+        x = None if ref is None else ref()
+        if x is None:
+            x = _make(cls, key, (value if type(value) is Fraction else Fraction(value),))
+        return x
 
 
 class Sym(Expr):
@@ -120,90 +147,27 @@ class Sym(Expr):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_h", hash(("Sym", name)))
-        object.__setattr__(self, "_key", None)
-
-    __setattr__ = Rat.__setattr__
-
-    def _hashable(self):
-        return self.name
-
 
 class Var(Expr):
     """The designated independent variable of an expression context."""
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_h", hash(("Var", name)))
-        object.__setattr__(self, "_key", None)
-
-    __setattr__ = Rat.__setattr__
-
-    def _hashable(self):
-        return self.name
-
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_h", hash(("Add",) + tuple(t._h for t in terms)))
-        object.__setattr__(self, "_key", None)
-
-    __setattr__ = Rat.__setattr__
-
-    def _hashable(self):
-        return self.terms
-
 
 class Mul(Expr):
-    __slots__ = ("factors", "_split")
-
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_h", hash(("Mul",) + tuple(f._h for f in factors)))
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_split", None)  # (coefficient, core), once _coeff_core asks
-
-    __setattr__ = Rat.__setattr__
-
-    def _hashable(self):
-        return self.factors
+    __slots__ = ("factors", "_split")  # _split: (coefficient, core), once _coeff_core asks
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Expr):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "_h", hash(("Pow", base._h, exponent._h)))
-        object.__setattr__(self, "_key", None)
-
-    __setattr__ = Rat.__setattr__
-
-    def _hashable(self):
-        return (self.base, self.exponent)
-
 
 class Fn(Expr):
     __slots__ = ("name", "arg")
-
-    def __init__(self, name: str, arg: Expr):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_h", hash(("Fn", name, arg._h)))
-        object.__setattr__(self, "_key", None)
-
-    __setattr__ = Rat.__setattr__
-
-    def _hashable(self):
-        return (self.name, self.arg)
 
 
 class Opaque(Expr):
@@ -211,19 +175,10 @@ class Opaque(Expr):
 
     __slots__ = ("name", "order", "arg")
 
-    def __init__(self, name: str, order: int, arg: Expr):
+    def __new__(cls, name: str, order: int, arg: Expr):
         if order < 0:
             raise ExprError("opaque derivative order must be >= 0")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_h", hash(("Opq", name, order, arg._h)))
-        object.__setattr__(self, "_key", None)
-
-    __setattr__ = Rat.__setattr__
-
-    def _hashable(self):
-        return (self.name, self.order, self.arg)
+        return super().__new__(cls, name, order, arg)
 
 
 ZERO = Rat(0)
@@ -358,7 +313,7 @@ def mul(*factors) -> Expr:
     _EXP = ("exp-sentinel",)
     for f in flat:
         if isinstance(f, Rat):
-            if f.value == 0:
+            if f is ZERO:
                 return ZERO
             coeff = f.value if coeff is None else coeff * f.value
             continue
@@ -382,7 +337,7 @@ def mul(*factors) -> Expr:
         else:
             rebuilt = pow_(key, etot)
         if isinstance(rebuilt, Rat):
-            if rebuilt.value == 0:
+            if rebuilt is ZERO:
                 return ZERO
             coeff = rebuilt.value if coeff is None else coeff * rebuilt.value
         elif isinstance(rebuilt, Mul):
@@ -428,16 +383,16 @@ def pow_(base, exponent) -> Expr:
     b = as_expr(base)
     e = as_expr(exponent)
     if isinstance(e, Rat):
-        if e.value == 0:
+        if e is ZERO:
             return ONE
-        if e.value == 1:
+        if e is ONE:
             return b
         if isinstance(b, Rat):
-            if b.value == 0 and e.value < 0:
+            if b is ZERO and e.value < 0:
                 raise ExprError("0 raised to a negative power")
             if e.value.denominator == 1:
                 return Rat(b.value**e.value.numerator)
-            if b.value == 0:
+            if b is ZERO:
                 return ZERO
             if b.value > 0:
                 p, q = e.value.numerator, e.value.denominator
@@ -454,7 +409,7 @@ def pow_(base, exponent) -> Expr:
                 return pow_(b.base, mul(b.exponent, Rat(n)))
         if isinstance(b, Fn) and b.name == "exp":
             return fn("exp", mul(e, b.arg))
-    if isinstance(b, Rat) and b.value == 1:
+    if b is ONE:
         return ONE
     return Pow(b, e)
 
@@ -476,7 +431,7 @@ def fn(name: str, arg) -> Expr:
     if name not in FN_NAMES:
         raise ExprError(f"unknown function {name!r}")
     if name == "exp":
-        if a == ZERO:
+        if a is ZERO:
             return ONE
         if isinstance(a, Fn) and a.name == "log":
             return a.arg
@@ -494,17 +449,17 @@ def fn(name: str, arg) -> Expr:
             if pows:
                 return mul(*pows, Fn("exp", add(*rest)) if rest else ONE)
     elif name == "log":
-        if a == ONE:
+        if a is ONE:
             return ZERO
         if isinstance(a, Fn) and a.name == "exp":
             return a.arg
         if isinstance(a, Pow) and isinstance(a.exponent, Rat):
             return mul(a.exponent, fn("log", a.base))
     elif name == "sin" or name == "tan":
-        if a == ZERO:
+        if a is ZERO:
             return ZERO
     elif name == "cos":
-        if a == ZERO:
+        if a is ZERO:
             return ONE
     return Fn(name, a)
 
@@ -611,7 +566,7 @@ def expand(e: Expr) -> Expr:
 
 def equal0(e: Expr) -> bool:
     """True if e expands and canonicalizes to exactly 0."""
-    return expand(e) == ZERO
+    return expand(e) is ZERO
 
 
 def equal_canonical(a: Expr, b: Expr) -> bool:
@@ -634,7 +589,7 @@ def _diff1(e: Expr, v: str) -> Expr:
         fs = e.factors
         for i, f in enumerate(fs):
             df = _diff1(f, v)
-            if df == ZERO:
+            if df is ZERO:
                 continue
             pieces.append(mul(df, *fs[:i], *fs[i + 1 :]))
         return add(*pieces) if pieces else ZERO
@@ -642,12 +597,12 @@ def _diff1(e: Expr, v: str) -> Expr:
         b, ex = e.base, e.exponent
         dex = _diff1(ex, v)
         db = _diff1(b, v)
-        if dex == ZERO:
-            return ZERO if db == ZERO else mul(ex, db, pow_(b, ex - 1))
+        if dex is ZERO:
+            return ZERO if db is ZERO else mul(ex, db, pow_(b, ex - 1))
         return mul(e, add(mul(dex, fn("log", b)), mul(ex, db, pow_(b, -1))))
     if isinstance(e, Fn):
         da = _diff1(e.arg, v)
-        if da == ZERO:
+        if da is ZERO:
             return ZERO
         a = e.arg
         if e.name == "exp":
@@ -663,7 +618,7 @@ def _diff1(e: Expr, v: str) -> Expr:
         return mul(core, da)
     if isinstance(e, Opaque):
         da = _diff1(e.arg, v)
-        return ZERO if da == ZERO else mul(Opaque(e.name, e.order + 1, e.arg), da)
+        return ZERO if da is ZERO else mul(Opaque(e.name, e.order + 1, e.arg), da)
     raise ExprError(f"unexpected node {type(e)}")
 
 

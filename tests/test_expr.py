@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import math
 import signal
 import time
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -18,9 +20,9 @@ from qsusy import expr as expr_mod, invariance, x2
 from qsusy.cli import SuiteConfig, run_suite
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
-    ONE, ZERO, Add, EvalError, ExprError, Mul, NotRationalError, Pow, Rat, Sym, Var, children,
-    evaluate_exact, free_vars, opaque_names, rebuild, sort_key, substitute_param,
-    substitute_var, values, values_and_faults,
+    ONE, ZERO, Add, EvalError, ExprError, Fn, Mul, NotRationalError, Opaque, Pow, Rat, Sym,
+    Var, children, evaluate_exact, free_vars, opaque_names, rebuild, sort_key,
+    substitute_param, substitute_var, values, values_and_faults,
 )
 from qsusy.invariance import SamplePlan, SamplingError, safe_points
 from qsusy.parser import ParseError
@@ -282,7 +284,7 @@ def test_memoized_constructors_match_their_originals(e1, e2):
 
 
 def test_equal_calls_return_the_same_node():
-    # fresh leaves each time: only the memo can make the results identical
+    # fresh leaves each time: the results are one object all the same
     def build():
         z_, a_ = var("z"), sym("a")
         s = add(fn("sin", z_), mul(a_, pow_(z_, 3)))
@@ -345,12 +347,6 @@ def test_a_product_is_split_into_coefficient_and_core_once():
     c, core = expr_mod._coeff_core(t)
     assert c == Fraction(2, 3) and core == mul(z, sym("a"))
     assert expr_mod._coeff_core(core) == (1, core)
-
-
-def test_rat_hashes_by_its_reduced_value():
-    assert Rat(Fraction(2, 4)) == Rat(Fraction(1, 2))
-    assert hash(Rat(Fraction(2, 4))) == hash(Rat(Fraction(1, 2)))
-    assert hash(Rat(3)) == hash(Rat(Fraction(6, 2))) and Rat(3) != Rat(Fraction(1, 3))
 
 
 def test_canonical_eval_agrees_with_raw_combination():
@@ -780,8 +776,7 @@ def _deadline(seconds: float):
 def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
     # e(k+1) = e(k)*z + e(k)*z^2: 203 distinct nodes, 2^40 tree paths; the
     # unmemoized walk already takes seconds at depth 18.  The two raw DAGs
-    # from fresh leaves are isomorphic and share no node: comparing them with
-    # == would walk every path, so the tape cache must key on identity
+    # built apart from fresh leaves are one object, so they share one tape
     def raw():
         x = Var("z")
         e = Add((x, Sym("a")))
@@ -792,8 +787,10 @@ def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
     canonical = z + sym("a")
     for _ in range(40):
         canonical = add(mul(canonical, z), mul(canonical, pow_(z, 2)))
+    first, second = raw(), raw()
+    assert second is first and expr_mod._tape(second) is expr_mod._tape(first)
     x, a = Fraction(3, 2), Fraction(-1, 7)
-    for e in (canonical, raw(), raw()):
+    for e in (canonical, first, second):
         t0 = time.perf_counter()
         with _deadline(5.0):
             got = evaluate_exact(e, x, {"a": a})
@@ -878,8 +875,7 @@ def _tower(depth):
 
 
 def test_rewriters_visit_a_shared_dag_once_per_node():
-    # a walker that does not share subtrees would take 2^40 steps here; the
-    # results are not compared with ==, which itself walks the tree
+    # a walker that does not share subtrees would take 2^40 steps here
     depth = 40
     e = _tower(depth)
     u = var("u")
@@ -898,9 +894,8 @@ def test_rewriters_visit_a_shared_dag_once_per_node():
         return None
 
     rebuild(e, count)
-    # the constructor memo may hand back a structurally equal node built from
-    # other objects (a second Var("z")), so the distinct ids come from an
-    # independent walk; by == there are 5 + 3 * depth distinct nodes
+    # the distinct nodes from an independent walk: one per structure, as
+    # nodes are interned, so 5 + 3 * depth
     nodes, stack = {}, [e]
     while stack:
         x = stack.pop()
@@ -908,5 +903,54 @@ def test_rewriters_visit_a_shared_dag_once_per_node():
             nodes[id(x)] = x
             stack.extend(children(x))
     assert visits.keys() == nodes.keys()
-    assert len(set(nodes.values())) == 5 + 3 * depth
+    assert len(nodes) == 5 + 3 * depth
     assert set(visits.values()) == {1}
+
+
+# interned nodes: one object per structure ---------------------------------------
+
+def _raw_copy(e):
+    """e built again node by node through the raw classes, from new leaves."""
+    t = type(e)
+    if t is Rat:
+        return Rat(Fraction(e.value.numerator, e.value.denominator))
+    if t is Sym or t is Var:
+        return t(e.name)
+    if t is Add:
+        return Add(tuple(map(_raw_copy, e.terms)))
+    if t is Mul:
+        return Mul(tuple(map(_raw_copy, e.factors)))
+    if t is Pow:
+        return Pow(_raw_copy(e.base), _raw_copy(e.exponent))
+    if t is Fn:
+        return Fn(e.name, _raw_copy(e.arg))
+    return Opaque(e.name, e.order, _raw_copy(e.arg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_expr, _pole_expr), st.one_of(_expr, _pole_expr))
+def test_identity_is_structural_equality(a, b):
+    # sort_key is a complete structural key
+    assert (a is b) == (sort_key(a) == sort_key(b))
+    assert _raw_copy(a) is a and _raw_copy(b) is b
+
+
+def test_rat_is_interned_by_its_reduced_value():
+    assert Rat(Fraction(2, 4)) is Rat(Fraction(1, 2))
+    assert Rat(2) is Rat(2.0) is Rat(Fraction(4, 2))
+    assert Rat(3) is not Rat(Fraction(1, 3)) and Sym("a") is not Var("a")
+
+
+def test_a_node_nothing_holds_leaves_the_table():
+    name = "a_symbol_no_other_test_uses"
+    s = sym(name)
+    e = add(mul(3, s, z), fn("exp", s), pow_(s, 2))
+    diff(e, "z")
+    gone = weakref.ref(s)
+    assert (Sym, name) in expr_mod._table
+    del s, e
+    for f in _MEMOIZED:
+        getattr(expr_mod, f).cache_clear()
+    gc.collect()
+    assert gone() is None
+    assert not any(isinstance(k, tuple) and name in k for k in list(expr_mod._table))
