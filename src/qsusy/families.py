@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .expr import (
     Expr, Rat, Var, ZERO, ONE, MINUS_ONE,
-    add, mul, pow_, opaque, as_expr, diff, expand, equal0,
+    add, mul, pow_, opaque, as_expr, diff, expand, equal0, _sole_var,
 )
 from .diffop import (
     DiffOp, OperatorError, compose, gauge_conjugate, pullback,
@@ -32,43 +32,33 @@ class ParameterError(OperatorError):
 
 
 # ---------------------------------------------------------------------------
-# generating-function context
+# the generating function: an expression, whose one variable is the coordinate
 
-class FContext:
-    """Supplies f, f', f'', ... either as opaque symbols or from a concrete Expr."""
-
-    def __init__(self, f: Expr | None = None, variable: str = "z", name: str = "f"):
-        self.variable = variable
-        self.name = name
-        self.concrete = f
-        if f is not None:
-            if diff(f, variable, 2) == ZERO:
-                raise DegenerateFunctionError(
-                    "generating function must have nonzero second derivative")
-
-    def __call__(self, order: int = 0) -> Expr:
-        if self.concrete is None:
-            return opaque(self.name, order, Var(self.variable))
-        return diff(self.concrete, self.variable, order)
+F = opaque("f", 0, Var("z"))  # f unspecified; diff gives f', f'', ...
 
 
-def _fctx(f, variable="z") -> FContext:
-    if isinstance(f, FContext):
-        return f
-    return FContext(as_expr(f) if f is not None else None, variable)
+def _fv(f) -> tuple[Expr, str]:
+    """(f, its variable), F when f is None; ExprError if f has several
+    variables, DegenerateFunctionError if f'' vanishes identically."""
+    f = F if f is None else as_expr(f)
+    v = _sole_var(f, "generating function has several variables")
+    if diff(f, v, 2) is ZERO:
+        raise DegenerateFunctionError(
+            "generating function must have nonzero second derivative")
+    return f, v
 
 
 # ---------------------------------------------------------------------------
 # the J and K galleries (arbitrary generating function)
 
-def build_J(i: int, f: Expr | FContext | None = None, variable: str = "z") -> DiffOp:
+def build_J(i: int, f: Expr | None = None) -> DiffOp:
     """Second-order operators preserving span{1, x, f(x)}; i in 1..9."""
     if not 1 <= i <= 9:
         raise ParameterError("J index must be in 1..9")
-    fc = _fctx(f, variable)
-    v = fc.variable
+    f, v = _fv(f)
     x = Var(v)
-    inv_fpp = pow_(fc(2), -1)
+    fp = diff(f, v)
+    inv_fpp = pow_(diff(f, v, 2), -1)
     D1 = DiffOp.d(v)
     D2 = DiffOp.d(v, 2)
     if i == 1:
@@ -76,31 +66,34 @@ def build_J(i: int, f: Expr | FContext | None = None, variable: str = "z") -> Di
     if i == 2:
         return D2.scaled(mul(x, inv_fpp))
     if i == 3:
-        return D2.scaled(mul(fc(0), inv_fpp))
-    J4 = D2.scaled(mul(fc(1), inv_fpp)) - D1
+        return D2.scaled(mul(f, inv_fpp))
+    J4 = D2.scaled(mul(fp, inv_fpp)) - D1
     if i == 4:
         return J4
     if i == 5:
         return J4.scaled(x)
     if i == 6:
-        return J4.scaled(fc(0))
-    J9 = (D2.scaled(mul(add(mul(x, fc(1)), mul(MINUS_ONE, fc(0))), inv_fpp))
+        return J4.scaled(f)
+    J9 = (D2.scaled(mul(add(mul(x, fp), mul(MINUS_ONE, f)), inv_fpp))
           - D1.scaled(x) + DiffOp.identity(v))
     if i == 9:
         return J9
     if i == 7:
         return J9.scaled(x)
-    return J9.scaled(fc(0))
+    return J9.scaled(f)
 
 
-def build_K(i: int, f: Expr | FContext | None = None, variable: str = "z") -> DiffOp:
-    """Second-order operators preserving (1/f'')·span{1, f', x f' - f}; i in 0..8."""
+def build_K(i: int, f: Expr | None = None) -> DiffOp:
+    """The K gallery of f; i in 0..8.
+
+    K1..K8 are second order and preserve (1/f'')·span{1, f', x f' - f}.  K0 is
+    the first-order building block of K2 and K3 and does not preserve it.
+    """
     if not 0 <= i <= 8:
         raise ParameterError("K index must be in 0..8")
-    fc = _fctx(f, variable)
-    v = fc.variable
+    f, v = _fv(f)
     x = Var(v)
-    fpp, fppp, fpppp = fc(2), fc(3), fc(4)
+    fp, fpp, fppp, fpppp = (diff(f, v, k) for k in range(1, 5))
     inv = pow_(fpp, -1)
     K0 = DiffOp(v, {1: inv, 0: mul(fppp, pow_(fpp, -2))})
     if i == 0:
@@ -115,32 +108,30 @@ def build_K(i: int, f: Expr | FContext | None = None, variable: str = "z") -> Di
     if i == 2:
         return K1.scaled(x) - K0
     if i == 3:
-        return K1.scaled(fc(0)) - K0.scaled(fc(1)) + DiffOp.identity(v)
+        return K1.scaled(f) - K0.scaled(fp) + DiffOp.identity(v)
     if i == 4:
-        return K1.scaled(fc(1))
+        return K1.scaled(fp)
     if i == 5:
-        return build_K(2, fc).scaled(fc(1))
+        return build_K(2, f).scaled(fp)
     if i == 6:
-        return build_K(3, fc).scaled(fc(1))
-    wf = add(mul(x, fc(1)), mul(MINUS_ONE, fc(0)))
+        return build_K(3, f).scaled(fp)
+    wf = add(mul(x, fp), mul(MINUS_ONE, f))
     if i == 7:
-        return build_K(2, fc).scaled(wf)
-    return build_K(3, fc).scaled(wf)
+        return build_K(2, f).scaled(wf)
+    return build_K(3, f).scaled(wf)
 
 
-def build_P3_minus(f: Expr | FContext | None = None, variable: str = "z") -> DiffOp:
+def build_P3_minus(f: Expr | None = None) -> DiffOp:
     """(d - f'''/f'') d²; annihilates span{1, x, f}. Leading multiplier dropped."""
-    fc = _fctx(f, variable)
-    v = fc.variable
-    w2 = mul(MINUS_ONE, fc(3), pow_(fc(2), -1))
+    f, v = _fv(f)
+    w2 = mul(MINUS_ONE, diff(f, v, 3), pow_(diff(f, v, 2), -1))
     return compose(DiffOp(v, {1: ONE, 0: w2}), DiffOp.d(v, 2))
 
 
-def build_P3_plus(f: Expr | FContext | None = None, variable: str = "z") -> DiffOp:
+def build_P3_plus(f: Expr | None = None) -> DiffOp:
     """-d² (d + f'''/f''); annihilates the partner space of build_K."""
-    fc = _fctx(f, variable)
-    v = fc.variable
-    w2 = mul(fc(3), pow_(fc(2), -1))
+    f, v = _fv(f)
+    w2 = mul(diff(f, v, 3), pow_(diff(f, v, 2), -1))
     return compose(DiffOp.d(v, 2), DiffOp(v, {1: ONE, 0: w2})).scaled(MINUS_ONE)
 
 
@@ -190,11 +181,10 @@ class GeneralCoefficients:
         )
 
 
-def _gallery_sum(build, coeffs: GeneralCoefficients, f, variable: str) -> DiffOp:
+def _gallery_sum(build, coeffs: GeneralCoefficients, f) -> DiffOp:
     """The gauged Hamiltonian as a sum over the gallery that `build` makes:
     build_J for the minus side, build_K for the plus side."""
-    fc = _fctx(f, variable)
-    v = fc.variable
+    f, v = _fv(f)
     g = coeffs
     out = DiffOp.zero(v)
     for c, idx in ((mul(MINUS_ONE, g.c2), 8), (mul(MINUS_ONE, g.c1), 7), (g.b2, 6),
@@ -202,21 +192,21 @@ def _gallery_sum(build, coeffs: GeneralCoefficients, f, variable: str) -> DiffOp
                    (mul(MINUS_ONE, add(g.a2, mul(MINUS_ONE, g.c0))), 3),
                    (mul(MINUS_ONE, g.a1), 2), (mul(MINUS_ONE, g.a0), 1)):
         if c != ZERO:
-            out = out + build(idx, fc).scaled(c)
+            out = out + build(idx, f).scaled(c)
     return out + DiffOp.mult(v, mul(MINUS_ONE, g.c0))
 
 
-def build_H_minus(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
+def build_H_minus(coeffs: GeneralCoefficients, f=None) -> DiffOp:
     """Gauged minus Hamiltonian as a J-gallery sum."""
-    return _gallery_sum(build_J, coeffs, f, variable)
+    return _gallery_sum(build_J, coeffs, f)
 
 
-def abc_profile(coeffs: GeneralCoefficients, f=None, variable: str = "z"):
+def abc_profile(coeffs: GeneralCoefficients, f=None):
     """The (A, B, C) coefficient functions of the gauged minus Hamiltonian."""
-    fc = _fctx(f, variable)
-    x = Var(fc.variable)
+    f0, v = _fv(f)
+    x = Var(v)
     g = coeffs
-    f0, f1, f2 = fc(0), fc(1), fc(2)
+    f1, f2 = diff(f0, v), diff(f0, v, 2)
     bracket = add(mul(add(mul(g.c2, x), mul(MINUS_ONE, g.b2)), f0),
                   mul(g.c1, pow_(x, 2)),
                   mul(add(g.c0, mul(MINUS_ONE, g.b1)), x),
@@ -230,27 +220,25 @@ def abc_profile(coeffs: GeneralCoefficients, f=None, variable: str = "z"):
     return A, B, C
 
 
-def build_H_minus_direct(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
+def build_H_minus_direct(coeffs: GeneralCoefficients, f=None) -> DiffOp:
     """Gauged minus Hamiltonian assembled straight from its (A, B, C) profile."""
-    fc = _fctx(f, variable)
-    A, B, C = abc_profile(coeffs, fc)
-    v = fc.variable
+    f, v = _fv(f)
+    A, B, C = abc_profile(coeffs, f)
     return DiffOp(v, {2: mul(MINUS_ONE, A), 1: mul(MINUS_ONE, B), 0: mul(MINUS_ONE, C)})
 
 
-def build_H_plus(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
+def build_H_plus(coeffs: GeneralCoefficients, f=None) -> DiffOp:
     """Gauged plus Hamiltonian as a K-gallery sum."""
-    return _gallery_sum(build_K, coeffs, f, variable)
+    return _gallery_sum(build_K, coeffs, f)
 
 
-def build_H_plus_direct(coeffs: GeneralCoefficients, f=None, variable: str = "z") -> DiffOp:
+def build_H_plus_direct(coeffs: GeneralCoefficients, f=None) -> DiffOp:
     """Gauged plus Hamiltonian from the (A, Q, C) route with the supercharge tail."""
-    fc = _fctx(f, variable)
-    v = fc.variable
-    A, B, C = abc_profile(coeffs, fc)
+    f, v = _fv(f)
+    A, B, C = abc_profile(coeffs, f)
     Ap = diff(A, v)
     Q = add(B, mul(Rat(Fraction(1, 2)), Ap))
-    w2 = mul(MINUS_ONE, fc(3), pow_(fc(2), -1))
+    w2 = mul(MINUS_ONE, diff(f, v, 3), pow_(diff(f, v, 2), -1))
     zero_term = add(mul(MINUS_ONE, C), mul(Rat(-2), diff(Q, v)),
                     mul(Ap, w2), mul(Rat(2), A, diff(w2, v)))
     return DiffOp(v, {
@@ -275,10 +263,10 @@ def _lam(x) -> Expr:
     return e
 
 
-def monomial_J(i: int, lam, variable: str = "z") -> DiffOp:
-    """Rescaled J-gallery for f = x^lam, polynomial in the exponent."""
+def monomial_J(i: int, lam) -> DiffOp:
+    """Rescaled J-gallery for f = z^lam, polynomial in the exponent."""
     lam = _lam(lam)
-    v = variable
+    v = "z"
     x = Var(v)
     D1, D2 = DiffOp.d(v), DiffOp.d(v, 2)
     lm1 = add(lam, MINUS_ONE)
@@ -304,10 +292,10 @@ def monomial_J(i: int, lam, variable: str = "z") -> DiffOp:
     raise ParameterError("index must be in 1..8")
 
 
-def monomial_K(i: int, lam, variable: str = "z") -> DiffOp:
-    """Rescaled K-gallery for f = x^lam."""
+def monomial_K(i: int, lam) -> DiffOp:
+    """Rescaled K-gallery for f = z^lam."""
     lam = _lam(lam)
-    v = variable
+    v = "z"
     x = Var(v)
     D1, D2 = DiffOp.d(v), DiffOp.d(v, 2)
     lm2 = add(lam, Rat(-2))
@@ -344,7 +332,7 @@ def monomial_K(i: int, lam, variable: str = "z") -> DiffOp:
 _FAMILY_EXPONENT = {"A": Fraction(2), "B": Fraction(3)}
 
 
-def monomial_family(kind: str, lam=None, variable: str = "z") -> dict[str, list[DiffOp]]:
+def monomial_family(kind: str, lam=None) -> dict[str, list[DiffOp]]:
     """The rescaled J and K operator lists for a monomial invariant space.
 
     kind "C" takes a free exponent; kinds "B" and "A" force exponents 3 and 2.
@@ -354,24 +342,25 @@ def monomial_family(kind: str, lam=None, variable: str = "z") -> dict[str, list[
         # the forced exponents lie in the exclusion range by design
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _monomial_lists(Rat(_FAMILY_EXPONENT[kind]), variable)
+            return _monomial_lists(Rat(_FAMILY_EXPONENT[kind]))
     if kind != "C":
         raise ParameterError(f"unknown family kind {kind!r}")
     if lam is None:
         raise ParameterError("kind C requires an exponent")
-    return _monomial_lists(lam, variable)
+    return _monomial_lists(lam)
 
 
-def _monomial_lists(lam, variable: str) -> dict[str, list[DiffOp]]:
-    return {"J": [monomial_J(i, lam, variable) for i in range(1, 9)],
-            "K": [monomial_K(i, lam, variable) for i in range(1, 9)]}
+def _monomial_lists(lam) -> dict[str, list[DiffOp]]:
+    return {"J": [monomial_J(i, lam) for i in range(1, 9)],
+            "K": [monomial_K(i, lam) for i in range(1, 9)]}
 
 
 # ---------------------------------------------------------------------------
 # operators already catalogued elsewhere, by family
 
-def _euler_chain(v: str, pre: Expr, shifts: list[Expr], left_d: bool = False) -> DiffOp:
-    """pre * (x d - s1)(x d - s2)...; with left_d the first factor is a bare d."""
+def _euler_chain(pre: Expr, shifts: list[Expr], left_d: bool = False) -> DiffOp:
+    """pre * (z d - s1)(z d - s2)...; with left_d the first factor is a bare d."""
+    v = "z"
     x = Var(v)
     out = DiffOp.identity(v)
     for s in shifts:
@@ -381,11 +370,10 @@ def _euler_chain(v: str, pre: Expr, shifts: list[Expr], left_d: bool = False) ->
     return out.scaled(pre)
 
 
-def literature_ops(family: str, side: str = "minus", parameter=None,
-                   variable: str = "z") -> dict[str, DiffOp]:
+def literature_ops(family: str, side: str = "minus", parameter=None) -> dict[str, DiffOp]:
     """Previously catalogued second-order operators for each family."""
     family = family.upper()
-    v = variable
+    v = "z"
     x = Var(v)
     D1, D2 = DiffOp.d(v), DiffOp.d(v, 2)
     xd = DiffOp(v, {1: x})
@@ -394,52 +382,52 @@ def literature_ops(family: str, side: str = "minus", parameter=None,
         if side == "minus":
             return {
                 "J0": xd,
-                "J0-": _euler_chain(v, ONE, [lam], left_d=True),
+                "J0-": _euler_chain(ONE, [lam], left_d=True),
                 "J00": D2.scaled(pow_(x, 2)),
-                "J+0": _euler_chain(v, x, [lam, ONE]),
-                "J#-": _euler_chain(v, pow_(x, lam), [lam], left_d=True),
-                "J#0": _euler_chain(v, pow_(x, lam), [lam, ONE]),
+                "J+0": _euler_chain(x, [lam, ONE]),
+                "J#-": _euler_chain(pow_(x, lam), [lam], left_d=True),
+                "J#0": _euler_chain(pow_(x, lam), [lam, ONE]),
             }
         lm2 = add(lam, Rat(-2))
         return {
             "K0": xd - DiffOp.identity(v),
-            "K0-": _euler_chain(v, pow_(x, -1), [mul(MINUS_ONE, lm2), ONE]),
-            "K00": _euler_chain(v, ONE, [ONE, Rat(2)]),
-            "K+0": _euler_chain(v, x, [mul(MINUS_ONE, lm2), Rat(2)]),
-            "K#-": _euler_chain(v, pow_(x, mul(MINUS_ONE, lam)), [mul(MINUS_ONE, lm2), ONE]),
-            "K#0": _euler_chain(v, pow_(x, add(ONE, mul(MINUS_ONE, lam))),
-                                [mul(MINUS_ONE, lm2), Rat(2)]),
+            "K0-": _euler_chain(pow_(x, -1), [mul(MINUS_ONE, lm2), ONE]),
+            "K00": _euler_chain(ONE, [ONE, Rat(2)]),
+            "K+0": _euler_chain(x, [mul(MINUS_ONE, lm2), Rat(2)]),
+            "K#-": _euler_chain(pow_(x, mul(MINUS_ONE, lam)), [mul(MINUS_ONE, lm2), ONE]),
+            "K#0": _euler_chain(pow_(x, add(ONE, mul(MINUS_ONE, lam))),
+                                 [mul(MINUS_ONE, lm2), Rat(2)]),
         }
     if family == "B":
         if side == "minus":
             return {
                 "J0": xd,
                 "J--": D2,
-                "J0-": _euler_chain(v, ONE, [Rat(3)], left_d=True),
+                "J0-": _euler_chain(ONE, [Rat(3)], left_d=True),
                 "J00": D2.scaled(pow_(x, 2)),
-                "J+0": _euler_chain(v, x, [Rat(3), ONE]),
-                "J++": _euler_chain(v, pow_(x, 3), [Rat(3)], left_d=True),
-                "J3+": _euler_chain(v, pow_(x, 3), [Rat(3), ONE]),
+                "J+0": _euler_chain(x, [Rat(3), ONE]),
+                "J++": _euler_chain(pow_(x, 3), [Rat(3)], left_d=True),
+                "J3+": _euler_chain(pow_(x, 3), [Rat(3), ONE]),
             }
         return {
             "K0": xd,
-            "K--": _euler_chain(v, pow_(x, -2), [MINUS_ONE, Rat(2)]),
-            "K0-": _euler_chain(v, pow_(x, -1), [MINUS_ONE, ONE]),
+            "K--": _euler_chain(pow_(x, -2), [MINUS_ONE, Rat(2)]),
+            "K0-": _euler_chain(pow_(x, -1), [MINUS_ONE, ONE]),
             "K00": D2.scaled(pow_(x, 2)),
-            "K+0": _euler_chain(v, x, [Rat(2), MINUS_ONE]),
-            "K++": _euler_chain(v, pow_(x, 2), [Rat(2), ONE]),
-            "K3+": _euler_chain(v, pow_(x, 3), [Rat(2), ONE]),
+            "K+0": _euler_chain(x, [Rat(2), MINUS_ONE]),
+            "K++": _euler_chain(pow_(x, 2), [Rat(2), ONE]),
+            "K3+": _euler_chain(pow_(x, 3), [Rat(2), ONE]),
         }
     if family == "A":
         ops = {
             "J-": D1,
             "J0": xd,
-            "J+": _euler_chain(v, x, [Rat(2)]),
+            "J+": _euler_chain(x, [Rat(2)]),
             "J--": D2,
             "J0-": D2.scaled(x),
             "J00": D2.scaled(pow_(x, 2)),
-            "J+0": _euler_chain(v, pow_(x, 2), [Rat(2)], left_d=True),
-            "J++": _euler_chain(v, pow_(x, 2), [Rat(2), ONE]),
+            "J+0": _euler_chain(pow_(x, 2), [Rat(2)], left_d=True),
+            "J++": _euler_chain(pow_(x, 2), [Rat(2), ONE]),
         }
         if side == "minus":
             return ops
@@ -510,28 +498,27 @@ def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str,
     raise ParameterError(f"unknown family {family!r}")
 
 
-def assemble_from_literature_basis(lb: LiteratureBasisCoefficients, lam=None,
-                                   variable: str = "z") -> DiffOp:
+def assemble_from_literature_basis(lb: LiteratureBasisCoefficients, lam=None) -> DiffOp:
     """Rebuild the gauged minus Hamiltonian from literature-basis coefficients."""
-    v = variable
-    ops = literature_ops(lb.family, "minus", lam, v)
+    v = "z"
+    ops = literature_ops(lb.family, "minus", lam)
     vals = lb.values
     out = DiffOp.mult(v, vals["const"])
     if lb.family == "C":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = out + monomial_J(8, lam, v).scaled(vals["t8"])
-            out = out + monomial_J(6, lam, v).scaled(vals["t6"])
-            out = out + monomial_J(2, lam, v).scaled(vals["t2"])
-            out = out + monomial_J(1, lam, v).scaled(vals["t1"])
+            out = out + monomial_J(8, lam).scaled(vals["t8"])
+            out = out + monomial_J(6, lam).scaled(vals["t6"])
+            out = out + monomial_J(2, lam).scaled(vals["t2"])
+            out = out + monomial_J(1, lam).scaled(vals["t1"])
         for name, key in (("J+0", "a3"), ("J00", "a2"), ("J0-", "a1"), ("J0", "b0")):
             out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))
         return out
     if lb.family == "B":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = out + monomial_J(8, Rat(3), v).scaled(vals["t8"])
-            out = out + monomial_J(1, Rat(3), v).scaled(vals["t1"])
+            out = out + monomial_J(8, Rat(3)).scaled(vals["t8"])
+            out = out + monomial_J(1, Rat(3)).scaled(vals["t1"])
         for name, key in (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"),
                           ("J0-", "a0-"), ("J--", "a--"), ("J0", "b0")):
             out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))
@@ -559,8 +546,7 @@ _K_FROM_J = {
 }
 
 
-def duality_K_from_J(i: int, f: Expr | FContext | None = None,
-                     variable: str = "z") -> DiffOp:
+def duality_K_from_J(i: int, f: Expr | None = None) -> DiffOp:
     """Construct the i-th K operator from J operators in the derivative variable.
 
     The recipe: build the J combination in an auxiliary variable w, pull it
@@ -569,15 +555,14 @@ def duality_K_from_J(i: int, f: Expr | FContext | None = None,
     """
     if i not in _K_FROM_J:
         raise ParameterError("K index must be in 1..8")
-    fc = _fctx(f, variable)
-    v = fc.variable
+    f, v = _fv(f)
     aux = v + "_w"
+    fw = opaque("f", 0, Var(aux))
     combo = DiffOp.zero(aux)
     for idx, coeff in _K_FROM_J[i]:
-        term = DiffOp.identity(aux) if idx == 0 else build_J(idx, None, aux)
+        term = DiffOp.identity(aux) if idx == 0 else build_J(idx, fw)
         combo = combo + term.scaled(Rat(coeff))
-    x = Var(v)
-    phi = fc(1)
-    image0 = add(mul(x, fc(1)), mul(MINUS_ONE, fc(0)))
-    pulled = pullback(combo, v, phi, {"f": image0})
-    return gauge_conjugate(pow_(fc(2), -1), pulled)
+    fp = diff(f, v)
+    image0 = add(mul(Var(v), fp), mul(MINUS_ONE, f))
+    pulled = pullback(combo, v, fp, {"f": image0})
+    return gauge_conjugate(pow_(diff(f, v, 2), -1), pulled)

@@ -18,10 +18,10 @@ import numpy as np
 
 from .expr import (
     EMPTY_BINDING, Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, EvalError,
-    mul, pow_, fn, var, as_expr, diff, _walker, _BLOCK,
+    mul, pow_, fn, var, as_expr, diff, opaque_names, _walker, _BLOCK,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
-from .families import _fctx, build_J
+from .families import _fv, build_J
 
 
 class InvarianceError(ExprError):
@@ -441,14 +441,14 @@ def op_order_each(op: DiffOp, plan: SamplePlan, binds: list) -> list:
 # ---------------------------------------------------------------------------
 # the commutator table
 
-def _row(i: int, j: int, fc) -> list:
+def _row(i: int, j: int, f: Expr, v: str) -> list:
     """RHS of [J_i, J_j] (i < j) as a sum of (aD + b) ∘ J_target terms.
 
     Targets 1, 4, 9 name gallery operators; target 0 is the identity.  Only
     the requested row is built.
     """
-    z = var(fc.variable)
-    f, fp, fpp = fc(0), fc(1), fc(2)
+    z = var(v)
+    fp, fpp = diff(f, v), diff(f, v, 2)
     inv = pow_(fpp, -1)
     two = as_expr(2)
     wf = z * fp - f
@@ -497,17 +497,16 @@ def _row(i: int, j: int, fc) -> list:
     return rows[(i, j)]()
 
 
-def commutator_rhs(i: int, j: int, fc) -> DiffOp:
-    fc = _fctx(fc)
-    v = fc.variable
+def commutator_rhs(i: int, j: int, f=None) -> DiffOp:
+    f, v = _fv(f)
     if i == j:
         return DiffOp.zero(v)
     sign = 1
     if i > j:
         i, j, sign = j, i, -1
     out = DiffOp.zero(v)
-    for a, b, target in _row(i, j, fc):
-        J = build_J(target, fc) if target else DiffOp.identity(v)
+    for a, b, target in _row(i, j, f, v):
+        J = build_J(target, f) if target else DiffOp.identity(v)
         out = out + compose(DiffOp(v, {1: a, 0: b}), J)
     return out if sign == 1 else out.scaled(MINUS_ONE)
 
@@ -515,8 +514,7 @@ def commutator_rhs(i: int, j: int, fc) -> DiffOp:
 @lru_cache(maxsize=28)
 def _commutator_identity(i: int, j: int) -> tuple[DiffOp, DiffOp]:
     """[J_i, J_j] and its tabulated right-hand side, built once with f opaque."""
-    fc = _fctx(None)
-    return commutator(build_J(i, fc), build_J(j, fc)), commutator_rhs(i, j, fc)
+    return commutator(build_J(i), build_J(j)), commutator_rhs(i, j)
 
 
 @checks
@@ -526,9 +524,13 @@ def verify_commutator_table(f, plan: SamplePlan = SamplePlan()):
 
     The identities are built once, with f opaque; f is bound at evaluation.
     Each record's id and anchor name the identity.  Raises
-    DegenerateFunctionError where f'' vanishes identically.
+    DegenerateFunctionError where f'' vanishes identically, and ExprError
+    where f is not concrete: bound to f, it would contain itself.
     """
-    bind = Binding(funcs={"f": _fctx(f).concrete})
+    f = _fv(f)[0]
+    if "f" in opaque_names(f):
+        raise ExprError("the generating function must not contain f itself")
+    bind = Binding(funcs={"f": f})
     plan = replace(plan, tol=10 * plan.tol)
     for i in range(1, 9):
         for j in range(i + 1, 9):

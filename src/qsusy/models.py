@@ -20,7 +20,7 @@ from .expr import (
 )
 from .diffop import DiffOp, compose, gauge_conjugate, expand_factored, pullback
 from .families import (
-    GeneralCoefficients, abc_profile, build_H_minus, build_H_plus, FContext,
+    GeneralCoefficients, abc_profile, build_H_minus, build_H_plus,
 )
 from .invariance import (
     Subspace, SamplePlan, Verdict, check_invariant, default_probes, restricted_matrix,
@@ -47,10 +47,9 @@ _third = Rat(Fraction(1, 3))
 _sixth = Rat(Fraction(1, 6))
 
 
-def potential_pair(W: Expr, E: Expr, F: Expr, variable: str = Q) -> tuple[Expr, Expr]:
+def potential_pair(W: Expr, E: Expr, F: Expr) -> tuple[Expr, Expr]:
     """Partner potentials generated by the function triple."""
-    v = variable
-    Wp, Ep, Fp = diff(W, v), diff(E, v), diff(F, v)
+    Wp, Ep, Fp = diff(W, Q), diff(E, Q), diff(F, Q)
     base = add(
         mul(_half, pow_(W, 2)),
         mul(Rat(Fraction(-1, 3)), add(mul(Rat(2), Ep), mul(MINUS_ONE, pow_(E, 2)))),
@@ -61,41 +60,37 @@ def potential_pair(W: Expr, E: Expr, F: Expr, variable: str = Q) -> tuple[Expr, 
     return add(base, mul(MINUS_ONE, split)), add(base, split)
 
 
-def first_integrals(W: Expr, E: Expr, F: Expr, variable: str = Q) -> tuple[Expr, Expr]:
+def first_integrals(W: Expr, E: Expr, F: Expr) -> tuple[Expr, Expr]:
     """The two combinations of (W, E, F) whose derivatives close the system."""
-    v = variable
-    Wp, Ep, Fp = diff(W, v), diff(E, v), diff(F, v)
+    Wp, Ep, Fp = diff(W, Q), diff(E, Q), diff(F, Q)
     block = add(Fp, mul(Rat(-2), W, F), mul(Rat(2), E, F), pow_(F, 2))
     F1 = add(Wp, mul(E, W), mul(Rat(Fraction(-1, 4)), block))
     F2 = add(Ep, pow_(E, 2), mul(_half, block))
     return F1, F2
 
 
-def constraint_residual_exprs(W: Expr, E: Expr, F: Expr,
-                              variable: str = Q) -> tuple[Expr, Expr]:
+def constraint_residual_exprs(W: Expr, E: Expr, F: Expr) -> tuple[Expr, Expr]:
     """Left-hand sides of the two compatibility conditions on (W, E, F)."""
-    v = variable
-    F1, F2 = first_integrals(W, E, F, v)
-    F1p, F2p = diff(F1, v), diff(F2, v)
+    F1, F2 = first_integrals(W, E, F)
+    F1p, F2p = diff(F1, Q), diff(F2, Q)
     mix = add(F1p, mul(Rat(Fraction(-1, 6)), F2p))
-    cond2 = add(diff(F1p, v), mul(MINUS_ONE, E, F1p), mul(MINUS_ONE, _half, F, mix))
-    inner = add(diff(F2p, v), mul(MINUS_ONE, E, F2p))
+    cond2 = add(diff(F1p, Q), mul(MINUS_ONE, E, F1p), mul(MINUS_ONE, _half, F, mix))
+    inner = add(diff(F2p, Q), mul(MINUS_ONE, E, F2p))
     cond3 = add(
-        diff(inner, v),
+        diff(inner, Q),
         mul(MINUS_ONE, add(mul(Rat(2), E), mul(Rat(Fraction(3, 2)), F)), inner),
         mul(Rat(Fraction(3, 2)),
-            add(mul(Rat(2), diff(F, v)), mul(Rat(-2), E, F), mul(MINUS_ONE, pow_(F, 2))),
+            add(mul(Rat(2), diff(F, Q)), mul(Rat(-2), E, F), mul(MINUS_ONE, pow_(F, 2))),
             mix),
     )
     return cond2, cond3
 
 
-def f1f2_from_constants(C, f: Expr, variable: str = "z") -> tuple[Expr, Expr]:
-    """Closed-form first integrals in the gauged variable from constants C1..C5."""
+def f1f2_from_constants(C, f: Expr) -> tuple[Expr, Expr]:
+    """Closed-form first integrals in the gauged variable z from constants C1..C5."""
     C1, C2, C3, C4, C5 = (as_expr(c) for c in C)
-    v = variable
-    x = Var(v)
-    fp = diff(as_expr(f), v)
+    x = Var("z")
+    fp = diff(as_expr(f), "z")
     F1 = add(mul(C1, add(mul(x, fp), mul(Rat(-2), as_expr(f)))),
              mul(C2, fp), mul(C3, x), C4)
     F2 = mul(Rat(-6), add(mul(C1, x, fp), mul(C2, fp),
@@ -355,7 +350,7 @@ def _validate_model(model: ModelSpec):
     Vm, Vp = potential_pair(model.W, model.E, model.F)
     checks["V-"] = add(model.V_minus, mul(MINUS_ONE, Vm))
     checks["V+"] = add(model.V_plus, mul(MINUS_ONE, Vp))
-    A, B, C = abc_profile(model.coeffs, FContext(model.f_of_z, "z"))
+    A, B, C = abc_profile(model.coeffs, model.f_of_z)
     Aq = _compose_z(A, model.z_of_q)
     Qq = _compose_z(add(B, mul(_half, diff(A, "z"))), model.z_of_q)
     checks["2A=z'^2"] = add(mul(Rat(2), Aq), mul(MINUS_ONE, pow_(zp, 2)))
@@ -387,7 +382,7 @@ def verify_susy_conditions(model: ModelSpec,
     F1, F2 = first_integrals(W, E, F)
     F1p, F2p = diff(F1, Q), diff(F2, Q)
     Cs = model.coeffs.to_integration_constants()
-    tF1, tF2 = f1f2_from_constants(Cs[:5], model.f_of_z, "z")
+    tF1, tF2 = f1f2_from_constants(Cs[:5], model.f_of_z)
     m1 = add(_compose_z(tF1, model.z_of_q), mul(MINUS_ONE, F1))
     m2 = add(_compose_z(tF2, model.z_of_q), mul(MINUS_ONE, F2))
     scale_exprs = [F1p, F2p, diff(F1p, Q), diff(F2p, Q), F1, F2]
@@ -444,7 +439,7 @@ def gauge_consistency_residual(model: ModelSpec,
     plan = model.plan(plan)
     g = fn("exp", model.gauge_minus)
     lhs = gauge_conjugate(g, model.hamiltonian("minus"))
-    hz = build_H_minus(model.coeffs, model.f_of_z, "z")
+    hz = build_H_minus(model.coeffs, model.f_of_z)
     rhs = pullback(hz, Q, model.z_of_q)
     return ops_equal_numeric(lhs, rhs, model.binding, plan)[1]
 
@@ -453,7 +448,7 @@ def partner_consistency_residual(model: ModelSpec,
                                  plan: SamplePlan = SamplePlan()) -> float:
     """Undo the plus-side gauge on the family build; must equal -d²/2 + V+."""
     plan = model.plan(plan)
-    hz = build_H_plus(model.coeffs, model.f_of_z, "z")
+    hz = build_H_plus(model.coeffs, model.f_of_z)
     hq_bar = pullback(hz, Q, model.z_of_q)
     g = fn("exp", mul(MINUS_ONE, model.gauge_plus))
     recovered = gauge_conjugate(g, hq_bar)

@@ -21,7 +21,7 @@ from .expr import (
 from .parser import parse
 from .diffop import DiffOp, equal_canonical
 from .families import (
-    GeneralCoefficients, build_J, build_K, build_P3_minus, build_P3_plus,
+    GeneralCoefficients, _fv, build_J, build_K, build_P3_minus, build_P3_plus,
     build_H_minus, build_H_minus_direct, build_H_plus, build_H_plus_direct,
     monomial_family, monomial_J, monomial_K, literature_ops,
     expand_in_literature_basis, assemble_from_literature_basis,
@@ -52,17 +52,18 @@ FAMILY_F_SET = {
 }
 
 
-def seed_basis(f_expr, variable: str = "z") -> Subspace:
-    x = Var(variable)
-    return Subspace([ONE, x, f_expr], variable)
+def seed_basis(f) -> Subspace:
+    """span{1, x, f} in the variable of f."""
+    f, v = _fv(f)
+    return Subspace([ONE, Var(v), f], v)
 
 
-def partner_basis(f_expr, variable: str = "z") -> Subspace:
-    x = Var(variable)
-    fp = diff(f_expr, variable)
-    fpp = diff(f_expr, variable, 2)
-    return Subspace([ONE, fp, add(mul(x, fp), mul(-1, f_expr))], variable,
-                    prefactor=pow_(fpp, -1))
+def partner_basis(f) -> Subspace:
+    """(1/f'')·span{1, f', x f' - f} in the variable of f."""
+    f, v = _fv(f)
+    fp = diff(f, v)
+    return Subspace([ONE, fp, add(mul(Var(v), fp), mul(-1, f))], v,
+                    prefactor=pow_(diff(f, v, 2), -1))
 
 
 @checks
@@ -418,10 +419,11 @@ def suite_x2(plan: SamplePlan, alphas=(Fraction(2), Fraction(3), Fraction(5),
 
 def _reduction_checks_pass() -> bool:
     u = var("u")
-    fr = x2mod.WronskianFrame(ONE, u, opaque("f", 0, u), "u")
-    ok = all(equal_canonical(x2mod.wronskian_J(i, fr), build_J(i, None, "u"))
+    fu = opaque("f", 0, u)
+    fr = x2mod.WronskianFrame(ONE, u, fu)
+    ok = all(equal_canonical(x2mod.wronskian_J(i, fr), build_J(i, fu))
              for i in range(1, 9))
-    fr2 = x2mod.WronskianFrame(ONE, u, pow_(u, 2), "u")
+    fr2 = x2mod.WronskianFrame(ONE, u, pow_(u, 2))
     pm, _ = x2mod.x2_supercharges(fr2)
     ok = ok and pm == DiffOp.d("u", 3)
     return ok

@@ -36,58 +36,54 @@ class WronskianFrame:
     phi1: Expr
     phi2: Expr
     phi3: Expr
-    variable: str = U
 
     def __post_init__(self):
-        v = self.variable
         p = [as_expr(self.phi1), as_expr(self.phi2), as_expr(self.phi3)]
         self.phi1, self.phi2, self.phi3 = p
-        dp = [diff(e, v) for e in p]
+        dp = [diff(e, U) for e in p]
         self.W21 = add(mul(dp[1], p[0]), mul(MINUS_ONE, p[1], dp[0]))
         self.W31 = add(mul(dp[2], p[0]), mul(MINUS_ONE, p[2], dp[0]))
         self.W32 = add(mul(dp[2], p[1]), mul(MINUS_ONE, p[2], dp[1]))
-        self.W3121 = add(mul(diff(self.W31, v), self.W21),
-                         mul(MINUS_ONE, self.W31, diff(self.W21, v)))
+        self.W3121 = add(mul(diff(self.W31, U), self.W21),
+                         mul(MINUS_ONE, self.W31, diff(self.W21, U)))
         # a nonzero value at u = 1/3 proves a Wronskian does not vanish; only
         # otherwise is expansion needed to detect hidden proportionality
         for w in (self.W21, self.W3121):
             try:
-                at = substitute_var(w, v, Rat(Fraction(1, 3)))
+                at = substitute_var(w, U, Rat(Fraction(1, 3)))
             except ExprError:  # a pole at 1/3
                 at = ZERO
             if (type(at) is not Rat or at == ZERO) and expand(w) == ZERO:
                 raise FrameError("degenerate frame: a defining Wronskian vanishes identically")
 
     def span(self) -> Subspace:
-        return Subspace([self.phi1, self.phi2, self.phi3], self.variable)
+        return Subspace([self.phi1, self.phi2, self.phi3], U)
 
     def partner_span(self) -> Subspace:
         pref = mul(self.phi1, pow_(self.W3121, -1))
-        return Subspace([self.W21, self.W31, self.W32], self.variable, pref)
+        return Subspace([self.W21, self.W31, self.W32], U, pref)
 
 
-def _logd(e: Expr, v: str) -> Expr:
-    return mul(diff(e, v), pow_(e, -1))
+def _logd(e: Expr) -> Expr:
+    return mul(diff(e, U), pow_(e, -1))
 
 
 def _second_order_core(fr: WronskianFrame) -> DiffOp:
-    v = fr.variable
-    lw21 = _logd(fr.W21, v)
-    zero_term = mul(add(mul(diff(fr.W21, v), diff(fr.phi1, v)),
-                        mul(MINUS_ONE, fr.W21, diff(fr.phi1, v, 2))),
+    lw21 = _logd(fr.W21)
+    zero_term = mul(add(mul(diff(fr.W21, U), diff(fr.phi1, U)),
+                        mul(MINUS_ONE, fr.W21, diff(fr.phi1, U, 2))),
                     pow_(mul(fr.W21, fr.phi1), -1))
-    return DiffOp(v, {2: ONE, 1: mul(MINUS_ONE, lw21), 0: zero_term})
+    return DiffOp(U, {2: ONE, 1: mul(MINUS_ONE, lw21), 0: zero_term})
 
 
 def wronskian_J(i: int, fr: WronskianFrame) -> DiffOp:
     """Operators preserving span(phi1, phi2, phi3), from the printed coefficients."""
     if not 1 <= i <= 9:
         raise ParameterError("index must be in 1..9")
-    v = fr.variable
     core = _second_order_core(fr)
     p1sq = pow_(fr.phi1, 2)
     inv3121 = pow_(fr.W3121, -1)
-    first_tail = DiffOp(v, {1: ONE, 0: mul(MINUS_ONE, _logd(fr.phi1, v))})
+    first_tail = DiffOp(U, {1: ONE, 0: mul(MINUS_ONE, _logd(fr.phi1))})
     J1 = core.scaled(mul(fr.W21, p1sq, inv3121))
     if i == 1:
         return J1
@@ -105,7 +101,7 @@ def wronskian_J(i: int, fr: WronskianFrame) -> DiffOp:
         return J4.scaled(mul(fr.phi3, pow_(fr.phi1, -1)))
     J9 = (core.scaled(mul(fr.W32, p1sq, inv3121))
           - first_tail.scaled(mul(fr.phi2, fr.phi1, pow_(fr.W21, -1)))
-          + DiffOp.identity(v))
+          + DiffOp.identity(U))
     if i == 9:
         return J9
     if i == 7:
@@ -114,25 +110,28 @@ def wronskian_J(i: int, fr: WronskianFrame) -> DiffOp:
 
 
 def wronskian_K(i: int, fr: WronskianFrame) -> DiffOp:
-    """Operators preserving the partner span, from the printed coefficients."""
+    """The partner-side gallery, from the printed coefficients; i in 0..8.
+
+    K1..K8 preserve the partner span.  K0 is the first-order building block
+    of K2 and K3 and does not preserve it.
+    """
     if not 0 <= i <= 8:
         raise ParameterError("index must be in 0..8")
-    v = fr.variable
-    l1 = _logd(fr.phi1, v)
-    l21 = _logd(fr.W21, v)
-    l3121 = _logd(fr.W3121, v)
-    K0 = DiffOp(v, {1: ONE, 0: mul(MINUS_ONE, add(l1, l21, mul(MINUS_ONE, l3121)))})
+    l1 = _logd(fr.phi1)
+    l21 = _logd(fr.W21)
+    l3121 = _logd(fr.W3121)
+    K0 = DiffOp(U, {1: ONE, 0: mul(MINUS_ONE, add(l1, l21, mul(MINUS_ONE, l3121)))})
     K0 = K0.scaled(mul(pow_(fr.W21, 2), pow_(fr.W3121, -1)))
     if i == 0:
         return K0
     zero_term = add(
-        mul(MINUS_ONE, diff(fr.phi1, v, 2), pow_(fr.phi1, -1)),
-        mul(MINUS_ONE, diff(fr.W21, v, 2), pow_(fr.W21, -1)),
-        mul(diff(fr.W3121, v, 2), pow_(fr.W3121, -1)),
+        mul(MINUS_ONE, diff(fr.phi1, U, 2), pow_(fr.phi1, -1)),
+        mul(MINUS_ONE, diff(fr.W21, U, 2), pow_(fr.W21, -1)),
+        mul(diff(fr.W3121, U, 2), pow_(fr.W3121, -1)),
         mul(Rat(2), pow_(l1, 2)),
         mul(MINUS_ONE, add(l1, mul(MINUS_ONE, l21), l3121), l3121),
     )
-    K1 = DiffOp(v, {
+    K1 = DiffOp(U, {
         2: ONE,
         1: mul(MINUS_ONE, add(mul(Rat(2), l1), mul(MINUS_ONE, l3121))),
         0: zero_term,
@@ -146,7 +145,7 @@ def wronskian_K(i: int, fr: WronskianFrame) -> DiffOp:
     K2 = K1.scaled(r21) - K0
     if i == 2:
         return K2
-    K3 = K1.scaled(r31) - K0.scaled(w31_w21) + DiffOp.identity(v)
+    K3 = K1.scaled(r31) - K0.scaled(w31_w21) + DiffOp.identity(U)
     if i == 3:
         return K3
     if i == 4:
@@ -162,18 +161,17 @@ def wronskian_K(i: int, fr: WronskianFrame) -> DiffOp:
 
 def x2_supercharges(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
     """Third-order annihilators of the span and of the partner span."""
-    v = fr.variable
-    l1 = _logd(fr.phi1, v)
-    l21 = _logd(fr.W21, v)
-    l3121 = _logd(fr.W3121, v)
+    l1 = _logd(fr.phi1)
+    l21 = _logd(fr.W21)
+    l3121 = _logd(fr.W3121)
     minus = compose(compose(
-        DiffOp(v, {1: ONE, 0: add(l1, l21, mul(MINUS_ONE, l3121))}),
-        DiffOp(v, {1: ONE, 0: add(l1, mul(MINUS_ONE, l21))})),
-        DiffOp(v, {1: ONE, 0: mul(MINUS_ONE, l1)}))
+        DiffOp(U, {1: ONE, 0: add(l1, l21, mul(MINUS_ONE, l3121))}),
+        DiffOp(U, {1: ONE, 0: add(l1, mul(MINUS_ONE, l21))})),
+        DiffOp(U, {1: ONE, 0: mul(MINUS_ONE, l1)}))
     plus = compose(compose(
-        DiffOp(v, {1: ONE, 0: l1}),
-        DiffOp(v, {1: ONE, 0: add(mul(MINUS_ONE, l1), l21)})),
-        DiffOp(v, {1: ONE, 0: add(mul(MINUS_ONE, l1), mul(MINUS_ONE, l21), l3121)}))
+        DiffOp(U, {1: ONE, 0: l1}),
+        DiffOp(U, {1: ONE, 0: add(mul(MINUS_ONE, l1), l21)})),
+        DiffOp(U, {1: ONE, 0: add(mul(MINUS_ONE, l1), mul(MINUS_ONE, l21), l3121)}))
     return minus, plus.scaled(MINUS_ONE)
 
 
@@ -186,17 +184,17 @@ def _conjugated(base: DiffOp, fr: WronskianFrame, partner: bool) -> DiffOp:
     side by phi1^3/W21^2."""
     ratio2 = mul(fr.phi2, pow_(fr.phi1, -1))
     ratio3 = mul(fr.phi3, pow_(fr.phi1, -1))
-    pulled = pullback(base, fr.variable, ratio2, {"f": ratio3})
+    pulled = pullback(base, U, ratio2, {"f": ratio3})
     g = mul(pow_(fr.phi1, 3), pow_(fr.W21, -2)) if partner else fr.phi1
     return gauge_conjugate(g, pulled)
 
 
 def wronskian_J_via_conjugation(i: int, fr: WronskianFrame) -> DiffOp:
-    return _conjugated(build_J(i, None, "z"), fr, partner=False)
+    return _conjugated(build_J(i), fr, partner=False)
 
 
 def wronskian_K_via_conjugation(i: int, fr: WronskianFrame) -> DiffOp:
-    return _conjugated(build_K(i, None, "z"), fr, partner=True)
+    return _conjugated(build_K(i), fr, partner=True)
 
 
 def supercharges_via_conjugation(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
@@ -207,8 +205,8 @@ def supercharges_via_conjugation(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
     commutes with the gauge, so it is reinstated at the end.
     """
     lead = pow_(mul(fr.W21, pow_(fr.phi1, -2)), 3)
-    minus = _conjugated(build_P3_minus(None, "z"), fr, partner=False)
-    plus = _conjugated(build_P3_plus(None, "z"), fr, partner=True)
+    minus = _conjugated(build_P3_minus(), fr, partner=False)
+    plus = _conjugated(build_P3_plus(), fr, partner=True)
     return minus.scaled(lead), plus.scaled(lead)
 
 
@@ -265,15 +263,14 @@ def _frame_alpha(alpha) -> Fraction:
     return a
 
 
-def x2_frame(alpha) -> WronskianFrame:
-    return _x2_frame(_frame_alpha(alpha))
-
-
-# memoized on the normalized parameter, like the gallery builders below
+# the frame and its galleries are memoized on the parameter: 2.0 and
+# Fraction(2) share an entry, a lone int gets its own with equal content; a
+# suite pass uses at most ten values
 @lru_cache(maxsize=32)
-def _x2_frame(a: Fraction) -> WronskianFrame:
+def x2_frame(alpha) -> WronskianFrame:
+    a = _frame_alpha(alpha)
     return WronskianFrame(x2_seed_polynomial(1, a), x2_seed_polynomial(2, a),
-                          x2_seed_polynomial(3, a), U)
+                          x2_seed_polynomial(3, a))
 
 
 def x2b_basis(alpha) -> Subspace:
@@ -281,17 +278,15 @@ def x2b_basis(alpha) -> Subspace:
     return Subspace([x2_partner_polynomial(n, a) for n in (1, 2, 3)], U)
 
 
-# gallery builders memoized on the normalized parameter; a suite pass uses at
-# most ten parameter values per gallery
 @lru_cache(maxsize=32)
-def _j_gallery(a: Fraction) -> dict[int, DiffOp]:
-    fr = x2_frame(a)
+def x2_J_gallery(alpha) -> dict[int, DiffOp]:
+    fr = x2_frame(alpha)
     return {j: wronskian_J(j, fr) for j in range(1, 9)}
 
 
 @lru_cache(maxsize=32)
-def _k_gallery(a: Fraction) -> dict[int, DiffOp]:
-    fr = x2_frame(a)
+def x2_K_gallery(alpha) -> dict[int, DiffOp]:
+    fr = x2_frame(alpha)
     return {j: wronskian_K(j, fr) for j in range(1, 9)}
 
 
@@ -299,14 +294,6 @@ def _k_gallery(a: Fraction) -> dict[int, DiffOp]:
 def _kb_gallery(a: Fraction) -> dict[int, DiffOp]:
     g = mul(f_alpha(a - 3), f_alpha(a))
     return {j: gauge_conjugate(g, op) for j, op in x2_K_gallery(a - 3).items()}
-
-
-def x2_J_gallery(alpha) -> dict[int, DiffOp]:
-    return _j_gallery(_fr(alpha))
-
-
-def x2_K_gallery(alpha) -> dict[int, DiffOp]:
-    return _k_gallery(_fr(alpha))
 
 
 def x2b_conjugated_K(i: int, alpha) -> DiffOp:

@@ -330,10 +330,11 @@ def test_criterion_10_x2_suite():
             ok &= rec["verdict"] == "pass" and rec["residual"] < 1e-9
             worst_id = max(worst_id, rec["residual"])
     u = var("u")
-    fr_plain = x2mod.WronskianFrame(rat(1), u, opaque("f", 0, u), "u")
-    ok &= all(equal_canonical(x2mod.wronskian_J(i, fr_plain), build_J(i, None, "u"))
+    fu = opaque("f", 0, u)
+    fr_plain = x2mod.WronskianFrame(rat(1), u, fu)
+    ok &= all(equal_canonical(x2mod.wronskian_J(i, fr_plain), build_J(i, fu))
               for i in range(1, 9))
-    fr_sq = x2mod.WronskianFrame(rat(1), u, pow_(u, 2), "u")
+    fr_sq = x2mod.WronskianFrame(rat(1), u, pow_(u, 2))
     pm, _ = x2mod.x2_supercharges(fr_sq)
     ok &= pm == DiffOp.d("u", 3)
     verdict(10, bool(ok),

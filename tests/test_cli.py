@@ -1,10 +1,14 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import qsusy
 from qsusy import Binding
 from qsusy.cli import (
     ConfigError, Report, SuiteConfig, main, run_suite,
@@ -111,6 +115,14 @@ def _untimed(text: str) -> str:
 
 
 class TestMain:
+    def test_the_package_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(qsusy.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "qsusy", "--version"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == f"qsusy {qsusy.__version__}"
+
     def test_catalog(self, capsys):
         assert main(["catalog", "--family", "B", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -130,8 +142,13 @@ class TestMain:
         assert doc["summary"]["fail"] == 0
 
     def test_verify_degenerate_f_is_config_error(self, capsys):
-        rc = main(["verify", "invariance", "--f", "z", "--ops", "J1"])
-        assert rc == 2
+        # the partner space of such an f has no prefactor 1/f''; the message
+        # names the cause, not the power of zero it would meet
+        for f in ("z", "3"):
+            assert main(["verify", "invariance", "--f", f, "--ops", "J1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "second derivative" in err, f
 
     @pytest.mark.parametrize("argv", [
         ["verify", "invariance", "--f", "exp(z)", "--ops", "J"],
@@ -153,6 +170,7 @@ class TestMain:
         ["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5", "--seed", "-3"],
         ["x2", "verify", "--alpha", "2", "--seed", "-1"],
         ["verify", "invariance", "--f", "exp(z)", "--ops", "J1", "--seed", "-1"],
+        ["verify", "commutators", "--f", "f(z)^3"],
         ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3", "--seed", "-1"],
         ["suite", "--suites", "spectrum", "--config", "seed = -1"],
         ["x2", "verify", "--alpha", "1e400"],
@@ -354,8 +372,8 @@ def test_identity_records_are_charged_their_own_time():
     from qsusy.suites import suite_commutators, suite_x2
 
     # the cold path, whatever ran before: identities and frames are memoized
-    for cached in (invariance._commutator_identity, x2._x2_frame, x2._j_gallery,
-                   x2._k_gallery, x2._kb_gallery, x2.cij_coefficients):
+    for cached in (invariance._commutator_identity, x2.x2_frame, x2.x2_J_gallery,
+                   x2.x2_K_gallery, x2._kb_gallery, x2.cij_coefficients):
         cached.cache_clear()
     plan = SamplePlan()
     # a collector pause is charged to whichever record it falls in

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsusy import Binding, add, equal0, fn, mul, opaque, parse, pow_, rat, sym, var
+from qsusy import Binding, ExprError, add, equal0, fn, mul, opaque, parse, pow_, rat, sym, var
 from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.families import (
-    DegenerateFunctionError, FContext, GeneralCoefficients, ParameterError,
+    DegenerateFunctionError, F, GeneralCoefficients, ParameterError,
     abc_profile, assemble_from_literature_basis, build_H_minus,
     build_H_minus_direct, build_H_plus, build_H_plus_direct, build_J, build_K,
     build_P3_minus, build_P3_plus, duality_K_from_J, expand_in_literature_basis,
@@ -45,6 +45,14 @@ class TestBuildJ:
         with pytest.raises(ParameterError):
             build_J(10)
 
+    def test_the_variable_is_read_off_f(self):
+        u = var("u")
+        with pytest.raises(ExprError):
+            build_J(1, z**3 + u)
+        for i in range(1, 10):
+            assert build_J(i, opaque("f", 0, u)).var == "u"
+            assert build_J(i) == build_J(i, F)
+
 
 class TestBuildK:
     def test_k1_cubic(self):
@@ -73,8 +81,7 @@ class TestSupercharges:
 
     def test_power_tail(self):
         lam = sym("lambda")
-        fc = FContext(pow_(z, lam))
-        got = build_P3_minus(fc)
+        got = build_P3_minus(pow_(z, lam))
         tail = mul(-1, add(lam, -2), pow_(z, -1))
         want = DiffOp("z", {3: rat(1), 2: tail})
         assert equal_canonical(got, want)

@@ -4,7 +4,7 @@ import pytest
 
 from qsusy import Binding, add, diff, equal0, fn, mul, parse, pow_, rat, sym, var
 from qsusy.diffop import DiffOp
-from qsusy.families import FContext
+from qsusy import families
 from qsusy.invariance import Subspace
 from qsusy.models import (
     ModelParameterError, algebraic_spectrum,
@@ -16,10 +16,11 @@ from qsusy.models import (
 q = var("q")
 
 
-def _gauged_conditions(F1, F2, fc):
-    """The two compatibility conditions transported to the gauged variable."""
-    v = fc.variable
-    fpp, fppp, fpppp = fc(2), fc(3), fc(4)
+def _gauged_conditions(F1, F2):
+    """The two compatibility conditions, transported to the gauged variable z
+    with f opaque."""
+    v = "z"
+    fpp, fppp, fpppp = (diff(families.F, v, k) for k in (2, 3, 4))
     F1p, F2p = diff(F1, v), diff(F2, v)
     mix = F1p + rat(-1, 6) * F2p
     cond2 = diff(F1p, v) - rat(1, 2) * fppp * pow_(fpp, -1) * mix
@@ -72,11 +73,8 @@ class TestFirstIntegralForms:
     def test_gauged_conditions_vanish_identically(self):
         # the closed forms satisfy the transported conditions for opaque f
         C = [sym("C1"), sym("C2"), sym("C3"), sym("C4"), sym("C5")]
-        fc = FContext(None)
-        from qsusy import opaque
-        fexpr = opaque("f", 0, var("z"))
-        F1, F2 = f1f2_from_constants(C, fexpr)
-        c2, c3 = _gauged_conditions(F1, F2, fc)
+        F1, F2 = f1f2_from_constants(C, families.F)
+        c2, c3 = _gauged_conditions(F1, F2)
         assert equal0(c2)
         assert equal0(c3)
 
@@ -178,7 +176,7 @@ class TestSpectra:
         b = {"alpha": 1.0, "nu": 1.0, "b0": 0.5}
         m = build_example(1, Binding(params=b))
         f = fn("exp", mul(sym("nu"), var("z")))
-        h = build_H_minus(m.coeffs, f, "z")
+        h = build_H_minus(m.coeffs, f)
         V = Subspace([rat(1), var("z"), fn("exp", mul(sym("nu"), var("z")))], "z")
         M = restricted_matrix(h, V, bind=m.binding)
         assert abs(M[1, 0]) < 1e-9 and abs(M[2, 0]) < 1e-9 and abs(M[2, 1]) < 1e-9
