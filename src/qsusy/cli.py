@@ -20,7 +20,9 @@ from .parser import parse, to_string
 from .diffop import pretty
 from .families import monomial_family, literature_ops, build_J, build_K
 from .invariance import SamplePlan, checks, check_invariant, verify_commutator_table
-from .models import build_example, verify_susy_conditions, algebraic_spectrum
+from .models import (
+    build_example, verify_susy_conditions, conditions_hold, algebraic_spectrum, solvable_sector,
+)
 from .numerics import Grid, fd_spectrum, normalizability_probe
 from .suites import SUITES, seed_basis, partner_basis
 from .x2 import verify_x2_identities
@@ -197,6 +199,9 @@ def _write_or_print(text: str, path: str | None):
 def _cmd_catalog(args) -> int:
     lam = _fraction(args.exponent) if args.exponent else None
     fam = monomial_family(args.family, lam)
+    if args.family == "C" and lam in (-2, -1, 2, 3):
+        print(f"warning: family exponent {lam} lies in the documented exclusion range; the "
+              "three-dimensional space degenerates to a lower type there", file=sys.stderr)
     entries = {}
     for kind in ("J", "K"):
         for i, op in enumerate(fam[kind], start=1):
@@ -220,7 +225,6 @@ def _cmd_catalog(args) -> int:
 def _invariance_checks(f, names: list, plan: SamplePlan):
     gallery = {"J": (build_J, seed_basis(f)), "K": (build_K, partner_basis(f))}
     for name in names:
-        name = name.strip()
         if name[:1] not in gallery or not name[1:].isdecimal():
             raise ConfigError(f"unknown operator {name!r}; expected J<n> or K<n>")
         build, space = gallery[name[0]]
@@ -233,8 +237,14 @@ def _cmd_verify(args) -> int:
     plan = cfg.plan()
     f = parse(args.f)
     if args.what == "invariance":
-        ops = args.ops.split(",") if args.ops else [f"J{i}" for i in range(1, 9)]
+        ops = ([s.strip() for s in args.ops.split(",")] if args.ops
+               else [f"J{i}" for i in range(1, 9)])
+        twice = sorted({s for s in ops if ops.count(s) > 1})
+        if twice:
+            raise ConfigError(f"operators given more than once: {twice}")
         records = _invariance_checks(f, ops, plan)
+    elif args.ops:
+        raise ConfigError("--ops selects operators of 'verify invariance' only")
     elif args.what == "commutators":
         records = [dict(rec, id=f"verify:{rec['id']}")
                    for rec in verify_commutator_table(f, plan)]
@@ -275,17 +285,9 @@ def _cmd_model(args) -> int:
             {"re": ev.real, "im": ev.imag, "residual": r}
             for ev, r in zip(sp.eigenvalues, sp.residuals)
         ]
-        sector = model.sector_minus if side == "minus" else model.sector_plus
-        flags = []
-        if model.family == "example1":
-            dom = (0.0, float("inf"))
-        elif model.family == "example2":
-            dom = (float("-inf"), float("inf"))
-        else:
-            dom = model.sample_intervals[0]
-        for b in sector.elements:
-            flags.append(normalizability_probe(b, dom, model.binding))
-        doc["normalizable"][side] = flags
+        doc["normalizable"][side] = [
+            normalizability_probe(b, model.norm_domain, model.binding)
+            for b in solvable_sector(model, side).elements]
     if args.report == "json":
         _write_or_print(json.dumps(doc, indent=2, sort_keys=True), args.out)
     else:
@@ -306,7 +308,7 @@ def _cmd_model(args) -> int:
             lines.append(f"- {side} spectrum: {evs}")
             lines.append(f"- {side} sector normalizability: {doc['normalizable'][side]}")
         _write_or_print("\n".join(lines), args.out)
-    return 0 if res.max_residual <= 10 * plan.tol else 1  # models:*:conditions' margin
+    return 0 if conditions_hold(res, plan) else 1
 
 
 def _cmd_x2(args) -> int:

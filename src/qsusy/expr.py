@@ -710,7 +710,7 @@ class NotRationalError(ExprError):
 
 # evaluate_exact runs e's tape: a flat program, one instruction per distinct
 # node, over slots that hold reduced numerators and denominators
-_ADD, _MUL, _POW, _VAR, _SYM, _CHECK, _RAISE = range(7)
+_ADD, _MUL, _POW, _VAR, _CHECK, _RAISE = range(6)
 _TAPES = 8  # tapes kept, oldest dropped first (size from a sweep, CHANGES.md)
 _tapes: dict[int, tuple] = {}  # id(e) -> (e, tape); holding e keeps its id unique
 
@@ -721,9 +721,9 @@ def _tape(e: Expr) -> tuple:
     Instructions (opcode, slot, arg) come in the order a memoized walk meets
     the nodes, a power's exponent and its integer check before its base.  The
     lists start with the constants: each Rat's value, and a sum's or product's
-    leading Rat as the start of its accumulation.  Fn, Opaque and a constant
-    non-integer exponent become one raising instruction; nothing below them
-    is walked.
+    leading Rat as the start of its accumulation.  Sym, Fn, Opaque and a
+    constant non-integer exponent become one raising instruction; nothing
+    below them is walked.
     """
     hit = _tapes.get(id(e))
     if hit is not None:
@@ -759,8 +759,10 @@ def _tape(e: Expr) -> tuple:
             elif x.exponent.value.denominator != 1:
                 return slot(_RAISE, "non-integer exponent")
             return slot(_POW, (emit(x.base), k))
-        if isinstance(x, (Var, Sym)):
-            return slot(_VAR, None) if isinstance(x, Var) else slot(_SYM, x.name)
+        if isinstance(x, Var):
+            return slot(_VAR, None)
+        if isinstance(x, Sym):
+            return slot(_RAISE, f"parameter {x.name!r} has no rational value")
         return slot(_RAISE, f"{type(x).__name__} node is not rational")
 
     tape = (prog, nums, dens, emit(e))
@@ -770,11 +772,11 @@ def _tape(e: Expr) -> tuple:
     return tape
 
 
-def evaluate_exact(e: Expr, at: Fraction,
-                   params: dict[str, Fraction] | None = None) -> Fraction:
-    """Exact rational evaluation; raises NotRationalError on transcendental or
-    opaque content and ZeroDivisionError at poles, the first exception a tree
-    walk would raise.  Runs e's tape on fresh copies of its lists.
+def evaluate_exact(e: Expr, at: Fraction) -> Fraction:
+    """Exact rational evaluation; raises NotRationalError on a parameter, on
+    transcendental or opaque content and ZeroDivisionError at poles, the
+    first exception a tree walk would raise.  Runs e's tape on fresh copies of
+    its lists.
     """
     prog, nums, dens, out = _tape(e)
     N, D = nums.copy(), dens.copy()
@@ -803,10 +805,6 @@ def evaluate_exact(e: Expr, at: Fraction,
             N[s], D[s] = n**k, d**k  # a power of a reduced pair is reduced
         elif op == _VAR:
             N[s], D[s] = at.as_integer_ratio()
-        elif op == _SYM:
-            if not params or a not in params:
-                raise NotRationalError(f"parameter {a!r} has no rational value")
-            N[s], D[s] = params[a].as_integer_ratio()
         elif op == _RAISE or D[s] != 1:  # or a _CHECK of an exponent that is not an integer
             raise NotRationalError(a)
     return Fraction(N[out], D[out])

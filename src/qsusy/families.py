@@ -9,7 +9,6 @@ J-gallery.  Cross-checks between routes live in the verification suites.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -255,11 +254,6 @@ def _lam(x) -> Expr:
     e = as_expr(x)
     if isinstance(e, Rat) and e.value in (0, 1):
         raise ParameterError("family exponent 0 or 1 degenerates the normalization")
-    if isinstance(e, Rat) and e.value in (-2, -1, 2, 3):
-        warnings.warn(
-            f"family exponent {e.value} lies in the documented exclusion range; "
-            "the three-dimensional space degenerates to a lower type there",
-            stacklevel=3)
     return e
 
 
@@ -335,14 +329,15 @@ _FAMILY_EXPONENT = {"A": Fraction(2), "B": Fraction(3)}
 def monomial_family(kind: str, lam=None) -> dict[str, list[DiffOp]]:
     """The rescaled J and K operator lists for a monomial invariant space.
 
-    kind "C" takes a free exponent; kinds "B" and "A" force exponents 3 and 2.
+    kind "C" takes a free exponent; kinds "B" and "A" force exponents 3 and 2
+    and take none.
     """
     kind = kind.upper()
     if kind in _FAMILY_EXPONENT:
-        # the forced exponents lie in the exclusion range by design
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return _monomial_lists(Rat(_FAMILY_EXPONENT[kind]))
+        if lam is not None:
+            raise ParameterError(f"kind {kind} fixes its exponent at {_FAMILY_EXPONENT[kind]}; "
+                                 "it takes none")
+        return _monomial_lists(Rat(_FAMILY_EXPONENT[kind]))
     if kind != "C":
         raise ParameterError(f"unknown family kind {kind!r}")
     if lam is None:
@@ -505,20 +500,16 @@ def assemble_from_literature_basis(lb: LiteratureBasisCoefficients, lam=None) ->
     vals = lb.values
     out = DiffOp.mult(v, vals["const"])
     if lb.family == "C":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = out + monomial_J(8, lam).scaled(vals["t8"])
-            out = out + monomial_J(6, lam).scaled(vals["t6"])
-            out = out + monomial_J(2, lam).scaled(vals["t2"])
-            out = out + monomial_J(1, lam).scaled(vals["t1"])
+        out = out + monomial_J(8, lam).scaled(vals["t8"])
+        out = out + monomial_J(6, lam).scaled(vals["t6"])
+        out = out + monomial_J(2, lam).scaled(vals["t2"])
+        out = out + monomial_J(1, lam).scaled(vals["t1"])
         for name, key in (("J+0", "a3"), ("J00", "a2"), ("J0-", "a1"), ("J0", "b0")):
             out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))
         return out
     if lb.family == "B":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = out + monomial_J(8, Rat(3)).scaled(vals["t8"])
-            out = out + monomial_J(1, Rat(3)).scaled(vals["t1"])
+        out = out + monomial_J(8, Rat(3)).scaled(vals["t8"])
+        out = out + monomial_J(1, Rat(3)).scaled(vals["t1"])
         for name, key in (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"),
                           ("J0-", "a0-"), ("J--", "a--"), ("J0", "b0")):
             out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -37,26 +37,27 @@ class SamplingError(InvarianceError):
 
 
 DEFAULT_INTERVALS = ((0.5, 2.5), (3.0, 5.0), (0.15, 0.45), (5.5, 8.0))
+FIT_POINTS = 12       # points a membership fit solves on
+HOLDOUT_POINTS = 6    # further points that certify the fit
+EXCLUSION = 1e-3      # radius around a rejected draw that a search skips
+COND_CEILING = 1e10   # largest condition number of a sampled basis
+MAGNITUDE_CAP = 1e9   # largest value a sample point may give an expression
 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """How a check samples, and the one tolerance of every sampled residual.
+    """Where a check samples, and the one tolerance of every sampled residual.
 
     A residual passes at tol; the decisions that need a different margin state
     it once, as a fixed multiple: the P3 annihilations at tol / 10, the
     commutator table, the closure identities, the models' conditions, gauge
     and partner checks and the exit code of `qsusy model` at 10 * tol, and
-    the models' spectra at 100 * tol.
+    the models' spectra at 100 * tol.  The point counts, the exclusion radius
+    and the caps are the module constants above.
     """
-    m: int = 12
-    holdout: int = 6
     seed: int = 7
-    exclusion: float = 1e-3
     tol: float = 1e-9
-    cond_ceiling: float = 1e10
     intervals: tuple = DEFAULT_INTERVALS
-    magnitude_cap: float = 1e9
 
 
 @dataclass
@@ -190,7 +191,6 @@ class Verdict:
     residuals: list
     matrix: np.ndarray | None
     cond: float
-    diagnostics: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.passed
@@ -209,13 +209,13 @@ def safe_points_each(exprs: list, plan: SamplePlan, binds: list,
 
     V holds the kernel rows that accepted the points, bit-equal to
     values(exprs, points, bind).  The candidates depend only on the plan's
-    seed and intervals and on count: 60*count uniform draws from each
-    interval in turn, from one default_rng(plan.seed), taken in chunks of
-    2*count.  A draw is rejected where an expression faults or its value is
-    not finite or above the magnitude cap; a later draw within the exclusion
-    radius of a rejected one, or within a tenth of it of an accepted point,
-    is skipped unseen.  An error that is not an EvalError at a rejected draw
-    is raised.
+    seed and intervals and on count (FIT_POINTS + HOLDOUT_POINTS by default):
+    60*count uniform draws from each interval in turn, from one
+    default_rng(plan.seed), taken in chunks of 2*count.  A draw is rejected
+    where an expression faults or its value is not finite or above
+    MAGNITUDE_CAP; a later draw within EXCLUSION of a rejected one, or within
+    a tenth of it of an accepted point, is skipped unseen.  An error that is
+    not an EvalError at a rejected draw is raised.
 
     The draws and their kernel columns come from the checks run's _Store, or
     outside a run from a store of this call alone; at each chunk one stacked
@@ -224,7 +224,7 @@ def safe_points_each(exprs: list, plan: SamplePlan, binds: list,
     exclusion rules in Python, in draw order, so each binding gets the result
     a point-by-point search of its own gives.
     """
-    need = count if count is not None else plan.m + plan.holdout
+    need = count if count is not None else FIT_POINTS + HOLDOUT_POINTS
     store = _store if _store is not None else _Store()
     binds = [b or EMPTY_BINDING for b in binds]
     # per binding: the points accepted so far, their rows, the draws rejected so far
@@ -236,15 +236,15 @@ def safe_points_each(exprs: list, plan: SamplePlan, binds: list,
         for d, (V, F, errors) in zip(searching, cols):
             out, rows, bad = state[d]
             # per draw and expression: a fault or a value out of range
-            S = (F != 0) | ~np.isfinite(V) | (np.abs(V) > plan.magnitude_cap)
+            S = (F != 0) | ~np.isfinite(V) | (np.abs(V) > MAGNITUDE_CAP)
             rejected = S.any(axis=1)
             kept = np.ones(len(chunk), bool)  # not skipped by an exclusion rule
-            for i in _near(chunk, out + bad, plan.exclusion):
+            for i in _near(chunk, out + bad, EXCLUSION):
                 x = float(chunk[i])
                 prior_bad = bad + chunk[:i][kept[:i] & rejected[:i]].tolist()
                 prior_out = out + chunk[:i][kept[:i] & ~rejected[:i]].tolist()
-                kept[i] = not (any(abs(x - g) < plan.exclusion for g in prior_bad)
-                               or any(abs(x - p) < plan.exclusion / 10 for p in prior_out))
+                kept[i] = not (any(abs(x - g) < EXCLUSION for g in prior_bad)
+                               or any(abs(x - p) < EXCLUSION / 10 for p in prior_out))
             ok = (kept & ~rejected).nonzero()[0]
             end = len(chunk) if len(out) + len(ok) < need else ok[need - len(out) - 1] + 1
             failed = kept[:end] & rejected[:end]
@@ -349,22 +349,21 @@ def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
     """
     if op.var != V.variable:
         raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
-    pts, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
-    B_fit = B_all[:plan.m]
+    _, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
+    B_fit = B_all[:FIT_POINTS]
     cond = float(np.linalg.cond(B_fit))
-    if not np.isfinite(cond) or cond > plan.cond_ceiling:
+    if not np.isfinite(cond) or cond > COND_CEILING:
         raise IllConditionedBasisError(
             f"sampled basis condition number {cond:.3e} exceeds ceiling")
     # column scaling keeps the solve well-behaved for lopsided bases
     scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
-    M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_all[:plan.m], rcond=None)
+    M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_all[:FIT_POINTS], rcond=None)
     M = M_hat / scales[:, None]
     r = relative_residual(Y_all - B_all @ M,
                           np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
     ok = bool(np.all(r <= plan.tol))
     # M returned in the (j, i) layout: column i holds the coordinates of op(b_i)
-    return Verdict(ok, r.tolist(), M if ok else None, cond,
-                   {"points": pts, "fit_matrix_cond": cond})
+    return Verdict(ok, r.tolist(), M if ok else None, cond)
 
 
 def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
@@ -372,10 +371,10 @@ def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
     """op(b_i) = 0 for every element, on the scale check_invariant uses."""
     if op.var != V.variable:
         raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
-    pts, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
+    _, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
     r = relative_residual(Y_all, np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
     return Verdict(bool(np.all(r <= plan.tol)), r.tolist(), None,
-                   float(np.linalg.cond(B_all)), {"points": pts})
+                   float(np.linalg.cond(B_all)))
 
 
 def restricted_matrix(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
@@ -566,12 +565,6 @@ def lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f):
     }
 
 
-def decide_lie_closure(ops, targets: dict, plan: SamplePlan = SamplePlan(),
-                       bind: Binding | None = None) -> ClosureReport:
-    """decide_lie_closure_each for one binding."""
-    return decide_lie_closure_each(ops, targets, plan, [bind])[0]
-
-
 def decide_lie_closure_each(ops, targets: dict, plan: SamplePlan, binds: list) -> list:
     """Per binding, whether lie_closure_identities' combinations are first
     order and its identities hold under it, each decided at 10 * plan.tol.
@@ -597,9 +590,7 @@ def decide_lie_closure_each(ops, targets: dict, plan: SamplePlan, binds: list) -
 
 
 def check_lie_closure(alpha_minus, alpha_zero, alpha_plus, f,
-                      plan: SamplePlan = SamplePlan(),
-                      bind: Binding | None = None) -> ClosureReport:
-    """Probe whether J2+α₋J4, J3+α₀J5, J6+α₊J7 close an sl(2)-type algebra,
-    with any parameter left symbolic bound by bind."""
-    return decide_lie_closure(
-        *lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f), plan, bind)
+                      plan: SamplePlan = SamplePlan()) -> ClosureReport:
+    """Probe whether J2+α₋J4, J3+α₀J5, J6+α₊J7 close an sl(2)-type algebra."""
+    return decide_lie_closure_each(
+        *lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f), plan, [None])[0]

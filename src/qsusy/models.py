@@ -9,7 +9,7 @@ All printed closed forms are cross-validated numerically at build time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -103,7 +103,6 @@ def f1f2_from_constants(C, f: Expr) -> tuple[Expr, Expr]:
 
 @dataclass
 class ModelSpec:
-    family: str
     binding: Binding
     z_of_q: Expr
     E: Expr
@@ -119,8 +118,8 @@ class ModelSpec:
     f_of_z: Expr
     nu: Expr
     sample_intervals: tuple
+    norm_domain: tuple  # the (lo, hi) on which a sector function's normalizability is probed
     fd_domain: tuple | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def hamiltonian(self, side: str) -> DiffOp:
         V = self.V_minus if side == "minus" else self.V_plus
@@ -146,6 +145,11 @@ class IntertwiningResidual:
     def max_residual(self) -> float:
         return max(self.cond2, self.cond3, self.f1_match, self.f2_match,
                    self.intertwining)
+
+
+def conditions_hold(res: IntertwiningResidual, plan: SamplePlan) -> bool:
+    """The verdict on a model's conditions: every residual at most 10 * plan.tol."""
+    return res.max_residual <= 10 * plan.tol
 
 
 @dataclass
@@ -202,6 +206,10 @@ def build_example(example_id: int, bind: Binding) -> ModelSpec:
     missing = [k for k in need[example_id] if k not in p]
     if missing:
         raise ModelParameterError(f"missing parameters: {missing}")
+    unknown = sorted(set(p) - set(need[example_id]))
+    if unknown:
+        raise ModelParameterError(f"unknown parameters for example {example_id}: {unknown}; "
+                                  f"expected {', '.join(need[example_id])}")
     al, nu, b0 = sym("alpha"), sym("nu"), sym("b0")
     if p["nu"] == 0:
         raise ModelParameterError("nu must be nonzero")
@@ -241,7 +249,7 @@ def build_example(example_id: int, bind: Binding) -> ModelSpec:
         # a Dirichlet wall at q_lo shifts regular levels by ~ q_lo/2, so the
         # cut sits well below the eigenvalue tolerances used downstream
         fd_domain = (2e-4, max(8.0, half_width))
-        family = "example1"
+        norm_domain = (0.0, math.inf)
     elif example_id == 2:
         if p["alpha"] <= 0:
             raise ModelParameterError("alpha must be positive")
@@ -272,7 +280,7 @@ def build_example(example_id: int, bind: Binding) -> ModelSpec:
         scale = math.sqrt(p["alpha"])
         intervals = ((-1.2 / scale, 1.3 / scale),)
         fd_domain = None
-        family = "example2"
+        norm_domain = (-math.inf, math.inf)
     else:
         be = sym("beta")
         if p["alpha"] * p["beta"] <= 0:
@@ -320,14 +328,14 @@ def build_example(example_id: int, bind: Binding) -> ModelSpec:
         period = math.pi / sval
         intervals = ((0.1 * period, 0.9 * period),)
         fd_domain = None
-        family = "example3"
+        norm_domain = intervals[0]
 
     model = ModelSpec(
-        family=family, binding=bind, z_of_q=z_of_q, E=E, F=F, W=W,
+        binding=bind, z_of_q=z_of_q, E=E, F=F, W=W,
         gauge_minus=wm, gauge_plus=wp, V_minus=Vm, V_plus=Vp,
         sector_minus=sector_m, sector_plus=sector_p, coeffs=coeffs,
         f_of_z=fn("exp", mul(nu, var("z"))), nu=nu,
-        sample_intervals=intervals, fd_domain=fd_domain,
+        sample_intervals=intervals, norm_domain=norm_domain, fd_domain=fd_domain,
     )
     _validate_model(model)
     return model
@@ -363,7 +371,6 @@ def _validate_model(model: ModelSpec):
     bad = {name: float(r) for name, r in zip(checks, resid) if r > 1e-8}
     if bad:
         raise ModelConsistencyError(f"printed forms are inconsistent: {bad}")
-    model.diagnostics["consistency_scale"] = 1.0 + scale
 
 
 def _compose_z(e_z: Expr, z_of_q: Expr) -> Expr:

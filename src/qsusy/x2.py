@@ -520,21 +520,24 @@ def combination_admissible(i: int, side: str, alpha) -> bool:
     return True
 
 
-def _exact_zero_operator(op: DiffOp, n_points: int = 72) -> bool:
+_EXACT_ZEROS = 72  # zeros that certify a coefficient
+
+
+def _exact_zero_operator(op: DiffOp) -> bool:
     """Certify that an operator with rational-function coefficients vanishes.
 
     Each coefficient is evaluated exactly at rational points, poles skipped,
-    and must be 0 at n_points of them.  That is a proof only under an
+    and must be 0 at _EXACT_ZEROS of them.  That is a proof only under an
     assumption nothing checks yet: each coefficient's numerator, written over
-    a common denominator, has degree below n_points (72), so that many zeros
-    force it to vanish identically.  Propagating a degree bound through the
-    expression would make it one; that is still open (ROADMAP.md, item 1).
+    a common denominator, has degree below _EXACT_ZEROS (72), so that many
+    zeros force it to vanish identically.  Propagating a degree bound through
+    the expression would make it one; that is still open (ROADMAP.md, item 1).
     """
-    pts = [Fraction(7 * k + 3, 16) for k in range(1, 3 * n_points)]
+    pts = [Fraction(7 * k + 3, 16) for k in range(1, 3 * _EXACT_ZEROS)]
     for k, c in op.coeffs.items():
         clean = 0
         idx = 0
-        while clean < n_points and idx < len(pts):
+        while clean < _EXACT_ZEROS and idx < len(pts):
             x = pts[idx]
             idx += 1
             try:
@@ -544,7 +547,7 @@ def _exact_zero_operator(op: DiffOp, n_points: int = 72) -> bool:
             if val != 0:
                 return False
             clean += 1
-        if clean < n_points:
+        if clean < _EXACT_ZEROS:
             return False
     return True
 

@@ -133,6 +133,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert r"\frac{d^2}{dz^2}" in out
 
+    def test_catalog_warns_in_the_exclusion_range(self, capsys):
+        for lam in ("-2", "-1", "2", "3"):
+            assert main(["catalog", "--family", "C", "--lambda", lam]) == 0
+            err = capsys.readouterr().err
+            assert err.startswith("warning: family exponent ") and err.count("\n") == 1, lam
+        assert main(["catalog", "--family", "C", "--lambda", "5/2"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_verify_invariance_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["verify", "invariance", "--f", "exp(z)", "--ops", "J1,K2",
@@ -176,6 +184,10 @@ class TestMain:
         ["x2", "verify", "--alpha", "1e400"],
         ["x2", "verify", "--alpha", "1e200"],
         ["spectrum", "--potential", "q^2/2", "--grid", "100000000", "--lo", "0", "--hi", "1"],
+        ["catalog", "--family", "B", "--lambda", "5/2"],
+        ["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5,zzz=3"],
+        ["verify", "commutators", "--f", "z^3", "--ops", "J1"],
+        ["verify", "invariance", "--f", "exp(z)", "--ops", "J1,J1"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if "--config" in argv:  # the argument after it is the file's content
@@ -380,9 +392,9 @@ def test_identity_records_are_charged_their_own_time():
     gc.disable()
     try:
         t0 = time.monotonic()
-        x2 = suite_x2(plan, alphas=(Fraction(5),))
+        x2 = suite_x2(plan)
         wall = 1000.0 * (time.monotonic() - t0)
-        table = suite_commutators(plan, f_texts=("z^3",))
+        table = suite_commutators(plan)
     finally:
         gc.enable()
     identities = [c for c in x2 if c["id"].startswith(("x2:minus:", "x2:plus:"))]
@@ -390,7 +402,7 @@ def test_identity_records_are_charged_their_own_time():
                               if c["verdict"] != "skipped")
     # the identity work is inside the records, not between them
     assert sum(c["millis"] for c in x2) > 0.9 * wall
-    assert len(table) == 28
+    assert len(table) == 84
     assert max(c["millis"] for c in table) <= sum(c["millis"] for c in table) / 2
 
 
@@ -404,9 +416,10 @@ def test_failed_model_build_records_its_reason(monkeypatch):
         return models.build_example(eid, bind)
 
     monkeypatch.setattr(suites, "build_example", build)
-    checks = suites.suite_models(SamplePlan(), draws_per_example=1)
+    checks = suites.suite_models(SamplePlan())
     failed = [c for c in checks if c["verdict"] == "fail"]
-    assert [c["id"] for c in failed] == ["models:example2:draw0:build"]
+    assert [c["id"] for c in failed] == ["models:example2:draw0:build",
+                                         "models:example2:draw1:build"]
     assert failed[0]["reason"].startswith("ModelParameterError: ")
     assert all("reason" not in c for c in checks if c["verdict"] != "fail")
     assert "ModelParameterError" in Report(SuiteConfig(), checks).to_json(include_timing=False)
@@ -431,6 +444,6 @@ def test_model_exit_code_and_suite_share_the_conditions_margin(monkeypatch, caps
     rc = main(["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5"])
     capsys.readouterr()
     assert rc == (0 if passes else 1)
-    checks = suites.suite_models(SamplePlan(), draws_per_example=1)
+    checks = suites.suite_models(SamplePlan())
     verdicts = {c["verdict"] for c in checks if c["id"].endswith(":conditions")}
     assert verdicts == {"pass" if passes else "fail"}

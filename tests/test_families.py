@@ -256,11 +256,12 @@ class TestMonomialFamilies:
             monomial_J(1, 0)
         with pytest.raises(ParameterError):
             monomial_J(1, 1)
-        with pytest.warns(UserWarning):
-            monomial_J(1, Fraction(-1))
+        for kind in ("A", "B"):  # their exponents are fixed; the CLI warns on C's
+            with pytest.raises(ParameterError, match="takes none"):
+                monomial_family(kind, Fraction(5, 2))
 
     def test_monomial_suite_raises_no_warning(self):
-        # the suite silences only the exponents that warn by design
+        # the exclusion-range warning is the CLI's; the library raises none
         from qsusy.invariance import SamplePlan
         from qsusy.suites import suite_monomial
 

@@ -1,10 +1,13 @@
 """Stdlib stand-ins for a linter: every import in the package modules is used
 and made at module level, only the expression core reads child-node tuples
-directly, no function takes a tolerance of its own, every top-level
+directly, no function takes a tolerance of its own, every SamplePlan field is
+set by the program and every suite takes only a plan, every top-level
 definition is reached, and the names the traced bench run wraps exist."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,40 @@ def test_no_function_takes_a_tolerance(path):
     # SamplePlan.tol is the one tolerance of every sampled residual; a check
     # that needs another margin states it as a multiple of plan.tol
     assert tol_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def unset_fields(fields: list, sources: list) -> list[str]:
+    """The fields that no call SamplePlan(...) or replace(...) in sources
+    passes by keyword."""
+    passed = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call) and getattr(
+                    n.func, "id", getattr(n.func, "attr", None)) in ("SamplePlan", "replace"):
+                passed |= {k.arg for k in n.keywords}
+    return sorted(set(fields) - passed)
+
+
+def test_detector_flags_an_unset_field():
+    sources = ["p = SamplePlan(seed=3)\n",
+               "q = dataclasses.replace(p, tol=1.0)\nr = other(m=2)\nSamplePlan(**kw)\n"]
+    assert unset_fields(["seed", "tol", "m", "holdout"], sources) == ["holdout", "m"]
+
+
+def test_every_plan_field_is_set_by_the_program():
+    # a field that no caller in src/ sets has one value in use: it is a
+    # constant of invariance, not a field
+    from qsusy.invariance import SamplePlan
+
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert unset_fields([f.name for f in dataclasses.fields(SamplePlan)], sources) == []
+
+
+def test_every_suite_takes_only_a_plan():
+    from qsusy.suites import SUITES
+
+    assert {name: len(inspect.signature(suite).parameters)
+            for name, suite in SUITES.items()} == dict.fromkeys(SUITES, 1)
 
 
 _RULE_ERRORS = ("PoleError", "EvalDomainError", "UnboundSymbolError")

@@ -2,6 +2,7 @@ import gc
 import time
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qsusy.families import build_H_minus, build_H_minus_direct, build_J, build_K
 from qsusy.invariance import (
     IllConditionedBasisError, SamplePlan, SamplingError, Subspace, checks,
     check_annihilates, check_invariant, check_lie_closure, commutator_rhs, default_probes,
-    decide_lie_closure, decide_lie_closure_each, lie_closure_identities, op_order_each,
+    decide_lie_closure_each, lie_closure_identities, op_order_each,
     ops_equal_each, ops_equal_numeric, restricted_matrix, safe_points, safe_points_each,
     verify_commutator_table,
 )
@@ -61,7 +62,7 @@ class TestCheckInvariant:
     def test_degenerate_basis_rejected(self):
         V = Subspace([rat(1), z, mul(2, z)], "z")
         with pytest.raises(IllConditionedBasisError):
-            check_invariant(DiffOp.d("z"), V, SamplePlan(cond_ceiling=1e8))
+            check_invariant(DiffOp.d("z"), V)
 
 
 class TestCheckAnnihilates:
@@ -140,20 +141,20 @@ def _reference_safe_points(exprs, plan, bind=None, count=None):
             v = scalar_evaluate(e, x, bind)
         except EvalError:
             return None
-        if not np.isfinite(v) or abs(v) > plan.magnitude_cap:
+        if not np.isfinite(v) or abs(v) > invariance.MAGNITUDE_CAP:
             return None
         return v
 
-    need = count if count is not None else plan.m + plan.holdout
+    need = count if count is not None else invariance.FIT_POINTS + invariance.HOLDOUT_POINTS
     rng = np.random.default_rng(plan.seed)
     out, bad = [], []
     for lo, hi in plan.intervals:
         draws = rng.uniform(lo, hi, size=60 * need)
         for x in draws:
             x = float(x)
-            if any(abs(x - g) < plan.exclusion for g in bad):
+            if any(abs(x - g) < invariance.EXCLUSION for g in bad):
                 continue
-            if any(abs(x - p) < plan.exclusion / 10 for p in out):
+            if any(abs(x - p) < invariance.EXCLUSION / 10 for p in out):
                 continue
             if any(safe_value(e, x) is None for e in exprs):
                 bad.append(x)
@@ -177,20 +178,28 @@ def _outcome(search, exprs, plan, bind):
     return out.tolist()
 
 
-# name: (expressions, SamplePlan fields, binding, what the search ends in)
+def _setup(seed, kw):
+    """A SamplePlan at seed with kw's lower-case fields, and kw's upper-case
+    entries: the invariance constants a search runs under."""
+    return (SamplePlan(seed=seed, **{k: v for k, v in kw.items() if k.islower()}),
+            {k: v for k, v in kw.items() if k.isupper()})
+
+
+# name: (expressions, SamplePlan fields and invariance constants, binding,
+# what the search ends in)
 _SEARCH_CASES = {
     "magnitude cap at a double pole": (
-        [pow_(z - rat(3, 2), -2)], dict(magnitude_cap=1e2), None, list),
+        [pow_(z - rat(3, 2), -2)], dict(MAGNITUDE_CAP=1e2), None, list),
     "log domain and a pole": (
         [fn("log", z - 2), pow_(z - 3, -1)], dict(intervals=((1.5, 3.5),)), None, list),
     "negative base, fractional power": (
         [mul(pow_(z - 4, rat(1, 2)), pow_(z - rat(9, 2), -1))],
-        dict(intervals=((3.0, 5.0),), exclusion=1e-2), None, list),
+        dict(intervals=((3.0, 5.0),), EXCLUSION=1e-2), None, list),
     "opaque function off its domain": (
         [opaque("f", 1, z), opaque("f", 0, z)], dict(intervals=((5.5, 8.0), (0.5, 2.5))),
         Binding(funcs={"f": fn("log", z - 7)}), list),
     "too few usable points": (
-        [fn("log", z - rat(799, 100))], dict(intervals=((7.5, 8.0),), exclusion=1e-2),
+        [fn("log", z - rat(799, 100))], dict(intervals=((7.5, 8.0),), EXCLUSION=1e-2),
         None, SamplingError),
     "evaluate itself raises": (  # exp(exp(z)) overflows to inf, then sin(inf)
         [fn("sin", fn("exp", fn("exp", z)))], dict(intervals=((6.0, 7.0),)), None,
@@ -200,21 +209,23 @@ _SEARCH_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
 def test_safe_points_matches_point_by_point_search(case):
-    exprs, plan_kw, bind, ends_in = _SEARCH_CASES[case]
+    exprs, kw, bind, ends_in = _SEARCH_CASES[case]
     for seed in range(20):
-        plan = SamplePlan(seed=seed, **plan_kw)
-        want = _outcome(_reference_safe_points, exprs, plan, bind)
-        assert (list if isinstance(want, list) else want[0]) is ends_in
-        assert _outcome(safe_points, exprs, plan, bind) == want, seed
+        plan, consts = _setup(seed, kw)
+        with mock.patch.dict(vars(invariance), consts):
+            want = _outcome(_reference_safe_points, exprs, plan, bind)
+            assert (list if isinstance(want, list) else want[0]) is ends_in
+            assert _outcome(safe_points, exprs, plan, bind) == want, seed
 
 
 # one checks run keeps its candidate draws and kernel columns in one store ------
 
-def _search(exprs, plan, bind, count):
+def _search(exprs, plan, bind, count, consts=()):
     """safe_points' points and rows as bytes, or the type and message of what
-    it raises."""
+    it raises, under the invariance constants consts."""
     try:
-        pts, V = safe_points(exprs, plan, bind, count)
+        with mock.patch.dict(vars(invariance), consts):
+            pts, V = safe_points(exprs, plan, bind, count)
     except (SamplingError, ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
     return pts.tobytes(), V.tobytes()
@@ -241,8 +252,9 @@ _SHARED_CALLS = [  # (expressions, plan, binding, count): nodes, draws and bindi
     ([fn("sin", fn("exp", fn("exp", z)))], SamplePlan(seed=3, intervals=((6.0, 7.0),)),
      None, 8),                                               # raises ValueError
 ]
-_CALLS = _SHARED_CALLS + [(exprs, SamplePlan(seed=seed, **kw), bind, None)
-                          for exprs, kw, bind, _ in _SEARCH_CASES.values() for seed in range(4)]
+_CALLS = _SHARED_CALLS + [(exprs, plan, bind, None, consts)
+                          for exprs, kw, bind, _ in _SEARCH_CASES.values()
+                          for plan, consts in map(_setup, range(4), [kw] * 4)]
 
 
 @invariance.checks
@@ -255,7 +267,8 @@ def _in_one_run(calls, got):
 def test_one_run_gives_each_search_what_it_gives_alone():
     alone = [_search(*call) for call in _CALLS]
     for call, want in zip(_CALLS, alone):
-        ref = _outcome(lambda e, p, b: _reference_safe_points(e, p, b, call[3]), *call[:3])
+        with mock.patch.dict(vars(invariance), *call[4:]):
+            ref = _outcome(lambda e, p, b: _reference_safe_points(e, p, b, call[3]), *call[:3])
         if isinstance(want, tuple) and isinstance(want[0], type):
             assert want == ref
         else:
@@ -382,8 +395,8 @@ class TestOneSearchPerPair:
             return got
 
         monkeypatch.setattr(suites, "ops_equal_each", both)
-        checks = suites.suite_construction(SamplePlan(), draws=6)
-        assert seen == [6, 10] and all(c["verdict"] == "pass" for c in checks)
+        checks = suites.suite_construction(SamplePlan())
+        assert seen == [50, 10] and all(c["verdict"] == "pass" for c in checks)
 
     def test_commutator_identities(self, monkeypatch):
         seen = _against_oracle(monkeypatch, invariance)
@@ -413,9 +426,9 @@ def _invariant_per_element(op, V, plan=SamplePlan(), annihilate=False):
         col += len(row)
     M = None
     if not annihilate:
-        B_fit = B[:plan.m]
+        B_fit = B[:invariance.FIT_POINTS]
         scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
-        M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y[:plan.m], rcond=None)
+        M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y[:invariance.FIT_POINTS], rcond=None)
         M = M_hat / scales[:, None]
         Y = Y - B @ M
     r = np.abs(Y).max(axis=0) / (1.0 + np.maximum(G.max(axis=0), np.abs(B).max()))
@@ -695,12 +708,12 @@ def test_closure_bindings_leave_the_order_stage_at_their_first_high_order():
         reports = decide_lie_closure_each(*built, SamplePlan(), [closes, second])
         assert seen == [[closes, second], [closes, second], [closes]]
         seen.clear()
-        alone = decide_lie_closure(*built, SamplePlan(), second)
+        (alone,) = decide_lie_closure_each(*built, SamplePlan(), [second])
         assert seen == [[second], [second]]
     assert [r.first_order for r in reports] == [True, False]
     assert reports[0].closed and not reports[1].closed
     assert alone == reports[1]
-    assert decide_lie_closure(*built, SamplePlan(), closes) == reports[0]
+    assert decide_lie_closure_each(*built, SamplePlan(), [closes]) == reports[:1]
 
 
 def test_a_stacked_walk_covers_at_most_one_block(monkeypatch):

@@ -6,8 +6,9 @@ from qsusy import Binding, add, diff, equal0, fn, mul, parse, pow_, rat, sym, va
 from qsusy.diffop import DiffOp
 from qsusy import families
 from qsusy.invariance import Subspace
+from qsusy import models as models_mod
 from qsusy.models import (
-    ModelParameterError, algebraic_spectrum,
+    ModelConsistencyError, ModelParameterError, algebraic_spectrum,
     build_example, constraint_residual_exprs, f1f2_from_constants,
     gauge_consistency_residual, partner_consistency_residual,
     potential_pair, sector_invariance, solvable_sector, verify_susy_conditions,
@@ -99,6 +100,11 @@ class TestBuildExample:
         with pytest.raises(ModelParameterError, match="missing"):
             build_example(1, Binding(params={"alpha": 1.0}))
 
+    def test_unknown_parameter(self):
+        # beta is example 3's; in example 1 it would be bound and never read
+        with pytest.raises(ModelParameterError, match=r"unknown parameters .*\['beta'\]"):
+            build_example(1, Binding(params={"alpha": 1.0, "beta": 1.0, "nu": 1.0, "b0": 0.5}))
+
     def test_radial_functions(self, models):
         m = models[1]
         assert equal0(m.E - pow_(q, -1))
@@ -120,9 +126,17 @@ class TestBuildExample:
         from qsusy.parser import to_string
         assert "log(tan(" in to_string(elem)
 
-    def test_build_is_validated(self, models):
-        for m in models.values():
-            assert "consistency_scale" in m.diagnostics
+    @pytest.mark.parametrize("eid", [1, 2, 3])
+    def test_a_misprinted_form_fails_the_build(self, monkeypatch, eid):
+        # the build checks its printed potentials against the ones the
+        # function triple generates; shift one and the build must refuse
+        def shifted(W, E, F):
+            Vm, Vp = potential_pair(W, E, F)
+            return add(Vm, rat(1, 1000)), Vp
+
+        monkeypatch.setattr(models_mod, "potential_pair", shifted)
+        with pytest.raises(ModelConsistencyError, match="V-"):
+            build_example(eid, BINDINGS[eid])
 
 
 class TestSusyConditions:

@@ -16,7 +16,7 @@ from qsusy.families import (
     build_H_plus_direct,
 )
 from qsusy.invariance import (
-    SamplePlan, SamplingError, check_lie_closure, decide_lie_closure,
+    SamplePlan, SamplingError, check_lie_closure, decide_lie_closure_each,
     lie_closure_identities, ops_equal_numeric,
 )
 from qsusy import suites
@@ -76,9 +76,9 @@ def test_a_symbol_left_unbound_never_passes():
 
 def test_a_closure_point_with_an_unbound_alpha_is_not_closed():
     built = lie_closure_identities(sym("am"), sym("a0"), sym("ap"), parse("-z^2/(2*am)"))
-    assert decide_lie_closure(*built, PLAN,
-                              Binding(params={"am": 2.0, "a0": -0.5, "ap": 0.5})).closed
-    rep = decide_lie_closure(*built, PLAN, Binding(params={"am": 2.0, "ap": 0.5}))
+    assert decide_lie_closure_each(*built, PLAN,
+                                   [Binding(params={"am": 2.0, "a0": -0.5, "ap": 0.5})])[0].closed
+    (rep,) = decide_lie_closure_each(*built, PLAN, [Binding(params={"am": 2.0, "ap": 0.5})])
     assert not rep.closed
     assert all(r == float("inf") for r in rep.structure_residuals.values())
 
@@ -109,7 +109,7 @@ def test_bound_closure_build_is_the_concrete_build(ap):
         for c, s in zip(targets_c[key], targets_s[key]):
             assert ops_equal_numeric(c, s, bind, PLAN)[0], key
     concrete = check_lie_closure(am, a0, ap, f, PLAN)
-    bound = check_lie_closure(sym("am"), sym("a0"), sym("ap"), f_sym, PLAN, bind)
+    (bound,) = decide_lie_closure_each(ops_s, targets_s, PLAN, [bind])
     assert (bound.closed, bound.first_order) == (concrete.closed, concrete.first_order)
     assert bound.closed == (ap == Fraction(1, 2))
     for key, res in concrete.structure_residuals.items():
@@ -135,7 +135,7 @@ def test_routes_are_built_once_per_call(monkeypatch):
         return out
 
     monkeypatch.setattr(suites, "_routes_agree", spy)
-    checks = suites.suite_construction(PLAN, draws=5)
+    checks = suites.suite_construction(PLAN)
     assert seen == [1, 1] and all(c["verdict"] == "pass" for c in checks)
 
 
