@@ -1,26 +1,31 @@
 """Recursive-descent parser and round-tripping pretty printer.
 
-Grammar:
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := base ('^' factor)?
-    base   := number | ident | '(' expr ')' | func '(' expr ')'
-    func   := exp | log | sin | cos | tan | <opaque name with optional primes>
+    base   := number | name | '(' expr ')' | name '(' expr ')'
 
-Identifiers other than the context variable and the built-in functions are
-parameters; an identifier applied to parentheses must be a built-in function
-or a declared opaque name (primes select the derivative order).
+One regex makes the tokens, skipping white space: a number is decimal digits
+`\\d` (exactly what `Fraction` reads) with an optional `.` and more; a name
+is a letter or `_`, then `\\w` characters, then its primes; any other
+character stands alone. A name other than the variable is a parameter; an
+applied name is a built-in function or the opaque `f`, whose primes give the
+derivative order. ParseError also refuses `b^x` and `exp(x*log(b))`, x
+rational, when a rational n/d in b has |x|*log2(max(|n|, d)) or x's
+denominator (pow_'s root-test degree) past BIT_BUDGET, and a literal past
+int's digit limit, a constant past float range or nesting past the stack.
 """
 
-from __future__ import annotations
-
+import math
+import re
 from fractions import Fraction
 
-from .expr import (
-    Expr, Rat, Sym, Var, Add, Mul, Pow, Fn, Opaque,
-    FN_NAMES, ExprError,
-    add, mul, pow_, fn, opaque, sort_key,
-)
+from .expr import (Expr, Rat, Sym, Var, Add, Mul, Pow, Fn, Opaque, FN_NAMES, ExprError,
+                   add, mul, pow_, fn, opaque, sort_key, _split_log_multiple)
+
+OPAQUE = "f"
+BIT_BUDGET = 10_000
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?)|([^\W\d]\w*'*)|\S")
 
 
 class ParseError(ExprError):
@@ -29,127 +34,97 @@ class ParseError(ExprError):
         self.pos = pos
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _Cursor:
+    """Tokens as (kind, token, position), kind 1 a number, 2 a name, else None."""
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def __init__(self, text: str, variable: str):
+        self.toks = [(m.lastindex, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.toks.append((None, "", len(text)))  # the empty token ends the stream
+        self.i, self.v = 0, variable
 
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def peek(self, part: int = 1):
+        return self.toks[self.i][part]
 
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def expect(self, c: str):
-        got = self.peek()
-        if got != c:
-            raise ParseError(f"expected {c!r}, got {got!r}", self.pos)
-        self.pos += 1
-
-    def number(self) -> Fraction:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        return Fraction(self.text[start:self.pos])
-
-    def ident(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def primes(self) -> int:
-        n = 0
-        while self.pos < len(self.text) and self.text[self.pos] == "'":
-            self.pos += 1
-            n += 1
-        return n
+    def take(self, want: str | None = None) -> tuple:
+        if want is not None and self.peek() != want:
+            raise ParseError(f"expected {want!r}, got {self.peek()[:1]!r}", self.peek(2))
+        self.i += 1
+        return self.toks[self.i - 1]
 
 
-def parse(text: str, variable: str = "z", opaques: tuple[str, ...] = ("f",)) -> Expr:
-    """Parse `text` into a canonical Expr with the given context variable."""
-    tk = _Tokens(text)
-    out = _expr(tk, variable, opaques)
-    tk._skip_ws()
-    if tk.pos != len(text):
-        raise ParseError(f"trailing input {text[tk.pos:]!r}", tk.pos)
+def parse(text: str, variable: str = "z") -> Expr:
+    """Parse `text` into a canonical Expr in the given variable."""
+    c = _Cursor(text, variable)
+    try:
+        out = _expr(c)
+    except (ValueError, OverflowError, RecursionError) as exc:  # see the module doc
+        raise ParseError(f"{type(exc).__name__}: {exc}", c.peek(2)) from None
+    if c.peek():
+        raise ParseError(f"trailing input {text[c.peek(2):]!r}", c.peek(2))
     return out
 
 
-def _expr(tk: _Tokens, v: str, op_names) -> Expr:
-    terms = []
-    sign = 1
-    if tk.peek() == "-":
-        tk.take()
-        sign = -1
-    elif tk.peek() == "+":
-        tk.take()
-    terms.append(mul(Rat(sign), _term(tk, v, op_names)))
-    while tk.peek() in ("+", "-"):
-        s = 1 if tk.take() == "+" else -1
-        terms.append(mul(Rat(s), _term(tk, v, op_names)))
+def _expr(c: _Cursor) -> Expr:
+    op = c.take()[1] if c.peek() in ("+", "-") else "+"
+    terms = [mul(Rat(-1 if op == "-" else 1), _term(c))]
+    while c.peek() in ("+", "-"):
+        terms.append(mul(Rat(-1 if c.take()[1] == "-" else 1), _term(c)))
     return add(*terms)
 
 
-def _term(tk: _Tokens, v: str, op_names) -> Expr:
-    factors = [_factor(tk, v, op_names)]
-    while tk.peek() in ("*", "/"):
-        c = tk.take()
-        f = _factor(tk, v, op_names)
-        factors.append(f if c == "*" else pow_(f, -1))
+def _term(c: _Cursor) -> Expr:
+    factors = [_factor(c)]
+    while c.peek() in ("*", "/"):
+        factors.append(pow_(_factor(c), -1) if c.take()[1] == "/" else _factor(c))
     return mul(*factors)
 
 
-def _factor(tk: _Tokens, v: str, op_names) -> Expr:
-    b = _base(tk, v, op_names)
-    if tk.peek() == "^":
-        tk.take()
-        return pow_(b, _factor(tk, v, op_names))
-    return b
+def _factor(c: _Cursor) -> Expr:
+    b = _base(c)
+    return _power(b, c.take()[2], _factor(c)) if c.peek() == "^" else b
 
 
-def _base(tk: _Tokens, v: str, op_names) -> Expr:
-    c = tk.peek()
-    if c == "(":
-        tk.take()
-        inner = _expr(tk, v, op_names)
-        tk.expect(")")
+def _bits(b: Expr, x: Fraction):
+    if isinstance(b, Rat):
+        m = max(abs(b.value.numerator), b.value.denominator)
+        return max(abs(x) * Fraction(math.log2(m)), x.denominator) if m > 1 else 0
+    if isinstance(b, Pow) and isinstance(b.exponent, Rat):
+        return _bits(b.base, x * b.exponent.value)
+    return max((_bits(f, x) for f in b.factors), default=0) if isinstance(b, Mul) else 0
+
+
+def _power(b: Expr, pos: int, e: Expr) -> Expr:
+    if isinstance(e, Rat) and _bits(b, e.value) > BIT_BUDGET:
+        raise ParseError(f"constant power {to_string(Pow(b, e))} exceeds {BIT_BUDGET} bits", pos)
+    return pow_(b, e)
+
+
+def _base(c: _Cursor) -> Expr:
+    kind, tok, pos = c.take()
+    if tok == "(":
+        inner = _expr(c)
+        c.take(")")
         return inner
-    if c.isdigit():
-        return Rat(tk.number())
-    if c.isalpha() or c == "_":
-        pos = tk.pos
-        name = tk.ident()
-        order = tk.primes()
-        if tk.peek() == "(":
-            tk.take()
-            arg = _expr(tk, v, op_names)
-            tk.expect(")")
-            if name in FN_NAMES:
-                if order:
-                    raise ParseError(f"primes are not allowed on {name!r}", pos)
-                return fn(name, arg)
-            if name in op_names:
-                return opaque(name, order, arg)
-            raise ParseError(f"unknown function {name!r}", pos)
+    if kind == 1:
+        return Rat(Fraction(tok))
+    if kind != 2 or not (tok[0].isalpha() or tok[0] == "_"):
+        raise ParseError(f"unexpected character {tok[:1]!r}", pos)
+    name, order = tok.rstrip("'"), tok.count("'")
+    if c.peek() != "(":
         if order:
             raise ParseError(f"primes require a function application after {name!r}", pos)
-        return Var(name) if name == v else Sym(name)
-    raise ParseError(f"unexpected character {c!r}", tk.pos)
+        return Var(name) if name == c.v else Sym(name)
+    arg = _base(c)  # the parenthesized argument
+    if name in FN_NAMES:
+        if order:
+            raise ParseError(f"primes are not allowed on {name!r}", pos)
+        for t in (arg.terms if isinstance(arg, Add) else (arg,)) if name == "exp" else ():
+            if hit := _split_log_multiple(t):
+                _power(hit[0], pos, Rat(hit[1]))  # exp makes exp(x*log(b)) b^x
+        return fn(name, arg)
+    if name == OPAQUE:
+        return opaque(name, order, arg)
+    raise ParseError(f"unknown function {name!r}", pos)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qsusy
 from qsusy import Binding
@@ -16,6 +19,7 @@ from qsusy.cli import (
 )
 from qsusy.invariance import record
 from qsusy.x2 import verify_x2_identities
+from test_expr import PARSE_TEXTS
 
 
 class TestSuiteConfig:
@@ -447,3 +451,45 @@ def test_model_exit_code_and_suite_share_the_conditions_margin(monkeypatch, caps
     checks = suites.suite_models(SamplePlan())
     verdicts = {c["verdict"] for c in checks if c["id"].endswith(":conditions")}
     assert verdicts == {"pass" if passes else "fail"}
+
+
+def test_a_catalogue_that_fails_to_build_exits_2(monkeypatch, capsys):
+    from qsusy import cli, expr
+
+    def broken(*args):
+        raise expr.ExprError("no catalogue")
+
+    monkeypatch.setattr(cli, "literature_ops", broken)
+    assert main(["catalog", "--family", "B"]) == 2
+    assert capsys.readouterr().err == "error: no catalogue\n"
+
+
+FUZZED_ARGV = {
+    "verify": lambda t: ["verify", "invariance", "--ops", "J1", "--f", t],
+    "catalog": lambda t: ["catalog", "--family", "C", "--lambda", t],
+    "model": lambda t: ["model", "--example", "1", "--bind", t],
+    "spectrum": lambda t: ["spectrum", "--potential", t, "--grid", "200", "--k", "1"],
+}
+
+
+# stop at the first failing example: a parser that folds 9^9^9 would not return
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
+@given(st.sampled_from(sorted(FUZZED_ARGV)), PARSE_TEXTS | st.text(max_size=16))
+@example("verify", "z^²")
+@example("verify", "9^9^9")
+@example("spectrum", "q^1001")
+@example("catalog", "1e-400")
+@example("model", "alpha=1,nu=1,b0=1e10")
+def test_any_argument_exits_0_1_or_2_without_a_traceback(command, text):
+    """An exception escaping main would be exit 1 with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(FUZZED_ARGV[command](text))
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert not any("Traceback" in line for line in lines)
+    if code == 2:
+        assert sum("error:" in line for line in lines) == 1, lines

@@ -20,7 +20,7 @@ from qsusy import expr as expr_mod, invariance, x2
 from qsusy.cli import SuiteConfig, run_suite
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
-    ONE, ZERO, Add, EvalError, ExprError, Fn, Mul, NotRationalError, Opaque, Pow, Rat, Sym,
+    ONE, ZERO, Add, EvalError, Expr, ExprError, Fn, Mul, NotRationalError, Opaque, Pow, Rat, Sym,
     Var, children, evaluate_exact, free_vars, opaque_names, rebuild, sort_key,
     substitute_param, substitute_var, values, values_and_faults,
 )
@@ -57,6 +57,76 @@ class TestParse:
     def test_identifiers_are_parameters(self):
         e = parse("b0*lambda")
         assert e == mul(sym("b0"), sym("lambda"))
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("(z exp", "expected ')', got 'e'", 3),
+        ("sin(z", "expected ')', got ''", 5),
+        ("z +* 2", "unexpected character '*'", 3),
+        (" z^.5", "unexpected character '.'", 3),
+        ("3*sinh(z)", "unknown function 'sinh'", 2),
+        ("cos(z)*exp'(z)", "primes are not allowed on 'exp'", 7),
+        ("z + f'' ", "primes require a function application after 'f'", 4),
+        ("1.5.2", "trailing input '.2'", 3),
+    ])
+    def test_error_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {pos})"
+        assert info.value.pos == pos
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("z^²", "unexpected character '²'", 2),  # a digit to str.isdigit, not to Fraction
+        ("3²", "trailing input '²'", 1),
+        ("9^9^9", "constant power 9^387420489 exceeds 10000 bits", 1),
+        ("4^(10^9/2)", "constant power 4^500000000 exceeds 10000 bits", 1),
+        ("(9*z)^9999999", "constant power (9*z)^9999999 exceeds 10000 bits", 5),
+        ("2^(1/999999999)", "constant power 2^(1/999999999) exceeds 10000 bits", 1),
+        ("exp(99999999*log(9))", "constant power 9^99999999 exceeds 10000 bits", 0),
+    ])
+    def test_non_decimal_digits_and_huge_powers_are_parse_errors(self, text, message, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {pos})"
+
+    @pytest.mark.parametrize("text, kind", [
+        ("9" * 5000, "ValueError"),  # past int's digit limit
+        ("(10^400)^(1/2)", "OverflowError"),  # pow_'s root test converts to float
+        ("(" * 2000 + "z" + ")" * 2000, "RecursionError"),
+    ])
+    def test_exceptions_inside_parse_become_parse_errors(self, text, kind):
+        with pytest.raises(ParseError, match=f"^{kind}: "):
+            parse(text)
+
+    def test_constant_powers_within_the_budget_fold(self):
+        assert parse("2^10000") == rat(2**10000)
+        assert parse("(2^(1/2))^20") == rat(2**10)
+        assert parse("2^(1/10000)") == pow_(rat(2), rat(1, 10000))
+
+    def test_unicode_digits_and_letters(self):
+        assert parse("١٢+α") == add(rat(12), sym("α"))
+        assert parse("z²") == sym("z²")  # a name continues with \w, as str.isalnum
+
+
+# the parser's input alphabet: characters, whole tokens, and a superscript
+# digit, a Greek letter and an Arabic-Indic digit
+PARSE_TEXTS = st.lists(st.sampled_from(
+    list("z+-*/^() 0123456789.'fabxq_")
+    + ["exp", "log", "sin", "tan", "cos", "sinh", "nu", "f'", "f''", "²", "α", "١"]),
+    max_size=16).map(lambda pieces: "".join(pieces)[:16])
+
+
+# stop at the first failing example: a parser that folds 9^9^9 would not return
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(PARSE_TEXTS)
+@example("z^²")
+@example("3²")
+@example("f(²")
+@example("9^9^9")
+def test_parse_returns_an_expr_or_raises_an_expr_error(text):
+    try:
+        assert isinstance(parse(text), Expr)
+    except ExprError:
+        pass
 
 
 class TestCanonical:
