@@ -221,9 +221,11 @@ def _cmd_catalog(args) -> int:
 @checks
 def _invariance_checks(f, names: list, plan: SamplePlan):
     gallery = {"J": (build_J, seed_basis(f)), "K": (build_K, partner_basis(f))}
+    # K0 is a first-order building block: no claim says it preserves a space
+    members = [f"J{i}" for i in range(1, 10)] + [f"K{i}" for i in range(1, 9)]
     for name in names:
-        if name[:1] not in gallery or not name[1:].isdecimal():
-            raise ConfigError(f"unknown operator {name!r}; expected J<n> or K<n>")
+        if name not in members:
+            raise ConfigError(f"unknown operator {name!r}; expected J1..J9 or K1..K8")
         build, space = gallery[name[0]]
         v = check_invariant(build(int(name[1:]), f), space, plan)
         yield f"verify:{name}", f"invariance of {name}", v.passed, max(v.residuals)

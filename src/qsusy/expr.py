@@ -369,7 +369,8 @@ def mul(*factors) -> Expr:
 
 
 def _perfect_root(n: int, q: int):
-    if n < 0:
+    # past n's bit length every root r >= 2 has r**q >= 2**q > n: none to test
+    if n < 0 or (n > 1 and q > n.bit_length()):
         return None
     r = round(n ** (1.0 / q)) if n > 0 else 0
     for cand in (r - 1, r, r + 1):

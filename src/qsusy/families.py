@@ -48,7 +48,24 @@ def _fv(f) -> tuple[Expr, str]:
 
 
 # ---------------------------------------------------------------------------
-# the J and K galleries (arbitrary generating function)
+# the J and K galleries: a frame's base operators and multipliers, and the
+# index rules both frames share.  The multipliers (a, b, c, d) are
+# (z, f, f', z f' - f) in the plain frame and (phi2/phi1, phi3/phi1,
+# W31/W21, W32/W21) in the Wronskian frame.
+
+def j_gallery(J1: DiffOp, J4: DiffOp, J9: DiffOp, a: Expr, b: Expr) -> dict[int, DiffOp]:
+    """J1..J9 from the base operators J1, J4, J9 and the multipliers a, b."""
+    return {1: J1, 2: J1.scaled(a), 3: J1.scaled(b), 4: J4, 5: J4.scaled(a),
+            6: J4.scaled(b), 7: J9.scaled(a), 8: J9.scaled(b), 9: J9}
+
+
+def k_gallery(K0: DiffOp, K1: DiffOp, a: Expr, b: Expr, c: Expr, d: Expr) -> dict[int, DiffOp]:
+    """K0..K8 from the base operators K0, K1 and the multipliers a, b, c, d."""
+    K2 = K1.scaled(a) - K0
+    K3 = K1.scaled(b) - K0.scaled(c) + DiffOp.identity(K0.var)
+    return {0: K0, 1: K1, 2: K2, 3: K3, 4: K1.scaled(c), 5: K2.scaled(c),
+            6: K3.scaled(c), 7: K2.scaled(d), 8: K3.scaled(d)}
+
 
 def build_J(i: int, f: Expr | None = None) -> DiffOp:
     """Second-order operators preserving span{1, x, f(x)}; i in 1..9."""
@@ -60,26 +77,9 @@ def build_J(i: int, f: Expr | None = None) -> DiffOp:
     inv_fpp = pow_(diff(f, v, 2), -1)
     D1 = DiffOp.d(v)
     D2 = DiffOp.d(v, 2)
-    if i == 1:
-        return D2.scaled(inv_fpp)
-    if i == 2:
-        return D2.scaled(mul(x, inv_fpp))
-    if i == 3:
-        return D2.scaled(mul(f, inv_fpp))
-    J4 = D2.scaled(mul(fp, inv_fpp)) - D1
-    if i == 4:
-        return J4
-    if i == 5:
-        return J4.scaled(x)
-    if i == 6:
-        return J4.scaled(f)
     J9 = (D2.scaled(mul(add(mul(x, fp), mul(MINUS_ONE, f)), inv_fpp))
           - D1.scaled(x) + DiffOp.identity(v))
-    if i == 9:
-        return J9
-    if i == 7:
-        return J9.scaled(x)
-    return J9.scaled(f)
+    return j_gallery(D2.scaled(inv_fpp), D2.scaled(mul(fp, inv_fpp)) - D1, J9, x, f)[i]
 
 
 def build_K(i: int, f: Expr | None = None) -> DiffOp:
@@ -95,29 +95,12 @@ def build_K(i: int, f: Expr | None = None) -> DiffOp:
     fp, fpp, fppp, fpppp = (diff(f, v, k) for k in range(1, 5))
     inv = pow_(fpp, -1)
     K0 = DiffOp(v, {1: inv, 0: mul(fppp, pow_(fpp, -2))})
-    if i == 0:
-        return K0
     K1 = DiffOp(v, {
         2: inv,
         1: mul(fppp, pow_(fpp, -2)),
         0: mul(add(mul(fpp, fpppp), mul(MINUS_ONE, pow_(fppp, 2))), pow_(fpp, -3)),
     })
-    if i == 1:
-        return K1
-    if i == 2:
-        return K1.scaled(x) - K0
-    if i == 3:
-        return K1.scaled(f) - K0.scaled(fp) + DiffOp.identity(v)
-    if i == 4:
-        return K1.scaled(fp)
-    if i == 5:
-        return build_K(2, f).scaled(fp)
-    if i == 6:
-        return build_K(3, f).scaled(fp)
-    wf = add(mul(x, fp), mul(MINUS_ONE, f))
-    if i == 7:
-        return build_K(2, f).scaled(wf)
-    return build_K(3, f).scaled(wf)
+    return k_gallery(K0, K1, x, f, fp, add(mul(x, fp), mul(MINUS_ONE, f)))[i]
 
 
 def build_P3_minus(f: Expr | None = None) -> DiffOp:
@@ -320,7 +303,7 @@ def monomial_K(i: int, lam) -> DiffOp:
         return (D2.scaled(pow_(x, add(lam, Rat(2))))
                 - D1.scaled(mul(Rat(2), pow_(x, add(lam, ONE))))
                 + DiffOp.mult(v, mul(Rat(2), pow_(x, lam))))
-    raise ParameterError("index must be in 0..8")
+    raise ParameterError("index must be in 1..8")
 
 
 _FAMILY_EXPONENT = {"A": Fraction(2), "B": Fraction(3)}

@@ -1,12 +1,12 @@
 """Wronskian-frame operators on an arbitrary three-function basis and the
 exceptional (codimension-two) polynomial subspaces.
 
-Every operator here has two independent construction routes: the explicit
-Wronskian-coefficient formulas, and conjugation of the plain-frame operators
-through the substitution z = phi2/phi1, f = phi3/phi1.  The suites use the
-explicit formulas; the tests cross-check them against the conjugation route,
-because these formulas are the highest-transcription-risk content in the
-package.
+Every operator here has two construction routes.  The explicit route takes
+the printed Wronskian-coefficient base operators J1, J4, J9, K0 and K1 and the
+index rules shared with the plain frame (families.j_gallery, k_gallery).  The
+cross-check conjugates the plain-frame operators through the substitution
+z = phi2/phi1, f = phi3/phi1; the suites use the explicit route and the tests
+compare the two, because these formulas carry the highest transcription risk.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from .expr import (
     add, evaluate_exact, expand, mul, pow_, as_expr, diff, substitute_var,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
-from .families import build_J, build_K, build_P3_minus, build_P3_plus, ParameterError
+from .families import (
+    build_J, build_K, build_P3_minus, build_P3_plus, j_gallery, k_gallery, ParameterError,
+)
 from .invariance import Subspace, SamplePlan, checks, ops_equal_numeric
 
 
@@ -76,54 +78,31 @@ def _second_order_core(fr: WronskianFrame) -> DiffOp:
     return DiffOp(U, {2: ONE, 1: mul(MINUS_ONE, lw21), 0: zero_term})
 
 
-def wronskian_J(i: int, fr: WronskianFrame) -> DiffOp:
-    """Operators preserving span(phi1, phi2, phi3), from the printed coefficients."""
-    if not 1 <= i <= 9:
-        raise ParameterError("index must be in 1..9")
+def _multipliers(fr: WronskianFrame) -> tuple[Expr, Expr, Expr, Expr]:
+    """The gallery multipliers (a, b, c, d) = (phi2/phi1, phi3/phi1, W31/W21, W32/W21)."""
+    inv1, inv21 = pow_(fr.phi1, -1), pow_(fr.W21, -1)
+    return mul(fr.phi2, inv1), mul(fr.phi3, inv1), mul(fr.W31, inv21), mul(fr.W32, inv21)
+
+
+def _J_members(fr: WronskianFrame) -> dict[int, DiffOp]:
     core = _second_order_core(fr)
     p1sq = pow_(fr.phi1, 2)
     inv3121 = pow_(fr.W3121, -1)
     first_tail = DiffOp(U, {1: ONE, 0: mul(MINUS_ONE, _logd(fr.phi1))})
-    J1 = core.scaled(mul(fr.W21, p1sq, inv3121))
-    if i == 1:
-        return J1
-    if i == 2:
-        return J1.scaled(mul(fr.phi2, pow_(fr.phi1, -1)))
-    if i == 3:
-        return J1.scaled(mul(fr.phi3, pow_(fr.phi1, -1)))
     J4 = (core.scaled(mul(fr.W31, p1sq, inv3121))
           - first_tail.scaled(mul(p1sq, pow_(fr.W21, -1))))
-    if i == 4:
-        return J4
-    if i == 5:
-        return J4.scaled(mul(fr.phi2, pow_(fr.phi1, -1)))
-    if i == 6:
-        return J4.scaled(mul(fr.phi3, pow_(fr.phi1, -1)))
     J9 = (core.scaled(mul(fr.W32, p1sq, inv3121))
           - first_tail.scaled(mul(fr.phi2, fr.phi1, pow_(fr.W21, -1)))
           + DiffOp.identity(U))
-    if i == 9:
-        return J9
-    if i == 7:
-        return J9.scaled(mul(fr.phi2, pow_(fr.phi1, -1)))
-    return J9.scaled(mul(fr.phi3, pow_(fr.phi1, -1)))
+    return j_gallery(core.scaled(mul(fr.W21, p1sq, inv3121)), J4, J9, *_multipliers(fr)[:2])
 
 
-def wronskian_K(i: int, fr: WronskianFrame) -> DiffOp:
-    """The partner-side gallery, from the printed coefficients; i in 0..8.
-
-    K1..K8 preserve the partner span.  K0 is the first-order building block
-    of K2 and K3 and does not preserve it.
-    """
-    if not 0 <= i <= 8:
-        raise ParameterError("index must be in 0..8")
+def _K_members(fr: WronskianFrame) -> dict[int, DiffOp]:
     l1 = _logd(fr.phi1)
     l21 = _logd(fr.W21)
     l3121 = _logd(fr.W3121)
     K0 = DiffOp(U, {1: ONE, 0: mul(MINUS_ONE, add(l1, l21, mul(MINUS_ONE, l3121)))})
     K0 = K0.scaled(mul(pow_(fr.W21, 2), pow_(fr.W3121, -1)))
-    if i == 0:
-        return K0
     zero_term = add(
         mul(MINUS_ONE, diff(fr.phi1, U, 2), pow_(fr.phi1, -1)),
         mul(MINUS_ONE, diff(fr.W21, U, 2), pow_(fr.W21, -1)),
@@ -136,27 +115,23 @@ def wronskian_K(i: int, fr: WronskianFrame) -> DiffOp:
         1: mul(MINUS_ONE, add(mul(Rat(2), l1), mul(MINUS_ONE, l3121))),
         0: zero_term,
     }).scaled(mul(fr.W21, pow_(fr.phi1, 2), pow_(fr.W3121, -1)))
-    if i == 1:
-        return K1
-    r21 = mul(fr.phi2, pow_(fr.phi1, -1))
-    r31 = mul(fr.phi3, pow_(fr.phi1, -1))
-    w31_w21 = mul(fr.W31, pow_(fr.W21, -1))
-    w32_w21 = mul(fr.W32, pow_(fr.W21, -1))
-    K2 = K1.scaled(r21) - K0
-    if i == 2:
-        return K2
-    K3 = K1.scaled(r31) - K0.scaled(w31_w21) + DiffOp.identity(U)
-    if i == 3:
-        return K3
-    if i == 4:
-        return K1.scaled(w31_w21)
-    if i == 5:
-        return K2.scaled(w31_w21)
-    if i == 6:
-        return K3.scaled(w31_w21)
-    if i == 7:
-        return K2.scaled(w32_w21)
-    return K3.scaled(w32_w21)
+    return k_gallery(K0, K1, *_multipliers(fr))
+
+
+def wronskian_J(i: int, fr: WronskianFrame) -> DiffOp:
+    """Operators preserving span(phi1, phi2, phi3), from the printed coefficients."""
+    if not 1 <= i <= 9:
+        raise ParameterError("index must be in 1..9")
+    return _J_members(fr)[i]
+
+
+def wronskian_K(i: int, fr: WronskianFrame) -> DiffOp:
+    """The partner-side gallery, from the printed coefficients; i in 0..8.
+    K1..K8 preserve the partner span; K0, the first-order building block of
+    K2 and K3, does not."""
+    if not 0 <= i <= 8:
+        raise ParameterError("index must be in 0..8")
+    return _K_members(fr)[i]
 
 
 def x2_supercharges(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
@@ -182,9 +157,8 @@ def _conjugated(base: DiffOp, fr: WronskianFrame, partner: bool) -> DiffOp:
     """A plain-frame operator in z, with f opaque, pulled back through
     z = phi2/phi1, f = phi3/phi1 and conjugated by phi1, or on the partner
     side by phi1^3/W21^2."""
-    ratio2 = mul(fr.phi2, pow_(fr.phi1, -1))
-    ratio3 = mul(fr.phi3, pow_(fr.phi1, -1))
-    pulled = pullback(base, U, ratio2, {"f": ratio3})
+    a, b, _, _ = _multipliers(fr)
+    pulled = pullback(base, U, a, {"f": b})
     g = mul(pow_(fr.phi1, 3), pow_(fr.W21, -2)) if partner else fr.phi1
     return gauge_conjugate(g, pulled)
 
@@ -280,14 +254,14 @@ def x2b_basis(alpha) -> Subspace:
 
 @lru_cache(maxsize=32)
 def x2_J_gallery(alpha) -> dict[int, DiffOp]:
-    fr = x2_frame(alpha)
-    return {j: wronskian_J(j, fr) for j in range(1, 9)}
+    gallery = _J_members(x2_frame(alpha))
+    return {j: gallery[j] for j in range(1, 9)}
 
 
 @lru_cache(maxsize=32)
 def x2_K_gallery(alpha) -> dict[int, DiffOp]:
-    fr = x2_frame(alpha)
-    return {j: wronskian_K(j, fr) for j in range(1, 9)}
+    gallery = _K_members(x2_frame(alpha))
+    return {j: gallery[j] for j in range(1, 9)}
 
 
 @lru_cache(maxsize=32)

@@ -153,6 +153,14 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["summary"]["fail"] == 0
 
+    @pytest.mark.parametrize("op", ["K0", "J0", "J10", "K9", "J01"])
+    def test_verify_invariance_accepts_only_gallery_members(self, capsys, op):
+        # K0 is the first-order building block of K2 and K3: no claim says it
+        # preserves the partner space, so it is refused, not reported failed
+        assert main(["verify", "invariance", "--f", "exp(z)", "--ops", op]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown operator {op!r}; expected J1..J9 or K1..K8\n"
+
     def test_verify_degenerate_f_is_config_error(self, capsys):
         # the partner space of such an f has no prefactor 1/f''; the message
         # names the cause, not the power of zero it would meet

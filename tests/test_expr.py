@@ -1,7 +1,10 @@
 import contextlib
 import gc
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -101,6 +104,21 @@ class TestParse:
         assert parse("2^10000") == rat(2**10000)
         assert parse("(2^(1/2))^20") == rat(2**10)
         assert parse("2^(1/10000)") == pow_(rat(2), rat(1, 10000))
+
+    def test_merged_root_powers_parse_in_bounded_time_and_memory(self):
+        # mul merges the three roots into 2^(297783951/988939464559); the
+        # perfect-root test of that power once computed 2^988939464559.  The
+        # child process caps its address space at 2 GiB and its time at 10 s,
+        # so a regression fails here instead of exhausting the machine
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from qsusy import parse, pow_, rat\n"
+                "got = parse('2^(1/9973)*2^(1/9967)*2^(1/9949)')\n"
+                "assert got == pow_(rat(2), rat(297783951, 988939464559)), got\n")
+        src = os.path.dirname(os.path.dirname(expr_mod.__file__))
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=10)
+        assert out.returncode == 0, out.stderr
 
     def test_unicode_digits_and_letters(self):
         assert parse("١٢+α") == add(rat(12), sym("α"))

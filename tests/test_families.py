@@ -14,6 +14,7 @@ from qsusy.families import (
     literature_ops, monomial_J, monomial_K, monomial_family,
 )
 from qsusy.invariance import SamplePlan, ops_equal_numeric
+from qsusy.x2 import wronskian_J, wronskian_K, x2_frame
 
 z = var("z")
 
@@ -52,6 +53,32 @@ class TestBuildJ:
         for i in range(1, 10):
             assert build_J(i, opaque("f", 0, u)).var == "u"
             assert build_J(i) == build_J(i, F)
+
+
+_BUILDERS = {
+    "build_J": build_J,
+    "build_K": build_K,
+    "wronskian_J": lambda i: wronskian_J(i, x2_frame(Fraction(2))),
+    "wronskian_K": lambda i: wronskian_K(i, x2_frame(Fraction(2))),
+    "monomial_J": lambda i: monomial_J(i, Fraction(5, 2)),
+    "monomial_K": lambda i: monomial_K(i, Fraction(5, 2)),
+}
+
+
+# each builder at its first invalid index on either side: the message names
+# the range the builder accepts
+@pytest.mark.parametrize("name, i, message", [
+    ("build_J", 0, "J index must be in 1..9"), ("build_J", 10, "J index must be in 1..9"),
+    ("build_K", -1, "K index must be in 0..8"), ("build_K", 9, "K index must be in 0..8"),
+    ("wronskian_J", 0, "index must be in 1..9"), ("wronskian_J", 10, "index must be in 1..9"),
+    ("wronskian_K", -1, "index must be in 0..8"), ("wronskian_K", 9, "index must be in 0..8"),
+    ("monomial_J", 0, "index must be in 1..8"), ("monomial_J", 9, "index must be in 1..8"),
+    ("monomial_K", 0, "index must be in 1..8"), ("monomial_K", 9, "index must be in 1..8"),
+])
+def test_index_errors_name_the_range_they_accept(name, i, message):
+    with pytest.raises(ParameterError) as info:
+        _BUILDERS[name](i)
+    assert str(info.value) == message
 
 
 class TestBuildK:
