@@ -18,7 +18,7 @@ from . import __version__
 from .expr import Binding, ExprError
 from .parser import parse, to_string
 from .diffop import pretty
-from .families import monomial_family, literature_ops, build_J, build_K
+from .families import monomial_family, literature_ops, J_gallery, K_gallery
 from .invariance import SamplePlan, checks, check_invariant, verify_commutator_table
 from .models import (
     build_example, verify_susy_conditions, conditions_hold, algebraic_spectrum, solvable_sector,
@@ -220,14 +220,14 @@ def _cmd_catalog(args) -> int:
 
 @checks
 def _invariance_checks(f, names: list, plan: SamplePlan):
-    gallery = {"J": (build_J, seed_basis(f)), "K": (build_K, partner_basis(f))}
+    galleries = {"J": (J_gallery(f), seed_basis(f)), "K": (K_gallery(f), partner_basis(f))}
     # K0 is a first-order building block: no claim says it preserves a space
     members = [f"J{i}" for i in range(1, 10)] + [f"K{i}" for i in range(1, 9)]
     for name in names:
         if name not in members:
             raise ConfigError(f"unknown operator {name!r}; expected J1..J9 or K1..K8")
-        build, space = gallery[name[0]]
-        v = check_invariant(build(int(name[1:]), f), space, plan)
+        gallery, space = galleries[name[0]]
+        v = check_invariant(gallery[int(name[1:])], space, plan)
         yield f"verify:{name}", f"invariance of {name}", v.passed, max(v.residuals)
 
 

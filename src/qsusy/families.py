@@ -67,10 +67,16 @@ def k_gallery(K0: DiffOp, K1: DiffOp, a: Expr, b: Expr, c: Expr, d: Expr) -> dic
             6: K3.scaled(c), 7: K2.scaled(d), 8: K3.scaled(d)}
 
 
-def build_J(i: int, f: Expr | None = None) -> DiffOp:
-    """Second-order operators preserving span{1, x, f(x)}; i in 1..9."""
-    if not 1 <= i <= 9:
-        raise ParameterError("J index must be in 1..9")
+def gallery_member(gallery: dict[int, DiffOp], name: str, i: int) -> DiffOp:
+    """Member i of the J or K gallery (name "J" or "K"), in either frame;
+    ParameterError naming the indices the gallery holds otherwise."""
+    if i not in gallery:
+        raise ParameterError(f"{name} index must be in {min(gallery)}..{max(gallery)}")
+    return gallery[i]
+
+
+def J_gallery(f: Expr | None = None) -> dict[int, DiffOp]:
+    """J1..J9: second-order operators preserving span{1, x, f(x)}."""
     f, v = _fv(f)
     x = Var(v)
     fp = diff(f, v)
@@ -79,17 +85,15 @@ def build_J(i: int, f: Expr | None = None) -> DiffOp:
     D2 = DiffOp.d(v, 2)
     J9 = (D2.scaled(mul(add(mul(x, fp), mul(MINUS_ONE, f)), inv_fpp))
           - D1.scaled(x) + DiffOp.identity(v))
-    return j_gallery(D2.scaled(inv_fpp), D2.scaled(mul(fp, inv_fpp)) - D1, J9, x, f)[i]
+    return j_gallery(D2.scaled(inv_fpp), D2.scaled(mul(fp, inv_fpp)) - D1, J9, x, f)
 
 
-def build_K(i: int, f: Expr | None = None) -> DiffOp:
-    """The K gallery of f; i in 0..8.
+def K_gallery(f: Expr | None = None) -> dict[int, DiffOp]:
+    """K0..K8 of f.
 
     K1..K8 are second order and preserve (1/f'')·span{1, f', x f' - f}.  K0 is
     the first-order building block of K2 and K3 and does not preserve it.
     """
-    if not 0 <= i <= 8:
-        raise ParameterError("K index must be in 0..8")
     f, v = _fv(f)
     x = Var(v)
     fp, fpp, fppp, fpppp = (diff(f, v, k) for k in range(1, 5))
@@ -100,7 +104,17 @@ def build_K(i: int, f: Expr | None = None) -> DiffOp:
         1: mul(fppp, pow_(fpp, -2)),
         0: mul(add(mul(fpp, fpppp), mul(MINUS_ONE, pow_(fppp, 2))), pow_(fpp, -3)),
     })
-    return k_gallery(K0, K1, x, f, fp, add(mul(x, fp), mul(MINUS_ONE, f)))[i]
+    return k_gallery(K0, K1, x, f, fp, add(mul(x, fp), mul(MINUS_ONE, f)))
+
+
+def build_J(i: int, f: Expr | None = None) -> DiffOp:
+    """J_i of f, i in 1..9; a caller that wants several members takes J_gallery(f)."""
+    return gallery_member(J_gallery(f), "J", i)
+
+
+def build_K(i: int, f: Expr | None = None) -> DiffOp:
+    """K_i of f, i in 0..8; a caller that wants several members takes K_gallery(f)."""
+    return gallery_member(K_gallery(f), "K", i)
 
 
 def build_P3_minus(f: Expr | None = None) -> DiffOp:
@@ -111,7 +125,7 @@ def build_P3_minus(f: Expr | None = None) -> DiffOp:
 
 
 def build_P3_plus(f: Expr | None = None) -> DiffOp:
-    """-d² (d + f'''/f''); annihilates the partner space of build_K."""
+    """-d² (d + f'''/f''); annihilates the partner space of K_gallery."""
     f, v = _fv(f)
     w2 = mul(diff(f, v, 3), pow_(diff(f, v, 2), -1))
     return compose(DiffOp.d(v, 2), DiffOp(v, {1: ONE, 0: w2})).scaled(MINUS_ONE)
@@ -163,10 +177,10 @@ class GeneralCoefficients:
         )
 
 
-def _gallery_sum(build, coeffs: GeneralCoefficients, f) -> DiffOp:
-    """The gauged Hamiltonian as a sum over the gallery that `build` makes:
-    build_J for the minus side, build_K for the plus side."""
-    f, v = _fv(f)
+def _gallery_sum(gallery: dict[int, DiffOp], coeffs: GeneralCoefficients) -> DiffOp:
+    """The gauged Hamiltonian as a sum over a gallery: the J gallery for the
+    minus side, the K gallery for the plus side."""
+    v = gallery[1].var
     g = coeffs
     out = DiffOp.zero(v)
     for c, idx in ((mul(MINUS_ONE, g.c2), 8), (mul(MINUS_ONE, g.c1), 7), (g.b2, 6),
@@ -174,13 +188,13 @@ def _gallery_sum(build, coeffs: GeneralCoefficients, f) -> DiffOp:
                    (mul(MINUS_ONE, add(g.a2, mul(MINUS_ONE, g.c0))), 3),
                    (mul(MINUS_ONE, g.a1), 2), (mul(MINUS_ONE, g.a0), 1)):
         if c != ZERO:
-            out = out + build(idx, f).scaled(c)
+            out = out + gallery[idx].scaled(c)
     return out + DiffOp.mult(v, mul(MINUS_ONE, g.c0))
 
 
 def build_H_minus(coeffs: GeneralCoefficients, f=None) -> DiffOp:
     """Gauged minus Hamiltonian as a J-gallery sum."""
-    return _gallery_sum(build_J, coeffs, f)
+    return _gallery_sum(J_gallery(f), coeffs)
 
 
 def abc_profile(coeffs: GeneralCoefficients, f=None):
@@ -211,7 +225,7 @@ def build_H_minus_direct(coeffs: GeneralCoefficients, f=None) -> DiffOp:
 
 def build_H_plus(coeffs: GeneralCoefficients, f=None) -> DiffOp:
     """Gauged plus Hamiltonian as a K-gallery sum."""
-    return _gallery_sum(build_K, coeffs, f)
+    return _gallery_sum(K_gallery(f), coeffs)
 
 
 def build_H_plus_direct(coeffs: GeneralCoefficients, f=None) -> DiffOp:
@@ -531,10 +545,10 @@ def duality_K_from_J(i: int, f: Expr | None = None) -> DiffOp:
         raise ParameterError("K index must be in 1..8")
     f, v = _fv(f)
     aux = v + "_w"
-    fw = opaque("f", 0, Var(aux))
+    J = J_gallery(opaque("f", 0, Var(aux)))
     combo = DiffOp.zero(aux)
     for idx, coeff in _K_FROM_J[i]:
-        term = DiffOp.identity(aux) if idx == 0 else build_J(idx, fw)
+        term = DiffOp.identity(aux) if idx == 0 else J[idx]
         combo = combo + term.scaled(Rat(coeff))
     fp = diff(f, v)
     image0 = add(mul(Var(v), fp), mul(MINUS_ONE, f))

@@ -21,7 +21,7 @@ from .expr import (
     mul, pow_, fn, var, as_expr, diff, opaque_names, _walker, _BLOCK,
 )
 from .diffop import DiffOp, compose, commutator, OperatorError
-from .families import _fv, build_J
+from .families import F, _fv, J_gallery
 
 
 class InvarianceError(ExprError):
@@ -440,80 +440,66 @@ def op_order_each(op: DiffOp, plan: SamplePlan, binds: list) -> list:
 # ---------------------------------------------------------------------------
 # the commutator table
 
-def _row(i: int, j: int, f: Expr, v: str) -> list:
-    """RHS of [J_i, J_j] (i < j) as a sum of (aD + b) ∘ J_target terms.
-
-    Targets 1, 4, 9 name gallery operators; target 0 is the identity.  Only
-    the requested row is built.
-    """
-    z = var(v)
-    fp, fpp = diff(f, v), diff(f, v, 2)
+def _rows() -> dict:
+    """RHS of each [J_i, J_j] (i < j), f opaque, as a sum of (aD + b) ∘ J_target
+    terms; target 0 is the identity."""
+    f, z = F, var("z")
+    fp, fpp = diff(f, "z"), diff(f, "z", 2)
     inv = pow_(fpp, -1)
     two = as_expr(2)
     wf = z * fp - f
-    rows = {
-        (1, 2): lambda: [(two * inv, ZERO, 1)],
-        (1, 3): lambda: [(two * fp * inv, ONE, 1)],
-        (1, 4): lambda: [(two, ZERO, 1)],
-        (1, 5): lambda: [(two * z, ZERO, 1), (two * inv, ZERO, 4)],
-        (1, 6): lambda: [(two * f, ZERO, 1), (two * fp * inv, ONE, 4)],
-        (1, 7): lambda: [(two * z * z, -z, 1), (two * inv, ZERO, 9)],
-        (1, 8): lambda: [(two * z * f, -f, 1), (two * fp * inv, ONE, 9)],
-        (2, 3): lambda: [(two * wf * inv, z, 1)],
+    return {
+        (1, 2): [(two * inv, ZERO, 1)],
+        (1, 3): [(two * fp * inv, ONE, 1)],
+        (1, 4): [(two, ZERO, 1)],
+        (1, 5): [(two * z, ZERO, 1), (two * inv, ZERO, 4)],
+        (1, 6): [(two * f, ZERO, 1), (two * fp * inv, ONE, 4)],
+        (1, 7): [(two * z * z, -z, 1), (two * inv, ZERO, 9)],
+        (1, 8): [(two * z * f, -f, 1), (two * fp * inv, ONE, 9)],
+        (2, 3): [(two * wf * inv, z, 1)],
         # multiplier corrected from the printed z f' - f, which fails numerically
-        (2, 4): lambda: [(two * (z * fpp - fp) * inv, ONE, 1)],
-        (2, 5): lambda: [(two * z * (z * fpp - fp) * inv, z, 1), (two * z * inv, ZERO, 4)],
-        (2, 6): lambda: [(two * f * (z * fpp - fp) * inv, f, 1),
-                         (two * z * fp * inv, z, 4)],
-        (2, 7): lambda: [(two * z * (z * z * fpp - z * fp + f) * inv, ZERO, 1),
-                         (two * z * inv, ZERO, 9)],
-        (2, 8): lambda: [(two * f * (z * z * fpp - z * fp + f) * inv, ZERO, 1),
-                         (two * z * fp * inv, z, 9)],
-        (3, 4): lambda: [(two * (f * fpp - fp * fp) * inv, ZERO, 1)],
-        (3, 5): lambda: [(two * z * (f * fpp - fp * fp) * inv, ZERO, 1),
-                         (two * f * inv, ZERO, 4)],
-        (3, 6): lambda: [(two * f * (f * fpp - fp * fp) * inv, ZERO, 1),
-                         (two * f * fp * inv, f, 4)],
-        (3, 7): lambda: [(two * z * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
-                         (two * f * inv, ZERO, 9)],
-        (3, 8): lambda: [(two * f * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
-                         (two * f * fp * inv, f, 9)],
-        (4, 5): lambda: [(two * fp * inv, MINUS_ONE, 4)],
-        (4, 6): lambda: [(two * fp * fp * inv, ZERO, 4)],
-        (4, 7): lambda: [(two * z * f, ZERO, 1), (ZERO, -z, 4), (two * fp * inv, MINUS_ONE, 9)],
-        (4, 8): lambda: [(two * f * f, ZERO, 1), (ZERO, -f, 4), (two * fp * fp * inv, ZERO, 9)],
-        (5, 6): lambda: [(two * fp * wf * inv, f, 4)],
-        (5, 7): lambda: [(two * z * z * f, ZERO, 1), (-two * z * wf * inv, ZERO, 4),
-                         (two * z * fp * inv, -z, 9)],
-        (5, 8): lambda: [(two * z * f * f, ZERO, 1), (-two * f * wf * inv, ZERO, 4),
-                         (two * z * fp * fp * inv, ZERO, 9)],
-        (6, 7): lambda: [(two * z * f * f, ZERO, 1), (-two * fp * wf * inv * z, ZERO, 4),
-                         (two * f * fp * inv, -f, 9)],
-        (6, 8): lambda: [(two * f * f * f, ZERO, 1), (-two * f * fp * wf * inv, ZERO, 4),
-                         (two * f * fp * fp * inv, ZERO, 9)],
-        (7, 8): lambda: [(two * (z * z * fp * fp - 2 * z * f * fp + f * f) * inv, ZERO, 9)],
+        (2, 4): [(two * (z * fpp - fp) * inv, ONE, 1)],
+        (2, 5): [(two * z * (z * fpp - fp) * inv, z, 1), (two * z * inv, ZERO, 4)],
+        (2, 6): [(two * f * (z * fpp - fp) * inv, f, 1), (two * z * fp * inv, z, 4)],
+        (2, 7): [(two * z * (z * z * fpp - z * fp + f) * inv, ZERO, 1), (two * z * inv, ZERO, 9)],
+        (2, 8): [(two * f * (z * z * fpp - z * fp + f) * inv, ZERO, 1),
+                 (two * z * fp * inv, z, 9)],
+        (3, 4): [(two * (f * fpp - fp * fp) * inv, ZERO, 1)],
+        (3, 5): [(two * z * (f * fpp - fp * fp) * inv, ZERO, 1), (two * f * inv, ZERO, 4)],
+        (3, 6): [(two * f * (f * fpp - fp * fp) * inv, ZERO, 1), (two * f * fp * inv, f, 4)],
+        (3, 7): [(two * z * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
+                 (two * f * inv, ZERO, 9)],
+        (3, 8): [(two * f * (z * f * fpp - z * fp * fp + f * fp) * inv, ZERO, 1),
+                 (two * f * fp * inv, f, 9)],
+        (4, 5): [(two * fp * inv, MINUS_ONE, 4)],
+        (4, 6): [(two * fp * fp * inv, ZERO, 4)],
+        (4, 7): [(two * z * f, ZERO, 1), (ZERO, -z, 4), (two * fp * inv, MINUS_ONE, 9)],
+        (4, 8): [(two * f * f, ZERO, 1), (ZERO, -f, 4), (two * fp * fp * inv, ZERO, 9)],
+        (5, 6): [(two * fp * wf * inv, f, 4)],
+        (5, 7): [(two * z * z * f, ZERO, 1), (-two * z * wf * inv, ZERO, 4),
+                 (two * z * fp * inv, -z, 9)],
+        (5, 8): [(two * z * f * f, ZERO, 1), (-two * f * wf * inv, ZERO, 4),
+                 (two * z * fp * fp * inv, ZERO, 9)],
+        (6, 7): [(two * z * f * f, ZERO, 1), (-two * fp * wf * inv * z, ZERO, 4),
+                 (two * f * fp * inv, -f, 9)],
+        (6, 8): [(two * f * f * f, ZERO, 1), (-two * f * fp * wf * inv, ZERO, 4),
+                 (two * f * fp * fp * inv, ZERO, 9)],
+        (7, 8): [(two * (z * z * fp * fp - 2 * z * f * fp + f * f) * inv, ZERO, 9)],
     }
-    return rows[(i, j)]()
 
 
-def commutator_rhs(i: int, j: int, f=None) -> DiffOp:
-    f, v = _fv(f)
-    if i == j:
-        return DiffOp.zero(v)
-    sign = 1
-    if i > j:
-        i, j, sign = j, i, -1
-    out = DiffOp.zero(v)
-    for a, b, target in _row(i, j, f, v):
-        J = build_J(target, f) if target else DiffOp.identity(v)
-        out = out + compose(DiffOp(v, {1: a, 0: b}), J)
-    return out if sign == 1 else out.scaled(MINUS_ONE)
-
-
-@lru_cache(maxsize=28)
-def _commutator_identity(i: int, j: int) -> tuple[DiffOp, DiffOp]:
-    """[J_i, J_j] and its tabulated right-hand side, built once with f opaque."""
-    return commutator(build_J(i), build_J(j)), commutator_rhs(i, j)
+@lru_cache(maxsize=1)
+def commutator_table() -> dict:
+    """{(i, j): ([J_i, J_j], its tabulated right-hand side)} for 1 <= i < j <= 8,
+    built once from one J gallery with f opaque; f is bound at evaluation."""
+    J = {0: DiffOp.identity("z"), **J_gallery()}
+    table = {}
+    for (i, j), row in _rows().items():
+        rhs = DiffOp.zero("z")
+        for a, b, target in row:
+            rhs = rhs + compose(DiffOp("z", {1: a, 0: b}), J[target])
+        table[i, j] = commutator(J[i], J[j]), rhs
+    return table
 
 
 @checks
@@ -531,11 +517,9 @@ def verify_commutator_table(f, plan: SamplePlan = SamplePlan()):
         raise ExprError("the generating function must not contain f itself")
     bind = Binding(funcs={"f": f})
     plan = replace(plan, tol=10 * plan.tol)
-    for i in range(1, 9):
-        for j in range(i + 1, 9):
-            lhs, rhs = _commutator_identity(i, j)
-            ok, res = ops_equal_numeric(lhs, rhs, bind, plan)
-            yield f"[J{i},J{j}]", f"[J{i},J{j}]", ok, res
+    for (i, j), (lhs, rhs) in commutator_table().items():
+        ok, res = ops_equal_numeric(lhs, rhs, bind, plan)
+        yield f"[J{i},J{j}]", f"[J{i},J{j}]", ok, res
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +537,10 @@ def lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f):
     identities {name: (lhs, rhs)} of an sl(2)-type algebra among them."""
     f = as_expr(f)
     am, a0, ap = as_expr(alpha_minus), as_expr(alpha_zero), as_expr(alpha_plus)
-    Jm = build_J(2, f) + build_J(4, f).scaled(am)
-    J0 = build_J(3, f) + build_J(5, f).scaled(a0)
-    Jp = build_J(6, f) + build_J(7, f).scaled(ap)
+    J = J_gallery(f)
+    Jm = J[2] + J[4].scaled(am)
+    J0 = J[3] + J[5].scaled(a0)
+    Jp = J[6] + J[7].scaled(ap)
     half = Fraction(1, 2)
     return (Jm, J0, Jp), {
         "[J-,J0]=J-/2": (commutator(Jm, J0), Jm.scaled(as_expr(half))),

@@ -12,8 +12,10 @@ character stands alone. A name other than the variable is a parameter; an
 applied name is a built-in function or the opaque `f`, whose primes give the
 derivative order. ParseError also refuses `b^x` and `exp(x*log(b))`, x
 rational, when a rational n/d in b has |x|*log2(max(|n|, d)) or x's
-denominator (pow_'s root-test degree) past BIT_BUDGET, and a literal past
-int's digit limit, a constant past float range or nesting past the stack.
+denominator (pow_'s root-test degree) past BIT_BUDGET; a result holding a
+rational with log2(max(|n|, d)) past it, which sums and products of allowed
+powers build and to_string cannot print past 4 300 digits; and a literal
+past int's digit limit, a constant past float range or nesting past the stack.
 """
 
 import math
@@ -21,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .expr import (Expr, Rat, Sym, Var, Add, Mul, Pow, Fn, Opaque, FN_NAMES, ExprError,
-                   add, mul, pow_, fn, opaque, sort_key, _split_log_multiple)
+                   add, mul, pow_, fn, opaque, sort_key, _nodes, _split_log_multiple)
 
 OPAQUE = "f"
 BIT_BUDGET = 10_000
@@ -61,6 +63,9 @@ def parse(text: str, variable: str = "z") -> Expr:
         raise ParseError(f"{type(exc).__name__}: {exc}", c.peek(2)) from None
     if c.peek():
         raise ParseError(f"trailing input {text[c.peek(2):]!r}", c.peek(2))
+    for x in _nodes(out):  # sums and products of allowed powers can outgrow them
+        if isinstance(x, Rat) and _bits(x, Fraction(1)) > BIT_BUDGET:
+            raise ParseError(f"a constant of the result exceeds {BIT_BUDGET} bits", c.peek(2))
     return out
 
 

@@ -20,7 +20,7 @@ from .expr import (
 from .parser import parse
 from .diffop import DiffOp, equal_canonical
 from .families import (
-    GeneralCoefficients, _fv, build_J, build_K, build_P3_minus, build_P3_plus,
+    GeneralCoefficients, _fv, J_gallery, K_gallery, build_P3_minus, build_P3_plus,
     build_H_minus, build_H_minus_direct, build_H_plus, build_H_plus_direct,
     monomial_family, monomial_J, monomial_K, literature_ops,
     expand_in_literature_basis, assemble_from_literature_basis,
@@ -72,11 +72,12 @@ def suite_families(plan: SamplePlan):
         f = parse(text)
         V = seed_basis(f)
         Vk = partner_basis(f)
+        J, K = J_gallery(f), K_gallery(f)
         for i in range(1, 9):
-            v = check_invariant(build_J(i, f), V, plan)
+            v = check_invariant(J[i], V, plan)
             yield (f"families:J{i}:{label}", f"J-gallery invariance, f={label}",
                    v.passed, max(v.residuals))
-            v = check_invariant(build_K(i, f), Vk, plan)
+            v = check_invariant(K[i], Vk, plan)
             yield (f"families:K{i}:{label}", f"K-gallery invariance, f={label}",
                    v.passed, max(v.residuals))
         v = check_annihilates(build_P3_minus(f), V, kplan)
@@ -383,11 +384,12 @@ def suite_x2(plan: SamplePlan):
         part = fr.partner_span()
         ok = True
         worst = 0.0
+        J, K = x2mod.x2_J_gallery(a), x2mod.x2_K_gallery(a)
         for i in range(1, 9):
-            v = check_invariant(x2mod.x2_J_gallery(a)[i], span, plan)
+            v = check_invariant(J[i], span, plan)
             ok = ok and v.passed
             worst = max(worst, max(v.residuals))
-            v = check_invariant(x2mod.x2_K_gallery(a)[i], part, plan)
+            v = check_invariant(K[i], part, plan)
             ok = ok and v.passed
             worst = max(worst, max(v.residuals))
         yield (f"x2:invariance:alpha={a}",
@@ -409,15 +411,19 @@ def suite_x2(plan: SamplePlan):
 
 
 def _reduction_checks_pass() -> bool:
+    """Whether the Wronskian frame at (1, u, f) gives the plain frame's J and K
+    galleries and third-order operators, and its (1, u, u^2) minus side d^3."""
     u = var("u")
     fu = opaque("f", 0, u)
     fr = x2mod.WronskianFrame(ONE, u, fu)
-    ok = all(equal_canonical(x2mod.wronskian_J(i, fr), build_J(i, fu))
-             for i in range(1, 9))
+    wronskian = [*x2mod.wronskian_J_gallery(fr).values(),
+                 *x2mod.wronskian_K_gallery(fr).values(), *x2mod.x2_supercharges(fr)]
+    plain = [*J_gallery(fu).values(), *K_gallery(fu).values(),
+             build_P3_minus(fu), build_P3_plus(fu)]
+    ok = all(map(equal_canonical, wronskian, plain))
     fr2 = x2mod.WronskianFrame(ONE, u, pow_(u, 2))
     pm, _ = x2mod.x2_supercharges(fr2)
-    ok = ok and pm == DiffOp.d("u", 3)
-    return ok
+    return ok and pm == DiffOp.d("u", 3)
 
 
 @checks

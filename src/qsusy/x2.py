@@ -21,7 +21,8 @@ from .expr import (
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import (
-    build_J, build_K, build_P3_minus, build_P3_plus, j_gallery, k_gallery, ParameterError,
+    build_J, build_K, build_P3_minus, build_P3_plus, gallery_member, j_gallery, k_gallery,
+    ParameterError,
 )
 from .invariance import Subspace, SamplePlan, checks, ops_equal_numeric
 
@@ -84,7 +85,8 @@ def _multipliers(fr: WronskianFrame) -> tuple[Expr, Expr, Expr, Expr]:
     return mul(fr.phi2, inv1), mul(fr.phi3, inv1), mul(fr.W31, inv21), mul(fr.W32, inv21)
 
 
-def _J_members(fr: WronskianFrame) -> dict[int, DiffOp]:
+def wronskian_J_gallery(fr: WronskianFrame) -> dict[int, DiffOp]:
+    """J1..J9, preserving span(phi1, phi2, phi3), from the printed coefficients."""
     core = _second_order_core(fr)
     p1sq = pow_(fr.phi1, 2)
     inv3121 = pow_(fr.W3121, -1)
@@ -97,7 +99,9 @@ def _J_members(fr: WronskianFrame) -> dict[int, DiffOp]:
     return j_gallery(core.scaled(mul(fr.W21, p1sq, inv3121)), J4, J9, *_multipliers(fr)[:2])
 
 
-def _K_members(fr: WronskianFrame) -> dict[int, DiffOp]:
+def wronskian_K_gallery(fr: WronskianFrame) -> dict[int, DiffOp]:
+    """K0..K8 from the printed coefficients.  K1..K8 preserve the partner
+    span; K0, the first-order building block of K2 and K3, does not."""
     l1 = _logd(fr.phi1)
     l21 = _logd(fr.W21)
     l3121 = _logd(fr.W3121)
@@ -119,19 +123,11 @@ def _K_members(fr: WronskianFrame) -> dict[int, DiffOp]:
 
 
 def wronskian_J(i: int, fr: WronskianFrame) -> DiffOp:
-    """Operators preserving span(phi1, phi2, phi3), from the printed coefficients."""
-    if not 1 <= i <= 9:
-        raise ParameterError("index must be in 1..9")
-    return _J_members(fr)[i]
+    return gallery_member(wronskian_J_gallery(fr), "J", i)
 
 
 def wronskian_K(i: int, fr: WronskianFrame) -> DiffOp:
-    """The partner-side gallery, from the printed coefficients; i in 0..8.
-    K1..K8 preserve the partner span; K0, the first-order building block of
-    K2 and K3, does not."""
-    if not 0 <= i <= 8:
-        raise ParameterError("index must be in 0..8")
-    return _K_members(fr)[i]
+    return gallery_member(wronskian_K_gallery(fr), "K", i)
 
 
 def x2_supercharges(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
@@ -254,14 +250,12 @@ def x2b_basis(alpha) -> Subspace:
 
 @lru_cache(maxsize=32)
 def x2_J_gallery(alpha) -> dict[int, DiffOp]:
-    gallery = _J_members(x2_frame(alpha))
-    return {j: gallery[j] for j in range(1, 9)}
+    return {j: op for j, op in wronskian_J_gallery(x2_frame(alpha)).items() if 1 <= j <= 8}
 
 
 @lru_cache(maxsize=32)
 def x2_K_gallery(alpha) -> dict[int, DiffOp]:
-    gallery = _K_members(x2_frame(alpha))
-    return {j: gallery[j] for j in range(1, 9)}
+    return {j: op for j, op in wronskian_K_gallery(x2_frame(alpha)).items() if 1 <= j <= 8}
 
 
 @lru_cache(maxsize=32)
@@ -546,16 +540,10 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                 yield rid, rid, None, None, "parameter excluded by a printed denominator"
                 continue
             coeffs = cij_coefficients(shift)
-            if side == "minus":
-                if gallery is None:
-                    gallery = x2_J_gallery(a)
-                target = literature_x2(i, "minus", a)
-                const = coeffs.C(i, 0)
-            else:
-                if gallery is None:
-                    gallery = {j: x2b_conjugated_K(j, a) for j in range(1, 9)}
-                target = literature_x2(i, "plus", a)
-                const = kside_constant(i, shift)
+            if gallery is None:  # at the side's first admissible identity
+                gallery = x2_J_gallery(a) if side == "minus" else _kb_gallery(a)
+            target = literature_x2(i, side, a)
+            const = coeffs.C(i, 0) if side == "minus" else kside_constant(i, shift)
             combo = DiffOp.mult(U, Rat(const))
             for j in range(1, 9):
                 cij = coeffs.C(i, j)

@@ -85,6 +85,11 @@ class TestParse:
         ("(9*z)^9999999", "constant power (9*z)^9999999 exceeds 10000 bits", 5),
         ("2^(1/999999999)", "constant power 2^(1/999999999) exceeds 10000 bits", 1),
         ("exp(99999999*log(9))", "constant power 9^99999999 exceeds 10000 bits", 0),
+        # each power is within the budget; the product or the sum is not, and
+        # to_string could not print it
+        ("3^(9999/2)*3^(9999/2)*3^(9999/2)*3^(9999/2)",
+         "a constant of the result exceeds 10000 bits", 43),
+        ("2^(-9000) + 3^(-5000)", "a constant of the result exceeds 10000 bits", 21),
     ])
     def test_non_decimal_digits_and_huge_powers_are_parse_errors(self, text, message, pos):
         with pytest.raises(ParseError) as info:

@@ -70,8 +70,8 @@ _BUILDERS = {
 @pytest.mark.parametrize("name, i, message", [
     ("build_J", 0, "J index must be in 1..9"), ("build_J", 10, "J index must be in 1..9"),
     ("build_K", -1, "K index must be in 0..8"), ("build_K", 9, "K index must be in 0..8"),
-    ("wronskian_J", 0, "index must be in 1..9"), ("wronskian_J", 10, "index must be in 1..9"),
-    ("wronskian_K", -1, "index must be in 0..8"), ("wronskian_K", 9, "index must be in 0..8"),
+    ("wronskian_J", 0, "J index must be in 1..9"), ("wronskian_J", 10, "J index must be in 1..9"),
+    ("wronskian_K", -1, "K index must be in 0..8"), ("wronskian_K", 9, "K index must be in 0..8"),
     ("monomial_J", 0, "index must be in 1..8"), ("monomial_J", 9, "index must be in 1..8"),
     ("monomial_K", 0, "index must be in 1..8"), ("monomial_K", 9, "index must be in 1..8"),
 ])

@@ -11,15 +11,16 @@ import pytest
 
 from qsusy import Binding, add, parse, sym
 from qsusy.cli import SuiteConfig, run_suite
+from qsusy.diffop import DiffOp
 from qsusy.families import (
     GeneralCoefficients, build_H_minus, build_H_minus_direct, build_H_plus,
     build_H_plus_direct,
 )
 from qsusy.invariance import (
     SamplePlan, SamplingError, check_lie_closure, decide_lie_closure_each,
-    lie_closure_identities, ops_equal_numeric,
+    lie_closure_identities, ops_equal_numeric, verify_commutator_table,
 )
-from qsusy import suites
+from qsusy import families, invariance, suites, x2
 from qsusy.suites import COEFF_NAMES, _routes_agree
 
 FZ = parse("z^3 + z")
@@ -137,6 +138,48 @@ def test_routes_are_built_once_per_call(monkeypatch):
     monkeypatch.setattr(suites, "_routes_agree", spy)
     checks = suites.suite_construction(PLAN)
     assert seen == [1, 1] and all(c["verdict"] == "pass" for c in checks)
+
+
+# galleries: each caller assembles an f's galleries once -------------------
+
+def _count_galleries(monkeypatch) -> dict:
+    """Counts of J and K gallery assemblies in either frame; x2 reaches the
+    index rules through the names it imported."""
+    counts = {"J": 0, "K": 0}
+    for name, kind in (("j_gallery", "J"), ("k_gallery", "K")):
+        def counted(*args, real=getattr(families, name), kind=kind):
+            counts[kind] += 1
+            return real(*args)
+        for module in (families, x2):
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_the_families_suite_assembles_one_gallery_of_each_kind_per_f(monkeypatch):
+    counts = _count_galleries(monkeypatch)
+    checks = suites.suite_families(PLAN)
+    assert all(c["verdict"] == "pass" for c in checks)
+    n = len(suites.FAMILY_F_SET)
+    assert len(checks) == 18 * n and counts == {"J": n, "K": n}
+
+
+def test_the_commutator_table_is_built_from_one_gallery(monkeypatch):
+    invariance.commutator_table.cache_clear()
+    counts = _count_galleries(monkeypatch)
+    records = verify_commutator_table(parse("z^3"))
+    assert len(records) == 28 and all(r["verdict"] == "pass" for r in records)
+    assert counts == {"J": 1, "K": 0}
+
+
+def test_the_reduction_check_fails_on_a_perturbed_plain_k_gallery(monkeypatch):
+    assert suites._reduction_checks_pass()
+    real = families.k_gallery
+
+    def perturbed(K0, K1, *multipliers):  # K1's order-0 coefficient plus one
+        return real(K0, K1 + DiffOp.identity(K1.var), *multipliers)
+
+    monkeypatch.setattr(families, "k_gallery", perturbed)  # x2 keeps its own name
+    assert not suites._reduction_checks_pass()
 
 
 # verdict gate: the report's verdicts are the benchmark's reference ----------
