@@ -205,7 +205,7 @@ def _cmd_catalog(args) -> int:
     style = "tex" if args.format == "tex" else "text"
     entries = {}
     for kind in ("J", "K"):
-        for i, op in enumerate(fam[kind], start=1):
+        for i, op in fam[kind].items():
             entries[f"{kind}{i}"] = pretty(op, style)
     for s in ("minus", "plus"):
         for name, op in literature_ops(args.family, s, lam).items():
@@ -327,9 +327,14 @@ def _cmd_x2(args) -> int:
 def _cmd_spectrum(args) -> int:
     if (args.example is None) == (args.potential is None):
         raise ConfigError("give exactly one of --example or --potential")
-    plan = SuiteConfig(suites=[], seed=args.seed).plan()
+    if args.example and (args.lo, args.hi) != (None, None):
+        raise ConfigError("--lo and --hi set the grid of --potential; an example has its own")
+    if args.potential and args.seed is not None:
+        raise ConfigError("--seed samples the algebraic spectrum of --example; "
+                          "--potential has none")
     bindings = _parse_bindings(args.bind)
     if args.example:
+        plan = SuiteConfig(suites=[], seed=7 if args.seed is None else args.seed).plan()
         model = _model(args.example, bindings)
         if model.fd_domain is None:
             raise ConfigError("this model family has no designated grid domain")
@@ -341,9 +346,10 @@ def _cmd_spectrum(args) -> int:
                "algebraic": [{"re": e.real, "im": e.imag} for e in sp.eigenvalues]}
     else:
         V = parse(args.potential, "q")
-        ev = fd_spectrum(V, Grid(args.lo, args.hi, args.grid), args.k,
-                         Binding(params=bindings))
-        doc = {"grid": [args.lo, args.hi, args.grid], "fd": list(map(float, ev))}
+        lo = -12.0 if args.lo is None else args.lo
+        hi = 12.0 if args.hi is None else args.hi
+        ev = fd_spectrum(V, Grid(lo, hi, args.grid), args.k, Binding(params=bindings))
+        doc = {"grid": [lo, hi, args.grid], "fd": list(map(float, ev))}
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -413,12 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", help="finite-difference cross-check")
     s.add_argument("--example", type=int, default=None, choices=[1, 2, 3])
     s.add_argument("--potential", default=None, help="potential in q, e.g. 'q^2/2'")
-    s.add_argument("--lo", type=float, default=-12.0)
-    s.add_argument("--hi", type=float, default=12.0)
+    s.add_argument("--lo", type=float, default=None, help="grid start for --potential (-12)")
+    s.add_argument("--hi", type=float, default=None, help="grid end for --potential (12)")
     s.add_argument("--grid", type=int, default=4000)
     s.add_argument("--k", type=int, default=6)
     s.add_argument("--bind", default=None)
-    s.add_argument("--seed", type=int, default=7)
+    s.add_argument("--seed", type=int, default=None, help="sample seed for --example (7)")
     s.set_defaults(func=_cmd_spectrum)
 
     r = sub.add_parser("suite", help="run verification suites")

@@ -63,8 +63,13 @@ def k_gallery(K0: DiffOp, K1: DiffOp, a: Expr, b: Expr, c: Expr, d: Expr) -> dic
     """K0..K8 from the base operators K0, K1 and the multipliers a, b, c, d."""
     K2 = K1.scaled(a) - K0
     K3 = K1.scaled(b) - K0.scaled(c) + DiffOp.identity(K0.var)
-    return {0: K0, 1: K1, 2: K2, 3: K3, 4: K1.scaled(c), 5: K2.scaled(c),
-            6: K3.scaled(c), 7: K2.scaled(d), 8: K3.scaled(d)}
+    return {0: K0, **k_members(K1, K2, K3, c, d)}
+
+
+def k_members(K1: DiffOp, K2: DiffOp, K3: DiffOp, c: Expr, d: Expr) -> dict[int, DiffOp]:
+    """K1..K8 from K1, K2, K3 and the multipliers c, d; every frame's K rule."""
+    return {1: K1, 2: K2, 3: K3, 4: K1.scaled(c), 5: K2.scaled(c), 6: K3.scaled(c),
+            7: K2.scaled(d), 8: K3.scaled(d)}
 
 
 def gallery_member(gallery: dict[int, DiffOp], name: str, i: int) -> DiffOp:
@@ -254,77 +259,53 @@ def _lam(x) -> Expr:
     return e
 
 
-def monomial_J(i: int, lam) -> DiffOp:
-    """Rescaled J-gallery for f = z^lam, polynomial in the exponent."""
+def monomial_J_gallery(lam) -> dict[int, DiffOp]:
+    """J1..J8 for f = z^lam, rescaled to be polynomial in the exponent."""
     lam = _lam(lam)
     v = "z"
     x = Var(v)
     D1, D2 = DiffOp.d(v), DiffOp.d(v, 2)
-    lm1 = add(lam, MINUS_ONE)
-    if i == 1:
-        return D2.scaled(pow_(x, add(Rat(2), mul(MINUS_ONE, lam))))
-    if i == 2:
-        return D2.scaled(pow_(x, add(Rat(3), mul(MINUS_ONE, lam))))
-    if i == 3:
-        return D2.scaled(pow_(x, 2))
-    if i == 4:
-        return D2.scaled(x) - D1.scaled(lm1)
-    if i == 5:
-        return D2.scaled(pow_(x, 2)) - D1.scaled(mul(lm1, x))
-    if i == 6:
-        return D2.scaled(pow_(x, add(lam, ONE))) - D1.scaled(mul(lm1, pow_(x, lam)))
-    if i == 7:
-        return (D2.scaled(pow_(x, 3)) - D1.scaled(mul(lam, pow_(x, 2)))
-                + DiffOp.mult(v, mul(lam, x)))
-    if i == 8:
-        return (D2.scaled(pow_(x, add(lam, Rat(2))))
-                - D1.scaled(mul(lam, pow_(x, add(lam, ONE))))
-                + DiffOp.mult(v, mul(lam, pow_(x, lam))))
-    raise ParameterError("index must be in 1..8")
+    J9 = D2.scaled(pow_(x, 2)) - D1.scaled(mul(lam, x)) + DiffOp.mult(v, lam)
+    gallery = j_gallery(D2.scaled(pow_(x, add(Rat(2), mul(MINUS_ONE, lam)))),
+                        D2.scaled(x) - D1.scaled(add(lam, MINUS_ONE)), J9, x, pow_(x, lam))
+    del gallery[9]
+    return gallery
 
 
-def monomial_K(i: int, lam) -> DiffOp:
-    """Rescaled K-gallery for f = z^lam."""
+def monomial_K_gallery(lam) -> dict[int, DiffOp]:
+    """K1..K8 for f = z^lam, rescaled like monomial_J_gallery.  K3 is printed:
+    with c = z^(lam-1) the plain rule b K1 - c K0 + 1 would give
+    z^2 d^2 + (lam-3) z d - 2 lam + 5, not the z^2 d^2 - 2 z d + 2 of the family."""
     lam = _lam(lam)
     v = "z"
     x = Var(v)
     D1, D2 = DiffOp.d(v), DiffOp.d(v, 2)
     lm2 = add(lam, Rat(-2))
-    lm3 = add(lam, Rat(-3))
-    if i == 1:
-        return (D2.scaled(pow_(x, add(Rat(2), mul(MINUS_ONE, lam))))
-                + D1.scaled(mul(lm2, pow_(x, add(ONE, mul(MINUS_ONE, lam)))))
-                - DiffOp.mult(v, mul(lm2, pow_(x, mul(MINUS_ONE, lam)))))
-    if i == 2:
-        return (D2.scaled(pow_(x, add(Rat(3), mul(MINUS_ONE, lam))))
-                + D1.scaled(mul(lm3, pow_(x, add(Rat(2), mul(MINUS_ONE, lam)))))
-                - DiffOp.mult(v, mul(Rat(2), lm2, pow_(x, add(ONE, mul(MINUS_ONE, lam))))))
-    if i == 3:
-        return D2.scaled(pow_(x, 2)) - D1.scaled(mul(Rat(2), x)) + DiffOp.mult(v, Rat(2))
-    if i == 4:
-        return (D2.scaled(x) + D1.scaled(lm2)
-                - DiffOp.mult(v, mul(lm2, pow_(x, -1))))
-    if i == 5:
-        return (D2.scaled(pow_(x, 2)) + D1.scaled(mul(lm3, x))
-                - DiffOp.mult(v, mul(Rat(2), lm2)))
-    if i == 6:
-        return (D2.scaled(pow_(x, add(lam, ONE))) - D1.scaled(mul(Rat(2), pow_(x, lam)))
-                + DiffOp.mult(v, mul(Rat(2), pow_(x, add(lam, MINUS_ONE)))))
-    if i == 7:
-        return (D2.scaled(pow_(x, 3)) + D1.scaled(mul(lm3, pow_(x, 2)))
-                - DiffOp.mult(v, mul(Rat(2), lm2, x)))
-    if i == 8:
-        return (D2.scaled(pow_(x, add(lam, Rat(2))))
-                - D1.scaled(mul(Rat(2), pow_(x, add(lam, ONE))))
-                + DiffOp.mult(v, mul(Rat(2), pow_(x, lam))))
-    raise ParameterError("index must be in 1..8")
+    K1 = (D2.scaled(pow_(x, add(Rat(2), mul(MINUS_ONE, lam))))
+          + D1.scaled(mul(lm2, pow_(x, add(ONE, mul(MINUS_ONE, lam)))))
+          - DiffOp.mult(v, mul(lm2, pow_(x, mul(MINUS_ONE, lam)))))
+    K2 = (D2.scaled(pow_(x, add(Rat(3), mul(MINUS_ONE, lam))))
+          + D1.scaled(mul(add(lam, Rat(-3)), pow_(x, add(Rat(2), mul(MINUS_ONE, lam)))))
+          - DiffOp.mult(v, mul(Rat(2), lm2, pow_(x, add(ONE, mul(MINUS_ONE, lam))))))
+    K3 = D2.scaled(pow_(x, 2)) - D1.scaled(mul(Rat(2), x)) + DiffOp.mult(v, Rat(2))
+    return k_members(K1, K2, K3, pow_(x, add(lam, MINUS_ONE)), pow_(x, lam))
+
+
+def monomial_J(i: int, lam) -> DiffOp:
+    """J_i of monomial_J_gallery(lam), i in 1..8."""
+    return gallery_member(monomial_J_gallery(lam), "J", i)
+
+
+def monomial_K(i: int, lam) -> DiffOp:
+    """K_i of monomial_K_gallery(lam), i in 1..8."""
+    return gallery_member(monomial_K_gallery(lam), "K", i)
 
 
 _FAMILY_EXPONENT = {"A": Fraction(2), "B": Fraction(3)}
 
 
-def monomial_family(kind: str, lam=None) -> dict[str, list[DiffOp]]:
-    """The rescaled J and K operator lists for a monomial invariant space.
+def monomial_family(kind: str, lam=None) -> dict[str, dict[int, DiffOp]]:
+    """The rescaled J and K galleries (J1..J8, K1..K8) for a monomial invariant space.
 
     kind "C" takes a free exponent; kinds "B" and "A" force exponents 3 and 2
     and take none.
@@ -334,17 +315,12 @@ def monomial_family(kind: str, lam=None) -> dict[str, list[DiffOp]]:
         if lam is not None:
             raise ParameterError(f"kind {kind} fixes its exponent at {_FAMILY_EXPONENT[kind]}; "
                                  "it takes none")
-        return _monomial_lists(Rat(_FAMILY_EXPONENT[kind]))
-    if kind != "C":
+        lam = Rat(_FAMILY_EXPONENT[kind])
+    elif kind != "C":
         raise ParameterError(f"unknown family kind {kind!r}")
-    if lam is None:
+    elif lam is None:
         raise ParameterError("kind C requires an exponent")
-    return _monomial_lists(lam)
-
-
-def _monomial_lists(lam) -> dict[str, list[DiffOp]]:
-    return {"J": [monomial_J(i, lam) for i in range(1, 9)],
-            "K": [monomial_K(i, lam) for i in range(1, 9)]}
+    return {"J": monomial_J_gallery(lam), "K": monomial_K_gallery(lam)}
 
 
 # ---------------------------------------------------------------------------
@@ -496,26 +472,21 @@ def assemble_from_literature_basis(lb: LiteratureBasisCoefficients, lam=None) ->
     ops = literature_ops(lb.family, "minus", lam)
     vals = lb.values
     out = DiffOp.mult(v, vals["const"])
-    if lb.family == "C":
-        out = out + monomial_J(8, lam).scaled(vals["t8"])
-        out = out + monomial_J(6, lam).scaled(vals["t6"])
-        out = out + monomial_J(2, lam).scaled(vals["t2"])
-        out = out + monomial_J(1, lam).scaled(vals["t1"])
-        for name, key in (("J+0", "a3"), ("J00", "a2"), ("J0-", "a1"), ("J0", "b0")):
-            out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))
-        return out
-    if lb.family == "B":
-        out = out + monomial_J(8, Rat(3)).scaled(vals["t8"])
-        out = out + monomial_J(1, Rat(3)).scaled(vals["t1"])
-        for name, key in (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"),
-                          ("J0-", "a0-"), ("J--", "a--"), ("J0", "b0")):
-            out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))
-        return out
-    for name, key in (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"),
-                      ("J0-", "a0-"), ("J--", "a--")):
+    if lb.family in ("B", "C"):  # the gallery members the catalogue lacks
+        J = monomial_J_gallery(lam if lb.family == "C" else Rat(3))
+        for i in (8, 6, 2, 1):
+            if f"t{i}" in vals:
+                out = out + J[i].scaled(vals[f"t{i}"])
+    terms = {"C": (("J+0", "a3"), ("J00", "a2"), ("J0-", "a1"), ("J0", "b0")),
+             "B": (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"), ("J0-", "a0-"),
+                   ("J--", "a--"), ("J0", "b0")),
+             "A": (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"), ("J0-", "a0-"),
+                   ("J--", "a--"))}
+    for name, key in terms[lb.family]:
         out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))
-    for name, key in (("J+", "b+"), ("J0", "b0"), ("J-", "b-")):
-        out = out + ops[name].scaled(vals[key])
+    if lb.family == "A":
+        for name, key in (("J+", "b+"), ("J0", "b0"), ("J-", "b-")):
+            out = out + ops[name].scaled(vals[key])
     return out
 
 

@@ -466,24 +466,18 @@ def kside_constant(i: int, x: Fraction) -> Fraction:
 
 
 def combination_admissible(i: int, side: str, alpha) -> bool:
-    """Whether the i-th combination identity is free of parameter singularities."""
+    """Whether the i-th combination identity is free of parameter singularities:
+    its frame, its coefficient row and, on the plus side, the parameter and
+    the fitted constant are all defined."""
     a = _fr(alpha)
-    frame_at = a if side == "minus" else a - 3
-    if frame_at in (0, 1):
-        return False
+    shift = a if side == "minus" else a - 3
     try:
-        x2_frame(frame_at)
-    except FrameError:
-        return False
-    if side == "minus":
-        if i in (2, 4) and a == -1:
-            return False
-        return True
-    if a in (0, 1):
-        return False
-    if i in (2, 4) and a - 3 == -1:
-        return False
-    if i == 4 and a == 2:
+        x2_frame(shift)
+        cij_coefficients(shift).C(i, 0)
+        if side != "minus":
+            _frame_alpha(a)
+            kside_constant(i, shift)
+    except (ParameterError, FrameError, ZeroDivisionError):
         return False
     return True
 

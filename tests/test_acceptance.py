@@ -152,10 +152,8 @@ def test_criterion_06_monomial_specializations():
         c2 = monomial_family("C", Fraction(2))
     b = monomial_family("B")
     a = monomial_family("A")
-    ok = all(equal_canonical(x, y)
-             for x, y in zip(c3["J"] + c3["K"], b["J"] + b["K"]))
-    ok &= all(equal_canonical(x, y)
-              for x, y in zip(c2["J"] + c2["K"], a["J"] + a["K"]))
+    ok = all(equal_canonical(c3[s][i], b[s][i]) and equal_canonical(c2[s][i], a[s][i])
+             for s in "JK" for i in range(1, 9))
     ok &= _correspondence_C(Fraction(5, 2))
     ok &= _correspondence_B()
     ok_a, reading = _correspondence_A()

@@ -201,6 +201,10 @@ class TestMain:
         ["verify", "commutators", "--f", "z^3", "--ops", "J1"],
         ["verify", "invariance", "--f", "exp(z)", "--ops", "J1,J1"],
         ["verify", "commutators", "--f", "3^(9999/2)*3^(9999/2)*3^(9999/2)*3^(9999/2)*z^3"],
+        # an example's grid is its own domain, and a potential samples nothing
+        ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3", "--lo", "5", "--hi", "6"],
+        ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3", "--hi", "6"],
+        ["spectrum", "--potential", "q^2/2", "--seed", "123"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if "--config" in argv:  # the argument after it is the file's content
@@ -347,6 +351,7 @@ class TestMain:
         rc = main(["spectrum", "--potential", "q^2/2", "--grid", "2000", "--k", "2"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
+        assert doc["grid"] == [-12.0, 12.0, 2000]
         assert abs(doc["fd"][0] - 0.5) < 1e-3
 
     def test_suite_markdown_and_exit(self, capsys, tmp_path):

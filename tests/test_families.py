@@ -7,7 +7,7 @@ import pytest
 from qsusy import Binding, ExprError, add, equal0, fn, mul, opaque, parse, pow_, rat, sym, var
 from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.families import (
-    DegenerateFunctionError, F, GeneralCoefficients, ParameterError,
+    DegenerateFunctionError, F, GeneralCoefficients, J_gallery, K_gallery, ParameterError,
     abc_profile, assemble_from_literature_basis, build_H_minus,
     build_H_minus_direct, build_H_plus, build_H_plus_direct, build_J, build_K,
     build_P3_minus, build_P3_plus, duality_K_from_J, expand_in_literature_basis,
@@ -72,8 +72,8 @@ _BUILDERS = {
     ("build_K", -1, "K index must be in 0..8"), ("build_K", 9, "K index must be in 0..8"),
     ("wronskian_J", 0, "J index must be in 1..9"), ("wronskian_J", 10, "J index must be in 1..9"),
     ("wronskian_K", -1, "K index must be in 0..8"), ("wronskian_K", 9, "K index must be in 0..8"),
-    ("monomial_J", 0, "index must be in 1..8"), ("monomial_J", 9, "index must be in 1..8"),
-    ("monomial_K", 0, "index must be in 1..8"), ("monomial_K", 9, "index must be in 1..8"),
+    ("monomial_J", 0, "J index must be in 1..8"), ("monomial_J", 9, "J index must be in 1..8"),
+    ("monomial_K", 0, "K index must be in 1..8"), ("monomial_K", 9, "K index must be in 1..8"),
 ])
 def test_index_errors_name_the_range_they_accept(name, i, message):
     with pytest.raises(ParameterError) as info:
@@ -221,42 +221,42 @@ class TestMonomialFamilies:
     def test_type_b_list_verbatim(self):
         fam = monomial_family("B")
         J = fam["J"]
-        assert equal_canonical(J[0], DiffOp("z", {2: pow_(z, -1)}))
-        assert equal_canonical(J[1], DiffOp("z", {2: rat(1)}))
-        assert equal_canonical(J[2], DiffOp("z", {2: pow_(z, 2)}))
-        assert equal_canonical(J[3], DiffOp("z", {2: z, 1: rat(-2)}))
-        assert equal_canonical(J[4], DiffOp("z", {2: pow_(z, 2), 1: mul(-2, z)}))
-        assert equal_canonical(J[5], DiffOp("z", {2: pow_(z, 4), 1: mul(-2, pow_(z, 3))}))
-        assert equal_canonical(J[6], DiffOp("z", {2: pow_(z, 3), 1: mul(-3, pow_(z, 2)),
+        assert equal_canonical(J[1], DiffOp("z", {2: pow_(z, -1)}))
+        assert equal_canonical(J[2], DiffOp("z", {2: rat(1)}))
+        assert equal_canonical(J[3], DiffOp("z", {2: pow_(z, 2)}))
+        assert equal_canonical(J[4], DiffOp("z", {2: z, 1: rat(-2)}))
+        assert equal_canonical(J[5], DiffOp("z", {2: pow_(z, 2), 1: mul(-2, z)}))
+        assert equal_canonical(J[6], DiffOp("z", {2: pow_(z, 4), 1: mul(-2, pow_(z, 3))}))
+        assert equal_canonical(J[7], DiffOp("z", {2: pow_(z, 3), 1: mul(-3, pow_(z, 2)),
                                                   0: mul(3, z)}))
-        assert equal_canonical(J[7], DiffOp("z", {2: pow_(z, 5), 1: mul(-3, pow_(z, 4)),
+        assert equal_canonical(J[8], DiffOp("z", {2: pow_(z, 5), 1: mul(-3, pow_(z, 4)),
                                                   0: mul(3, pow_(z, 3))}))
 
     def test_type_b_partner_list_verbatim(self):
         K = monomial_family("B")["K"]
-        assert equal_canonical(K[0], DiffOp("z", {2: pow_(z, -1), 1: pow_(z, -2),
+        assert equal_canonical(K[1], DiffOp("z", {2: pow_(z, -1), 1: pow_(z, -2),
                                                   0: mul(-1, pow_(z, -3))}))
-        assert equal_canonical(K[1], DiffOp("z", {2: rat(1), 0: mul(-2, pow_(z, -2))}))
-        assert equal_canonical(K[2], DiffOp("z", {2: pow_(z, 2), 1: mul(-2, z), 0: rat(2)}))
-        assert equal_canonical(K[3], DiffOp("z", {2: z, 1: rat(1), 0: mul(-1, pow_(z, -1))}))
+        assert equal_canonical(K[2], DiffOp("z", {2: rat(1), 0: mul(-2, pow_(z, -2))}))
+        assert equal_canonical(K[3], DiffOp("z", {2: pow_(z, 2), 1: mul(-2, z), 0: rat(2)}))
+        assert equal_canonical(K[4], DiffOp("z", {2: z, 1: rat(1), 0: mul(-1, pow_(z, -1))}))
         # fifth entry: the general-exponent formula gives z^2 d^2 - 2
-        assert equal_canonical(K[4], DiffOp("z", {2: pow_(z, 2), 0: rat(-2)}))
-        assert equal_canonical(K[5], DiffOp("z", {2: pow_(z, 4), 1: mul(-2, pow_(z, 3)),
+        assert equal_canonical(K[5], DiffOp("z", {2: pow_(z, 2), 0: rat(-2)}))
+        assert equal_canonical(K[6], DiffOp("z", {2: pow_(z, 4), 1: mul(-2, pow_(z, 3)),
                                                   0: mul(2, pow_(z, 2))}))
-        assert equal_canonical(K[6], DiffOp("z", {2: pow_(z, 3), 0: mul(-2, z)}))
-        assert equal_canonical(K[7], DiffOp("z", {2: pow_(z, 5), 1: mul(-2, pow_(z, 4)),
+        assert equal_canonical(K[7], DiffOp("z", {2: pow_(z, 3), 0: mul(-2, z)}))
+        assert equal_canonical(K[8], DiffOp("z", {2: pow_(z, 5), 1: mul(-2, pow_(z, 4)),
                                                   0: mul(2, pow_(z, 3))}))
 
     def test_type_a_lists_verbatim(self):
         fam = monomial_family("A")
         J, K = fam["J"], fam["K"]
-        assert equal_canonical(J[0], DiffOp("z", {2: rat(1)}))
-        assert equal_canonical(J[6], DiffOp("z", {2: pow_(z, 3), 1: mul(-2, pow_(z, 2)),
+        assert equal_canonical(J[1], DiffOp("z", {2: rat(1)}))
+        assert equal_canonical(J[7], DiffOp("z", {2: pow_(z, 3), 1: mul(-2, pow_(z, 2)),
                                                   0: mul(2, z)}))
-        assert equal_canonical(J[7], DiffOp("z", {2: pow_(z, 4), 1: mul(-2, pow_(z, 3)),
+        assert equal_canonical(J[8], DiffOp("z", {2: pow_(z, 4), 1: mul(-2, pow_(z, 3)),
                                                   0: mul(2, pow_(z, 2))}))
-        assert equal_canonical(K[1], DiffOp("z", {2: z, 1: rat(-1)}))
-        assert equal_canonical(K[2], DiffOp("z", {2: pow_(z, 2), 1: mul(-2, z), 0: rat(2)}))
+        assert equal_canonical(K[2], DiffOp("z", {2: z, 1: rat(-1)}))
+        assert equal_canonical(K[3], DiffOp("z", {2: pow_(z, 2), 1: mul(-2, z), 0: rat(2)}))
 
     def test_type_c_entries(self):
         lam = sym("lambda")
@@ -271,12 +271,11 @@ class TestMonomialFamilies:
             warnings.simplefilter("ignore")
             c3 = monomial_family("C", Fraction(3))
             c2 = monomial_family("C", Fraction(2))
-        for got, want in zip(c3["J"] + c3["K"],
-                             monomial_family("B")["J"] + monomial_family("B")["K"]):
-            assert equal_canonical(got, want)
-        for got, want in zip(c2["J"] + c2["K"],
-                             monomial_family("A")["J"] + monomial_family("A")["K"]):
-            assert equal_canonical(got, want)
+        for c, fixed in ((c3, monomial_family("B")), (c2, monomial_family("A"))):
+            for side in "JK":
+                assert list(c[side]) == list(fixed[side]) == list(range(1, 9))
+                for i in range(1, 9):
+                    assert equal_canonical(c[side][i], fixed[side][i])
 
     def test_exponent_guards(self):
         with pytest.raises(ParameterError):
@@ -298,14 +297,16 @@ class TestMonomialFamilies:
         assert len(checks) == 14 and all(c["verdict"] == "pass" for c in checks)
 
     def test_normalization_against_raw_gallery(self):
-        lam = Fraction(5, 2)
-        f = pow_(z, rat(lam))
-        scale = {1: lam * (lam - 1), 4: lam - 1, 7: lam}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for i, s in scale.items():
-                assert equal_canonical(build_J(i, f).scaled(rat(s)), monomial_J(i, lam))
-                assert equal_canonical(build_K(i, f).scaled(rat(s)), monomial_K(i, lam))
+        # every member of both monomial galleries is the plain gallery at
+        # f = z^lam, an independent route, times lam(lam-1), lam-1 or lam
+        for lam in (Fraction(5, 2), Fraction(7, 3), Fraction(-1, 2), Fraction(2), Fraction(3)):
+            f = pow_(z, rat(lam))
+            J, K = J_gallery(f), K_gallery(f)
+            fam = monomial_family("C", lam)
+            for i in range(1, 9):
+                s = rat(lam * (lam - 1) if i <= 3 else lam - 1 if i <= 6 else lam)
+                assert equal_canonical(J[i].scaled(s), fam["J"][i]), (lam, "J", i)
+                assert equal_canonical(K[i].scaled(s), fam["K"][i]), (lam, "K", i)
 
 
 class TestLiteratureOps:

@@ -206,6 +206,32 @@ class TestCatalogued:
             v = check_invariant(literature_x2(i, "plus", a), Vb)
             assert v.passed, (i, a, v.residuals)
 
+    def test_admissibility_matches_the_printed_denominators(self):
+        # the singular set written out by hand, as the oracle: the frame at
+        # alpha (minus) or alpha - 3 (plus) degenerates at 0 and 1, rows 2 and
+        # 4 divide by alpha + 1 of the frame's parameter, and the plus side's
+        # fourth operator and constant divide by alpha - 2
+        def oracle(i, side, a):
+            frame_at = a if side == "minus" else a - 3
+            if frame_at in (0, 1):
+                return False
+            try:
+                x2_frame(frame_at)
+            except FrameError:
+                return False
+            if side == "minus":
+                return not (i in (2, 4) and a == -1)
+            if a in (0, 1) or (i in (2, 4) and a - 3 == -1):
+                return False
+            return not (i == 4 and a == 2)
+
+        cases = [(i, side, Fraction(p, q)) for p in range(-24, 25) for q in (1, 2, 3, 4, 6)
+                 for i in range(1, 5) for side in ("minus", "plus")]
+        assert len(cases) == 1960
+        wrong = [c for c in cases if combination_admissible(*c) != oracle(*c)]
+        assert wrong == []
+        assert sum(not oracle(*c) for c in cases) > 0
+
     def test_excluded_parameters(self):
         with pytest.raises(ParameterError):
             literature_x2(4, "minus", Fraction(-1))
