@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 import numpy as np
+from numpy.random import default_rng
 
 from .expr import (
     EMPTY_BINDING, Expr, Binding, ZERO, ONE, MINUS_ONE, ExprError, EvalError,
@@ -111,7 +112,7 @@ class _Store:
         drawn when a search first reaches it."""
         key = (plan.seed, plan.intervals, need)
         if key not in self.draws:
-            self.draws[key] = (np.random.default_rng(plan.seed), [])
+            self.draws[key] = (default_rng(plan.seed), [])
         rng, drawn = self.draws[key]
         for k, (lo, hi) in enumerate(plan.intervals):
             if k == len(drawn):

@@ -3,16 +3,19 @@ uniform grid and a normalizability probe.
 
 The eigensolver is a plain second-order tridiagonal discretization with
 Dirichlet ends; it exists to confirm algebraic spectra, not to compete with
-production solvers.
+production solvers.  Its LAPACK routine comes from scipy's ``_flapack``
+alone: ``scipy.linalg`` loads some 300 modules more and doubles the start-up.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .expr import Expr, Binding, EvalError, ExprError, values_and_faults
 
@@ -22,6 +25,14 @@ class GridError(ExprError):
 
 
 MAX_NODES = 10**6
+
+
+# scipy's compiled LAPACK wrappers alone and outside sys.modules; finding
+# scipy's directory does not import scipy
+_spec = FileFinder(os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg"),
+                   (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("_flapack")
+_flapack = module_from_spec(_spec)
+_spec.loader.exec_module(_flapack)
 
 
 @dataclass(frozen=True)
@@ -35,6 +46,10 @@ class Grid:
             raise GridError(f"need 200 to {MAX_NODES} grid points, got {self.n}")
         if not self.q_hi > self.q_lo:
             raise GridError("empty interval")
+        with np.errstate(all="ignore"):
+            scale = 1.0 / np.float64(self.h) ** 2
+        if not 0.0 < scale < math.inf:
+            raise GridError(f"grid spacing {self.h:g} out of range: 1/h^2 is {scale:g}")
 
     @property
     def h(self) -> float:
@@ -71,9 +86,19 @@ def fd_spectrum(V: Expr, grid: Grid, k: int = 6, bind: Binding | None = None) ->
     h = grid.h
     diag = 1.0 / h**2 + vals
     off = np.full(len(qs) - 1, -0.5 / h**2)
-    k = min(k, len(qs))
-    return eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, k - 1), eigvals_only=True)
+    return eigh_tridiagonal(diag, off, min(k, len(qs)))
+
+
+def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of the symmetric tridiagonal matrix (diag, off),
+    ascending: the dstebz call of scipy.linalg.eigh_tridiagonal(select="i",
+    select_range=(0, k - 1), eigvals_only=True), so the same to the bit."""
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise GridError("tridiagonal matrix has a non-finite entry")
+    m, w, _, _, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    if info:
+        raise GridError(f"LAPACK dstebz failed with info={info}")
+    return w[:m]
 
 
 def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float) -> float:

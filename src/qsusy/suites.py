@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import default_rng
 
 from .expr import (
     Binding, ONE, Var, add, as_expr, diff, mul, opaque, pow_, sym, var,
@@ -106,7 +107,7 @@ def _routes_agree(plan: SamplePlan, rng, draws: int, top: int, den: int, routes)
 @checks
 def suite_construction(plan: SamplePlan):
     """Route equivalence for the gauged Hamiltonians and the parameter map."""
-    rng = np.random.default_rng(plan.seed)
+    rng = default_rng(plan.seed)
     fz = parse("z^3 + z")
     ok, worst = _routes_agree(plan, rng, 50, 12, 5, lambda gc: (
         build_H_minus(gc, fz), build_H_minus_direct(gc, fz)))
@@ -184,7 +185,7 @@ def suite_monomial(plan: SamplePlan):
            f"catalogued type A operators match (exponent reading: {reading})", ok, 0.0)
 
     for fam, lam_ in (("A", Fraction(2)), ("B", Fraction(3)), ("C", Fraction(5, 2))):
-        rng = np.random.default_rng(plan.seed + ord(fam))
+        rng = default_rng(plan.seed + ord(fam))
         ok, worst = _routes_agree(plan, rng, 6, 8, 4, lambda gc: (
             assemble_from_literature_basis(expand_in_literature_basis(gc, fam, lam_), lam_),
             build_H_minus(gc, pow_(var("z"), lam_))))
@@ -319,7 +320,7 @@ def _independent_of(op: DiffOp, existing: list[DiffOp], space: Subspace,
 
 @checks
 def suite_models(plan: SamplePlan):
-    rng = np.random.default_rng(plan.seed)
+    rng = default_rng(plan.seed)
 
     def param_draws(example_id):
         """The example's fixed parameters, then one random draw."""

@@ -469,6 +469,8 @@ def combination_admissible(i: int, side: str, alpha) -> bool:
     """Whether the i-th combination identity is free of parameter singularities:
     its frame, its coefficient row and, on the plus side, the parameter and
     the fitted constant are all defined."""
+    if i not in (1, 2, 3, 4):
+        raise ParameterError("index must be in 1..4")
     a = _fr(alpha)
     shift = a if side == "minus" else a - 3
     try:

@@ -205,6 +205,9 @@ class TestMain:
         ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3", "--lo", "5", "--hi", "6"],
         ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3", "--hi", "6"],
         ["spectrum", "--potential", "q^2/2", "--seed", "123"],
+        # grids so narrow that 1/h^2 is not a finite float
+        ["spectrum", "--potential", "q^2/2", "--lo=0", "--hi=1e-300"],
+        ["spectrum", "--potential", "q^2/2", "--lo=0", "--hi=1e-155"],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if "--config" in argv:  # the argument after it is the file's content

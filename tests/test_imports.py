@@ -2,12 +2,17 @@
 and made at module level, only the expression core reads child-node tuples
 directly, no function takes a tolerance of its own, every SamplePlan field is
 set by the program and every suite takes only a plan, every top-level
-definition is reached, and the names the traced bench run wraps exist."""
+definition is reached, the names the traced bench run wraps exist, and the
+command line starts without the modules it never uses."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -320,3 +325,29 @@ def test_traced_names_exist():
     missing = [f"{m}.{a}" for m, a in pairs if not hasattr(importlib.import_module(m), a)]
     assert pairs
     assert missing == []
+
+
+# scipy's LAPACK wrappers are loaded alone; scipy.linalg's __init__ would bring
+# in these, and a lazily imported module would load inside a timed check
+_UNUSED_MODULES = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+
+_IMPORT_PROBE = f"""
+import json, sys
+import qsusy.cli
+from qsusy import numerics, parse
+loaded = sorted(m for m in {_UNUSED_MODULES!r} if m in sys.modules)
+before = set(sys.modules)
+qsusy.cli.run_suite(qsusy.cli.SuiteConfig(seed=7))
+numerics.fd_spectrum(parse("q^2/2", "q"), numerics.Grid(-12.0, 12.0, 400), 2)
+print(json.dumps([loaded, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_the_command_line_loads_only_what_it_uses():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    loaded, added = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == []
+    assert added == []

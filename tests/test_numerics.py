@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import eigh_tridiagonal
 
-from qsusy import Binding, EvalError, parse
+from qsusy import Binding, EvalError, numerics, parse
 from qsusy.numerics import Grid, GridError, fd_spectrum, normalizability_probe
 from scalar_oracle import evaluate as scalar_evaluate
 
@@ -49,6 +50,62 @@ class TestGrid:
     def test_spacing(self):
         g = Grid(0.0, 1.0, 201)
         assert g.h == pytest.approx(0.005)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1e-300),     # h^2 underflows to zero
+        (0.0, 1e-155),     # h^2 is subnormal and 1/h^2 overflows
+        (0.0, 5e-324),     # h itself underflows to zero
+        (-1e300, 1e300),   # h^2 overflows
+        (-math.inf, 0.0),
+    ])
+    def test_spacing_whose_inverse_square_is_not_a_finite_float(self, lo, hi):
+        with pytest.raises(GridError, match="1/h\\^2"):
+            Grid(lo, hi, 2000)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e-150), (-1e150, 1e150)])
+    def test_spacing_near_the_limits(self, lo, hi):
+        assert math.isfinite(1.0 / Grid(lo, hi, 2000).h ** 2)
+
+
+def _tridiagonal(seed, n, scale, split):
+    """A random symmetric tridiagonal (diag, off) of order n at the given
+    scale, each off-diagonal entry zero with probability split."""
+    rng = np.random.default_rng(seed)
+    diag = scale * rng.standard_normal(n)
+    off = scale * rng.standard_normal(n - 1)
+    off[rng.random(n - 1) < split] = 0.0
+    return diag, off
+
+
+class TestEighTridiagonal:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3000), st.integers(1, 10),
+           st.sampled_from([1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6]),
+           st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))
+    def test_matches_scipy_to_the_bit(self, seed, n, k, scale, split):
+        # scipy's own function, through scipy.linalg, is the oracle; a split
+        # share above 0 makes the matrix fall apart into blocks
+        k = min(k, n)
+        diag, off = _tridiagonal(seed, n, scale, split)
+        want = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                                eigvals_only=True)
+        got = numerics.eigh_tridiagonal(diag, off, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.integers(1, 10),
+           st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(), st.data())
+    def test_non_finite_input_raises(self, seed, n, k, bad, on_diag, data):
+        # LAPACK's dstebz returns some such matrices without a complaint
+        k = min(k, n)
+        diag, off = _tridiagonal(seed, n, 1.0, 0.0)
+        target = diag if on_diag else off
+        target[data.draw(st.integers(0, len(target) - 1))] = bad
+        with pytest.raises(ValueError):
+            eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                             eigvals_only=True)
+        with pytest.raises(GridError, match="non-finite"):
+            numerics.eigh_tridiagonal(diag, off, k)
 
 
 class TestFdSpectrum:

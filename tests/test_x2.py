@@ -232,6 +232,14 @@ class TestCatalogued:
         assert wrong == []
         assert sum(not oracle(*c) for c in cases) > 0
 
+    @pytest.mark.parametrize("i", [0, 5, -1])
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_admissibility_checks_the_index(self, i, side):
+        # the same refusal as literature_x2, not an admissible row of zeros
+        for ask in (combination_admissible, literature_x2):
+            with pytest.raises(ParameterError, match="index must be in 1..4"):
+                ask(i, side, Fraction(5))
+
     def test_excluded_parameters(self):
         with pytest.raises(ParameterError):
             literature_x2(4, "minus", Fraction(-1))
