@@ -8,12 +8,11 @@ function hold at the operator level.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Mapping
 
 from .expr import (
-    Expr, Var, Opaque, ZERO, ONE, MINUS_ONE, ExprError,
+    Expr, Rat, Var, Opaque, ZERO, ONE, MINUS_ONE, ExprError,
     add, mul, pow_, as_expr, diff, equal0, rebuild,
 )
 from .parser import to_string
@@ -121,7 +120,7 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     for i, ca in a.coeffs.items():
         for j, cb in b.coeffs.items():
             for k in range(i + 1):
-                coeff = mul(ca, Fraction(comb(i, k)), diff(cb, v, k))
+                coeff = mul(ca, Rat(comb(i, k)), diff(cb, v, k))
                 if coeff == ZERO:
                     continue
                 out.setdefault(i - k + j, []).append(coeff)

@@ -125,21 +125,34 @@ class Expr:
 
 
 class Rat(Expr):
-    __slots__ = ("value",)
+    """A rational constant: a reduced numerator and a positive denominator."""
+
+    __slots__ = ("num", "den")
 
     def __new__(cls, value: Rational):
-        # keyed by the reduced numerator, and denominator unless it is 1, so
-        # that a hit on an int builds no Fraction
         if type(value) is int:
-            key = value
-        else:
-            value = value if isinstance(value, Fraction) else Fraction(value)
-            key = value.numerator if value.denominator == 1 else value.as_integer_ratio()
-        ref = _table.get(key)
-        x = None if ref is None else ref()
-        if x is None:
-            x = _make(cls, key, (value if type(value) is Fraction else Fraction(value),))
-        return x
+            return _rat(value)
+        value = value if isinstance(value, Fraction) else Fraction(value)
+        return _rat(value.numerator, value.denominator)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __float__(self):
+        return self.num / self.den  # float(Fraction) to the bit
+
+
+def _rat(n: int, d: int = 1) -> Rat:
+    """The Rat n/d (d != 0), keyed by the reduced numerator alone when the
+    denominator is 1."""
+    if d != 1:
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+        n, d = n // g, d // g
+    key = n if d == 1 else (n, d)
+    ref = _table.get(key)
+    x = None if ref is None else ref()
+    return _make(Rat, key, (n, d)) if x is None else x
 
 
 class Sym(Expr):
@@ -217,7 +230,7 @@ def sort_key(e: Expr):
     k = e._key
     if k is None:
         if isinstance(e, Rat):
-            k = (0, e.value.numerator, e.value.denominator)
+            k = (0, e.num, e.den)
         elif isinstance(e, Sym):
             k = (1, e.name)
         elif isinstance(e, Var):
@@ -245,23 +258,23 @@ _MEMO = 512
 
 
 def _coeff_core(t: Expr):
-    """Split a non-Rat canonical term into (rational coefficient, coefficient-free core)."""
+    """Split a non-Rat canonical term into (its Rat coefficient, coefficient-free core)."""
     if isinstance(t, Mul) and isinstance(t.factors[0], Rat):
         s = t._split
         if s is None:
             f = t.factors
-            s = (f[0].value, f[1] if len(f) == 2 else Mul(f[1:]))
+            s = (f[0], f[1] if len(f) == 2 else Mul(f[1:]))
             object.__setattr__(t, "_split", s)
         return s
-    return ONE.value, t
+    return ONE, t
 
 
-def _with_coeff(c: Fraction, core: Expr) -> Expr:
-    if c == 1:
+def _with_coeff(c: Rat, core: Expr) -> Expr:
+    if c is ONE:
         return core
     if isinstance(core, Mul):
-        return Mul((Rat(c),) + core.factors)
-    return Mul((Rat(c), core))
+        return Mul((c,) + core.factors)
+    return Mul((c, core))
 
 
 @functools.lru_cache(maxsize=_MEMO)
@@ -273,24 +286,24 @@ def add(*terms) -> Expr:
             flat.extend(t.terms)
         else:
             flat.append(t)
-    const = Fraction(0)
-    # core -> [coefficient, the term itself while no other term shares its core]
+    cn, cd = 0, 1  # the constant term, as an unreduced pair
+    # core -> [coefficient's numerator, denominator, the term itself while no
+    # other term shares its core]
     groups: dict[Expr, list] = {}
     for t in flat:
         if isinstance(t, Rat):
-            const += t.value
+            cn, cd = cn * t.den + t.num * cd, cd * t.den
             continue
         c, core = _coeff_core(t)
         g = groups.get(core)
         if g is None:
-            groups[core] = [c, t]
+            groups[core] = [c.num, c.den, t]
         else:
-            g[0] += c
-            g[1] = None
-    parts = [_with_coeff(c, core) if t is None else t
-             for core, (c, t) in groups.items() if c != 0]
-    if const != 0:
-        parts.append(Rat(const))
+            g[0], g[1], g[2] = g[0] * c.den + c.num * g[1], g[1] * c.den, None
+    parts = [_with_coeff(_rat(n, d), core) if t is None else t
+             for core, (n, d, t) in groups.items() if n != 0]
+    if cn != 0:
+        parts.append(_rat(cn, cd))
     if not parts:
         return ZERO
     if len(parts) == 1:
@@ -307,7 +320,7 @@ def mul(*factors) -> Expr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    coeff = None  # product of the rational factors, from the first one on
+    cn, cd = 1, 1  # product of the rational factors, as an unreduced pair
     powmap: dict = {}  # base Expr or "exp" sentinel -> list of exponent Exprs
     order: list = []
     _EXP = ("exp-sentinel",)
@@ -315,7 +328,7 @@ def mul(*factors) -> Expr:
         if isinstance(f, Rat):
             if f is ZERO:
                 return ZERO
-            coeff = f.value if coeff is None else coeff * f.value
+            cn, cd = cn * f.num, cd * f.den
             continue
         if isinstance(f, Pow):
             base, e = f.base, f.exponent
@@ -339,31 +352,27 @@ def mul(*factors) -> Expr:
         if isinstance(rebuilt, Rat):
             if rebuilt is ZERO:
                 return ZERO
-            coeff = rebuilt.value if coeff is None else coeff * rebuilt.value
+            cn, cd = cn * rebuilt.num, cd * rebuilt.den
         elif isinstance(rebuilt, Mul):
             # pow_ may split (e.g. rational-root folding); fold its pieces
             for g in rebuilt.factors:
                 if isinstance(g, Rat):
-                    coeff = g.value if coeff is None else coeff * g.value
+                    cn, cd = cn * g.num, cd * g.den
                 else:
                     parts.append(g)
         else:
             parts.append(rebuilt)
-    if coeff is None:
-        coeff = ONE.value
-    if coeff == 0:
-        return ZERO
-    if not parts:
-        return Rat(coeff)
+    c = _rat(cn, cd)
+    if c is ZERO or not parts:
+        return c
     if len(parts) == 1:
-        if coeff == 1:
+        if c is ONE:
             return parts[0]
         if isinstance(parts[0], Add):
             # a pure scalar multiple of a sum distributes, so that sums cancel
-            c = Rat(coeff)
             return add(*(mul(c, t) for t in parts[0].terms))
-    if coeff != 1:
-        parts.append(Rat(coeff))
+    if c is not ONE:
+        parts.append(c)
     parts.sort(key=sort_key)
     return parts[0] if len(parts) == 1 else Mul(tuple(parts))
 
@@ -389,25 +398,21 @@ def pow_(base, exponent) -> Expr:
         if e is ONE:
             return b
         if isinstance(b, Rat):
-            if b is ZERO and e.value < 0:
+            n, d, p, q = b.num, b.den, e.num, e.den
+            if b is ZERO and p < 0:
                 raise ExprError("0 raised to a negative power")
-            if e.value.denominator == 1:
-                return Rat(b.value**e.value.numerator)
-            if b is ZERO:
-                return ZERO
-            if b.value > 0:
-                p, q = e.value.numerator, e.value.denominator
-                rn = _perfect_root(b.value.numerator, q)
-                rd = _perfect_root(b.value.denominator, q)
-                if rn is not None and rd is not None:
-                    return Rat(Fraction(rn, rd) ** p)
-            return Pow(b, e)
-        if e.value.denominator == 1:
-            n = e.value.numerator
+            if q != 1:
+                if n <= 0:  # 0, or no real root
+                    return ZERO if n == 0 else Pow(b, e)
+                n, d = _perfect_root(n, q), _perfect_root(d, q)
+                if n is None or d is None:
+                    return Pow(b, e)
+            return _rat(n**p, d**p) if p > 0 else _rat(d**-p, n**-p)
+        if e.den == 1:
             if isinstance(b, Mul):
-                return mul(*(pow_(f, n) for f in b.factors))
+                return mul(*(pow_(f, e) for f in b.factors))
             if isinstance(b, Pow):
-                return pow_(b.base, mul(b.exponent, Rat(n)))
+                return pow_(b.base, mul(b.exponent, e))
         if isinstance(b, Fn) and b.name == "exp":
             return fn("exp", mul(e, b.arg))
     if b is ONE:
@@ -416,13 +421,13 @@ def pow_(base, exponent) -> Expr:
 
 
 def _split_log_multiple(term: Expr):
-    """Return (base, rational exponent) if term == r*log(base), else None."""
+    """Return (base, Rat exponent) if term == r*log(base), else None."""
     if isinstance(term, Fn) and term.name == "log":
-        return term.arg, Fraction(1)
+        return term.arg, ONE
     if isinstance(term, Mul) and len(term.factors) == 2:
         a, b = term.factors
         if isinstance(a, Rat) and isinstance(b, Fn) and b.name == "log":
-            return b.arg, a.value
+            return b.arg, a
     return None
 
 
@@ -438,13 +443,13 @@ def fn(name: str, arg) -> Expr:
             return a.arg
         hit = _split_log_multiple(a)
         if hit is not None:
-            return pow_(hit[0], Rat(hit[1]))
+            return pow_(*hit)
         if isinstance(a, Add):
             pows, rest = [], []
             for t in a.terms:
                 h = _split_log_multiple(t)
                 if h is not None:
-                    pows.append(pow_(h[0], Rat(h[1])))
+                    pows.append(pow_(*h))
                 else:
                     rest.append(t)
             if pows:
@@ -546,8 +551,8 @@ def _expand_node(e: Expr, kids: tuple):
         return add(*(mul(*combo) for combo in sums))
     if isinstance(e, Pow):
         b, ex = kids
-        if isinstance(b, Add) and isinstance(ex, Rat) and ex.value.denominator == 1:
-            n = ex.value.numerator
+        if isinstance(b, Add) and isinstance(ex, Rat) and ex.den == 1:
+            n = ex.num
             # distribute over term tuples; repeated mul() of the whole sum
             # would just re-merge into the power being expanded
             if 0 < n <= 16:
@@ -709,9 +714,10 @@ class NotRationalError(ExprError):
     pass
 
 
-# evaluate_exact runs e's tape: a flat program, one instruction per distinct
-# node, over slots that hold reduced numerators and denominators
-_ADD, _MUL, _POW, _VAR, _CHECK, _RAISE = range(6)
+# evaluate_exact runs e's tape: a flat program, one instruction per sum,
+# product and power of a node, over slots that hold reduced numerators and
+# denominators
+_SUM, _ZERO, _POW, _VAR, _CHECK, _RAISE = range(6)
 _TAPES = 8  # tapes kept, oldest dropped first (size from a sweep, CHANGES.md)
 _tapes: dict[int, tuple] = {}  # id(e) -> (e, tape); holding e keeps its id unique
 
@@ -720,20 +726,23 @@ def _tape(e: Expr) -> tuple:
     """(program, numerators, denominators, result slot) of e, compiled once.
 
     Instructions (opcode, slot, arg) come in the order a memoized walk meets
-    the nodes, a power's exponent and its integer check before its base.  The
-    lists start with the constants: each Rat's value, and a sum's or product's
-    leading Rat as the start of its accumulation.  Sym, Fn, Opaque and a
-    constant non-integer exponent become one raising instruction; nothing
-    below them is walked.
+    the nodes, a power's exponent and its integer check before its base.  A
+    sum's instruction adds its terms, and a product's is a sum of one term: a
+    term is a constant n/d times factors (slot, integer exponent), a product's
+    factors and a power of a constant integer exponent inlined.  The first
+    negative power of each base leaves a zero check of it where it stood.
+    The lists start with the constants.  Sym, Fn, Opaque and a constant
+    non-integer exponent become one raising instruction; nothing below them
+    is walked.
     """
     hit = _tapes.get(id(e))
     if hit is not None:
         return hit[1]
-    prog, nums, dens, seen = [], [], [], {}
+    prog, nums, dens, seen, checked = [], [], [], {}, set()
 
-    def slot(op=None, arg=None, q: Fraction = ZERO.value) -> int:
-        nums.append(q.numerator)
-        dens.append(q.denominator)
+    def slot(op=None, arg=None, n: int = 0, d: int = 1) -> int:
+        nums.append(n)
+        dens.append(d)
         if op is not None:
             prog.append((op, len(nums) - 1, arg))
         return len(nums) - 1
@@ -744,25 +753,37 @@ def _tape(e: Expr) -> tuple:
             s = seen[id(x)] = _emit(x)
         return s
 
+    def term(x: Expr) -> tuple:  # (n, d, factors) of x as a term of a sum
+        n, d, fs = 1, 1, []
+        for f in x.factors if type(x) is Mul else (x,):
+            if type(f) is Rat:
+                n, d = n * f.num, d * f.den
+            elif type(f) is Pow and type(f.exponent) is Rat and f.exponent.den == 1:
+                s, k = emit(f.base), f.exponent.num
+                if k < 0 and s not in checked:  # the first negative power of s
+                    checked.add(s)
+                    prog.append((_ZERO, s, None))
+                fs.append((s, k))
+            else:
+                fs.append((emit(f), 1))
+        return n, d, tuple(fs)
+
     def _emit(x: Expr) -> int:
-        if isinstance(x, Rat):
-            return slot(q=x.value)
-        if isinstance(x, (Add, Mul)):
-            summed = isinstance(x, Add)
-            kids, c = (x.terms, ZERO.value) if summed else (x.factors, ONE.value)
-            if kids and isinstance(kids[0], Rat):  # a canonical node's one constant
-                c, kids = kids[0].value, kids[1:]
-            return slot(_ADD if summed else _MUL, [emit(k) for k in kids], c)
-        if isinstance(x, Pow):
+        if type(x) is Rat:
+            return slot(n=x.num, d=x.den)
+        if type(x) is Add:
+            return slot(_SUM, [term(t) for t in x.terms])
+        if type(x) is Mul or (type(x) is Pow and type(x.exponent) is Rat and x.exponent.den == 1):
+            return slot(_SUM, [term(x)])
+        if type(x) is Pow:
             k = emit(x.exponent)
-            if not isinstance(x.exponent, Rat):
-                prog.append((_CHECK, k, "non-integer exponent"))
-            elif x.exponent.value.denominator != 1:
+            if type(x.exponent) is Rat:
                 return slot(_RAISE, "non-integer exponent")
+            prog.append((_CHECK, k, "non-integer exponent"))
             return slot(_POW, (emit(x.base), k))
-        if isinstance(x, Var):
+        if type(x) is Var:
             return slot(_VAR, None)
-        if isinstance(x, Sym):
+        if type(x) is Sym:
             return slot(_RAISE, f"parameter {x.name!r} has no rational value")
         return slot(_RAISE, f"{type(x).__name__} node is not rational")
 
@@ -777,26 +798,28 @@ def evaluate_exact(e: Expr, at: Fraction) -> Fraction:
     """Exact rational evaluation; raises NotRationalError on a parameter, on
     transcendental or opaque content and ZeroDivisionError at poles, the
     first exception a tree walk would raise.  Runs e's tape on fresh copies of
-    its lists.
+    its lists; only the result becomes a Fraction.
     """
     prog, nums, dens, out = _tape(e)
     N, D = nums.copy(), dens.copy()
     gcd = math.gcd
     for op, s, a in prog:
-        if op == _MUL:
-            n, d = N[s], D[s]
-            for i in a:
-                n *= N[i]
-                d *= D[i]
-            g = gcd(n, d)
-            N[s], D[s] = n // g, d // g
-        elif op == _ADD:
-            n, d = N[s], D[s]
-            for i in a:
-                tn, td = N[i], D[i]
+        if op == _SUM:
+            n, d = 0, 1
+            for tn, td, fs in a:
+                for i, k in fs:
+                    if k == 1:
+                        tn, td = tn * N[i], td * D[i]
+                    elif k > 0:
+                        tn, td = tn * N[i] ** k, td * D[i] ** k
+                    else:  # a base that passed its zero check
+                        tn, td = tn * D[i] ** -k, td * N[i] ** -k
                 n, d = n * td + tn * d, d * td
             g = gcd(n, d)
-            N[s], D[s] = n // g, d // g
+            N[s], D[s] = (n // g, d // g) if d > 0 else (-n // g, -d // g)
+        elif op == _ZERO:
+            if N[s] == 0:
+                raise ZeroDivisionError("zero base with a negative exponent")
         elif op == _POW:
             n, d, k = N[a[0]], D[a[0]], N[a[1]]
             if k < 0:
@@ -1014,7 +1037,7 @@ class _Context:
 def _walker(x0: np.ndarray, b: Binding, errors: list) -> _Context:
     """A context over the points x0 whose nonzero faults index the
     exceptions recorded in errors."""
-    rats: dict[tuple, tuple] = {}  # one column per rational value
+    rats: dict[Rat, tuple] = {}  # one column per rational value
 
     def flag(fault, cond, make):
         return _flag(fault, cond, errors, make)
@@ -1042,10 +1065,9 @@ def _walker(x0: np.ndarray, b: Binding, errors: list) -> _Context:
         ev = cx.ev
         t = type(x)
         if t is Rat:
-            key = (x.value.numerator, x.value.denominator)
-            out = rats.get(key)
+            out = rats.get(x)
             if out is None:
-                out = rats[key] = constant(x.value)
+                out = rats[x] = constant(x)
             return out
         if t is Mul:
             kids = [ev(f) for f in x.factors]
@@ -1063,14 +1085,14 @@ def _walker(x0: np.ndarray, b: Binding, errors: list) -> _Context:
             base, bf = ev(x.base)
             expo, ef = ev(x.exponent)
             fault = _merge((bf, ef))
-            r = x.exponent.value if type(x.exponent) is Rat else None
+            r = x.exponent if type(x.exponent) is Rat else None
             pole = (lambda k: PoleError(
                 f"divisor magnitude {abs(value_at(base, k)):.3e} below pole guard"))
             if r is None:
                 fault = flag(fault, (expo < 0) & (np.abs(base) < EPS_POLE), pole)
-            elif r.numerator < 0:
+            elif r.num < 0:
                 fault = flag(fault, np.abs(base) < EPS_POLE, pole)
-            if r is None or r.denominator != 1:
+            if r is None or r.den != 1:
                 neg = base < 0
                 finite = np.isfinite(expo)
                 fault = flag(fault, neg & ~finite, lambda k: round_error(value_at(expo, k)))

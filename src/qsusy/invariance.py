@@ -489,18 +489,28 @@ def _rows() -> dict:
     }
 
 
-@lru_cache(maxsize=1)
-def commutator_table() -> dict:
-    """{(i, j): ([J_i, J_j], its tabulated right-hand side)} for 1 <= i < j <= 8,
-    built once from one J gallery with f opaque; f is bound at evaluation."""
-    J = {0: DiffOp.identity("z"), **J_gallery()}
-    table = {}
-    for (i, j), row in _rows().items():
+class _Identities(dict):
+    """{(i, j): ([J_i, J_j], its tabulated right-hand side)} over the rows'
+    keys, each built from the gallery J on its first lookup."""
+
+    def __init__(self, J: dict, rows: dict):
+        super().__init__()
+        self.J, self.rows = J, rows
+
+    def __missing__(self, ij):
         rhs = DiffOp.zero("z")
-        for a, b, target in row:
-            rhs = rhs + compose(DiffOp("z", {1: a, 0: b}), J[target])
-        table[i, j] = commutator(J[i], J[j]), rhs
-    return table
+        for a, b, target in self.rows[ij]:
+            rhs = rhs + compose(DiffOp("z", {1: a, 0: b}), self.J[target])
+        self[ij] = out = commutator(self.J[ij[0]], self.J[ij[1]]), rhs
+        return out
+
+
+@lru_cache(maxsize=1)
+def commutator_table() -> _Identities:
+    """{(i, j): ([J_i, J_j], its tabulated right-hand side)} for 1 <= i < j <= 8,
+    from one J gallery with f opaque; f is bound at evaluation.  An identity
+    is built when it is first looked up, so a check pays for its own."""
+    return _Identities({0: DiffOp.identity("z"), **J_gallery()}, _rows())
 
 
 @checks
@@ -508,7 +518,8 @@ def verify_commutator_table(f, plan: SamplePlan = SamplePlan()):
     """Check all 28 commutator identities for a concrete generating function,
     each at 10 * plan.tol.
 
-    The identities are built once, with f opaque; f is bound at evaluation.
+    The identities are built once, each in its own record, with f opaque;
+    f is bound at evaluation.
     Each record's id and anchor name the identity.  Raises
     DegenerateFunctionError where f'' vanishes identically, and ExprError
     where f is not concrete: bound to f, it would contain itself.
@@ -518,7 +529,9 @@ def verify_commutator_table(f, plan: SamplePlan = SamplePlan()):
         raise ExprError("the generating function must not contain f itself")
     bind = Binding(funcs={"f": f})
     plan = replace(plan, tol=10 * plan.tol)
-    for (i, j), (lhs, rhs) in commutator_table().items():
+    table = commutator_table()
+    for i, j in table.rows:
+        lhs, rhs = table[i, j]
         ok, res = ops_equal_numeric(lhs, rhs, bind, plan)
         yield f"[J{i},J{j}]", f"[J{i},J{j}]", ok, res
 

@@ -14,12 +14,13 @@ derivative order. ParseError also refuses `b^x` and `exp(x*log(b))`, x
 rational, when a rational n/d in b has |x|*log2(max(|n|, d)) or x's
 denominator (pow_'s root-test degree) past BIT_BUDGET; a result holding a
 rational with log2(max(|n|, d)) past it, which sums and products of allowed
-powers build and to_string cannot print past 4 300 digits; and a literal
-past int's digit limit, a constant past float range or nesting past the stack.
+powers build; and a literal past int's digit limit, a constant past float
+range or nesting past the stack.
 """
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .expr import (Expr, Rat, Sym, Var, Add, Mul, Pow, Fn, Opaque, FN_NAMES, ExprError,
@@ -64,7 +65,7 @@ def parse(text: str, variable: str = "z") -> Expr:
     if c.peek():
         raise ParseError(f"trailing input {text[c.peek(2):]!r}", c.peek(2))
     for x in _nodes(out):  # sums and products of allowed powers can outgrow them
-        if isinstance(x, Rat) and _bits(x, Fraction(1)) > BIT_BUDGET:
+        if isinstance(x, Rat) and _bits(x, 1) > BIT_BUDGET:
             raise ParseError(f"a constant of the result exceeds {BIT_BUDGET} bits", c.peek(2))
     return out
 
@@ -91,7 +92,7 @@ def _factor(c: _Cursor) -> Expr:
 
 def _bits(b: Expr, x: Fraction):
     if isinstance(b, Rat):
-        m = max(abs(b.value.numerator), b.value.denominator)
+        m = max(abs(b.num), b.den)
         return max(abs(x) * Fraction(math.log2(m)), x.denominator) if m > 1 else 0
     if isinstance(b, Pow) and isinstance(b.exponent, Rat):
         return _bits(b.base, x * b.exponent.value)
@@ -125,7 +126,7 @@ def _base(c: _Cursor) -> Expr:
             raise ParseError(f"primes are not allowed on {name!r}", pos)
         for t in (arg.terms if isinstance(arg, Add) else (arg,)) if name == "exp" else ():
             if hit := _split_log_multiple(t):
-                _power(hit[0], pos, Rat(hit[1]))  # exp makes exp(x*log(b)) b^x
+                _power(hit[0], pos, hit[1])  # exp makes exp(x*log(b)) b^x
         return fn(name, arg)
     if name == OPAQUE:
         return opaque(name, order, arg)
@@ -135,18 +136,24 @@ def _base(c: _Cursor) -> Expr:
 # ---------------------------------------------------------------------------
 # pretty printer
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _digits(n: int) -> str:
+    """str(n), also past sys.get_int_max_str_digits(): there n is split by
+    divmod with a power of ten, and each part printed in turn."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or n.bit_length() < 3 * limit:  # under limit digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + _digits(hi) + _digits(lo).zfill(k)
 
 
 def _pow_str(e: Pow) -> str:
     base = to_string(e.base)
-    if isinstance(e.base, (Add, Mul, Pow)) or (isinstance(e.base, Rat)
-                                               and e.base.value < 0):
+    if isinstance(e.base, (Add, Mul, Pow)) or (isinstance(e.base, Rat) and e.base.num < 0):
         base = f"({base})"
     exp = e.exponent
-    if isinstance(exp, Rat) and exp.value.denominator == 1 and exp.value >= 0:
-        return f"{base}^{exp.value.numerator}"
+    if isinstance(exp, Rat) and exp.den == 1 and exp.num >= 0:
+        return f"{base}^{_digits(exp.num)}"
     if isinstance(exp, (Sym, Var)):
         return f"{base}^{exp.name}"
     return f"{base}^({to_string(exp)})"
@@ -158,20 +165,18 @@ def _mul_str(e: Mul) -> str:
     for f in e.factors:
         if isinstance(f, Rat):
             coeff *= f.value
-        elif isinstance(f, Pow) and isinstance(f.exponent, Rat) and f.exponent.value < 0:
-            inv = pow_(f.base, Rat(-f.exponent.value))
+        elif isinstance(f, Pow) and isinstance(f.exponent, Rat) and f.exponent.num < 0:
+            inv = pow_(f.base, -f.exponent)
             den.append(_atom_str(inv))
         else:
             num.append(_atom_str(f))
     out = ""
-    cnum = Fraction(coeff.numerator)
-    cden = Fraction(coeff.denominator)
-    if cnum != 1 or not num:
-        out = _frac_str(cnum)
+    if coeff.numerator != 1 or not num:
+        out = _digits(coeff.numerator)
     if num:
         out = "*".join(([out] if out else []) + num)
-    if cden != 1:
-        den.insert(0, str(cden.numerator))
+    if coeff.denominator != 1:
+        den.insert(0, _digits(coeff.denominator))
     for d in den:
         out += f"/{d}"
     return out
@@ -179,7 +184,7 @@ def _mul_str(e: Mul) -> str:
 
 def _atom_str(e: Expr) -> str:
     s = to_string(e)
-    if isinstance(e, (Add, Mul)) or (isinstance(e, Rat) and e.value < 0):
+    if isinstance(e, (Add, Mul)) or (isinstance(e, Rat) and e.num < 0):
         return f"({s})"
     return s
 
@@ -187,7 +192,7 @@ def _atom_str(e: Expr) -> str:
 def to_string(e: Expr) -> str:
     """Render in a form that parses back to an equal canonical Expr."""
     if isinstance(e, Rat):
-        return _frac_str(e.value)
+        return _digits(e.num) if e.den == 1 else f"{_digits(e.num)}/{_digits(e.den)}"
     if isinstance(e, (Sym, Var)):
         return e.name
     if isinstance(e, Fn):
@@ -203,15 +208,9 @@ def to_string(e: Expr) -> str:
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(sorted(e.terms, key=sort_key)):
-            if isinstance(t, Rat):
-                neg = t.value < 0
-                body = _frac_str(abs(t.value))
-            elif isinstance(t, Mul) and isinstance(t.factors[0], Rat) and t.factors[0].value < 0:
-                neg = True
-                body = to_string(mul(Rat(-t.factors[0].value), *t.factors[1:]))
-            else:
-                neg = False
-                body = to_string(t)
+            lead = t.factors[0] if isinstance(t, Mul) else t
+            neg = isinstance(lead, Rat) and lead.num < 0
+            body = to_string(-t if neg else t)
             if i == 0:
                 parts.append(f"-{body}" if neg else body)
             else:

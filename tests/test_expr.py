@@ -438,8 +438,58 @@ def test_a_product_is_split_into_coefficient_and_core_once():
     t = mul(rat(2, 3), z, sym("a"))
     assert expr_mod._coeff_core(t) is expr_mod._coeff_core(t)
     c, core = expr_mod._coeff_core(t)
-    assert c == Fraction(2, 3) and core == mul(z, sym("a"))
-    assert expr_mod._coeff_core(core) == (1, core)
+    assert c is rat(2, 3) and core == mul(z, sym("a"))
+    assert expr_mod._coeff_core(core) == (ONE, core)
+
+
+def _exact_root(n: int, q: int):
+    """The integer r >= 0 with r**q == n, found by bisection; None if none is."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**q < n else (lo, mid)
+    return lo if lo**q == n else None
+
+
+_fold_base = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(lambda r, k: r**k, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+              st.integers(2, 4)))  # perfect powers, so that roots fold
+_fold_exponent = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 1, 2, 3, 4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fold_base, _fold_exponent)
+@example(Fraction(-8, 27), Fraction(-3))
+@example(Fraction(4, 9), Fraction(-3, 2))
+@example(Fraction(-8), Fraction(1, 3))
+@example(Fraction(0), Fraction(-2, 3))
+def test_pow_folds_constants_as_fraction_arithmetic(b, e):
+    if b == 0 and e < 0:
+        with pytest.raises(ExprError):
+            pow_(Rat(b), Rat(e))
+        return
+    got = pow_(Rat(b), Rat(e))
+    p, q = e.numerator, e.denominator
+    roots = [_exact_root(b.numerator, q), _exact_root(b.denominator, q)] if b >= 0 else [None]
+    if q == 1:
+        assert got is Rat(b**p)
+    elif None not in roots:
+        assert got is Rat(Fraction(*roots) ** p)
+    else:
+        assert type(got) is Pow and got.base is Rat(b) and got.exponent is Rat(e)
+
+
+def test_a_constant_past_the_int_digit_limit_prints():
+    limit = sys.get_int_max_str_digits()
+    got = [repr(mul(pow_(Rat(3), Rat(20000)), var("z"))), to_string(pow_(rat(-2, 3), 15001)),
+           to_string(Pow(z, Rat(10**9000 + 7)))]
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [f"{3**20000}*z", f"-{2**15001}/{3**15001}", f"z^{10**9000 + 7}"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 def test_canonical_eval_agrees_with_raw_combination():
@@ -817,9 +867,23 @@ def _failure(f, *args):
     return type(info.value), str(info.value)
 
 
+# the hard cases of the tape's sum instructions: a raw product inlined in two
+# sums, a zero base to a negative power among raising terms, 0^0, and negative
+# bases to negative powers (one the exponent of a power)
+_shared = Mul((rat(3), z, Pow(Add((z, rat(-1))), rat(-2))))
+_zero_power = Mul((z, Pow(z, rat(-1))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_exact_expr, st.one_of(st.sampled_from(_poles), _rational))
 @example(Pow(z, pow_(z, -1)), Fraction(-1))  # a negative reciprocal as an exponent
+@example(Add((Add((_shared, z)), Mul((Add((_shared, rat(1))), z)))), Fraction(3, 2))
+@example(Add((Add((_shared, z)), Mul((Add((_shared, rat(1))), z)))), Fraction(1))
+@example(Add((sym("b"), _zero_power)), Fraction(0))  # NotRationalError first
+@example(Add((_zero_power, sym("b"))), Fraction(0))  # ZeroDivisionError first
+@example(Add((rat(2), Pow(z, rat(0)))), Fraction(0))
+@example(Pow(Add((z, rat(-3))), rat(-3)), Fraction(1))
+@example(Pow(z, Pow(Add((z, rat(-3))), rat(-1))), Fraction(2))
 def test_evaluate_exact_matches_the_unmemoized_walk(e, x):
     got = _outcome(evaluate_exact, e, x)
     want = _outcome(_exact_oracle, e, x)
