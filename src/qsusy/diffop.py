@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .expr import (
     Expr, Rat, Var, Opaque, ZERO, ONE, MINUS_ONE, ExprError,
-    add, mul, pow_, as_expr, diff, equal0, rebuild,
+    _sum, add, mul, pow_, as_expr, diff, equal0, rebuild,
 )
 from .parser import to_string
 
@@ -32,8 +32,8 @@ class DiffOp:
     def __init__(self, var: str, coeffs: Mapping[int, Expr] | None = None):
         clean: dict[int, Expr] = {}
         for k, c in (coeffs or {}).items():
-            if k < 0:
-                raise OperatorError("derivative orders must be nonnegative")
+            if isinstance(k, bool) or not hasattr(k, "__index__") or k < 0:
+                raise OperatorError("derivative orders must be nonnegative integers")
             c = as_expr(c)
             if c != ZERO:
                 clean[int(k)] = c
@@ -91,7 +91,11 @@ class DiffOp:
         return DiffOp(self.var, out)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + other.scaled(MINUS_ONE)
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = _sum(((ONE, out.get(k, ZERO)), (MINUS_ONE, c)))
+        return DiffOp(self.var, out)
 
     def __neg__(self) -> "DiffOp":
         return self.scaled(MINUS_ONE)

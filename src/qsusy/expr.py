@@ -100,10 +100,10 @@ class Expr:
         return add(as_expr(other), self)
 
     def __sub__(self, other):
-        return add(self, mul(MINUS_ONE, as_expr(other)))
+        return _sum(((ONE, self), (MINUS_ONE, as_expr(other))))
 
     def __rsub__(self, other):
-        return add(as_expr(other), mul(MINUS_ONE, self))
+        return _sum(((ONE, as_expr(other)), (MINUS_ONE, self)))
 
     def __mul__(self, other):
         return mul(self, as_expr(other))
@@ -255,10 +255,11 @@ def sort_key(e: Expr):
 # add, mul, pow_, fn and _diff1 depend only on their arguments' structure, so
 # each memoizes its last _MEMO calls (size from a sweep, CHANGES.md)
 _MEMO = 512
+_EXP = ("exp-sentinel",)  # mul's power-map key of the exp factors
 
 
 def _coeff_core(t: Expr):
-    """Split a non-Rat canonical term into (its Rat coefficient, coefficient-free core)."""
+    """(Rat coefficient, coefficient-free core) of canonical t; a Rat or a sum is its own core."""
     if isinstance(t, Mul) and isinstance(t.factors[0], Rat):
         s = t._split
         if s is None:
@@ -277,29 +278,46 @@ def _with_coeff(c: Rat, core: Expr) -> Expr:
     return Mul((c, core))
 
 
+def _merges(core: Expr) -> bool:
+    """Whether mul would merge two factors of core (a shared base, or two exp):
+    such products, which mul leaves unmerged (ROADMAP item 2), are the one case
+    where a rational multiple of a term is more than a coefficient change."""
+    return isinstance(core, Mul) and len(core.factors) > len(
+        {f.base if isinstance(f, Pow) else _EXP if isinstance(f, Fn) and f.name == "exp" else f
+         for f in core.factors})
+
+
 @functools.lru_cache(maxsize=_MEMO)
 def add(*terms) -> Expr:
-    flat = []
-    stack = [as_expr(t) for t in terms]
-    for t in stack:
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
+    return _sum([(ONE, as_expr(t)) for t in terms])
+
+
+def _sum(entries) -> Expr:
+    """The canonical sum of c*t over the (Rat c, canonical t) entries."""
     cn, cd = 0, 1  # the constant term, as an unreduced pair
     # core -> [coefficient's numerator, denominator, the term itself while no
-    # other term shares its core]
+    # other term shares its core and its multiplier is 1]
     groups: dict[Expr, list] = {}
-    for t in flat:
-        if isinstance(t, Rat):
-            cn, cd = cn * t.den + t.num * cd, cd * t.den
+    stack = list(entries)
+    for c, t in stack:
+        if isinstance(t, Add):
+            stack.extend((c, u) for u in t.terms)
             continue
-        c, core = _coeff_core(t)
+        if isinstance(t, Rat):
+            cn, cd = cn * t.den * c.den + c.num * t.num * cd, cd * t.den * c.den
+            continue
+        k, core = _coeff_core(t)
+        n, d = k.num, k.den
+        if c is not ONE:
+            if _merges(core):
+                stack.append((ONE, mul(c, t)))
+                continue
+            n, d, t = n * c.num, d * c.den, None
         g = groups.get(core)
         if g is None:
-            groups[core] = [c.num, c.den, t]
+            groups[core] = [n, d, t]
         else:
-            g[0], g[1], g[2] = g[0] * c.den + c.num * g[1], g[1] * c.den, None
+            g[0], g[1], g[2] = g[0] * d + n * g[1], g[1] * d, None
     parts = [_with_coeff(_rat(n, d), core) if t is None else t
              for core, (n, d, t) in groups.items() if n != 0]
     if cn != 0:
@@ -314,6 +332,14 @@ def add(*terms) -> Expr:
 
 @functools.lru_cache(maxsize=_MEMO)
 def mul(*factors) -> Expr:
+    if len(factors) == 2:  # a rational multiple is a coefficient change, where exact
+        c, t = factors if isinstance(factors[0], Rat) else factors[::-1]
+        if isinstance(c, Rat) and isinstance(t, Expr):
+            k, core = _coeff_core(t)
+            if isinstance(core, (Rat, Add)):
+                return _sum(((c, t),))
+            if not _merges(core):
+                return _with_coeff(_rat(c.num * k.num, c.den * k.den), core) if c.num else ZERO
     flat = []
     for f in (as_expr(f) for f in factors):
         if isinstance(f, Mul):
@@ -323,7 +349,6 @@ def mul(*factors) -> Expr:
     cn, cd = 1, 1  # product of the rational factors, as an unreduced pair
     powmap: dict = {}  # base Expr or "exp" sentinel -> list of exponent Exprs
     order: list = []
-    _EXP = ("exp-sentinel",)
     for f in flat:
         if isinstance(f, Rat):
             if f is ZERO:
@@ -370,7 +395,7 @@ def mul(*factors) -> Expr:
             return parts[0]
         if isinstance(parts[0], Add):
             # a pure scalar multiple of a sum distributes, so that sums cancel
-            return add(*(mul(c, t) for t in parts[0].terms))
+            return _sum(((c, parts[0]),))
     if c is not ONE:
         parts.append(c)
     parts.sort(key=sort_key)

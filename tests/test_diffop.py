@@ -189,3 +189,14 @@ def test_pretty_highest_order_first():
     s = pretty(op)
     assert s.index("d^2/dz^2") < s.index("d/dz")
     assert s.startswith("z^2")
+
+
+@pytest.mark.parametrize("order", [1.5, "2", True, False, -1, Fraction(2)])
+def test_a_derivative_order_must_be_a_nonnegative_integer(order):
+    with pytest.raises(OperatorError, match="^derivative orders must be nonnegative integers$"):
+        DiffOp("z", {order: z})
+
+
+def test_an_integral_derivative_order_of_another_type_is_an_int():
+    op = DiffOp("z", {np.int64(2): z})
+    assert op.coeffs == {2: z} and [type(k) for k in op.coeffs] == [int]

@@ -19,12 +19,12 @@ from qsusy import (
     add, diff, differentiate, equal0, evaluate, expand, fn, mul, opaque,
     parse, pow_, rat, substitute, substitute_opaque, sym, to_string, var,
 )
-from qsusy import expr as expr_mod, invariance, x2
+from qsusy import expr as expr_mod, families, invariance, x2
 from qsusy.cli import SuiteConfig, run_suite
 from qsusy.diffop import DiffOp, pullback
 from qsusy.expr import (
-    ONE, ZERO, Add, EvalError, Expr, ExprError, Fn, Mul, NotRationalError, Opaque, Pow, Rat, Sym,
-    Var, children, evaluate_exact, free_vars, opaque_names, rebuild, sort_key,
+    MINUS_ONE, ONE, ZERO, Add, EvalError, Expr, ExprError, Fn, Mul, NotRationalError, Opaque, Pow,
+    Rat, Sym, Var, children, evaluate_exact, free_vars, opaque_names, rebuild, sort_key,
     substitute_param, substitute_var, values, values_and_faults,
 )
 from qsusy.invariance import SamplePlan, SamplingError, safe_points
@@ -418,6 +418,93 @@ def test_add_and_mul_match_the_rebuilding_constructors(e1, e2, c):
         assert got == want
         if not isinstance(got, tuple):
             assert sort_key(got) == sort_key(want)
+
+
+# rational multiples against the general product and the rebuilding oracle -----
+
+_half = rat(1, 2)
+
+
+def _leaky_build(children):
+    """_build, with square roots and products of them: with h = (a*b)^(1/2),
+    mul(a, h, h) leaves a*a*b unmerged (ROADMAP item 2)."""
+    root = children.map(lambda e: pow_(e, _half))
+    return st.one_of(
+        _build(children), root, st.tuples(root, root).map(lambda hk: mul(*hk)),
+        st.tuples(children, children).map(lambda ab: mul(ab[0], *[pow_(mul(*ab), _half)] * 2)))
+
+
+_leaky_expr = st.recursive(_leaf, _leaky_build, max_leaves=6)
+
+
+def _leaks():
+    """Products mul leaves unmerged: a*a*b, a*b/a/b and alpha*alpha*beta*beta*nu^4/4."""
+    a, b, al, be = sym("a"), sym("b"), sym("alpha"), sym("beta")
+    h, g, k = pow_(mul(a, b), _half), pow_(mul(a, b), rat(-1, 2)), pow_(mul(al, be), _half)
+    return mul(a, h, h), mul(a, b, g, g), mul(rat(1, 4), pow_(sym("nu"), 4), al, be, k, k)
+
+
+def _general_mul(*factors):
+    """mul's product loop, unmemoized: a third factor 1 keeps mul off its
+    shortcut for two factors."""
+    return expr_mod.mul.__wrapped__(ONE, *factors)
+
+
+def _assert_same_op(got, general, oracle):
+    assert got.coeffs.keys() == general.coeffs.keys() == oracle.coeffs.keys()
+    for k, c in got.coeffs.items():
+        assert c is general.coeffs[k] and c == oracle.coeffs[k]
+        assert sort_key(c) == sort_key(oracle.coeffs[k])
+
+
+def _leak_examples(test):
+    leaks = _leaks()
+    for c in (Fraction(-1), Fraction(3), Fraction(2, 3)):
+        for i, e1 in enumerate(leaks):
+            test = example(c, e1, leaks[i - 1])(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational, _leaky_expr, _leaky_expr)
+@_leak_examples
+@example(Fraction(-1), add(mul(2, z, sym("a")), mul(3, z, fn("sin", z))), z)
+def test_a_rational_multiple_is_the_general_product(c, e1, e2):
+    k, s, o = rat(c), add(e1, e2), constructor_oracle
+    scaled = expr_mod.mul.__wrapped__
+    cases = [(scaled(k, e1), _general_mul(k, e1), o.mul(k, e1)),
+             (scaled(e2, k), _general_mul(e2, k), o.mul(e2, k)),
+             (scaled(k, s), _general_mul(k, s), o.mul(k, s)),
+             (scaled(k, k), _general_mul(k, k), o.mul(k, k)),
+             (e1 - e2, add(e1, _general_mul(MINUS_ONE, e2)), o.add(e1, o.mul(MINUS_ONE, e2))),
+             (-e1, _general_mul(MINUS_ONE, e1), o.mul(MINUS_ONE, e1))]
+    for got, general, oracle in cases:
+        assert got is general
+        assert got == oracle and sort_key(got) == sort_key(oracle)
+    a, b = DiffOp("z", {0: e1, 1: s, 2: e2}), DiffOp("z", {0: e2, 2: e1, 3: k})
+    orders = set(a.coeffs) | set(b.coeffs)
+    _assert_same_op(a - b, a + DiffOp("z", {j: _general_mul(MINUS_ONE, v) for j, v in b.coeffs.items()}),
+                    DiffOp("z", {j: o.add(a.coeff(j), o.mul(MINUS_ONE, b.coeff(j))) for j in orders}))
+    _assert_same_op(a.scaled(k), DiffOp("z", {j: _general_mul(k, v) for j, v in a.coeffs.items()}),
+                    DiffOp("z", {j: o.mul(k, v) for j, v in a.coeffs.items()}))
+    _assert_same_op(-b, DiffOp("z", {j: _general_mul(MINUS_ONE, v) for j, v in b.coeffs.items()}),
+                    DiffOp("z", {j: o.mul(MINUS_ONE, v) for j, v in b.coeffs.items()}))
+
+
+def test_scaling_and_subtracting_gallery_members_rebuild_no_factor(monkeypatch):
+    J = families.J_gallery(families.F)
+    leak = _leaks()[0]
+    for name in _MEMOIZED:
+        getattr(expr_mod, name).cache_clear()
+    calls = []
+    for name in ("pow_", "fn"):
+        real = getattr(expr_mod, name)
+        monkeypatch.setattr(expr_mod, name, lambda *a, _real=real: calls.append(a) or _real(*a))
+    scaled = J[9].scaled(rat(3, 7))
+    difference = J[9] - J[8]
+    assert calls == []
+    assert scaled.coeff(1) == mul(rat(-3, 7), z) and difference.coeff(0) == add(ONE, -families.F)
+    assert mul(rat(3), leak) == mul(3, sym("b"), pow_(sym("a"), 2)) and calls
 
 
 def test_add_keeps_a_term_that_shares_its_core_with_no_other():
