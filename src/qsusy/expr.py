@@ -68,6 +68,7 @@ def _make(cls, key, fields: tuple):
     for name, v in itertools.zip_longest(cls.__slots__, fields):
         object.__setattr__(x, name, v)
     object.__setattr__(x, "_key", None)
+    object.__setattr__(x, "_exact", None)
     _table[key] = weakref.KeyedRef(x, _drop, key)
     return x
 
@@ -76,7 +77,7 @@ class Expr:
     """A node; its children are nodes too, so its key (type and fields) is a
     complete structural key, and == and hash are those of object."""
 
-    __slots__ = ("_key", "__weakref__")
+    __slots__ = ("_key", "_exact", "__weakref__")  # _exact: evaluate_exact's instruction
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -739,124 +740,105 @@ class NotRationalError(ExprError):
     pass
 
 
-# evaluate_exact runs e's tape: a flat program, one instruction per sum,
-# product and power of a node, over slots that hold reduced numerators and
-# denominators
-_SUM, _ZERO, _POW, _VAR, _CHECK, _RAISE = range(6)
-_TAPES = 8  # tapes kept, oldest dropped first (size from a sweep, CHANGES.md)
-_tapes: dict[int, tuple] = {}  # id(e) -> (e, tape); holding e keeps its id unique
+# evaluate_exact runs one instruction per node, compiled on the node's first
+# run and kept on it, over reduced (numerator, denominator) pairs
+_SUM, _POW, _VAR, _RAISE = range(4)
+_point = None  # the (numerator, denominator) of the last point evaluated at
+_values: dict = {}  # node -> its value at _point, for each node that ran without error
 
 
-def _tape(e: Expr) -> tuple:
-    """(program, numerators, denominators, result slot) of e, compiled once.
+def _instruction(x: Expr) -> tuple:
+    """(opcode, argument) of x, compiled once.
 
-    Instructions (opcode, slot, arg) come in the order a memoized walk meets
-    the nodes, a power's exponent and its integer check before its base.  A
-    sum's instruction adds its terms, and a product's is a sum of one term: a
-    term is a constant n/d times factors (slot, integer exponent), a product's
-    factors and a power of a constant integer exponent inlined.  The first
-    negative power of each base leaves a zero check of it where it stood.
-    The lists start with the constants.  Sym, Fn, Opaque and a constant
-    non-integer exponent become one raising instruction; nothing below them
-    is walked.
+    A sum's instruction adds its terms, and a constant's, a product's or a
+    power's of a constant integer exponent is a sum of one term: a term is a
+    constant n/d times factors (base node, integer exponent), a product's
+    factors and such powers inlined.  Any other power runs its exponent, then its base.  Sym,
+    Fn, Opaque and a constant non-integer exponent raise; nothing below them
+    is run.
     """
-    hit = _tapes.get(id(e))
-    if hit is not None:
-        return hit[1]
-    prog, nums, dens, seen, checked = [], [], [], {}, set()
+    t = type(x)
+    if t is Add:
+        ins = (_SUM, tuple(_term(u) for u in x.terms))
+    elif t is Mul or t is Rat or (t is Pow and type(x.exponent) is Rat and x.exponent.den == 1):
+        ins = (_SUM, (_term(x),))
+    elif t is Pow and type(x.exponent) is Rat:
+        ins = (_RAISE, "non-integer exponent")
+    elif t is Pow:
+        ins = (_POW, (x.exponent, x.base))
+    elif t is Var:
+        ins = (_VAR, None)
+    elif t is Sym:
+        ins = (_RAISE, f"parameter {x.name!r} has no rational value")
+    else:
+        ins = (_RAISE, f"{t.__name__} node is not rational")
+    object.__setattr__(x, "_exact", ins)
+    return ins
 
-    def slot(op=None, arg=None, n: int = 0, d: int = 1) -> int:
-        nums.append(n)
-        dens.append(d)
-        if op is not None:
-            prog.append((op, len(nums) - 1, arg))
-        return len(nums) - 1
 
-    def emit(x: Expr) -> int:
-        s = seen.get(id(x))
-        if s is None:
-            s = seen[id(x)] = _emit(x)
-        return s
+def _term(x: Expr) -> tuple:
+    """(n, d, factors) of x as a term of a sum."""
+    n, d, fs = 1, 1, []
+    for f in x.factors if type(x) is Mul else (x,):
+        if type(f) is Rat:
+            n, d = n * f.num, d * f.den
+        elif type(f) is Pow and type(f.exponent) is Rat and f.exponent.den == 1:
+            fs.append((f.base, f.exponent.num))
+        else:
+            fs.append((f, 1))
+    return n, d, tuple(fs)
 
-    def term(x: Expr) -> tuple:  # (n, d, factors) of x as a term of a sum
-        n, d, fs = 1, 1, []
-        for f in x.factors if type(x) is Mul else (x,):
-            if type(f) is Rat:
-                n, d = n * f.num, d * f.den
-            elif type(f) is Pow and type(f.exponent) is Rat and f.exponent.den == 1:
-                s, k = emit(f.base), f.exponent.num
-                if k < 0 and s not in checked:  # the first negative power of s
-                    checked.add(s)
-                    prog.append((_ZERO, s, None))
-                fs.append((s, k))
-            else:
-                fs.append((emit(f), 1))
-        return n, d, tuple(fs)
 
-    def _emit(x: Expr) -> int:
-        if type(x) is Rat:
-            return slot(n=x.num, d=x.den)
-        if type(x) is Add:
-            return slot(_SUM, [term(t) for t in x.terms])
-        if type(x) is Mul or (type(x) is Pow and type(x.exponent) is Rat and x.exponent.den == 1):
-            return slot(_SUM, [term(x)])
-        if type(x) is Pow:
-            k = emit(x.exponent)
-            if type(x.exponent) is Rat:
-                return slot(_RAISE, "non-integer exponent")
-            prog.append((_CHECK, k, "non-integer exponent"))
-            return slot(_POW, (emit(x.base), k))
-        if type(x) is Var:
-            return slot(_VAR, None)
-        if type(x) is Sym:
-            return slot(_RAISE, f"parameter {x.name!r} has no rational value")
-        return slot(_RAISE, f"{type(x).__name__} node is not rational")
-
-    tape = (prog, nums, dens, emit(e))
-    if len(_tapes) >= _TAPES:
-        del _tapes[next(iter(_tapes))]
-    _tapes[id(e)] = (e, tape)
-    return tape
+def _value(x: Expr, memo: dict, at: tuple) -> tuple:
+    """The reduced pair of x at the point `at`, running the children that memo
+    lacks in order and entering x in memo once it has its value."""
+    op, a = x._exact or _instruction(x)
+    if op == _SUM:
+        n, d = 0, 1
+        for tn, td, fs in a:
+            for b, k in fs:
+                bn, bd = memo.get(b) or _value(b, memo, at)
+                if k == 1:
+                    tn, td = tn * bn, td * bd
+                elif k > 0:
+                    tn, td = tn * bn**k, td * bd**k
+                elif k < 0:
+                    if bn == 0:
+                        raise ZeroDivisionError("zero base with a negative exponent")
+                    tn, td = tn * bd**-k, td * bn**-k
+            n, d = n * td + tn * d, d * td
+        g = math.gcd(n, d)
+        v = (n // g, d // g) if d > 0 else (-n // g, -d // g)
+    elif op == _POW:
+        k, kd = memo.get(a[0]) or _value(a[0], memo, at)
+        if kd != 1:
+            raise NotRationalError("non-integer exponent")
+        n, d = memo.get(a[1]) or _value(a[1], memo, at)
+        if k < 0:
+            if n == 0:
+                raise ZeroDivisionError("zero base with a negative exponent")
+            n, d, k = (-d, -n, -k) if n < 0 else (d, n, -k)
+        v = (n**k, d**k)  # a power of a reduced pair is reduced
+    elif op == _VAR:
+        v = at
+    else:
+        raise NotRationalError(a)
+    memo[x] = v
+    return v
 
 
 def evaluate_exact(e: Expr, at: Fraction) -> Fraction:
     """Exact rational evaluation; raises NotRationalError on a parameter, on
     transcendental or opaque content and ZeroDivisionError at poles, the
-    first exception a tree walk would raise.  Runs e's tape on fresh copies of
-    its lists; only the result becomes a Fraction.
+    first exception a tree walk would raise.  The values of the nodes met at
+    the last point are kept until a call at another point, so a node shared
+    by several calls at one point runs once.
     """
-    prog, nums, dens, out = _tape(e)
-    N, D = nums.copy(), dens.copy()
-    gcd = math.gcd
-    for op, s, a in prog:
-        if op == _SUM:
-            n, d = 0, 1
-            for tn, td, fs in a:
-                for i, k in fs:
-                    if k == 1:
-                        tn, td = tn * N[i], td * D[i]
-                    elif k > 0:
-                        tn, td = tn * N[i] ** k, td * D[i] ** k
-                    else:  # a base that passed its zero check
-                        tn, td = tn * D[i] ** -k, td * N[i] ** -k
-                n, d = n * td + tn * d, d * td
-            g = gcd(n, d)
-            N[s], D[s] = (n // g, d // g) if d > 0 else (-n // g, -d // g)
-        elif op == _ZERO:
-            if N[s] == 0:
-                raise ZeroDivisionError("zero base with a negative exponent")
-        elif op == _POW:
-            n, d, k = N[a[0]], D[a[0]], N[a[1]]
-            if k < 0:
-                if n == 0:
-                    raise ZeroDivisionError("zero base with a negative exponent")
-                n, d, k = (-d, -n, -k) if n < 0 else (d, n, -k)
-            N[s], D[s] = n**k, d**k  # a power of a reduced pair is reduced
-        elif op == _VAR:
-            N[s], D[s] = at.as_integer_ratio()
-        elif op == _RAISE or D[s] != 1:  # or a _CHECK of an exponent that is not an integer
-            raise NotRationalError(a)
-    return Fraction(N[out], D[out])
+    global _point, _values
+    p = at.as_integer_ratio()
+    if p != _point:
+        _point, _values = p, {}
+    return Fraction(*(_values.get(e) or _value(e, _values, p)))
 
 
 class Binding:

@@ -496,24 +496,23 @@ def _exact_zero_operator(op: DiffOp) -> bool:
     a common denominator, has degree below _EXACT_ZEROS (72), so that many
     zeros force it to vanish identically.  Propagating a degree bound through
     the expression would make it one; that is still open (ROADMAP.md, item 1).
+    Points run in the outer loop, so the frame nodes that the coefficients
+    share are evaluated once per point (evaluate_exact keeps them); each
+    coefficient still meets the same prefix of points as on its own.
     """
-    pts = [Fraction(7 * k + 3, 16) for k in range(1, 3 * _EXACT_ZEROS)]
-    for k, c in op.coeffs.items():
-        clean = 0
-        idx = 0
-        while clean < _EXACT_ZEROS and idx < len(pts):
-            x = pts[idx]
-            idx += 1
-            try:
-                val = evaluate_exact(c, x)
-            except ZeroDivisionError:
-                continue
-            if val != 0:
-                return False
-            clean += 1
-        if clean < _EXACT_ZEROS:
-            return False
-    return True
+    need = dict.fromkeys(op.coeffs.values(), _EXACT_ZEROS)  # coefficient -> zeros it lacks
+    for k in range(1, 3 * _EXACT_ZEROS):
+        x = Fraction(7 * k + 3, 16)
+        for c, n in need.items():
+            if n:
+                try:
+                    val = evaluate_exact(c, x)
+                except ZeroDivisionError:
+                    continue
+                if val != 0:
+                    return False
+                need[c] = n - 1
+    return not any(need.values())
 
 
 @checks

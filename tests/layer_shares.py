@@ -9,8 +9,9 @@ the ``qsusy`` package, or to ``fractions`` when a frame of that module is
 innermost, and a comprehension, generator expression or lambda is charged to
 the function around it.  ``expr.py`` is split by source position into the
 constructors (node classes and the canonicalising constructors), the
-rewriters and ``_diff1``, the exact tape's compiler (``_tape``), its run
-(``evaluate_exact``) and the float kernel; every other module is one layer.
+rewriters and ``_diff1``, the exact evaluator's compiler (``_instruction``
+and ``_term``), its run (``_value`` and ``evaluate_exact``) and the float
+kernel; every other module is one layer.
 A sample with no such frame on the stack (the workload's own code) is
 ``other``.  The shares of all runs are summed and printed with their sample
 counts.  The timer acts on this process only; ``bench/`` is imported, never
@@ -33,8 +34,9 @@ BENCH = ROOT / "bench"
 SRC = ROOT / "src"
 INTERVAL_S = 0.001
 # expr.py's layers, each from the first line of the named definition on
-EXPR_LAYERS = (("children", "expr: rewriters and _diff1"), ("_tape", "expr: tape compiler"),
-               ("evaluate_exact", "expr: tape run"), ("Binding", "expr: kernel"))
+EXPR_LAYERS = (("children", "expr: rewriters and _diff1"),
+               ("_instruction", "expr: exact compiler"), ("_value", "expr: exact run"),
+               ("Binding", "expr: kernel"))
 
 
 def _expr_bounds():

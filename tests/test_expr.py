@@ -954,7 +954,7 @@ def _failure(f, *args):
     return type(info.value), str(info.value)
 
 
-# the hard cases of the tape's sum instructions: a raw product inlined in two
+# the hard cases of the sum instructions: a raw product inlined in two
 # sums, a zero base to a negative power among raising terms, 0^0, and negative
 # bases to negative powers (one the exponent of a power)
 _shared = Mul((rat(3), z, Pow(Add((z, rat(-1))), rat(-2))))
@@ -998,7 +998,49 @@ def test_evaluate_exact_raises_what_the_walk_raises_first():
         assert _failure(evaluate_exact, e, x) == _failure(_exact_oracle, e, x) == want
 
 
-# the tape evaluate_exact runs ------------------------------------------------------
+def _exact_result(f, e, at):
+    """The value, or the exception's type and message; the oracle's one
+    ZeroDivisionError, Fraction's, is named as evaluate_exact names it."""
+    try:
+        return f(e, at)
+    except NotRationalError as exc:
+        return NotRationalError, str(exc)
+    except ZeroDivisionError as exc:
+        msg = "zero base with a negative exponent" if f is _exact_oracle else str(exc)
+        return ZeroDivisionError, msg
+
+
+# several expressions over the same drawn subterms, among raising leaves
+_raising_leaf = st.sampled_from([sym("b"), fn("sin", z), pow_(z - rat(1, 2), -1), Pow(z + 1, z)])
+_sharing_exprs = st.lists(_exact_expr, min_size=1, max_size=3).flatmap(
+    lambda shared: st.lists(
+        st.recursive(st.one_of(st.sampled_from(shared), _rational_leaf, _raising_leaf),
+                     lambda c: _exact_build(c, _exponents), max_leaves=4),
+        min_size=2, max_size=4))
+# runs of calls at one point: (point, indices into the expressions), the
+# points repeating among the runs
+_call_runs = st.lists(st.tuples(st.sampled_from(_poles + [Fraction(2)]),
+                                st.lists(st.integers(0, 3), min_size=1, max_size=4)),
+                      min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sharing_exprs, _call_runs)
+# a base kept from one call still gets its zero check in the next
+@example([z, Pow(rat(2), pow_(z, -1))], [(Fraction(0), [0, 1])])
+# a power whose zero base raised is not kept
+@example([Pow(z + 1, z)], [(Fraction(-1), [0, 0])])
+@example([z], [(Fraction(0), [0]), (Fraction(2), [0])])  # a new point forgets the old values
+@example([Add((rat(2), Pow(z, rat(0))))], [(Fraction(0), [0])])  # 0^0 is 1
+def test_evaluate_exact_keeps_only_values_of_the_current_point(exprs, runs):
+    for x, calls in runs:
+        for i in calls:
+            e = exprs[i % len(exprs)]
+            got, want = _exact_result(evaluate_exact, e, x), _exact_result(_exact_oracle, e, x)
+            assert got == want and type(got) is type(want)
+
+
+# the instructions and the one-point memo evaluate_exact runs ----------------------
 
 @contextlib.contextmanager
 def _deadline(seconds: float):
@@ -1018,7 +1060,7 @@ def _deadline(seconds: float):
 def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
     # e(k+1) = e(k)*z + e(k)*z^2: 203 distinct nodes, 2^40 tree paths; the
     # unmemoized walk already takes seconds at depth 18.  The two raw DAGs
-    # built apart from fresh leaves are one object, so they share one tape
+    # built apart from fresh leaves are one object
     x, a = Fraction(3, 2), Fraction(-1, 7)
 
     def raw():
@@ -1032,7 +1074,7 @@ def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
     for _ in range(40):
         canonical = add(mul(canonical, z), mul(canonical, pow_(z, 2)))
     first, second = raw(), raw()
-    assert second is first and expr_mod._tape(second) is expr_mod._tape(first)
+    assert second is first
     for e in (canonical, first, second):
         t0 = time.perf_counter()
         with _deadline(5.0):
@@ -1041,10 +1083,10 @@ def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
         assert got == (x + a) * (x + x * x) ** 40
 
 
-def test_tapes_stay_within_their_bound():
-    # the x2-exact loop: every coefficient of each identity at each point, so
-    # more coefficients pass through than the cache holds
+def test_a_coefficient_keeps_its_instruction_and_the_memo_holds_one_point():
+    # the x2-exact loop: every coefficient of each identity at each point
     a, pts = Fraction(7, 2), [Fraction(7 * k + 3, 16) for k in range(1, 5)]
+    evaluate_exact(z, Fraction(-1))  # a point of no identity: the loop starts afresh
     for side, shift in (("minus", a), ("plus", a - 3)):
         coeffs = x2.cij_coefficients(shift)
         if side == "minus":
@@ -1058,13 +1100,28 @@ def test_tapes_stay_within_their_bound():
                 if coeffs.C(i, j):
                     op = op - gallery[j].scaled(coeffs.C(i, j))
             cs = list(op.coeffs.values())
-            tapes = [expr_mod._tape(c) for c in cs]
+            instructions = None
             for x in pts:
-                assert all(evaluate_exact(c, x) == 0 for c in cs)
-            # one tape per coefficient, reused at every point
-            assert all(expr_mod._tape(c) is t for c, t in zip(cs, tapes))
-            held = len(expr_mod._tapes)  # the cached DAGs are too deep to print
-            assert held <= expr_mod._TAPES
+                for c in cs:
+                    assert evaluate_exact(c, x) == 0
+                    if c is cs[0]:
+                        # a new point empties the memo: it holds nodes of c alone
+                        assert expr_mod._point == x.as_integer_ratio()
+                        assert set(expr_mod._values) <= set(expr_mod._nodes(c))
+                # one instruction per coefficient, reused at every point
+                if instructions is None:
+                    instructions = [c._exact for c in cs]
+                assert all(c._exact is ins for c, ins in zip(cs, instructions))
+
+
+def test_a_node_refuses_its_instruction_slot():
+    e = add(mul(3, z, z), 5)
+    evaluate_exact(e, Fraction(2))
+    assert e._exact is not None
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(e, "_exact", None)
+    with pytest.raises(AttributeError, match="immutable"):
+        e._exact = (0, ())
 
 
 def test_a_call_that_raises_leaves_the_tape_intact():

@@ -308,6 +308,15 @@ def test_every_definition_is_reached():
     assert unreferenced(sources, exported | _bench_names()) == sorted(_UNREACHED)
 
 
+def test_the_exact_evaluator_helpers_are_reached():
+    # evaluate_exact's compiler and run are reached only through one another
+    # and evaluate_exact: the guard must see those references
+    source = (SRC / "expr.py").read_text(encoding="utf-8")
+    helpers = ["expr._instruction", "expr._term", "expr._value"]
+    assert set(unreferenced({"expr": source}, set())).isdisjoint(helpers)
+    assert unreferenced({"expr": "def _value(x):\n    return x\n"}, set()) == ["expr._value"]
+
+
 def _bench_assignment(name: str):
     tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
     for stmt in tree.body:

@@ -6,6 +6,7 @@ import pytest
 from qsusy import equal0, mul, opaque, parse, pow_, rat, var
 from qsusy import x2
 from qsusy.diffop import DiffOp, equal_canonical
+from qsusy.expr import Add, Mul, Pow, Rat
 from qsusy.families import ParameterError, build_J, build_K, build_P3_minus
 from qsusy.invariance import SamplePlan, check_annihilates, check_invariant, ops_equal_numeric
 from qsusy.x2 import (
@@ -359,6 +360,75 @@ class TestCombinationIdentities:
         const = co.C(i, 0)
         assert _exact_zero_operator(rest - DiffOp.mult("u", rat(const)))
         assert not _exact_zero_operator(rest - DiffOp.mult("u", rat(const + Fraction(1, 10**6))))
+
+
+def _coefficient_outer(op: DiffOp) -> bool:
+    """The exact certificate with the coefficients in the outer loop, as it was
+    first written: each coefficient runs its own prefix of the points."""
+    pts = [Fraction(7 * k + 3, 16) for k in range(1, 3 * x2._EXACT_ZEROS)]
+    for c in op.coeffs.values():
+        clean = idx = 0
+        while clean < x2._EXACT_ZEROS and idx < len(pts):
+            idx += 1
+            try:
+                val = x2.evaluate_exact(c, pts[idx - 1])
+            except ZeroDivisionError:
+                continue
+            if val != 0:
+                return False
+            clean += 1
+        if clean < x2._EXACT_ZEROS:
+            return False
+    return True
+
+
+def _identity_rest(i, side, a):
+    """literature_x2(i) - sum_j C(i,j) J_j - C(i,0) U, built as verify_x2_identities builds it."""
+    shift = a if side == "minus" else a - 3
+    co = cij_coefficients(shift)
+    gallery = x2_J_gallery(a) if side == "minus" else x2._kb_gallery(a)
+    const = co.C(i, 0) if side == "minus" else kside_constant(i, shift)
+    rest = literature_x2(i, side, a) - DiffOp.mult("u", rat(const))
+    for j in range(1, 9):
+        if co.C(i, j):
+            rest = rest - gallery[j].scaled(rat(co.C(i, j)))
+    return rest
+
+
+class TestExactCertificateOrder:
+    """Points outer or coefficients outer, the certificate's verdict is one."""
+
+    @pytest.mark.parametrize("a", [Fraction(7, 2), Fraction(5), Fraction(-3)])
+    def test_the_admissible_identities_and_their_controls(self, a):
+        cases = [(i, side) for side in ("minus", "plus") for i in range(1, 5)
+                 if combination_admissible(i, side, a)]
+        for i, side in cases:
+            rest = _identity_rest(i, side, a)
+            control = rest - DiffOp.mult("u", rat(Fraction(1, 10**6)))
+            assert _exact_zero_operator(rest) is _coefficient_outer(rest) is True
+            assert _exact_zero_operator(control) is _coefficient_outer(control) is False
+
+    def test_coefficients_with_poles_at_different_points(self):
+        # raw coefficients that vanish except at a pole, one of the first
+        # points each, beside products that vanish at the first 72 or 73 points
+        pts = [Fraction(7 * k + 3, 16) for k in range(1, 3 * x2._EXACT_ZEROS)]
+
+        def vanishing(p):  # (u - p)/(u - p) - 1
+            shifted = Add((u, Rat(-p)))
+            return Add((Mul((shifted, Pow(shifted, Rat(-1)))), Rat(-1)))
+
+        def zeros_at(ps):
+            return Mul(tuple(Add((u, Rat(-p))) for p in ps))
+
+        poles = {k: vanishing(pts[k]) for k in range(4)}
+        for extra, want in (({}, True),
+                            # the pole at pts[1] leaves 71 zeros before pts[72]
+                            ({5: Add((zeros_at(pts[:72]), vanishing(pts[1])))}, False),
+                            ({5: Add((zeros_at(pts[:73]), vanishing(pts[1])))}, True),
+                            ({5: Add((zeros_at(pts[:72]), vanishing(pts[80])))}, True),
+                            ({5: zeros_at(pts[:71])}, False)):
+            op = DiffOp("u", {**poles, **extra})
+            assert _exact_zero_operator(op) is _coefficient_outer(op) is want
 
 
 class TestWiderSweeps:
