@@ -2,7 +2,7 @@
 model reports, and the orchestrated verification suites.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 configuration error,
-or a run that decided no check (none ran, or every one was skipped).
+or a run that decided no check (none ran, or every one was skipped), 3 internal error.
 """
 
 from __future__ import annotations
@@ -448,6 +448,9 @@ def main(argv=None) -> int:
         # OSError: a config file that cannot be read, a report that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input: no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

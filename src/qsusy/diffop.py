@@ -1,19 +1,22 @@
 """Finite-order linear ordinary differential operators with symbolic coefficients.
 
 A DiffOp maps a derivative order to an Expr coefficient; the zero operator has
-an empty map.  Composition uses the Leibniz rule and therefore differentiates
-coefficients symbolically, so identities stated for an unspecified opaque
-function hold at the operator level.
+an empty map.  +, - and a Rat multiple combine operands' maps with rational
+scales, summed per order on first read; an expression multiplier, or a map with
+a term that expr._merges flags, applies at once.  Composition uses the Leibniz
+rule and therefore differentiates coefficients symbolically, so identities
+stated for an unspecified opaque function hold at the operator level.
 """
 
 from __future__ import annotations
 
-from math import comb
+from functools import partialmethod
+from math import comb, gcd
 from typing import Mapping
 
 from .expr import (
     Expr, Rat, Var, Opaque, ZERO, ONE, MINUS_ONE, ExprError,
-    _sum, add, mul, pow_, as_expr, diff, equal0, rebuild,
+    _merges, _rat, _sum, add, mul, pow_, as_expr, diff, equal0, rebuild,
 )
 from .parser import to_string
 
@@ -27,7 +30,8 @@ class VariableMismatchError(OperatorError):
 
 
 class DiffOp:
-    __slots__ = ("var", "coeffs")
+    # _terms: id(map) -> (num, den, map); None for a map with a term that _merges flags
+    __slots__ = ("var", "_terms", "_coeffs")
 
     def __init__(self, var: str, coeffs: Mapping[int, Expr] | None = None):
         clean: dict[int, Expr] = {}
@@ -37,8 +41,8 @@ class DiffOp:
             c = as_expr(c)
             if c != ZERO:
                 clean[int(k)] = c
-        self.var = var
-        self.coeffs = clean
+        self.var, self._coeffs = var, clean
+        self._terms = None if any(map(_merges, clean.values())) else {id(clean): (1, 1, clean)}
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -58,6 +62,16 @@ class DiffOp:
         return cls(var, {0: as_expr(e)})
 
     # -- basics --------------------------------------------------------------
+    @property
+    def coeffs(self) -> dict[int, Expr]:
+        if self._coeffs is None:
+            orders: dict[int, list] = {}
+            for n, d, m in self._terms.values():
+                for k, c in m.items():
+                    orders.setdefault(k, []).append((_rat(n, d), c))
+            self._coeffs = {k: s for k, es in orders.items() if (s := _sum(es)) is not ZERO}
+        return self._coeffs
+
     @property
     def order(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
@@ -83,26 +97,29 @@ class DiffOp:
         return f"DiffOp({self.var!r}, {self.pretty()!r})"
 
     # -- linear structure ----------------------------------------------------
-    def __add__(self, other: "DiffOp") -> "DiffOp":
+    def __add__(self, other: "DiffOp", scale: tuple = (1, 1)) -> "DiffOp":  # self + scale·other
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = add(out.get(k, ZERO), c)
-        return DiffOp(self.var, out)
+        if self._terms is None or other._terms is None:
+            return DiffOp(self.var, {k: _sum(((ONE, self.coeff(k)), (_rat(*scale), other.coeff(k))))
+                                     for k in {**self.coeffs, **other.coeffs}})
+        out = dict(self._terms)
+        for i, (n, d, m) in other._terms.items():
+            n0, d0, _ = out.get(i, (0, 1, m))
+            n, d = n0 * d * scale[1] + scale[0] * n * d0, d0 * d * scale[1]
+            out[i] = (n // (g := gcd(n, d)), d // g, m)
+        op = object.__new__(DiffOp)
+        op.var, op._terms, op._coeffs = self.var, out, None
+        return op
 
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = _sum(((ONE, out.get(k, ZERO)), (MINUS_ONE, c)))
-        return DiffOp(self.var, out)
-
-    def __neg__(self) -> "DiffOp":
-        return self.scaled(MINUS_ONE)
+    __sub__ = partialmethod(__add__, scale=(-1, 1))
 
     def scaled(self, c) -> "DiffOp":
         c = as_expr(c)
+        if isinstance(c, Rat) and self._terms is not None:  # self + (c - 1)·self
+            return self.__add__(self, (c.num - c.den, c.den))
         return DiffOp(self.var, {k: mul(c, v) for k, v in self.coeffs.items()})
+
+    __neg__ = partialmethod(scaled, MINUS_ONE)
 
     # -- action and composition ----------------------------------------------
     def apply(self, e: Expr) -> Expr:

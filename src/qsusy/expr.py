@@ -173,7 +173,7 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors", "_split")  # _split: (coefficient, core), once _coeff_core asks
+    __slots__ = ("factors", "_split", "_merging")  # kept by _coeff_core and _merges
 
 
 class Pow(Expr):
@@ -279,13 +279,18 @@ def _with_coeff(c: Rat, core: Expr) -> Expr:
     return Mul((c, core))
 
 
-def _merges(core: Expr) -> bool:
-    """Whether mul would merge two factors of core (a shared base, or two exp):
-    such products, which mul leaves unmerged (ROADMAP item 2), are the one case
-    where a rational multiple of a term is more than a coefficient change."""
-    return isinstance(core, Mul) and len(core.factors) > len(
-        {f.base if isinstance(f, Pow) else _EXP if isinstance(f, Fn) and f.name == "exp" else f
-         for f in core.factors})
+def _merges(e: Expr) -> bool:
+    """Whether mul would merge two factors of the core of e, or of a term of the
+    sum e (a shared base, or two exp; ROADMAP item 2): then, and only then, is a
+    rational multiple of a term more than a coefficient change.  Kept on a Mul."""
+    if isinstance(e, Add):
+        return any(map(_merges, e.terms))
+    if isinstance(e, Mul) and e._merging is None:
+        f = e.factors[1:] if isinstance(e.factors[0], Rat) else e.factors
+        object.__setattr__(e, "_merging", len(f) > len(
+            {g.base if isinstance(g, Pow) else _EXP if isinstance(g, Fn) and g.name == "exp" else g
+             for g in f}))
+    return isinstance(e, Mul) and e._merging
 
 
 @functools.lru_cache(maxsize=_MEMO)

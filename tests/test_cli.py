@@ -220,6 +220,27 @@ class TestMain:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("exc, line", [
+        (KeyError("J10"), "internal error: KeyError: 'J10'\n"),
+        (ZeroDivisionError("division by zero"), "internal error: ZeroDivisionError: division by zero\n"),
+        (RuntimeError(), "internal error: RuntimeError: \n"),
+    ])
+    def test_an_unexpected_exception_exits_3_without_traceback(self, capsys, monkeypatch, exc, line):
+        def fault(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(qsusy.cli, "verify_x2_identities", fault)
+        assert main(["x2", "verify", "--alpha", "7/2"]) == 3
+        assert capsys.readouterr().err == line
+
+    def test_an_interrupt_is_not_an_internal_error(self, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(qsusy.cli, "verify_x2_identities", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["x2", "verify", "--alpha", "7/2"])
+
     @pytest.mark.parametrize("line", ["sede = 3", "bind = alpha=2", "seed = abc", "tol = x",
                                       "tol = nan", "tol = 0"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, line):

@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qsusy import Binding, equal0, fn, mul, opaque, parse, pow_, rat, sym, var
+from qsusy import Binding, add, equal0, fn, mul, opaque, parse, pow_, rat, sym, var
+from qsusy import diffop as diffop_mod, expr as expr_mod, families
 from qsusy.diffop import (
     DiffOp, OperatorError, VariableMismatchError, commutator, compose,
     equal_canonical, expand_factored, gauge_conjugate, pretty, pullback,
 )
 from qsusy.invariance import SamplePlan, ops_equal_numeric
+import diffop_oracle
+from test_expr import _expr, _leaks, _leaky_expr, _rational
 
 z = var("z")
 D = DiffOp.d("z")
@@ -200,3 +204,95 @@ def test_a_derivative_order_must_be_a_nonnegative_integer(order):
 def test_an_integral_derivative_order_of_another_type_is_an_int():
     op = DiffOp("z", {np.int64(2): z})
     assert op.coeffs == {2: z} and [type(k) for k in op.coeffs] == [int]
+
+
+# rational combinations against the stepwise build (tests/diffop_oracle.py) ----
+
+_LEAK = _leaks()[0]  # mul(a, h, h) with h = (a*b)^(1/2): a*a*b, unmerged (ROADMAP item 2)
+_orders = st.integers(0, 3)
+# the products mul leaves unmerged, alone or in a sum, are drawn often
+_coefficient = st.one_of(_expr, _leaky_expr, st.sampled_from(_leaks()),
+                         st.tuples(_expr, st.sampled_from(_leaks())).map(lambda p: add(*p)))
+_leaf = st.dictionaries(_orders, _coefficient, min_size=1, max_size=3)
+_multiplier = st.one_of(st.sampled_from([rat(0), rat(1), rat(-1)]),
+                        _rational.map(rat), _expr)
+_step = st.one_of(st.tuples(st.sampled_from(["+", "-"]), st.integers(0, 99), st.integers(0, 99)),
+                  st.tuples(st.just("neg"), st.integers(0, 99)),
+                  st.tuples(st.just("scaled"), st.integers(0, 99), _multiplier))
+
+
+def _run(leaves, program):
+    """Each value of the program, built by DiffOp and by the oracle, with a
+    flag for an order that cancelled at some step before the value's own."""
+    pool = [(DiffOp("z", c), DiffOp("z", c), False) for c in leaves]
+    values = []
+    for op, i, *rest in program:
+        a, oa, ca = pool[i % len(pool)]
+        if op == "neg":
+            got, want, before, dropped = -a, diffop_oracle.negated(oa), ca, oa.coeffs
+        elif op == "scaled":
+            got, want, before, dropped = a.scaled(rest[0]), diffop_oracle.scaled(oa, rest[0]), ca, oa.coeffs
+        else:
+            b, ob, cb = pool[rest[0] % len(pool)]
+            step = diffop_oracle.plus if op == "+" else diffop_oracle.minus
+            got, want, before = (a + b if op == "+" else a - b), step(oa, ob), ca or cb
+            dropped = {**oa.coeffs, **ob.coeffs}
+        pool.append((got, want, before or dropped.keys() - want.coeffs.keys() != set()))
+        values.append((got, want, before))
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_leaf, min_size=1, max_size=3), st.lists(_step, min_size=1, max_size=8))
+@example([{0: _LEAK, 1: z}], [("scaled", 0, rat(1))])
+@example([{0: _LEAK, 1: z}], [("neg", 0), ("neg", 1)])
+@example([{0: _LEAK}], [("+", 0, 0)])
+@example([{0: z, 1: sym("a"), 2: pow_(z, 2)}, {2: rat(1), 1: z, 0: sym("a")}],
+         [("-", 0, 0), ("+", 2, 1)])
+def test_a_combination_is_the_stepwise_build(leaves, program):
+    for got, want, cancelled in _run(leaves, program):
+        assert got.coeffs.keys() == want.coeffs.keys()
+        assert all(c is want.coeffs[k] for k, c in got.coeffs.items())
+        if not cancelled:
+            assert list(got.coeffs) == list(want.coeffs)
+
+
+# the mechanism: entries are combined, and each order is summed once ---------
+
+def test_a_scaled_difference_makes_no_node_until_read(monkeypatch):
+    J = families.J_gallery(families.F)
+    rest, r = J[1] - J[4], rat(3, 7)
+    made = []
+    real = expr_mod._make
+    monkeypatch.setattr(expr_mod, "_make", lambda *a: made.append(a[0]) or real(*a))
+    op = rest - J[9].scaled(r)
+    assert made == []
+    want = diffop_oracle.minus(diffop_oracle.minus(J[1], J[4]), diffop_oracle.scaled(J[9], r))
+    assert op.coeffs.keys() == want.coeffs.keys() and made
+    assert all(c is want.coeffs[k] for k, c in op.coeffs.items())
+
+
+def test_doubling_keeps_one_entry():
+    x = x0 = DiffOp("z", families.J_gallery(families.F)[9].coeffs)
+    for _ in range(64):
+        x = x + x
+    assert len(x._terms) == 1
+    assert x.coeffs == {k: mul(rat(2**64), c) for k, c in x0.coeffs.items()}
+
+
+def test_a_long_sum_of_gallery_members_sums_each_order_once(monkeypatch):
+    J = families.J_gallery(families.F)
+    rng = np.random.default_rng(11)
+    picks = [(int(rng.integers(1, 10)), bool(rng.integers(2))) for _ in range(1000)]
+    want = got = DiffOp.zero("z")
+    for j, sub in picks:
+        want = (diffop_oracle.minus if sub else diffop_oracle.plus)(want, J[j])
+    calls = []
+    real = diffop_mod._sum
+    monkeypatch.setattr(diffop_mod, "_sum", lambda es: calls.append(es) or real(es))
+    for j, sub in picks:
+        got = got - J[j] if sub else got + J[j]
+    assert calls == []
+    assert got.coeffs.keys() == want.coeffs.keys()
+    assert all(c is want.coeffs[k] for k, c in got.coeffs.items())
+    assert len(calls) == len({k for j, _ in picks for k in J[j].coeffs})

@@ -18,6 +18,7 @@ from qsusy.x2 import (
     x2_J_gallery, x2_K_gallery, x2_seed_polynomial, x2_partner_polynomial,
     x2_supercharges, x2b_basis, x2b_conjugated_K,
 )
+import diffop_oracle
 
 u = var("u")
 
@@ -429,6 +430,50 @@ class TestExactCertificateOrder:
                             ({5: zeros_at(pts[:71])}, False)):
             op = DiffOp("u", {**poles, **extra})
             assert _exact_zero_operator(op) is _coefficient_outer(op) is want
+
+
+def _identity_loop(a):
+    """The identities and their controls as the x2-exact benchmark workload
+    builds them: rest - C(i,j) J_j over j, minus C(i,0) U or that plus 3e-6."""
+    out = []
+    for side in ("minus", "plus"):
+        shift = a if side == "minus" else a - 3
+        for i in range(1, 5):
+            if not combination_admissible(i, side, a):
+                continue
+            co = cij_coefficients(shift)
+            if side == "minus":
+                gallery, const = x2_J_gallery(a), co.C(i, 0)
+            else:
+                gallery = {j: x2b_conjugated_K(j, a) for j in range(1, 9)}
+                const = kside_constant(i, shift)
+            rest = literature_x2(i, side, a)
+            for j in range(1, 9):
+                if co.C(i, j):
+                    rest = rest - gallery[j].scaled(co.C(i, j))
+            out += [rest - DiffOp.mult(x2.U, const),
+                    rest - DiffOp.mult(x2.U, const + Fraction(3, 10**6))]
+    return out
+
+
+def _clear_galleries():
+    for cached in (x2_J_gallery, x2_K_gallery, x2._kb_gallery):
+        cached.cache_clear()
+
+
+def test_the_identity_loop_is_the_stepwise_build():
+    a = Fraction(7, 2)
+    _clear_galleries()
+    with pytest.MonkeyPatch.context() as mp:
+        diffop_oracle.patch(mp)
+        want = _identity_loop(a)
+    _clear_galleries()
+    got = _identity_loop(a)
+    assert len(got) == 16
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert list(g.coeffs) == list(w.coeffs)
+        assert all(c is w.coeffs[order] for order, c in g.coeffs.items())
+        assert _exact_zero_operator(g) is _exact_zero_operator(w) is (k % 2 == 0)
 
 
 class TestWiderSweeps:
