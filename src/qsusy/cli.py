@@ -2,7 +2,8 @@
 model reports, and the orchestrated verification suites.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 configuration error,
-or a run that decided no check (none ran, or every one was skipped), 3 internal error.
+or a run that decided no check (none ran, or every one was skipped), 3 internal error,
+141 (128 + SIGPIPE) the reader of stdout closed it early, as `| head` does.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,8 +123,11 @@ def _parse_bindings(text: str | None) -> dict:
         if "=" not in piece:
             raise ConfigError(f"binding {piece!r} is not of the form name=value")
         k, v = piece.split("=", 1)
+        k = k.strip()
+        if k in out:
+            raise ConfigError(f"binding {k!r} given more than once")
         try:
-            out[k.strip()] = float(Fraction(v.strip()))
+            out[k] = float(Fraction(v.strip()))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad binding value {v!r}") from exc
     return out
@@ -186,7 +191,8 @@ def _model(example: int, bindings: dict):
 
 
 def _write_or_print(text: str, path: str | None):
-    if path:
+    """Write text to the file path, or print it when path is None or '-'."""
+    if path and path != "-":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -443,7 +449,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`), which is no error of the input;
+        # devnull takes stdout's descriptor so that the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, ExprError, OSError) as exc:
         # OSError: a config file that cannot be read, a report that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 A DiffOp maps a derivative order to an Expr coefficient; the zero operator has
 an empty map.  +, - and a Rat multiple combine operands' maps with rational
-scales, summed per order on first read; an expression multiplier, or a map with
-a term that expr._merges flags, applies at once.  Composition uses the Leibniz
-rule and therefore differentiates coefficients symbolically, so identities
-stated for an unspecified opaque function hold at the operator level.
+scales, summed per order on first read; an expression multiplier applies at
+once.  Composition uses the Leibniz rule and therefore differentiates
+coefficients symbolically, so identities stated for an unspecified opaque
+function hold at the operator level.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .expr import (
     Expr, Rat, Var, Opaque, ZERO, ONE, MINUS_ONE, ExprError,
-    _merges, _rat, _sum, add, mul, pow_, as_expr, diff, equal0, rebuild,
+    _rat, _sum, add, mul, pow_, as_expr, diff, equal0, rebuild,
 )
 from .parser import to_string
 
@@ -30,7 +30,7 @@ class VariableMismatchError(OperatorError):
 
 
 class DiffOp:
-    # _terms: id(map) -> (num, den, map); None for a map with a term that _merges flags
+    # _terms: id(map) -> (num, den, map)
     __slots__ = ("var", "_terms", "_coeffs")
 
     def __init__(self, var: str, coeffs: Mapping[int, Expr] | None = None):
@@ -42,7 +42,7 @@ class DiffOp:
             if c != ZERO:
                 clean[int(k)] = c
         self.var, self._coeffs = var, clean
-        self._terms = None if any(map(_merges, clean.values())) else {id(clean): (1, 1, clean)}
+        self._terms = {id(clean): (1, 1, clean)}
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -99,9 +99,6 @@ class DiffOp:
     # -- linear structure ----------------------------------------------------
     def __add__(self, other: "DiffOp", scale: tuple = (1, 1)) -> "DiffOp":  # self + scale·other
         self._check(other)
-        if self._terms is None or other._terms is None:
-            return DiffOp(self.var, {k: _sum(((ONE, self.coeff(k)), (_rat(*scale), other.coeff(k))))
-                                     for k in {**self.coeffs, **other.coeffs}})
         out = dict(self._terms)
         for i, (n, d, m) in other._terms.items():
             n0, d0, _ = out.get(i, (0, 1, m))
@@ -115,7 +112,7 @@ class DiffOp:
 
     def scaled(self, c) -> "DiffOp":
         c = as_expr(c)
-        if isinstance(c, Rat) and self._terms is not None:  # self + (c - 1)·self
+        if isinstance(c, Rat):  # self + (c - 1)·self
             return self.__add__(self, (c.num - c.den, c.den))
         return DiffOp(self.var, {k: mul(c, v) for k, v in self.coeffs.items()})
 

@@ -173,7 +173,7 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors", "_split", "_merging")  # kept by _coeff_core and _merges
+    __slots__ = ("factors", "_split")  # _split: kept by _coeff_core
 
 
 class Pow(Expr):
@@ -279,18 +279,14 @@ def _with_coeff(c: Rat, core: Expr) -> Expr:
     return Mul((c, core))
 
 
-def _merges(e: Expr) -> bool:
-    """Whether mul would merge two factors of the core of e, or of a term of the
-    sum e (a shared base, or two exp; ROADMAP item 2): then, and only then, is a
-    rational multiple of a term more than a coefficient change.  Kept on a Mul."""
-    if isinstance(e, Add):
-        return any(map(_merges, e.terms))
-    if isinstance(e, Mul) and e._merging is None:
-        f = e.factors[1:] if isinstance(e.factors[0], Rat) else e.factors
-        object.__setattr__(e, "_merging", len(f) > len(
-            {g.base if isinstance(g, Pow) else _EXP if isinstance(g, Fn) and g.name == "exp" else g
-             for g in f}))
-    return isinstance(e, Mul) and e._merging
+def _base_exp(f: Expr) -> tuple:
+    """mul's power-map key of the factor f (a Pow's base, _EXP for an exp, or
+    else f itself) and f's exponent under that key."""
+    if isinstance(f, Pow):
+        return f.base, f.exponent
+    if isinstance(f, Fn) and f.name == "exp":
+        return _EXP, f.arg
+    return f, ONE
 
 
 @functools.lru_cache(maxsize=_MEMO)
@@ -315,9 +311,6 @@ def _sum(entries) -> Expr:
         k, core = _coeff_core(t)
         n, d = k.num, k.den
         if c is not ONE:
-            if _merges(core):
-                stack.append((ONE, mul(c, t)))
-                continue
             n, d, t = n * c.num, d * c.den, None
         g = groups.get(core)
         if g is None:
@@ -344,8 +337,7 @@ def mul(*factors) -> Expr:
             k, core = _coeff_core(t)
             if isinstance(core, (Rat, Add)):
                 return _sum(((c, t),))
-            if not _merges(core):
-                return _with_coeff(_rat(c.num * k.num, c.den * k.den), core) if c.num else ZERO
+            return _with_coeff(_rat(c.num * k.num, c.den * k.den), core) if c.num else ZERO
     flat = []
     for f in (as_expr(f) for f in factors):
         if isinstance(f, Mul):
@@ -353,46 +345,31 @@ def mul(*factors) -> Expr:
         else:
             flat.append(f)
     cn, cd = 1, 1  # product of the rational factors, as an unreduced pair
-    powmap: dict = {}  # base Expr or "exp" sentinel -> list of exponent Exprs
-    order: list = []
+    powmap: dict = {}  # power-map key -> list of exponent Exprs, keys in first-seen order
     for f in flat:
         if isinstance(f, Rat):
             if f is ZERO:
                 return ZERO
             cn, cd = cn * f.num, cd * f.den
             continue
-        if isinstance(f, Pow):
-            base, e = f.base, f.exponent
-        elif isinstance(f, Fn) and f.name == "exp":
-            base, e = _EXP, f.arg
-        else:
-            base, e = f, ONE
-        if base in powmap:
-            powmap[base].append(e)
-        else:
-            powmap[base] = [e]
-            order.append(base)
-    parts = []
-    for key in order:
-        exps = powmap[key]
+        base, e = _base_exp(f)
+        powmap.setdefault(base, []).append(e)
+    parts, pieces = [], []
+    for key, exps in powmap.items():
         etot = exps[0] if len(exps) == 1 else add(*exps)
-        if key is _EXP:
-            rebuilt = fn("exp", etot)
-        else:
-            rebuilt = pow_(key, etot)
+        rebuilt = fn("exp", etot) if key is _EXP else pow_(key, etot)
         if isinstance(rebuilt, Rat):
             if rebuilt is ZERO:
                 return ZERO
             cn, cd = cn * rebuilt.num, cd * rebuilt.den
-        elif isinstance(rebuilt, Mul):
-            # pow_ may split (e.g. rational-root folding); fold its pieces
-            for g in rebuilt.factors:
-                if isinstance(g, Rat):
-                    cn, cd = cn * g.num, cd * g.den
-                else:
-                    parts.append(g)
+        elif isinstance(rebuilt, Mul) or len(exps) > 1 and _base_exp(rebuilt)[0] is not key:
+            pieces.append(rebuilt)
         else:
             parts.append(rebuilt)
+    if pieces:
+        # a merged power came out under other keys ((a*b)^(1/2) squared is a*b,
+        # (z^(1/2))^(1/2) squared is z^(1/2)), which the other parts may share
+        return mul(*parts, *pieces, _rat(cn, cd))
     c = _rat(cn, cd)
     if c is ZERO or not parts:
         return c

@@ -9,6 +9,14 @@ from fractions import Fraction
 from qsusy.expr import ONE, ZERO, Add, Fn, Mul, Pow, Rat, as_expr, fn, pow_, sort_key
 
 
+def _base_exp(f, exp_key):
+    if isinstance(f, Pow):
+        return f.base, f.exponent
+    if isinstance(f, Fn) and f.name == "exp":
+        return exp_key, f.arg
+    return f, ONE
+
+
 def _coeff_core(t):
     if isinstance(t, Mul) and isinstance(t.factors[0], Rat):
         rest = t.factors[1:]
@@ -68,18 +76,13 @@ def mul(*factors):
                 return ZERO
             coeff *= f.value
             continue
-        if isinstance(f, Pow):
-            base, e = f.base, f.exponent
-        elif isinstance(f, Fn) and f.name == "exp":
-            base, e = _EXP, f.arg
-        else:
-            base, e = f, ONE
+        base, e = _base_exp(f, _EXP)
         if base in powmap:
             powmap[base].append(e)
         else:
             powmap[base] = [e]
             order.append(base)
-    parts = []
+    parts, pieces = [], []
     for key in order:
         exps = powmap[key]
         etot = exps[0] if len(exps) == 1 else add(*exps)
@@ -89,13 +92,13 @@ def mul(*factors):
                 return ZERO
             coeff *= rebuilt.value
         elif isinstance(rebuilt, Mul):
-            for g in rebuilt.factors:
-                if isinstance(g, Rat):
-                    coeff *= g.value
-                else:
-                    parts.append(g)
+            pieces.extend(rebuilt.factors)
+        elif len(exps) > 1 and _base_exp(rebuilt, _EXP)[0] is not key:
+            pieces.append(rebuilt)
         else:
             parts.append(rebuilt)
+    if pieces:  # a merged power came out under other keys: they merge again
+        return mul(*parts, *pieces, Rat(coeff))
     if coeff == 0:
         return ZERO
     if not parts:

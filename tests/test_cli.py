@@ -55,6 +55,11 @@ class TestBindings:
         with pytest.raises(ConfigError):
             _parse_bindings("alpha")
 
+    def test_a_repeated_name(self):
+        with pytest.raises(ConfigError, match="^binding 'alpha' given more than once$"):
+            _parse_bindings("alpha=1,nu=1,b0=0.5, alpha =2")
+        assert main(["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5,alpha=2"]) == 2
+
 
 class TestReport:
     def _tiny_report(self):
@@ -126,6 +131,30 @@ class TestMain:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == f"qsusy {qsusy.__version__}"
+
+    def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly(self):
+        src = os.path.dirname(os.path.dirname(qsusy.__file__))
+        r, w = os.pipe()
+        with subprocess.Popen([sys.executable, "-m", "qsusy", "catalog", "--family", "B"],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=w,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            os.close(w)
+            os.close(r)  # before the child writes: its every write to stdout fails
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, "")
+
+    @pytest.mark.parametrize("argv, read", [
+        (["x2", "verify", "--alpha", "2", "--side", "minus", "--json", "-"], json.loads),
+        (["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5", "--report", "json",
+          "--out", "-"], json.loads),
+        (["suite", "--suites", "lie-closure", "--md", "-"],
+         lambda text: "verification report" in text),
+    ])
+    def test_the_path_dash_is_stdout(self, capsys, monkeypatch, tmp_path, argv, read):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert read(capsys.readouterr().out)
+        assert not (tmp_path / "-").exists()
 
     def test_catalog(self, capsys):
         assert main(["catalog", "--family", "B", "--format", "json"]) == 0

@@ -208,9 +208,9 @@ def test_an_integral_derivative_order_of_another_type_is_an_int():
 
 # rational combinations against the stepwise build (tests/diffop_oracle.py) ----
 
-_LEAK = _leaks()[0]  # mul(a, h, h) with h = (a*b)^(1/2): a*a*b, unmerged (ROADMAP item 2)
+_LEAK = _leaks()[0]  # mul(a, h, h) with h = (a*b)^(1/2): once a*a*b, now b*a^2
 _orders = st.integers(0, 3)
-# the products mul leaves unmerged, alone or in a sum, are drawn often
+# products whose merged powers split, alone or in a sum, are drawn often
 _coefficient = st.one_of(_expr, _leaky_expr, st.sampled_from(_leaks()),
                          st.tuples(_expr, st.sampled_from(_leaks())).map(lambda p: add(*p)))
 _leaf = st.dictionaries(_orders, _coefficient, min_size=1, max_size=3)

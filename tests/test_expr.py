@@ -427,7 +427,8 @@ _half = rat(1, 2)
 
 def _leaky_build(children):
     """_build, with square roots and products of them: with h = (a*b)^(1/2),
-    mul(a, h, h) leaves a*a*b unmerged (ROADMAP item 2)."""
+    mul(a, h, h) merges a power that pow_ splits into a product, whose factors
+    mul must merge again."""
     root = children.map(lambda e: pow_(e, _half))
     return st.one_of(
         _build(children), root, st.tuples(root, root).map(lambda hk: mul(*hk)),
@@ -438,7 +439,8 @@ _leaky_expr = st.recursive(_leaf, _leaky_build, max_leaves=6)
 
 
 def _leaks():
-    """Products mul leaves unmerged: a*a*b, a*b/a/b and alpha*alpha*beta*beta*nu^4/4."""
+    """Products whose merged powers split: mul once left them unmerged as
+    a*a*b, a*b/a/b and alpha*alpha*beta*beta*nu^4/4; now regression inputs."""
     a, b, al, be = sym("a"), sym("b"), sym("alpha"), sym("beta")
     h, g, k = pow_(mul(a, b), _half), pow_(mul(a, b), rat(-1, 2)), pow_(mul(al, be), _half)
     return mul(a, h, h), mul(a, b, g, g), mul(rat(1, 4), pow_(sym("nu"), 4), al, be, k, k)
@@ -504,7 +506,33 @@ def test_scaling_and_subtracting_gallery_members_rebuild_no_factor(monkeypatch):
     difference = J[9] - J[8]
     assert calls == []
     assert scaled.coeff(1) == mul(rat(-3, 7), z) and difference.coeff(0) == add(ONE, -families.F)
-    assert mul(rat(3), leak) == mul(3, sym("b"), pow_(sym("a"), 2)) and calls
+    want = mul(3, sym("b"), pow_(sym("a"), 2))
+    calls.clear()
+    assert mul(rat(3), leak) is want and calls == []
+
+
+def _power_key(f):
+    """mul's power-map key of the factor f: a Pow's base, the exp sentinel, or f."""
+    if isinstance(f, Pow):
+        return f.base
+    return expr_mod._EXP if isinstance(f, Fn) and f.name == "exp" else f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_leaky_expr, _leaky_expr)
+@example(z, pow_(pow_(z, _half), _half))  # squared, the root of a root is a root of z
+def test_no_product_has_two_factors_with_one_power_key(e1, e2):
+    product = mul(e1, e2, e2)
+    assert product == constructor_oracle.mul(e1, e2, e2)
+    for e in (e1, e2, product, add(e1, e2), *_leaks()):
+        for x in expr_mod._nodes(e):
+            if isinstance(x, Mul):
+                keys = [_power_key(f) for f in x.factors if not isinstance(f, Rat)]
+                assert len(keys) == len(set(keys)), x
+    a, b = sym("a"), sym("b")
+    h, g = pow_(mul(a, b), _half), pow_(mul(a, b), rat(-1, 2))
+    assert mul(a, h, h) is mul(pow_(a, 2), b)
+    assert mul(a, b, g, g) is ONE
 
 
 def test_add_keeps_a_term_that_shares_its_core_with_no_other():
