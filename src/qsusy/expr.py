@@ -416,11 +416,14 @@ def pow_(base, exponent) -> Expr:
                 if n is None or d is None:
                     return Pow(b, e)
             return _rat(n**p, d**p) if p > 0 else _rat(d**-p, n**-p)
-        if e.den == 1:
-            if isinstance(b, Mul):
-                return mul(*(pow_(f, e) for f in b.factors))
-            if isinstance(b, Pow):
-                return pow_(b.base, mul(b.exponent, e))
+        if e.den == 1 and isinstance(b, Mul):
+            return mul(*(pow_(f, e) for f in b.factors))
+        if isinstance(b, Pow):
+            p = b.exponent
+            # (b^p)^e is b^(p*e), but (b^2)^(1/2) is |b|: an even power stays
+            # under a root
+            if e.den == 1 or isinstance(p, Rat) and (p.den != 1 or p.num % 2):
+                return pow_(b.base, mul(p, e))
         if isinstance(b, Fn) and b.name == "exp":
             return fn("exp", mul(e, b.arg))
     if b is ONE:

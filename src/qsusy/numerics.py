@@ -140,11 +140,12 @@ def normalizability_probe(psi: Expr, domain: tuple, bind: Binding | None = None)
         start = anchor_lo
         ladders.append([(start - base * (2**(j + 1) - 1), start - base * (2**j - 1))
                         for j in range(rungs)])
-    if math.isfinite(lo) and math.isfinite(hi):
-        width = hi - lo
-        # approach each endpoint geometrically (open interval: possible blow-up)
+    # approach each finite end geometrically (open interval: possible blow-up)
+    width = hi - lo if math.isfinite(lo) and math.isfinite(hi) else base
+    if math.isfinite(lo):
         ladders.append([(lo + width / 2**(j + 2), lo + width / 2**(j + 1))
                         for j in range(rungs)])
+    if math.isfinite(hi):
         ladders.append([(hi - width / 2**(j + 1), hi - width / 2**(j + 2))
                         for j in range(rungs)])
 

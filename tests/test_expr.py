@@ -535,6 +535,16 @@ def test_no_product_has_two_factors_with_one_power_key(e1, e2):
     assert mul(a, b, g, g) is ONE
 
 
+def test_a_root_of_a_power_is_one_power_unless_the_power_is_even():
+    r = pow_(pow_(z, _half), _half)
+    assert r is pow_(z, rat(1, 4)) and mul(r, pow_(z, rat(3, 4))) is z
+    assert pow_(pow_(z, 3), rat(1, 3)) is z
+    # (z^2)^(1/2) is |z|, not z: it stays nested
+    a = pow_(pow_(z, 2), _half)
+    assert type(a) is Pow and a.base is pow_(z, 2) and a.exponent is _half
+    assert evaluate(a, -2.0) == scalar_evaluate(a, -2.0) == 2.0
+
+
 def test_add_keeps_a_term_that_shares_its_core_with_no_other():
     t, u = mul(3, z, sym("a")), fn("sin", z)
     s = add(t, u)

@@ -1,15 +1,17 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qsusy import Binding, add, diff, equal0, fn, mul, parse, pow_, rat, sym, var
 from qsusy.diffop import DiffOp
 from qsusy import families
-from qsusy.invariance import Subspace
+from qsusy.invariance import SamplePlan, Subspace
 from qsusy import models as models_mod
 from qsusy.models import (
     ModelConsistencyError, ModelParameterError, algebraic_spectrum,
-    build_example, constraint_residual_exprs, f1f2_from_constants,
+    build_example, conditions_hold, constraint_residual_exprs, f1f2_from_constants,
     gauge_consistency_residual, partner_consistency_residual,
     potential_pair, sector_invariance, solvable_sector, verify_susy_conditions,
 )
@@ -144,6 +146,16 @@ class TestSusyConditions:
     def test_residuals_small(self, models, eid):
         res = verify_susy_conditions(models[eid])
         assert res.max_residual < 1e-8, res
+
+    @pytest.mark.parametrize("eid", [1, 2, 3])
+    def test_a_shifted_partner_potential_breaks_the_intertwining(self, models, eid):
+        # V+ off by a constant 1e-6*nu: P3 H- = H+ P3 fails, and the
+        # intertwining residual is what shows it
+        m = models[eid]
+        shifted = replace(m, V_plus=add(m.V_plus, mul(rat(1, 10**6), m.nu)))
+        res = verify_susy_conditions(shifted)
+        assert res.intertwining > 10 * SamplePlan().tol, res
+        assert not conditions_hold(res, SamplePlan())
 
     def test_zero_triple_exact(self):
         c2, c3 = constraint_residual_exprs(rat(0), rat(0), rat(0))

@@ -191,6 +191,13 @@ class TestNormalizability:
         assert normalizability_probe(parse("1/q", "q"),
                                      (1.0, math.inf)) == "normalizable"
 
+    def test_the_finite_end_of_a_half_line_is_probed(self):
+        # q^(-3/2) is not square-integrable at 0, whichever end 0 is
+        for text, domain, want in (("q^(-3/2)*exp(-q^2/2)", (0.0, math.inf), "divergent"),
+                                   ("q*exp(-q^2/2)", (0.0, math.inf), "normalizable"),
+                                   ("(-q)^(-3/2)*exp(-q^2/2)", (-math.inf, 0.0), "divergent")):
+            assert normalizability_probe(parse(text, "q"), domain) == want, text
+
     def test_radial_sector_growth(self):
         # growing sector element of the radial family
         psi = parse("q^(1/2)*exp(q^2/2)", "q")

@@ -11,7 +11,7 @@ import pytest
 
 from qsusy import Binding, add, parse, sym
 from qsusy.cli import SuiteConfig, run_suite
-from qsusy.diffop import DiffOp
+from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.families import (
     GeneralCoefficients, build_H_minus, build_H_minus_direct, build_H_plus,
     build_H_plus_direct,
@@ -21,6 +21,8 @@ from qsusy.invariance import (
     lie_closure_identities, ops_equal_numeric, verify_commutator_table,
 )
 from qsusy import families, invariance, suites, x2
+from qsusy.models import build_example
+from qsusy.numerics import Grid
 from qsusy.suites import COEFF_NAMES, _routes_agree
 
 FZ = parse("z^3 + z")
@@ -180,6 +182,49 @@ def test_the_reduction_check_fails_on_a_perturbed_plain_k_gallery(monkeypatch):
 
     monkeypatch.setattr(families, "k_gallery", perturbed)  # x2 keeps its own name
     assert not suites._reduction_checks_pass()
+
+
+# one way per check: each identity is decided once --------------------------
+
+def test_the_type_a_reading_at_exponent_3_does_not_verify():
+    # the printed type A map reads J+0 and J++ at exponent 2 or 3; only 2 holds
+    lit = families.literature_ops("A", "minus")
+    J2, J3 = families.monomial_J_gallery(Fraction(2)), families.monomial_J_gallery(Fraction(3))
+    assert suites._correspondence_A() is True
+    assert equal_canonical(lit["J+0"], J2[6]) and equal_canonical(lit["J++"], J2[8])
+    assert not equal_canonical(lit["J+0"], J3[6]) and not equal_canonical(lit["J++"], J3[8])
+
+
+def test_the_specialization_checks_fail_on_a_perturbed_monomial_gallery(monkeypatch):
+    ids = ("monomial:C(3)==B", "monomial:C(2)==A")
+    got = {c["id"]: c["verdict"] for c in suites.suite_monomial(PLAN)}
+    assert [got[i] for i in ids] == ["pass", "pass"]
+    real = families.monomial_J_gallery
+
+    def doubled(lam):  # J1 twice over
+        J = real(lam)
+        return {**J, 1: J[1].scaled(2)}
+
+    monkeypatch.setattr(families, "monomial_J_gallery", doubled)
+    got = {c["id"]: c["verdict"] for c in suites.suite_monomial(PLAN)}
+    assert [got[i] for i in ids] == ["fail", "fail"]
+
+
+def test_the_crosscheck_solves_the_model_grid_once(monkeypatch):
+    solves = []
+    real = suites.fd_spectrum
+
+    def counted(V, grid, k=6, bind=None):
+        solves.append((V, grid))
+        return real(V, grid, k, bind)
+
+    monkeypatch.setattr(suites, "fd_spectrum", counted)
+    checks = {c["id"]: c for c in suites.suite_spectrum(PLAN)}
+    check = checks["spectrum:example1-crosscheck"]
+    assert check["verdict"] == "pass"
+    assert check["anchor"] == "certified algebraic level appears in the grid spectrum"
+    model = build_example(1, Binding(params={"alpha": 1.0, "nu": 1.0, "b0": 3.0}))
+    assert [grid for V, grid in solves if V is model.V_minus] == [Grid(*model.fd_domain, 4000)]
 
 
 # verdict gate: the report's verdicts are the benchmark's reference ----------
