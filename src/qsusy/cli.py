@@ -180,11 +180,12 @@ def _exit_code(report: Report) -> int:
     return 0 if s["fail"] == 0 else 1
 
 
-def _model(example: int, bindings: dict):
-    """build_example, whose validation samples the model: a binding that fits
-    a float can still overflow there, and that is bad input."""
+def _model(example: int, bindings: dict, plan: SamplePlan):
+    """build_example and its verify_susy_conditions, which samples the model:
+    a binding that fits a float can still overflow there, and that is bad input."""
     try:
-        return build_example(example, Binding(params=bindings))
+        model = build_example(example, Binding(params=bindings))
+        return model, verify_susy_conditions(model, plan)
     except (ArithmeticError, ValueError) as exc:
         raise ConfigError(f"bindings {bindings} cannot be evaluated in the model: "
                           f"{type(exc).__name__}: {exc}") from exc
@@ -263,8 +264,7 @@ def _cmd_verify(args) -> int:
 def _cmd_model(args) -> int:
     bindings = _parse_bindings(args.bind)
     plan = SuiteConfig(suites=[], seed=args.seed).plan()
-    model = _model(args.example, bindings)
-    res = verify_susy_conditions(model, plan)
+    model, res = _model(args.example, bindings, plan)
     doc = {
         "example": args.example,
         "bindings": bindings,
@@ -277,7 +277,7 @@ def _cmd_model(args) -> int:
             "V+": to_string(model.V_plus),
         },
         "residuals": {
-            "cond2": res.cond2, "cond3": res.cond3,
+            "printed-forms": res.printed, "cond2": res.cond2, "cond3": res.cond3,
             "first-integral-match": max(res.f1_match, res.f2_match),
             "intertwining": res.intertwining,
         },
@@ -341,7 +341,7 @@ def _cmd_spectrum(args) -> int:
     bindings = _parse_bindings(args.bind)
     if args.example:
         plan = SuiteConfig(suites=[], seed=7 if args.seed is None else args.seed).plan()
-        model = _model(args.example, bindings)
+        model, res = _model(args.example, bindings, plan)
         if model.fd_domain is None:
             raise ConfigError("this model family has no designated grid domain")
         lo, hi = model.fd_domain
@@ -357,7 +357,7 @@ def _cmd_spectrum(args) -> int:
         ev = fd_spectrum(V, Grid(lo, hi, args.grid), args.k, Binding(params=bindings))
         doc = {"grid": [lo, hi, args.grid], "fd": list(map(float, ev))}
     print(json.dumps(doc, indent=2))
-    return 0
+    return 0 if args.example is None or conditions_hold(res, plan) else 1
 
 
 def _cmd_suite(args) -> int:

@@ -80,6 +80,13 @@ def gallery_member(gallery: dict[int, DiffOp], name: str, i: int) -> DiffOp:
     return gallery[i]
 
 
+def minus_side(side: str) -> bool:
+    """Whether side is "minus"; ParameterError unless it is "minus" or "plus"."""
+    if side not in ("minus", "plus"):
+        raise ParameterError("side must be 'minus' or 'plus'")
+    return side == "minus"
+
+
 def J_gallery(f: Expr | None = None) -> dict[int, DiffOp]:
     """J1..J9: second-order operators preserving span{1, x, f(x)}."""
     f, v = _fv(f)
@@ -341,13 +348,14 @@ def _euler_chain(pre: Expr, shifts: list[Expr], left_d: bool = False) -> DiffOp:
 def literature_ops(family: str, side: str = "minus", parameter=None) -> dict[str, DiffOp]:
     """Previously catalogued second-order operators for each family."""
     family = family.upper()
+    minus = minus_side(side)
     v = "z"
     x = Var(v)
     D1, D2 = DiffOp.d(v), DiffOp.d(v, 2)
     xd = DiffOp(v, {1: x})
     if family == "C":
         lam = as_expr(parameter)
-        if side == "minus":
+        if minus:
             return {
                 "J0": xd,
                 "J0-": _euler_chain(ONE, [lam], left_d=True),
@@ -367,7 +375,7 @@ def literature_ops(family: str, side: str = "minus", parameter=None) -> dict[str
                                  [mul(MINUS_ONE, lm2), Rat(2)]),
         }
     if family == "B":
-        if side == "minus":
+        if minus:
             return {
                 "J0": xd,
                 "J--": D2,
@@ -397,7 +405,7 @@ def literature_ops(family: str, side: str = "minus", parameter=None) -> dict[str
             "J+0": _euler_chain(pow_(x, 2), [Rat(2)], left_d=True),
             "J++": _euler_chain(pow_(x, 2), [Rat(2), ONE]),
         }
-        if side == "minus":
+        if minus:
             return ops
         return {"K" + k[1:]: op for k, op in ops.items()}
     raise ParameterError(f"unknown family {family!r}")

@@ -338,7 +338,7 @@ def suite_models(plan: SamplePlan):
             yield f"models:{tag}:build", f"closed-form model build, {tag}", True, 0.0
             res = verify_susy_conditions(model, plan)
             yield (f"models:{tag}:conditions",
-                   f"compatibility and intertwining residuals, {tag}",
+                   f"printed forms, compatibility and intertwining residuals, {tag}",
                    conditions_hold(res, plan), res.max_residual)
             for side in ("minus", "plus"):
                 v = sector_invariance(model, side, plan)

@@ -22,7 +22,7 @@ from .expr import (
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import (
     build_J, build_K, build_P3_minus, build_P3_plus, gallery_member, j_gallery, k_gallery,
-    ParameterError,
+    minus_side, ParameterError,
 )
 from .invariance import Subspace, SamplePlan, checks, ops_equal_numeric
 
@@ -286,7 +286,7 @@ def literature_x2(i: int, side: str = "minus", alpha=None) -> DiffOp:
     dm1 = DiffOp(U, {1: ONE, 0: MINUS_ONE})
     fa = f_alpha(a)
     inv_fa = pow_(fa, -1)
-    if side == "minus":
+    if minus_side(side):
         if i == 1:
             base = D2.scaled(u) - D1.scaled(add(u, Rat(-a + 3)))
             tail = dm1.scaled(mul(Rat(4 * (a - 1)), add(u, Rat(a)), inv_fa))
@@ -472,11 +472,12 @@ def combination_admissible(i: int, side: str, alpha) -> bool:
     if i not in (1, 2, 3, 4):
         raise ParameterError("index must be in 1..4")
     a = _fr(alpha)
-    shift = a if side == "minus" else a - 3
+    minus = minus_side(side)
+    shift = a if minus else a - 3
     try:
         x2_frame(shift)
         cij_coefficients(shift).C(i, 0)
-        if side != "minus":
+        if not minus:
             _frame_alpha(a)
             kside_constant(i, shift)
     except (ParameterError, FrameError, ZeroDivisionError):
@@ -527,7 +528,8 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
     """
     a = _frame_alpha(alpha)
     for side in sides:
-        shift = a if side == "minus" else a - 3
+        minus = minus_side(side)
+        shift = a if minus else a - 3
         gallery = None
         for i in range(1, 5):
             rid = f"x2:{side}:{i}:alpha={a}"
@@ -536,9 +538,9 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                 continue
             coeffs = cij_coefficients(shift)
             if gallery is None:  # at the side's first admissible identity
-                gallery = x2_J_gallery(a) if side == "minus" else _kb_gallery(a)
+                gallery = x2_J_gallery(a) if minus else _kb_gallery(a)
             target = literature_x2(i, side, a)
-            const = coeffs.C(i, 0) if side == "minus" else kside_constant(i, shift)
+            const = coeffs.C(i, 0) if minus else kside_constant(i, shift)
             combo = DiffOp.mult(U, Rat(const))
             for j in range(1, 9):
                 cij = coeffs.C(i, j)

@@ -362,6 +362,7 @@ class TestMain:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["residuals"]["cond2"] < 1e-8
+        assert doc["residuals"]["printed-forms"] < 1e-8
         assert len(doc["spectrum"]["minus"]) == 3
 
     def test_x2_verify(self, capsys, tmp_path):
@@ -518,6 +519,27 @@ def test_model_exit_code_and_suite_share_the_conditions_margin(monkeypatch, caps
     checks = suites.suite_models(SamplePlan())
     verdicts = {c["verdict"] for c in checks if c["id"].endswith(":conditions")}
     assert verdicts == {"pass" if passes else "fail"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5"],
+    ["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3"],
+])
+def test_a_misprinted_form_is_a_failed_check(monkeypatch, capsys, argv):
+    """A printed V- off by 1/1000 fails the model's conditions: exit 1, a
+    failed check with its report printed, not exit 2 for bad input."""
+    from qsusy import add, models, rat
+
+    pair = models.potential_pair
+
+    def shifted(W, E, F):
+        Vm, Vp = pair(W, E, F)
+        return add(Vm, rat(1, 1000)), Vp
+
+    monkeypatch.setattr(models, "potential_pair", shifted)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out and not err
 
 
 def test_a_catalogue_that_fails_to_build_exits_2(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from qsusy import families
 from qsusy.invariance import SamplePlan, Subspace
 from qsusy import models as models_mod
 from qsusy.models import (
-    ModelConsistencyError, ModelParameterError, algebraic_spectrum,
+    ModelParameterError, algebraic_spectrum,
     build_example, conditions_hold, constraint_residual_exprs, f1f2_from_constants,
     gauge_consistency_residual, partner_consistency_residual,
     potential_pair, sector_invariance, solvable_sector, verify_susy_conditions,
@@ -128,19 +128,6 @@ class TestBuildExample:
         from qsusy.parser import to_string
         assert "log(tan(" in to_string(elem)
 
-    @pytest.mark.parametrize("eid", [1, 2, 3])
-    def test_a_misprinted_form_fails_the_build(self, monkeypatch, eid):
-        # the build checks its printed potentials against the ones the
-        # function triple generates; shift one and the build must refuse
-        def shifted(W, E, F):
-            Vm, Vp = potential_pair(W, E, F)
-            return add(Vm, rat(1, 1000)), Vp
-
-        monkeypatch.setattr(models_mod, "potential_pair", shifted)
-        with pytest.raises(ModelConsistencyError, match="V-"):
-            build_example(eid, BINDINGS[eid])
-
-
 class TestSusyConditions:
     @pytest.mark.parametrize("eid", [1, 2, 3])
     def test_residuals_small(self, models, eid):
@@ -155,6 +142,26 @@ class TestSusyConditions:
         shifted = replace(m, V_plus=add(m.V_plus, mul(rat(1, 10**6), m.nu)))
         res = verify_susy_conditions(shifted)
         assert res.intertwining > 10 * SamplePlan().tol, res
+        assert not conditions_hold(res, SamplePlan())
+
+    @pytest.mark.parametrize("eid", [1, 2, 3])
+    @pytest.mark.parametrize("misprint", ["potential", "gauge"])
+    def test_a_misprinted_form_fails_the_conditions(self, monkeypatch, models, eid, misprint):
+        # the conditions check the printed forms against the relations that
+        # define them: V- against the one the function triple generates, the
+        # gauge exponent's derivative against E + W; misprint one and the
+        # printed-forms residual fails the conditions
+        m = models[eid]
+        if misprint == "potential":
+            def shifted(W, E, F):
+                Vm, Vp = potential_pair(W, E, F)
+                return add(Vm, rat(1, 1000)), Vp
+
+            monkeypatch.setattr(models_mod, "potential_pair", shifted)
+        else:
+            m = replace(m, gauge_minus=add(m.gauge_minus, mul(rat(1, 10**6), q)))
+        res = verify_susy_conditions(m)
+        assert res.printed > 10 * SamplePlan().tol, res
         assert not conditions_hold(res, SamplePlan())
 
     def test_zero_triple_exact(self):

@@ -7,7 +7,7 @@ from qsusy import equal0, mul, opaque, parse, pow_, rat, var
 from qsusy import x2
 from qsusy.diffop import DiffOp, equal_canonical
 from qsusy.expr import Add, Mul, Pow, Rat
-from qsusy.families import ParameterError, build_J, build_K, build_P3_minus
+from qsusy.families import ParameterError, build_J, build_K, build_P3_minus, literature_ops
 from qsusy.invariance import SamplePlan, check_annihilates, check_invariant, ops_equal_numeric
 from qsusy.x2 import (
     FrameError, WronskianFrame, X2Coefficients, _exact_zero_operator, cij_coefficients,
@@ -241,6 +241,19 @@ class TestCatalogued:
         for ask in (combination_admissible, literature_x2):
             with pytest.raises(ParameterError, match="index must be in 1..4"):
                 ask(i, side, Fraction(5))
+
+    @pytest.mark.parametrize("ask", [
+        lambda side: literature_x2(1, side, Fraction(5)),
+        lambda side: literature_ops("A", side),
+        lambda side: combination_admissible(2, side, Fraction(3)),
+        lambda side: verify_x2_identities(Fraction(5), sides=("minus", side)),
+    ], ids=["literature_x2", "literature_ops", "combination_admissible",
+            "verify_x2_identities"])
+    @pytest.mark.parametrize("side", ["Minus", "up", ""])
+    def test_an_unknown_side_is_refused(self, ask, side):
+        # not read as the plus side
+        with pytest.raises(ParameterError, match="side must be 'minus' or 'plus'"):
+            ask(side)
 
     def test_excluded_parameters(self):
         with pytest.raises(ParameterError):
