@@ -21,7 +21,9 @@ from .expr import Binding, ExprError
 from .parser import parse, to_string
 from .diffop import pretty
 from .families import monomial_family, literature_ops, J_gallery, K_gallery
-from .invariance import SamplePlan, checks, check_invariant, verify_commutator_table
+from .invariance import (
+    SamplePlan, InvarianceError, checks, check_invariant, verify_commutator_table,
+)
 from .models import (
     build_example, verify_susy_conditions, conditions_hold, algebraic_spectrum, solvable_sector,
 )
@@ -180,15 +182,16 @@ def _exit_code(report: Report) -> int:
     return 0 if s["fail"] == 0 else 1
 
 
-def _model(example: int, bindings: dict, plan: SamplePlan):
-    """build_example and its verify_susy_conditions, which samples the model:
-    a binding that fits a float can still overflow there, and that is bad input."""
+def _model(example: int, bindings: dict, plan: SamplePlan, sample):
+    """build_example, its verify_susy_conditions and sample(model): every step
+    that samples the model.  A binding that fits a float can still overflow
+    there, or leave no usable sample point, and that is bad input."""
     try:
         model = build_example(example, Binding(params=bindings))
-        return model, verify_susy_conditions(model, plan)
-    except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(f"bindings {bindings} cannot be evaluated in the model: "
-                          f"{type(exc).__name__}: {exc}") from exc
+        return model, verify_susy_conditions(model, plan), sample(model)
+    except (ArithmeticError, ValueError, InvarianceError) as exc:
+        raise ConfigError(f"example {example} with bindings {bindings} cannot be evaluated "
+                          f"in the model: {type(exc).__name__}: {exc}") from exc
 
 
 def _write_or_print(text: str, path: str | None):
@@ -264,7 +267,14 @@ def _cmd_verify(args) -> int:
 def _cmd_model(args) -> int:
     bindings = _parse_bindings(args.bind)
     plan = SuiteConfig(suites=[], seed=args.seed).plan()
-    model, res = _model(args.example, bindings, plan)
+
+    def sample(model):  # per side, its spectrum and its sector elements' normalizability
+        return {side: (algebraic_spectrum(model, side, plan),
+                       [normalizability_probe(b, model.norm_domain, model.binding)
+                        for b in solvable_sector(model, side).elements])
+                for side in ("minus", "plus")}
+
+    model, res, sampled = _model(args.example, bindings, plan, sample)
     doc = {
         "example": args.example,
         "bindings": bindings,
@@ -284,15 +294,12 @@ def _cmd_model(args) -> int:
         "spectrum": {},
         "normalizable": {},
     }
-    for side in ("minus", "plus"):
-        sp = algebraic_spectrum(model, side, plan)
+    for side, (sp, probes) in sampled.items():
         doc["spectrum"][side] = [
             {"re": ev.real, "im": ev.imag, "residual": r}
             for ev, r in zip(sp.eigenvalues, sp.residuals)
         ]
-        doc["normalizable"][side] = [
-            normalizability_probe(b, model.norm_domain, model.binding)
-            for b in solvable_sector(model, side).elements]
+        doc["normalizable"][side] = probes
     if args.report == "json":
         _write_or_print(json.dumps(doc, indent=2, sort_keys=True), args.out)
     else:
@@ -307,13 +314,14 @@ def _cmd_model(args) -> int:
         for k, v in doc["residuals"].items():
             lines.append(f"| {k} | {v:.3e} |")
         lines.append("")
-        for side in ("minus", "plus"):
+        for side in sampled:
             evs = ", ".join(f"{e['re']:.6g}{e['im']:+.2g}i" if e["im"] else f"{e['re']:.6g}"
                             for e in doc["spectrum"][side])
-            lines.append(f"- {side} spectrum: {evs}")
+            lines.append(f"- {side} spectrum: {evs or 'none, the sector fit failed'}")
             lines.append(f"- {side} sector normalizability: {doc['normalizable'][side]}")
         _write_or_print("\n".join(lines), args.out)
-    return 0 if conditions_hold(res, plan) else 1
+    fits = all(sp.sector.passed for sp, _ in sampled.values())
+    return 0 if conditions_hold(res, plan) and fits else 1
 
 
 def _cmd_x2(args) -> int:
@@ -341,12 +349,12 @@ def _cmd_spectrum(args) -> int:
     bindings = _parse_bindings(args.bind)
     if args.example:
         plan = SuiteConfig(suites=[], seed=7 if args.seed is None else args.seed).plan()
-        model, res = _model(args.example, bindings, plan)
+        model, res, sp = _model(args.example, bindings, plan,
+                                lambda model: algebraic_spectrum(model, "minus", plan))
         if model.fd_domain is None:
             raise ConfigError("this model family has no designated grid domain")
         lo, hi = model.fd_domain
         ev = fd_spectrum(model.V_minus, Grid(lo, hi, args.grid), args.k, model.binding)
-        sp = algebraic_spectrum(model, "minus", plan)
         doc = {"grid": [lo, hi, args.grid],
                "fd": list(map(float, ev)),
                "algebraic": [{"re": e.real, "im": e.imag} for e in sp.eigenvalues]}
@@ -357,7 +365,7 @@ def _cmd_spectrum(args) -> int:
         ev = fd_spectrum(V, Grid(lo, hi, args.grid), args.k, Binding(params=bindings))
         doc = {"grid": [lo, hi, args.grid], "fd": list(map(float, ev))}
     print(json.dumps(doc, indent=2))
-    return 0 if args.example is None or conditions_hold(res, plan) else 1
+    return 0 if args.example is None or conditions_hold(res, plan) and sp.sector.passed else 1
 
 
 def _cmd_suite(args) -> int:

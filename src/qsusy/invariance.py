@@ -191,10 +191,6 @@ class Verdict:
     passed: bool
     residuals: list
     matrix: np.ndarray | None
-    cond: float
-
-    def __bool__(self):
-        return self.passed
 
 
 def safe_points(exprs: list, plan: SamplePlan, bind: Binding | None = None,
@@ -364,7 +360,7 @@ def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
                           np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
     ok = bool(np.all(r <= plan.tol))
     # M returned in the (j, i) layout: column i holds the coordinates of op(b_i)
-    return Verdict(ok, r.tolist(), M if ok else None, cond)
+    return Verdict(ok, r.tolist(), M if ok else None)
 
 
 def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
@@ -374,17 +370,7 @@ def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
         raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
     _, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
     r = relative_residual(Y_all, np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
-    return Verdict(bool(np.all(r <= plan.tol)), r.tolist(), None,
-                   float(np.linalg.cond(B_all)))
-
-
-def restricted_matrix(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
-                      bind: Binding | None = None) -> np.ndarray:
-    verdict = check_invariant(op, V, plan, bind)
-    if not verdict.passed:
-        raise InvarianceError(
-            f"operator does not preserve the space (residuals {verdict.residuals})")
-    return verdict.matrix
+    return Verdict(bool(np.all(r <= plan.tol)), r.tolist(), None)
 
 
 # ---------------------------------------------------------------------------

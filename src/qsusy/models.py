@@ -24,8 +24,8 @@ from .families import (
     GeneralCoefficients, abc_profile, build_H_minus, build_H_plus, minus_side,
 )
 from .invariance import (
-    Subspace, SamplePlan, Verdict, check_invariant, restricted_matrix,
-    safe_points, ops_equal_numeric, relative_residual,
+    Subspace, SamplePlan, Verdict, check_invariant, safe_points, ops_equal_numeric,
+    relative_residual,
 )
 
 
@@ -152,9 +152,17 @@ def conditions_hold(res: IntertwiningResidual, plan: SamplePlan) -> bool:
 
 @dataclass
 class AlgebraicSpectrum:
-    eigenvalues: list
+    sector: Verdict     # the one fit of H on its sector, which decides that H preserves it
+    eigenvalues: list   # of sector.matrix; none where the fit failed
     coordinates: np.ndarray
     residuals: list
+
+    @property
+    def reason(self) -> str | None:
+        """Why there are no eigenpairs; None where the fit passed."""
+        return None if self.sector.passed else (
+            "InvarianceError: operator does not preserve the space (residuals "
+            f"{self.sector.residuals})")
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +401,19 @@ def solvable_sector(model: ModelSpec, side: str) -> Subspace:
     return model.sector_minus if minus_side(side) else model.sector_plus
 
 
-def sector_invariance(model: ModelSpec, side: str,
-                      plan: SamplePlan = SamplePlan()) -> Verdict:
-    H = model.hamiltonian(side)
-    return check_invariant(H, solvable_sector(model, side), model.plan(plan),
-                           model.binding)
-
-
 def algebraic_spectrum(model: ModelSpec, side: str,
                        plan: SamplePlan = SamplePlan()) -> AlgebraicSpectrum:
+    """The side's one sector fit and, where it passes, the eigenpairs of its
+    matrix, each checked against the H.apply(b) images at 8 further points.
+    A failed fit gives no eigenpairs."""
     plan = model.plan(plan)
     bind = model.binding
     H = model.hamiltonian(side)
     V = solvable_sector(model, side)
-    M = restricted_matrix(H, V, plan, bind)
-    eigvals, vecs = np.linalg.eig(M)
+    sector = check_invariant(H, V, plan, bind)
+    if not sector.passed:
+        return AlgebraicSpectrum(sector, [], np.empty((len(V.basis), 0), complex), [])
+    eigvals, vecs = np.linalg.eig(sector.matrix)
     elements = V.elements
     h_applied = [H.apply(b) for b in elements]
     _, V = safe_points(elements + h_applied, plan, bind, count=8)
@@ -416,7 +422,7 @@ def algebraic_spectrum(model: ModelSpec, side: str,
     for lam, c in zip(eigvals, vecs.T):
         lam_psi = lam * (Bv @ c)
         residuals.append(float(relative_residual(Hv @ c - lam_psi, np.abs(lam_psi).max())))
-    return AlgebraicSpectrum([complex(ev) for ev in eigvals], vecs, residuals)
+    return AlgebraicSpectrum(sector, [complex(ev) for ev in eigvals], vecs, residuals)
 
 
 def gauge_consistency_residual(model: ModelSpec,

@@ -103,12 +103,14 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
 
 def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float) -> float:
     """Composite Simpson of psi^2 over 257 nodes.  A node where psi does not
-    evaluate makes the integral infinite."""
+    evaluate, or overflows, makes the integral infinite; any other error that
+    is not an EvalError is raised."""
     n = 257
     xs = np.linspace(lo, hi, n)
     val, fault, errors, hard = _column(psi, xs, bind)
-    if hard.any():
-        raise errors[fault[np.argmax(hard)]]
+    for err in (errors[f] for f in fault[hard]):  # fsum's ValueError is an overflow too
+        if not (isinstance(err, OverflowError) or str(err) == "-inf + inf in fsum"):
+            raise err
     with np.errstate(over="ignore"):
         ys = val * val
     if fault.any() or not np.all(np.isfinite(ys)):

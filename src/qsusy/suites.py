@@ -27,13 +27,13 @@ from .families import (
     expand_in_literature_basis, assemble_from_literature_basis,
 )
 from .invariance import (
-    Subspace, SamplePlan, InvarianceError, checks, check_invariant, check_annihilates,
+    Subspace, SamplePlan, checks, check_invariant, check_annihilates,
     verify_commutator_table, check_lie_closure, lie_closure_identities,
     decide_lie_closure_each, ops_equal_each, _or_raise, _sampled_actions,
 )
 from .models import (
-    build_example, verify_susy_conditions, conditions_hold, sector_invariance,
-    algebraic_spectrum, gauge_consistency_residual, partner_consistency_residual,
+    build_example, verify_susy_conditions, conditions_hold, algebraic_spectrum,
+    gauge_consistency_residual, partner_consistency_residual,
 )
 from .numerics import Grid, fd_spectrum, normalizability_probe
 from . import x2 as x2mod
@@ -341,18 +341,15 @@ def suite_models(plan: SamplePlan):
                    f"printed forms, compatibility and intertwining residuals, {tag}",
                    conditions_hold(res, plan), res.max_residual)
             for side in ("minus", "plus"):
-                v = sector_invariance(model, side, plan)
+                sp = algebraic_spectrum(model, side, plan)
+                v = sp.sector
                 yield (f"models:{tag}:sector-{side}",
                        f"solvable sector preserved, {side} side, {tag}",
                        v.passed, max(v.residuals))
-                try:  # the sector fit can fail at a tight tolerance
-                    sp, reason = algebraic_spectrum(model, side, plan), None
-                    worst = max(sp.residuals)
-                except InvarianceError as exc:
-                    worst, reason = None, f"{type(exc).__name__}: {exc}"
+                worst = max(sp.residuals) if v.passed else None
                 yield (f"models:{tag}:spectrum-{side}",
                        f"algebraic eigenfunctions solve the equation, {side} side, {tag}",
-                       worst is not None and worst <= 100 * plan.tol, worst, reason)
+                       v.passed and worst <= 100 * plan.tol, worst, sp.reason)
             g = gauge_consistency_residual(model, plan)
             yield (f"models:{tag}:gauge",
                    f"gauge conjugation matches the family build, {tag}", g <= 10 * plan.tol, g)
@@ -423,33 +420,29 @@ def suite_spectrum(plan: SamplePlan):
     params = {"alpha": 1.0, "nu": 1.0, "b0": 3.0}
     model = build_example(1, Binding(params=params))
     anchor = "certified algebraic level appears in the grid spectrum"
-    try:
-        sp = algebraic_spectrum(model, "minus", plan)
-    except InvarianceError as exc:  # the sector fit can fail at a tight tolerance
-        yield ("spectrum:example1-crosscheck", anchor, False, None,
-               f"{type(exc).__name__}: {exc}")
-    else:
-        elements = model.sector_minus.elements
-        found = []
-        for idx, ev_alg in enumerate(sp.eigenvalues):
-            if abs(ev_alg.imag) > 1e-10:
-                continue
-            coeffs = sp.coordinates[:, idx]
-            if abs(coeffs.imag).max() > 1e-10:
-                continue
-            psi = add(*(mul(float(c.real), b) for c, b in zip(coeffs, elements)))
-            verdict = normalizability_probe(psi, model.norm_domain, model.binding)
-            if verdict == "normalizable":
-                found.append((float(ev_alg.real), psi))
-        ok = bool(found)
-        worst = 0.0
-        if found:
-            fd = fd_spectrum(model.V_minus, Grid(*model.fd_domain, 4000), 8, model.binding)
-            for ev_alg, _ in found:
-                dist = float(np.min(np.abs(fd - ev_alg)))
-                worst = max(worst, dist)
-                ok = ok and dist < 1e-3
-        yield "spectrum:example1-crosscheck", anchor, ok, worst
+    sp = algebraic_spectrum(model, "minus", plan)  # no eigenpairs where the sector fit fails
+    elements = model.sector_minus.elements
+    found = []
+    for idx, ev_alg in enumerate(sp.eigenvalues):
+        if abs(ev_alg.imag) > 1e-10:
+            continue
+        coeffs = sp.coordinates[:, idx]
+        if abs(coeffs.imag).max() > 1e-10:
+            continue
+        psi = add(*(mul(float(c.real), b) for c, b in zip(coeffs, elements)))
+        verdict = normalizability_probe(psi, model.norm_domain, model.binding)
+        if verdict == "normalizable":
+            found.append((float(ev_alg.real), psi))
+    ok = bool(found)
+    worst = 0.0
+    if found:
+        fd = fd_spectrum(model.V_minus, Grid(*model.fd_domain, 4000), 8, model.binding)
+        for ev_alg, _ in found:
+            dist = float(np.min(np.abs(fd - ev_alg)))
+            worst = max(worst, dist)
+            ok = ok and dist < 1e-3
+    yield ("spectrum:example1-crosscheck", anchor, ok,
+           worst if sp.sector.passed else None, sp.reason)
     e1 = fd_spectrum(parse("q^2/2", "q"), Grid(-12.0, 12.0, 2000), 1)[0]
     e2 = ev[0]  # the ground level of the oscillator's 4 000-node solve above
     ok = abs(e2 - 0.5) <= 0.5 * abs(e1 - 0.5) + 1e-12

@@ -21,7 +21,7 @@ from qsusy.invariance import (
     ops_equal_numeric, safe_points, verify_commutator_table,
 )
 from qsusy.models import (
-    algebraic_spectrum, build_example, sector_invariance, verify_susy_conditions,
+    algebraic_spectrum, build_example, verify_susy_conditions,
 )
 from qsusy.numerics import Grid, fd_spectrum, normalizability_probe
 from qsusy.suites import (
@@ -263,9 +263,8 @@ def test_criterion_08_models():
             ok &= res.f1_match < 1e-8 and res.f2_match < 1e-8
             ok &= res.intertwining < 1e-7
             for side in ("minus", "plus"):
-                v = sector_invariance(model, side, PLAN)
-                ok &= v.passed
                 sp = algebraic_spectrum(model, side, PLAN)
+                ok &= sp.sector.passed
                 worst_eig = max(worst_eig, max(sp.residuals))
                 ok &= max(sp.residuals) < 1e-7
     verdict(8, bool(ok),

@@ -304,6 +304,21 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"cannot be evaluated in the model: {cause}" in err
 
+    @pytest.mark.parametrize("command", ["model", "spectrum"])
+    @pytest.mark.parametrize("example, bind, cause", [
+        ("2", "alpha=1e-300,nu=1,b0=1", "SamplingError: could only find 0 of"),
+        ("2", "alpha=1,nu=1e-300,b0=1", "IllConditionedBasisError: "),
+        ("3", "alpha=1e200,beta=1,nu=1,b0=0.5", "SamplingError: "),
+        ("3", "alpha=1e-300,beta=1e300,nu=1,b0=0.5", "SamplingError: "),
+    ])
+    def test_a_model_that_cannot_be_sampled_names_the_example(self, capsys, command,
+                                                               example, bind, cause):
+        assert main([command, "--example", example, "--bind", bind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: example {example} with bindings {{")
+        assert err.count("\n") == 1
+        assert f"cannot be evaluated in the model: {cause}" in err
+
     def test_a_fit_that_fails_at_the_tolerance_is_a_failed_check(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         argv = ["suite", "--suites", "models,spectrum", "--tol", "1e-300", "--json", str(out)]
@@ -519,6 +534,30 @@ def test_model_exit_code_and_suite_share_the_conditions_margin(monkeypatch, caps
     checks = suites.suite_models(SamplePlan())
     verdicts = {c["verdict"] for c in checks if c["id"].endswith(":conditions")}
     assert verdicts == {"pass" if passes else "fail"}
+
+
+@pytest.mark.parametrize("argv, levels, none", [
+    (["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=0.5", "--report", "json"],
+     lambda doc: doc["spectrum"], {"minus": [], "plus": []}),
+    (["spectrum", "--example", "1", "--bind", "alpha=1,nu=1,b0=3"],
+     lambda doc: doc["algebraic"], []),
+])
+def test_a_failed_sector_fit_is_a_failed_check(monkeypatch, capsys, argv, levels, none):
+    """A sector fit that fails lists no eigenvalues on its side and exits 1,
+    with its report printed: never a silent pass."""
+    from qsusy import models
+    from qsusy.invariance import Verdict
+
+    real = models.check_invariant
+
+    def failing(op, V, plan, bind):
+        return Verdict(False, real(op, V, plan, bind).residuals, None)
+
+    monkeypatch.setattr(models, "check_invariant", failing)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert levels(json.loads(out)) == none
 
 
 @pytest.mark.parametrize("argv", [

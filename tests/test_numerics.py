@@ -203,6 +203,25 @@ class TestNormalizability:
         psi = parse("q^(1/2)*exp(q^2/2)", "q")
         assert normalizability_probe(psi, (0.0, math.inf)) == "divergent"
 
+    @pytest.mark.parametrize("b0", [3.0, 0.5])
+    def test_an_overflowing_sum_is_divergent(self, b0):
+        # example 1's plus-side eigenfunctions: far out, two of their terms
+        # overflow with opposite signs and the kernel's fsum raises
+        from qsusy import add, mul
+        from qsusy.expr import values_and_faults
+        from qsusy.models import algebraic_spectrum, build_example
+
+        model = build_example(1, Binding(params={"alpha": 1.0, "nu": 1.0, "b0": b0}))
+        sp = algebraic_spectrum(model, "plus")
+        raised = 0
+        for coords in sp.coordinates.T:
+            psi = add(*(mul(float(c.real), b)
+                        for c, b in zip(coords, model.sector_plus.elements)))
+            _, fault, errors = values_and_faults([psi], [40.0], model.binding)
+            raised += str(errors[fault[0, 0]]) == "-inf + inf in fsum"
+            assert normalizability_probe(psi, model.norm_domain, model.binding) == "divergent"
+        assert len(sp.eigenvalues) == 3 and raised == (3 if b0 == 3.0 else 2)
+
     def test_evaluation_error_propagates(self):
         # exp(exp(q)) overflows to inf far out, and sin(inf) raises ValueError
         # inside evaluate; that is not a divergence verdict

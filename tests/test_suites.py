@@ -227,6 +227,24 @@ def test_the_crosscheck_solves_the_model_grid_once(monkeypatch):
     assert [grid for V, grid in solves if V is model.V_minus] == [Grid(*model.fd_domain, 4000)]
 
 
+def test_each_model_side_fits_its_sector_once(monkeypatch):
+    from qsusy import models
+
+    fits = []
+    real = models.check_invariant
+
+    def counted(op, V, plan, bind):
+        fits.append(op)
+        return real(op, V, plan, bind)
+
+    monkeypatch.setattr(models, "check_invariant", counted)
+    monkeypatch.setattr(suites, "check_invariant", counted)
+    checks = suites.suite_models(PLAN)
+    assert len(fits) == 3 * 2 * 2  # examples x draws x sides
+    assert sum(":sector-" in c["id"] for c in checks) == len(fits)
+    assert all(c["verdict"] == "pass" for c in checks)
+
+
 # verdict gate: the report's verdicts are the benchmark's reference ----------
 
 @pytest.mark.parametrize("seed", [7, 12])
