@@ -185,13 +185,18 @@ def _exit_code(report: Report) -> int:
 def _model(example: int, bindings: dict, plan: SamplePlan, sample):
     """build_example, its verify_susy_conditions and sample(model): every step
     that samples the model.  A binding that fits a float can still overflow
-    there, or leave no usable sample point, and that is bad input."""
+    there, or leave no usable sample point, and that is bad input; the
+    message names the step that raised."""
+    step = "build"
     try:
         model = build_example(example, Binding(params=bindings))
-        return model, verify_susy_conditions(model, plan), sample(model)
+        step = "conditions"
+        res = verify_susy_conditions(model, plan)
+        step = "sampled spectra/probes"
+        return model, res, sample(model)
     except (ArithmeticError, ValueError, InvarianceError) as exc:
         raise ConfigError(f"example {example} with bindings {bindings} cannot be evaluated "
-                          f"in the model: {type(exc).__name__}: {exc}") from exc
+                          f"in the model: {type(exc).__name__}: {exc} (in the {step})") from exc
 
 
 def _write_or_print(text: str, path: str | None):

@@ -94,7 +94,7 @@ class DiffOp:
         return hash((self.var, tuple(sorted((k, c) for k, c in self.coeffs.items()))))
 
     def __repr__(self):
-        return f"DiffOp({self.var!r}, {self.pretty()!r})"
+        return f"DiffOp({self.var!r}, {pretty(self)!r})"
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other: "DiffOp", scale: tuple = (1, 1)) -> "DiffOp":  # self + scale·other
@@ -122,12 +122,6 @@ class DiffOp:
     def apply(self, e: Expr) -> Expr:
         """Apply to an operand expression in the same variable."""
         return add(*(mul(c, diff(e, self.var, k)) for k, c in self.coeffs.items()))
-
-    def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        return compose(self, other)
-
-    def pretty(self, fmt: str = "text") -> str:
-        return pretty(self, fmt)
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -80,6 +80,20 @@ def gallery_member(gallery: dict[int, DiffOp], name: str, i: int) -> DiffOp:
     return gallery[i]
 
 
+def combination(gallery: dict, weights: dict) -> DiffOp:
+    """Σ w_k·gallery[k] over weights, where k = 0 is the identity (never K0);
+    summed in the insertion order of weights, zero weights skipped.  That
+    order fixes the key order of the result's coeffs, and with it the float
+    summation order of its sampled action."""
+    v = next(iter(gallery.values())).var
+    out = DiffOp.zero(v)
+    for k, w in weights.items():
+        w = as_expr(w)
+        if w is not ZERO:
+            out = out + (DiffOp.identity(v) if k == 0 else gallery[k]).scaled(w)
+    return out
+
+
 def minus_side(side: str) -> bool:
     """Whether side is "minus"; ParameterError unless it is "minus" or "plus"."""
     if side not in ("minus", "plus"):
@@ -192,16 +206,12 @@ class GeneralCoefficients:
 def _gallery_sum(gallery: dict[int, DiffOp], coeffs: GeneralCoefficients) -> DiffOp:
     """The gauged Hamiltonian as a sum over a gallery: the J gallery for the
     minus side, the K gallery for the plus side."""
-    v = gallery[1].var
     g = coeffs
-    out = DiffOp.zero(v)
-    for c, idx in ((mul(MINUS_ONE, g.c2), 8), (mul(MINUS_ONE, g.c1), 7), (g.b2, 6),
-                   (add(g.b1, mul(MINUS_ONE, g.c0)), 5), (g.b0, 4),
-                   (mul(MINUS_ONE, add(g.a2, mul(MINUS_ONE, g.c0))), 3),
-                   (mul(MINUS_ONE, g.a1), 2), (mul(MINUS_ONE, g.a0), 1)):
-        if c != ZERO:
-            out = out + gallery[idx].scaled(c)
-    return out + DiffOp.mult(v, mul(MINUS_ONE, g.c0))
+    return combination(gallery, {
+        8: mul(MINUS_ONE, g.c2), 7: mul(MINUS_ONE, g.c1), 6: g.b2,
+        5: add(g.b1, mul(MINUS_ONE, g.c0)), 4: g.b0,
+        3: mul(MINUS_ONE, add(g.a2, mul(MINUS_ONE, g.c0))),
+        2: mul(MINUS_ONE, g.a1), 1: mul(MINUS_ONE, g.a0), 0: mul(MINUS_ONE, g.c0)})
 
 
 def build_H_minus(coeffs: GeneralCoefficients, f=None) -> DiffOp:
@@ -411,6 +421,40 @@ def literature_ops(family: str, side: str = "minus", parameter=None) -> dict[str
     raise ParameterError(f"unknown family {family!r}")
 
 
+def catalogue_weights(family: str, side: str = "minus", parameter=None) -> dict[str, dict]:
+    """Each operator of literature_ops(family, side, parameter) as combination
+    weights over the family's monomial gallery: J on the minus side, K on the
+    plus side, 0 the identity.  The members no entry uses are the operators
+    the catalogues lack.  Type A is read at exponent 2; its printed J+0 and
+    J++ also read as J6 and J8 at exponent 3, where they do not verify."""
+    family = family.upper()
+    minus = minus_side(side)
+    if family == "C":
+        r = pow_(add(as_expr(parameter), MINUS_ONE), -1)  # 1/(lam - 1)
+        if minus:
+            return {"J0": {3: r, 5: mul(MINUS_ONE, r)}, "J0-": {4: 1}, "J00": {3: 1},
+                    "J+0": {7: 1}, "J#-": {6: 1}, "J#0": {8: 1}}
+        return {"K0": {5: r, 3: mul(MINUS_ONE, r), 0: 1}, "K0-": {4: 1}, "K00": {3: 1},
+                "K+0": {7: 1}, "K#-": {1: 1}, "K#0": {2: 1}}
+    h = Fraction(1, 2)
+    if family == "B":
+        # the fifth partner entry is z^2 d^2 - 2 (the type C formula at 3),
+        # so K0 and K00 carry an identity shift of 2
+        if minus:
+            return {"J0": {3: h, 5: -h}, "J--": {2: 1}, "J0-": {4: 1}, "J00": {3: 1},
+                    "J+0": {7: 1}, "J++": {6: 1}, "J3+": {8: 1}}
+        return {"K0": {5: h, 3: -h, 0: 2}, "K--": {2: 1}, "K0-": {4: 1}, "K00": {5: 1, 0: 2},
+                "K+0": {7: 1}, "K++": {6: 1}, "K3+": {8: 1}}
+    if family == "A":
+        if minus:
+            return {"J-": {2: 1, 4: -1}, "J0": {3: 1, 5: -1}, "J+": {6: 1, 7: -1},
+                    "J--": {1: 1}, "J0-": {2: 1}, "J00": {3: 1}, "J+0": {6: 1}, "J++": {8: 1}}
+        return {"K-": {4: 1, 2: -1}, "K0": {5: 1, 3: -1, 0: 2}, "K+": {7: 1, 6: -1},
+                "K--": {1: 1}, "K0-": {4: 1}, "K00": {5: 2, 3: -1, 0: 2}, "K+0": {7: 1},
+                "K++": {8: 1}}
+    raise ParameterError(f"unknown family {family!r}")
+
+
 @dataclass(frozen=True)
 class LiteratureBasisCoefficients:
     family: str
@@ -476,41 +520,28 @@ def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str,
 
 def assemble_from_literature_basis(lb: LiteratureBasisCoefficients, lam=None) -> DiffOp:
     """Rebuild the gauged minus Hamiltonian from literature-basis coefficients."""
-    v = "z"
-    ops = literature_ops(lb.family, "minus", lam)
     vals = lb.values
-    out = DiffOp.mult(v, vals["const"])
+    basis = literature_ops(lb.family, "minus", lam)
+    weights = {0: vals["const"]}
     if lb.family in ("B", "C"):  # the gallery members the catalogue lacks
-        J = monomial_J_gallery(lam if lb.family == "C" else Rat(3))
-        for i in (8, 6, 2, 1):
-            if f"t{i}" in vals:
-                out = out + J[i].scaled(vals[f"t{i}"])
+        basis.update(monomial_J_gallery(lam if lb.family == "C" else Rat(3)))
+        weights.update((i, vals[f"t{i}"]) for i in (8, 6, 2, 1) if f"t{i}" in vals)
     terms = {"C": (("J+0", "a3"), ("J00", "a2"), ("J0-", "a1"), ("J0", "b0")),
              "B": (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"), ("J0-", "a0-"),
                    ("J--", "a--"), ("J0", "b0")),
              "A": (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"), ("J0-", "a0-"),
                    ("J--", "a--"))}
-    for name, key in terms[lb.family]:
-        out = out + ops[name].scaled(mul(MINUS_ONE, vals[key]))
+    weights.update((name, mul(MINUS_ONE, vals[key])) for name, key in terms[lb.family])
     if lb.family == "A":
-        for name, key in (("J+", "b+"), ("J0", "b0"), ("J-", "b-")):
-            out = out + ops[name].scaled(vals[key])
-    return out
+        weights.update((n, vals[k]) for n, k in (("J+", "b+"), ("J0", "b0"), ("J-", "b-")))
+    return combination(basis, weights)
 
 
 # ---------------------------------------------------------------------------
 # K-gallery from the J-gallery by substitution and conjugation
 
-_K_FROM_J = {
-    1: ((1, 1),),
-    2: ((4, 1),),
-    3: ((5, 1), (3, -1), (0, 1)),
-    4: ((2, 1),),
-    5: ((5, 1),),
-    6: ((7, 1),),
-    7: ((6, 1),),
-    8: ((8, 1),),
-}
+_K_FROM_J = {1: {1: 1}, 2: {4: 1}, 3: {5: 1, 3: -1, 0: 1}, 4: {2: 1}, 5: {5: 1},
+             6: {7: 1}, 7: {6: 1}, 8: {8: 1}}  # K_i as combination weights over J
 
 
 def duality_K_from_J(i: int, f: Expr | None = None) -> DiffOp:
@@ -524,11 +555,7 @@ def duality_K_from_J(i: int, f: Expr | None = None) -> DiffOp:
         raise ParameterError("K index must be in 1..8")
     f, v = _fv(f)
     aux = v + "_w"
-    J = J_gallery(opaque("f", 0, Var(aux)))
-    combo = DiffOp.zero(aux)
-    for idx, coeff in _K_FROM_J[i]:
-        term = DiffOp.identity(aux) if idx == 0 else J[idx]
-        combo = combo + term.scaled(Rat(coeff))
+    combo = combination(J_gallery(opaque("f", 0, Var(aux))), _K_FROM_J[i])
     fp = diff(f, v)
     image0 = add(mul(Var(v), fp), mul(MINUS_ONE, f))
     pulled = pullback(combo, v, fp, {"f": image0})

@@ -23,7 +23,7 @@ from .diffop import DiffOp, equal_canonical
 from .families import (
     GeneralCoefficients, _fv, J_gallery, K_gallery, build_P3_minus, build_P3_plus,
     build_H_minus, build_H_minus_direct, build_H_plus, build_H_plus_direct,
-    monomial_family, literature_ops,
+    monomial_family, literature_ops, catalogue_weights, combination,
     expand_in_literature_basis, assemble_from_literature_basis,
 )
 from .invariance import (
@@ -170,25 +170,24 @@ def suite_monomial(plan: SamplePlan):
            _matches_plain_gallery("B", Fraction(3)), 0.0)
     yield ("monomial:C(2)==A", "type A lists equal the rescaled plain gallery at f=z^2",
            _matches_plain_gallery("A", Fraction(2)), 0.0)
-    yield ("monomial:correspondence-C",
-           "catalogued type C operators match the rescaled gallery",
-           _correspondence_C(Fraction(5, 2)), 0.0)
-    yield ("monomial:correspondence-B",
-           "catalogued type B operators match the rescaled gallery",
-           _correspondence_B(), 0.0)
-    yield ("monomial:correspondence-A",
-           "catalogued type A operators match (exponent reading: 2)", _correspondence_A(), 0.0)
-
-    for fam, lam_ in (("A", Fraction(2)), ("B", Fraction(3)), ("C", Fraction(5, 2))):
-        rng = default_rng(plan.seed + ord(fam))
+    for kind, lam, target in (("A", Fraction(2), "(exponent reading: 2)"),
+                              ("B", Fraction(3), "the rescaled gallery"),
+                              ("C", Fraction(5, 2), "the rescaled gallery")):
+        ok, new = _correspondence(kind, lam)
+        yield (f"monomial:correspondence-{kind}",
+               f"catalogued type {kind} operators match {target}", ok, 0.0)
+        rng = default_rng(plan.seed + ord(kind))
         ok, worst = _routes_agree(plan, rng, 6, 8, 4, lambda gc: (
-            assemble_from_literature_basis(expand_in_literature_basis(gc, fam, lam_), lam_),
-            build_H_minus(gc, pow_(var("z"), lam_))))
-        yield (f"monomial:literature-basis-{fam}",
-               f"literature-basis expansion rebuilds the operator, type {fam}",
-               ok, worst)
-
-    yield from _newly_listed_checks(plan)
+            assemble_from_literature_basis(expand_in_literature_basis(gc, kind, lam), lam),
+            build_H_minus(gc, pow_(var("z"), lam))))
+        yield (f"monomial:literature-basis-{kind}",
+               f"literature-basis expansion rebuilds the operator, type {kind}", ok, worst)
+        for name, op, space, existing in new:
+            v = check_invariant(op, space, plan)
+            indep = _independent_of(op, existing, space, plan)
+            yield (f"monomial:new-{kind}:{name}",
+                   f"newly listed operator {kind}:{name}: invariant and independent",
+                   v.passed and indep, max(v.residuals))
 
 
 def _matches_plain_gallery(kind: str, lam: Fraction) -> bool:
@@ -201,96 +200,22 @@ def _matches_plain_gallery(kind: str, lam: Fraction) -> bool:
                for s in "JK" for i in scale)
 
 
-def _correspondence_C(lam) -> bool:
-    fam = monomial_family("C", lam)
-    J, K = fam["J"], fam["K"]
-    lit = literature_ops("C", "minus", lam)
-    litk = literature_ops("C", "plus", lam)
-    lm1 = add(lam, -1)
-    ok = equal_canonical(lit["J0"].scaled(lm1), J[3] - J[5])
-    ok &= equal_canonical(lit["J0-"], J[4])
-    ok &= equal_canonical(lit["J00"], J[3])
-    ok &= equal_canonical(lit["J+0"], J[7])
-    ok &= equal_canonical(lit["J#-"], J[6])
-    ok &= equal_canonical(lit["J#0"], J[8])
-    iden = DiffOp.identity("z")
-    ok &= equal_canonical(litk["K0"].scaled(lm1), K[5] - K[3] + iden.scaled(lm1))
-    ok &= equal_canonical(litk["K0-"], K[4])
-    ok &= equal_canonical(litk["K00"], K[3])
-    ok &= equal_canonical(litk["K+0"], K[7])
-    ok &= equal_canonical(litk["K#-"], K[1])
-    ok &= equal_canonical(litk["K#0"], K[2])
-    return bool(ok)
-
-
-def _correspondence_B() -> bool:
-    fam = monomial_family("B")
-    J, K = fam["J"], fam["K"]
-    lit = literature_ops("B", "minus")
-    litk = literature_ops("B", "plus")
-    iden = DiffOp.identity("z")
-    ok = equal_canonical(lit["J0"].scaled(2), J[3] - J[5])
-    ok &= equal_canonical(lit["J--"], J[2])
-    ok &= equal_canonical(lit["J0-"], J[4])
-    ok &= equal_canonical(lit["J00"], J[3])
-    ok &= equal_canonical(lit["J+0"], J[7])
-    ok &= equal_canonical(lit["J++"], J[6])
-    ok &= equal_canonical(lit["J3+"], J[8])
-    # the fifth partner entry is z^2 d^2 - 2 (the general-exponent formula at 3);
-    # the two relations below absorb the +-2 shift accordingly
-    ok &= equal_canonical(litk["K0"].scaled(2), K[5] - K[3] + iden.scaled(4))
-    ok &= equal_canonical(litk["K--"], K[2])
-    ok &= equal_canonical(litk["K0-"], K[4])
-    ok &= equal_canonical(litk["K00"], K[5] + iden.scaled(2))
-    ok &= equal_canonical(litk["K+0"], K[7])
-    ok &= equal_canonical(litk["K++"], K[6])
-    ok &= equal_canonical(litk["K3+"], K[8])
-    return bool(ok)
-
-
-def _correspondence_A() -> bool:
-    """The printed type A map is ambiguous: J+0 and J++ read as J6 and J8 at
-    exponent 2 or 3.  Only the reading at 2 verifies, and it is the one checked."""
-    fam = monomial_family("A")
-    J, K = fam["J"], fam["K"]
-    lit = literature_ops("A", "minus")
-    iden = DiffOp.identity("z")
-    common = (equal_canonical(lit["J-"], J[2] - J[4])
-              and equal_canonical(lit["J0"], J[3] - J[5])
-              and equal_canonical(lit["J+"], J[6] - J[7])
-              and equal_canonical(lit["J--"], J[1])
-              and equal_canonical(lit["J0-"], J[2])
-              and equal_canonical(lit["J00"], J[3]))
-    reading2 = (equal_canonical(lit["J+0"], J[6])
-                and equal_canonical(lit["J++"], J[8]))
-    kside = (equal_canonical(lit["J-"], K[4] - K[2])
-             and equal_canonical(lit["J0"], K[5] - K[3] + iden.scaled(2))
-             and equal_canonical(lit["J+"], K[7] - K[6])
-             and equal_canonical(lit["J--"], K[1])
-             and equal_canonical(lit["J0-"], K[4])
-             and equal_canonical(lit["J00"], K[5].scaled(2) - K[3] + iden.scaled(2))
-             and equal_canonical(lit["J+0"], K[7])
-             and equal_canonical(lit["J++"], K[8]))
-    return common and reading2 and kside
-
-
-def _newly_listed_checks(plan: SamplePlan):
-    """The gallery members absent from earlier catalogues: invariance plus
-    linear independence from the catalogued sets, as check outcomes."""
-    x = var("z")
-    for kind, lam, names in (("C", Fraction(5, 2), ("J1", "J2", "K6", "K8")),
-                             ("B", Fraction(3), ("J1", "K1"))):
-        fam = monomial_family(kind, lam if kind == "C" else None)
-        spaces = {"J": seed_basis(pow_(x, lam)), "K": _monomial_partner(lam)}
-        existing = {"J": list(literature_ops(kind, "minus", lam).values()),
-                    "K": list(literature_ops(kind, "plus", lam).values())}
-        for name in names:
-            side, op = name[0], fam[name[0]][int(name[1:])]
-            v = check_invariant(op, spaces[side], plan)
-            indep = _independent_of(op, existing[side], spaces[side], plan)
-            yield (f"monomial:new-{kind}:{name}",
-                   f"newly listed operator {kind}:{name}: invariant and independent",
-                   v.passed and indep, max(v.residuals))
+def _correspondence(kind: str, lam: Fraction):
+    """(ok, new): ok when every catalogued operator of the kind at exponent
+    lam equals the combination its catalogue_weights entry makes of the
+    rescaled gallery; new lists the gallery members no entry uses, each as
+    (name, operator, its space, the catalogued operators of its side)."""
+    fam = monomial_family(kind, lam if kind == "C" else None)
+    spaces = {"J": seed_basis(pow_(var("z"), lam)), "K": _monomial_partner(lam)}
+    ok, new = True, []
+    for side, g in (("minus", "J"), ("plus", "K")):
+        lit, table = literature_ops(kind, side, lam), catalogue_weights(kind, side, lam)
+        ok = ok and lit.keys() == table.keys() and all(
+            equal_canonical(op, combination(fam[g], table[name])) for name, op in lit.items())
+        used = {k for weights in table.values() for k in weights}
+        new += [(f"{g}{i}", op, spaces[g], list(lit.values()))
+                for i, op in fam[g].items() if i not in used]
+    return ok, new
 
 
 def _monomial_partner(lam) -> Subspace:

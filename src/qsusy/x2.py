@@ -21,8 +21,8 @@ from .expr import (
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import (
-    build_J, build_K, build_P3_minus, build_P3_plus, gallery_member, j_gallery, k_gallery,
-    minus_side, ParameterError,
+    build_J, build_K, build_P3_minus, build_P3_plus, combination, gallery_member, j_gallery,
+    k_gallery, minus_side, ParameterError,
 )
 from .invariance import Subspace, SamplePlan, checks, ops_equal_numeric
 
@@ -541,11 +541,7 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                 gallery = x2_J_gallery(a) if minus else _kb_gallery(a)
             target = literature_x2(i, side, a)
             const = coeffs.C(i, 0) if minus else kside_constant(i, shift)
-            combo = DiffOp.mult(U, Rat(const))
-            for j in range(1, 9):
-                cij = coeffs.C(i, j)
-                if cij:
-                    combo = combo + gallery[j].scaled(Rat(cij))
+            combo = combination(gallery, {0: const, **{j: coeffs.C(i, j) for j in range(1, 9)}})
             ok, res = ops_equal_numeric(target, combo, None, plan)
             if not ok:
                 # floating agreement can drown in coefficient cancellation;

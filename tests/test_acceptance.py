@@ -25,7 +25,7 @@ from qsusy.models import (
 )
 from qsusy.numerics import Grid, fd_spectrum, normalizability_probe
 from qsusy.suites import (
-    FAMILY_F_SET, _correspondence_A, _correspondence_B, _correspondence_C,
+    FAMILY_F_SET, _correspondence,
     _independent_of, _monomial_partner, partner_basis, seed_basis,
 )
 from qsusy import x2 as x2mod
@@ -154,9 +154,9 @@ def test_criterion_06_monomial_specializations():
     a = monomial_family("A")
     ok = all(equal_canonical(c3[s][i], b[s][i]) and equal_canonical(c2[s][i], a[s][i])
              for s in "JK" for i in range(1, 9))
-    ok &= _correspondence_C(Fraction(5, 2))
-    ok &= _correspondence_B()
-    ok &= _correspondence_A()
+    ok &= _correspondence("C", Fraction(5, 2))[0]
+    ok &= _correspondence("B", Fraction(3))[0]
+    ok &= _correspondence("A", Fraction(2))[0]
     from qsusy.families import assemble_from_literature_basis, expand_in_literature_basis
 
     rng = np.random.default_rng(PLAN.seed)

@@ -319,6 +319,26 @@ class TestMain:
         assert err.count("\n") == 1
         assert f"cannot be evaluated in the model: {cause}" in err
 
+    @pytest.mark.parametrize("command", ["model", "spectrum"])
+    @pytest.mark.parametrize("bind, step", [
+        ("alpha=1e-300,nu=1,b0=1", "conditions"),
+        ("alpha=1,nu=1e-300,b0=1", "sampled spectra/probes"),
+    ])
+    def test_a_model_error_names_the_step_that_raised(self, capsys, command, bind, step):
+        assert main([command, "--example", "2", "--bind", bind]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f" (in the {step})\n") and err.count("\n") == 1
+
+    def test_a_model_error_in_the_build_names_the_build(self, capsys, monkeypatch):
+        def overflowing(example_id, binding):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(qsusy.cli, "build_example", overflowing)
+        assert main(["model", "--example", "1", "--bind", "alpha=1,nu=1,b0=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("cannot be evaluated in the model: OverflowError: "
+                            "math range error (in the build)\n")
+
     def test_a_fit_that_fails_at_the_tolerance_is_a_failed_check(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         argv = ["suite", "--suites", "models,spectrum", "--tol", "1e-300", "--json", str(out)]

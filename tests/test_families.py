@@ -10,8 +10,8 @@ from qsusy.families import (
     DegenerateFunctionError, F, GeneralCoefficients, J_gallery, K_gallery, ParameterError,
     abc_profile, assemble_from_literature_basis, build_H_minus,
     build_H_minus_direct, build_H_plus, build_H_plus_direct, build_J, build_K,
-    build_P3_minus, build_P3_plus, duality_K_from_J, expand_in_literature_basis,
-    literature_ops, monomial_J, monomial_K, monomial_family,
+    build_P3_minus, build_P3_plus, combination, duality_K_from_J,
+    expand_in_literature_basis, literature_ops, monomial_J, monomial_K, monomial_family,
 )
 from qsusy.invariance import SamplePlan, ops_equal_numeric
 from qsusy.x2 import wronskian_J, wronskian_K, x2_frame
@@ -362,6 +362,23 @@ class TestLiteratureBasis:
         gc = GeneralCoefficients(b0=-(lam - 1))
         lb = expand_in_literature_basis(gc, "C", lam)
         assert lb.values["a1"] == rat(1)
+
+
+class TestCombination:
+    G = {1: DiffOp.d("z", 2), 2: DiffOp("z", {1: z, 0: rat(3)})}
+
+    def test_coeffs_keep_the_insertion_order_of_the_weights(self):
+        # that order is the float summation order of the sampled action
+        assert list(combination(self.G, {0: 5, 1: 1, 2: 1}).coeffs) == [0, 2, 1]
+        assert list(combination(self.G, {1: 1, 2: 1, 0: 5}).coeffs) == [2, 1, 0]
+        assert list(combination(self.G, {2: 1, 0: 5, 1: 1}).coeffs) == [1, 0, 2]
+
+    def test_zero_weights_are_skipped_and_zero_is_the_identity(self):
+        got = combination(self.G, {1: 0, 2: sym("w"), 0: Fraction(1, 2)})
+        assert list(got.coeffs) == [1, 0]
+        assert equal_canonical(got, self.G[2].scaled(sym("w")) + DiffOp.mult("z", rat(1, 2)))
+        assert combination(K_gallery(parse("z^3")), {0: 1}) == DiffOp.identity("z")  # not K0
+        assert combination(self.G, {}).is_zero()
 
 
 class TestDuality:

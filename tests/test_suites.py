@@ -190,9 +190,37 @@ def test_the_type_a_reading_at_exponent_3_does_not_verify():
     # the printed type A map reads J+0 and J++ at exponent 2 or 3; only 2 holds
     lit = families.literature_ops("A", "minus")
     J2, J3 = families.monomial_J_gallery(Fraction(2)), families.monomial_J_gallery(Fraction(3))
-    assert suites._correspondence_A() is True
+    assert suites._correspondence("A", Fraction(2))[0] is True
     assert equal_canonical(lit["J+0"], J2[6]) and equal_canonical(lit["J++"], J2[8])
     assert not equal_canonical(lit["J+0"], J3[6]) and not equal_canonical(lit["J++"], J3[8])
+
+
+def test_the_new_operators_are_the_gallery_members_no_catalogued_operator_uses():
+    # the abstract's count, one in type B and two in type C, on either side
+    derived = {kind: [name for name, *_ in suites._correspondence(kind, lam)[1]]
+               for kind, lam in (("A", Fraction(2)), ("B", Fraction(3)), ("C", Fraction(5, 2)))}
+    assert derived == {"A": [], "B": ["J1", "K1"], "C": ["J1", "J2", "K6", "K8"]}
+    ids = sorted(c["id"] for c in suites.suite_monomial(PLAN) if c["id"].startswith("monomial:new-"))
+    assert ids == ["monomial:new-B:J1", "monomial:new-B:K1", "monomial:new-C:J1",
+                   "monomial:new-C:J2", "monomial:new-C:K6", "monomial:new-C:K8"]
+
+
+@pytest.mark.parametrize("kind, side, edit", [
+    ("C", "minus", lambda t: {**t, "J+0": t["J#0"], "J#0": t["J+0"]}),  # members 7 and 8 swapped
+    ("B", "plus", lambda t: {**t, "K00": {5: 1}}),  # K00's identity weight 2 dropped
+])
+def test_a_wrong_catalogue_entry_fails_its_correspondence(monkeypatch, kind, side, edit):
+    check = f"monomial:correspondence-{kind}"
+    real = suites.catalogue_weights
+
+    def edited(family, s, parameter=None):
+        table = real(family, s, parameter)
+        return edit(table) if (family, s) == (kind, side) else table
+
+    monkeypatch.setattr(suites, "catalogue_weights", edited)
+    got = {c["id"]: c["verdict"] for c in suites.suite_monomial(PLAN)}
+    assert got[check] == "fail"
+    assert all(v == "pass" for i, v in got.items() if i.startswith("monomial:corr") and i != check)
 
 
 def test_the_specialization_checks_fail_on_a_perturbed_monomial_gallery(monkeypatch):
