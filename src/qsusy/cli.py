@@ -25,7 +25,8 @@ from .invariance import (
     SamplePlan, InvarianceError, checks, check_invariant, verify_commutator_table,
 )
 from .models import (
-    build_example, verify_susy_conditions, conditions_hold, algebraic_spectrum, solvable_sector,
+    ModelParameterError, build_example, verify_susy_conditions, conditions_hold,
+    algebraic_spectrum, solvable_sector,
 )
 from .numerics import Grid, fd_spectrum, normalizability_probe
 from .suites import SUITES, seed_basis, partner_basis
@@ -184,9 +185,9 @@ def _exit_code(report: Report) -> int:
 
 def _model(example: int, bindings: dict, plan: SamplePlan, sample):
     """build_example, its verify_susy_conditions and sample(model): every step
-    that samples the model.  A binding that fits a float can still overflow
-    there, or leave no usable sample point, and that is bad input; the
-    message names the step that raised."""
+    that samples the model.  A binding the build refuses, or one that fits a
+    float but overflows there or leaves no usable sample point, is bad input;
+    the message names the step that raised."""
     step = "build"
     try:
         model = build_example(example, Binding(params=bindings))
@@ -194,7 +195,7 @@ def _model(example: int, bindings: dict, plan: SamplePlan, sample):
         res = verify_susy_conditions(model, plan)
         step = "sampled spectra/probes"
         return model, res, sample(model)
-    except (ArithmeticError, ValueError, InvarianceError) as exc:
+    except (ArithmeticError, ValueError, InvarianceError, ModelParameterError) as exc:
         raise ConfigError(f"example {example} with bindings {bindings} cannot be evaluated "
                           f"in the model: {type(exc).__name__}: {exc} (in the {step})") from exc
 

@@ -77,7 +77,7 @@ class Expr:
     """A node; its children are nodes too, so its key (type and fields) is a
     complete structural key, and == and hash are those of object."""
 
-    __slots__ = ("_key", "_exact", "__weakref__")  # _exact: evaluate_exact's instruction
+    __slots__ = ("_key", "_exact", "__weakref__")  # _exact: evaluate_exact's instruction and values
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -726,21 +726,21 @@ class NotRationalError(ExprError):
 
 
 # evaluate_exact runs one instruction per node, compiled on the node's first
-# run and kept on it, over reduced (numerator, denominator) pairs
+# run and kept on it with the node's values, over reduced (numerator,
+# denominator) pairs
 _SUM, _POW, _VAR, _RAISE = range(4)
-_point = None  # the (numerator, denominator) of the last point evaluated at
-_values: dict = {}  # node -> its value at _point, for each node that ran without error
 
 
 def _instruction(x: Expr) -> tuple:
-    """(opcode, argument) of x, compiled once.
+    """(opcode, argument, values) of x, compiled once.
 
     A sum's instruction adds its terms, and a constant's, a product's or a
     power's of a constant integer exponent is a sum of one term: a term is a
     constant n/d times factors (base node, integer exponent), a product's
     factors and such powers inlined.  Any other power runs its exponent, then its base.  Sym,
     Fn, Opaque and a constant non-integer exponent raise; nothing below them
-    is run.
+    is run.  values maps a point to x's value there, for each point where x
+    ran without error; it lives and dies with x.
     """
     t = type(x)
     if t is Add:
@@ -757,6 +757,7 @@ def _instruction(x: Expr) -> tuple:
         ins = (_RAISE, f"parameter {x.name!r} has no rational value")
     else:
         ins = (_RAISE, f"{t.__name__} node is not rational")
+    ins += ({},)
     object.__setattr__(x, "_exact", ins)
     return ins
 
@@ -774,15 +775,15 @@ def _term(x: Expr) -> tuple:
     return n, d, tuple(fs)
 
 
-def _value(x: Expr, memo: dict, at: tuple) -> tuple:
-    """The reduced pair of x at the point `at`, running the children that memo
-    lacks in order and entering x in memo once it has its value."""
-    op, a = x._exact or _instruction(x)
+def _value(x: Expr, at: tuple) -> tuple:
+    """The reduced pair of x at the point `at`, running in order the children
+    that hold no value there, and kept on x once it has it."""
+    op, a, values = x._exact
     if op == _SUM:
         n, d = 0, 1
         for tn, td, fs in a:
             for b, k in fs:
-                bn, bd = memo.get(b) or _value(b, memo, at)
+                bn, bd = (b._exact or _instruction(b))[2].get(at) or _value(b, at)
                 if k == 1:
                     tn, td = tn * bn, td * bd
                 elif k > 0:
@@ -795,10 +796,10 @@ def _value(x: Expr, memo: dict, at: tuple) -> tuple:
         g = math.gcd(n, d)
         v = (n // g, d // g) if d > 0 else (-n // g, -d // g)
     elif op == _POW:
-        k, kd = memo.get(a[0]) or _value(a[0], memo, at)
+        k, kd = (a[0]._exact or _instruction(a[0]))[2].get(at) or _value(a[0], at)
         if kd != 1:
             raise NotRationalError("non-integer exponent")
-        n, d = memo.get(a[1]) or _value(a[1], memo, at)
+        n, d = (a[1]._exact or _instruction(a[1]))[2].get(at) or _value(a[1], at)
         if k < 0:
             if n == 0:
                 raise ZeroDivisionError("zero base with a negative exponent")
@@ -808,22 +809,19 @@ def _value(x: Expr, memo: dict, at: tuple) -> tuple:
         v = at
     else:
         raise NotRationalError(a)
-    memo[x] = v
+    values[at] = v
     return v
 
 
 def evaluate_exact(e: Expr, at: Fraction) -> Fraction:
     """Exact rational evaluation; raises NotRationalError on a parameter, on
     transcendental or opaque content and ZeroDivisionError at poles, the
-    first exception a tree walk would raise.  The values of the nodes met at
-    the last point are kept until a call at another point, so a node shared
-    by several calls at one point runs once.
+    first exception a tree walk would raise.  Each node keeps its value at
+    every point where it ran without error, for its lifetime, so it runs once
+    per point however many calls share it, in whatever order they come.
     """
-    global _point, _values
     p = at.as_integer_ratio()
-    if p != _point:
-        _point, _values = p, {}
-    return Fraction(*(_values.get(e) or _value(e, _values, p)))
+    return Fraction(*((e._exact or _instruction(e))[2].get(p) or _value(e, p)))
 
 
 class Binding:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .expr import (
     Expr, Rat, Var, ZERO, ONE, MINUS_ONE, ExprError, NotRationalError,
-    add, evaluate_exact, expand, mul, pow_, as_expr, diff, substitute_var,
+    add, evaluate_exact, expand, mul, pow_, as_expr, diff,
 )
 from .diffop import DiffOp, compose, gauge_conjugate, pullback
 from .families import (
@@ -50,13 +50,13 @@ class WronskianFrame:
         self.W3121 = add(mul(diff(self.W31, U), self.W21),
                          mul(MINUS_ONE, self.W31, diff(self.W21, U)))
         # a nonzero value at u = 1/3 proves a Wronskian does not vanish; only
-        # otherwise is expansion needed to detect hidden proportionality
+        # 0, a pole or no rational value there needs expansion to decide it
         for w in (self.W21, self.W3121):
             try:
-                at = substitute_var(w, U, Rat(Fraction(1, 3)))
-            except ExprError:  # a pole at 1/3
-                at = ZERO
-            if (type(at) is not Rat or at == ZERO) and expand(w) == ZERO:
+                at = evaluate_exact(w, Fraction(1, 3))
+            except (ZeroDivisionError, NotRationalError):
+                at = 0
+            if at == 0 and expand(w) == ZERO:
                 raise FrameError("degenerate frame: a defining Wronskian vanishes identically")
 
     def span(self) -> Subspace:
@@ -498,7 +498,7 @@ def _exact_zero_operator(op: DiffOp) -> bool:
     zeros force it to vanish identically.  Propagating a degree bound through
     the expression would make it one; that is still open (ROADMAP.md, item 1).
     Points run in the outer loop, so the frame nodes that the coefficients
-    share are evaluated once per point (evaluate_exact keeps them); each
+    share are evaluated once per point (each node keeps its values); each
     coefficient still meets the same prefix of points as on its own.
     """
     need = dict.fromkeys(op.coeffs.values(), _EXACT_ZEROS)  # coefficient -> zeros it lacks

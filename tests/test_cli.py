@@ -339,6 +339,20 @@ class TestMain:
         assert err.endswith("cannot be evaluated in the model: OverflowError: "
                             "math range error (in the build)\n")
 
+    def test_a_binding_the_model_build_refuses_names_the_example(self, capsys):
+        assert main(["model", "--example", "2", "--bind", "alpha=0,nu=1,b0=1"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: example 2 with bindings {'alpha': 0.0, 'nu': 1.0, 'b0': 1.0} "
+                       "cannot be evaluated in the model: ModelParameterError: "
+                       "alpha must be positive (in the build)\n")
+
+    def test_a_missing_binding_of_a_spectrum_example_names_the_example(self, capsys):
+        assert main(["spectrum", "--example", "1", "--bind", "alpha=1,nu=1"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: example 1 with bindings {'alpha': 1.0, 'nu': 1.0} "
+                       "cannot be evaluated in the model: ModelParameterError: "
+                       "missing parameters: ['b0'] (in the build)\n")
+
     def test_a_fit_that_fails_at_the_tolerance_is_a_failed_check(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         argv = ["suite", "--suites", "models,spectrum", "--tol", "1e-300", "--json", str(out)]

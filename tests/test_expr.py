@@ -1068,9 +1068,10 @@ _call_runs = st.lists(st.tuples(st.sampled_from(_poles + [Fraction(2)]),
 @example([z, Pow(rat(2), pow_(z, -1))], [(Fraction(0), [0, 1])])
 # a power whose zero base raised is not kept
 @example([Pow(z + 1, z)], [(Fraction(-1), [0, 0])])
-@example([z], [(Fraction(0), [0]), (Fraction(2), [0])])  # a new point forgets the old values
+# a value kept at one point is not read at another
+@example([z], [(Fraction(0), [0]), (Fraction(2), [0])])
 @example([Add((rat(2), Pow(z, rat(0))))], [(Fraction(0), [0])])  # 0^0 is 1
-def test_evaluate_exact_keeps_only_values_of_the_current_point(exprs, runs):
+def test_evaluate_exact_matches_the_walk_over_runs_of_calls_at_repeated_points(exprs, runs):
     for x, calls in runs:
         for i in calls:
             e = exprs[i % len(exprs)]
@@ -1078,7 +1079,7 @@ def test_evaluate_exact_keeps_only_values_of_the_current_point(exprs, runs):
             assert got == want and type(got) is type(want)
 
 
-# the instructions and the one-point memo evaluate_exact runs ----------------------
+# the instructions evaluate_exact runs and the values kept on the nodes -------------
 
 @contextlib.contextmanager
 def _deadline(seconds: float):
@@ -1121,10 +1122,10 @@ def test_evaluate_exact_evaluates_a_shared_dag_once_per_node():
         assert got == (x + a) * (x + x * x) ** 40
 
 
-def test_a_coefficient_keeps_its_instruction_and_the_memo_holds_one_point():
-    # the x2-exact loop: every coefficient of each identity at each point
-    a, pts = Fraction(7, 2), [Fraction(7 * k + 3, 16) for k in range(1, 5)]
-    evaluate_exact(z, Fraction(-1))  # a point of no identity: the loop starts afresh
+def _x2_identities(a):
+    """The coefficients of each x2 identity at alpha a, as the x2-exact loop
+    certifies them: literature operator minus its combination."""
+    out = []
     for side, shift in (("minus", a), ("plus", a - 3)):
         coeffs = x2.cij_coefficients(shift)
         if side == "minus":
@@ -1137,19 +1138,67 @@ def test_a_coefficient_keeps_its_instruction_and_the_memo_holds_one_point():
             for j in range(1, 9):
                 if coeffs.C(i, j):
                     op = op - gallery[j].scaled(coeffs.C(i, j))
-            cs = list(op.coeffs.values())
-            instructions = None
-            for x in pts:
-                for c in cs:
-                    assert evaluate_exact(c, x) == 0
-                    if c is cs[0]:
-                        # a new point empties the memo: it holds nodes of c alone
-                        assert expr_mod._point == x.as_integer_ratio()
-                        assert set(expr_mod._values) <= set(expr_mod._nodes(c))
-                # one instruction per coefficient, reused at every point
-                if instructions is None:
-                    instructions = [c._exact for c in cs]
-                assert all(c._exact is ins for c, ins in zip(cs, instructions))
+            out.append(list(op.coeffs.values()))
+    return out
+
+
+@contextlib.contextmanager
+def _node_runs():
+    """Count the node runs of exact evaluation inside the block."""
+    runs = [0]
+    run = expr_mod._value
+
+    def counted(x, at):
+        runs[0] += 1
+        return run(x, at)
+
+    with mock.patch.object(expr_mod, "_value", counted):
+        yield runs
+
+
+def test_a_coefficient_keeps_its_instruction_and_an_earlier_point_runs_no_node():
+    # the x2-exact loop: every coefficient of each identity at each point
+    a, pts = Fraction(7, 2), [Fraction(7 * k + 3, 16) for k in range(1, 5)]
+    identities = _x2_identities(a)
+    for cs in identities:
+        instructions = None
+        for x in pts:
+            for c in cs:
+                assert evaluate_exact(c, x) == 0
+            # one instruction per coefficient, reused at every point
+            if instructions is None:
+                instructions = [c._exact for c in cs]
+            assert all(c._exact is ins for c, ins in zip(cs, instructions))
+    # each node kept its value at every point, not only at the last one
+    with _node_runs() as runs:
+        for c in identities[0]:
+            assert evaluate_exact(c, pts[0]) == 0
+    assert runs[0] == 0
+
+
+def test_a_second_identity_of_one_alpha_runs_fewer_nodes_than_the_first():
+    # the frame nodes the identities share run once; the point is one no
+    # other test evaluates at, so that no node holds a value there yet
+    first, second = _x2_identities(Fraction(7, 2))[:2]
+    x = Fraction(1001, 977)
+    counts = []
+    for cs in (first, second):
+        with _node_runs() as runs:
+            assert all(evaluate_exact(c, x) == 0 for c in cs)
+        counts.append(runs[0])
+    assert 0 < counts[1] < counts[0]
+
+
+def test_an_evaluated_node_nothing_holds_dies_with_its_values():
+    # raw nodes: no constructor memo holds them
+    c = Rat(Fraction(4321, 8765))
+    e = Add((Mul((c, Var("z"))), Pow(Add((Var("z"), c)), Rat(-2))))
+    assert evaluate_exact(e, Fraction(3)) == 3 * c.value + 1 / (3 + c.value) ** 2
+    assert e._exact[2] == {(3, 1): (3 * c.value + 1 / (3 + c.value) ** 2).as_integer_ratio()}
+    gone = [weakref.ref(x) for x in (e, *e.terms, e.terms[1].base)]
+    del e
+    gc.collect()
+    assert all(ref() is None for ref in gone)
 
 
 def test_a_node_refuses_its_instruction_slot():
