@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .expr import Binding, ExprError
+from .expr import Binding, ExprError, Sym, _nodes
 from .parser import parse, to_string
 from .diffop import pretty
 from .families import monomial_family, literature_ops, J_gallery, K_gallery
@@ -40,8 +40,8 @@ class ConfigError(Exception):
 @dataclass
 class SuiteConfig:
     suites: list = field(default_factory=lambda: list(SUITES))
-    seed: int = 7
-    tol: float = 1e-9
+    seed: int = SamplePlan.seed
+    tol: float = SamplePlan.tol
 
     def __post_init__(self):
         unknown = [s for s in self.suites if s not in SUITES]
@@ -136,7 +136,9 @@ def _parse_bindings(text: str | None) -> dict:
     return out
 
 
-_CONFIG_KEYS = ("suites", "seed", "tol")
+# each run setting and its reading of a flag's or a config line's value
+_SETTINGS = {"suites": lambda text: [s.strip() for s in text.split(",") if s.strip()],
+             "seed": int, "tol": float}
 
 
 def _read_config_file(path: str) -> dict:
@@ -149,20 +151,26 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"bad config line {raw.rstrip()!r}")
             k, v = (s.strip() for s in line.split("=", 1))
-            if k not in _CONFIG_KEYS:
+            if k not in _SETTINGS:
                 raise ConfigError(f"unknown config key {k!r}; "
-                                  f"expected one of {', '.join(_CONFIG_KEYS)}")
+                                  f"expected one of {', '.join(_SETTINGS)}")
             out[k] = v
     return out
 
 
-def _config_value(overrides: dict, key: str, kind, default):
-    if key not in overrides:
-        return default
-    try:
-        return kind(overrides[key])
-    except ValueError:
-        raise ConfigError(f"bad config value {key} = {overrides[key]!r}") from None
+def _config(args) -> SuiteConfig:
+    """A command's run settings, each from its flag, else its --config line, else
+    SuiteConfig's default; a command without --suites runs none."""
+    given = {} if hasattr(args, "suites") else {"suites": ""}
+    given.update(_read_config_file(args.config) if getattr(args, "config", None) else {})
+    given.update((k, getattr(args, k)) for k in _SETTINGS if getattr(args, k, None) is not None)
+    settings = {}
+    for key in [k for k in _SETTINGS if k in given]:
+        try:
+            settings[key] = _SETTINGS[key](given[key])
+        except ValueError:
+            raise ConfigError(f"bad config value {key} = {given[key]!r}") from None
+    return SuiteConfig(**settings)
 
 
 def _fraction(text: str) -> Fraction:
@@ -248,9 +256,11 @@ def _invariance_checks(f, names: list, plan: SamplePlan):
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(suites=[], seed=args.seed, tol=args.tol)
+    cfg = _config(args)
     plan = cfg.plan()
     f = parse(args.f)
+    if params := sorted({x.name for x in _nodes(f) if isinstance(x, Sym)}):
+        raise ConfigError(f"--f has free parameters {params}; verify binds none")
     if args.what == "invariance":
         ops = ([s.strip() for s in args.ops.split(",")] if args.ops
                else [f"J{i}" for i in range(1, 9)])
@@ -272,7 +282,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_model(args) -> int:
     bindings = _parse_bindings(args.bind)
-    plan = SuiteConfig(suites=[], seed=args.seed).plan()
+    plan = _config(args).plan()
 
     def sample(model):  # per side, its spectrum and its sector elements' normalizability
         return {side: (algebraic_spectrum(model, side, plan),
@@ -331,7 +341,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_x2(args) -> int:
-    cfg = SuiteConfig(suites=[], seed=args.seed)
+    cfg = _config(args)
     sides = {"both": ("minus", "plus"), "minus": ("minus",),
              "plus": ("plus",)}[args.side]
     try:
@@ -354,7 +364,7 @@ def _cmd_spectrum(args) -> int:
                           "--potential has none")
     bindings = _parse_bindings(args.bind)
     if args.example:
-        plan = SuiteConfig(suites=[], seed=7 if args.seed is None else args.seed).plan()
+        plan = _config(args).plan()
         model, res, sp = _model(args.example, bindings, plan,
                                 lambda model: algebraic_spectrum(model, "minus", plan))
         if model.fd_domain is None:
@@ -375,16 +385,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = _read_config_file(args.config)
-    suites = args.suites.split(",") if args.suites else \
-        overrides.get("suites", "").split(",") if overrides.get("suites") else list(SUITES)
-    suites = [s.strip() for s in suites if s.strip()]
-    seed = args.seed if args.seed is not None else _config_value(overrides, "seed", int, 7)
-    tol = args.tol if args.tol is not None else _config_value(overrides, "tol", float, 1e-9)
-    config = SuiteConfig(suites=suites, seed=seed, tol=tol)
-    report = run_suite(config)
+    report = run_suite(_config(args))
     if args.json:
         _write_or_print(report.to_json(), args.json)
     if args.md:
@@ -415,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("what", choices=["invariance", "commutators"])
     v.add_argument("--f", required=True, help="generating function, e.g. 'exp(z)'")
     v.add_argument("--ops", default=None, help="comma list like J1,J2,K3")
-    v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--tol", type=float, default=None)
     v.add_argument("--json", default=None, help="write the JSON report here")
     v.set_defaults(func=_cmd_verify)
 
@@ -425,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--bind", required=True, help="alpha=1,nu=1,b0=0.5")
     m.add_argument("--report", default="md", choices=["md", "json"])
     m.add_argument("--out", default=None)
-    m.add_argument("--seed", type=int, default=7)
+    m.add_argument("--seed", type=int, default=None)
     m.set_defaults(func=_cmd_model)
 
     x = sub.add_parser("x2", help="exceptional-subspace verifications")
     x.add_argument("action", choices=["verify"])
     x.add_argument("--alpha", required=True)
     x.add_argument("--side", default="both", choices=["both", "minus", "plus"])
-    x.add_argument("--seed", type=int, default=7)
+    x.add_argument("--seed", type=int, default=None)
     x.add_argument("--json", default=None)
     x.set_defaults(func=_cmd_x2)
 
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", type=int, default=4000)
     s.add_argument("--k", type=int, default=6)
     s.add_argument("--bind", default=None)
-    s.add_argument("--seed", type=int, default=None, help="sample seed for --example (7)")
+    s.add_argument("--seed", type=int, default=None, help="sample seed for --example")
     s.set_defaults(func=_cmd_spectrum)
 
     r = sub.add_parser("suite", help="run verification suites")

@@ -234,7 +234,7 @@ def abc_profile(coeffs: GeneralCoefficients, f=None):
                 mul(MINUS_ONE, add(C, mul(MINUS_ONE, g.a2)), f0),
                 mul(g.a1, x), g.a0)
     A = mul(expand(A_fpp), pow_(f2, -1))
-    B = mul(MINUS_ONE, add(bracket, ZERO))
+    B = mul(MINUS_ONE, bracket)
     return A, B, C
 
 
@@ -455,15 +455,8 @@ def catalogue_weights(family: str, side: str = "minus", parameter=None) -> dict[
     raise ParameterError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class LiteratureBasisCoefficients:
-    family: str
-    values: dict
-
-
-def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str,
-                               lam=None) -> LiteratureBasisCoefficients:
-    """Coefficients expressing the gauged minus Hamiltonian over the catalogued basis."""
+def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str, lam=None) -> dict:
+    """The gauged minus Hamiltonian's coefficients over the family's catalogued basis, by name."""
     family = family.upper()
     g = coeffs
     if family == "C":
@@ -472,7 +465,7 @@ def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str,
         inv_l = pow_(lam, -1)
         inv_lm1 = pow_(lm1, -1)
         inv_ll = mul(inv_l, inv_lm1)
-        vals = {
+        return {
             "a3": mul(g.c1, inv_l),
             "a2": add(mul(MINUS_ONE, add(g.b1, mul(MINUS_ONE, g.c0)), inv_lm1),
                       mul(add(g.a2, mul(MINUS_ONE, g.c0)), inv_ll)),
@@ -484,10 +477,9 @@ def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str,
             "t1": mul(MINUS_ONE, g.a0, inv_ll),
             "const": mul(MINUS_ONE, g.c0),
         }
-        return LiteratureBasisCoefficients("C", vals)
     if family == "B":
         sixth, half, third = Rat(Fraction(1, 6)), Rat(Fraction(1, 2)), Rat(Fraction(1, 3))
-        vals = {
+        return {
             "a++": mul(MINUS_ONE, half, g.b2),
             "a+0": mul(third, g.c1),
             # the c0 term enters with a plus sign (derived by collecting the
@@ -500,10 +492,9 @@ def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str,
             "t1": mul(MINUS_ONE, sixth, g.a0),
             "const": mul(MINUS_ONE, g.c0),
         }
-        return LiteratureBasisCoefficients("B", vals)
     if family == "A":
         half = Rat(Fraction(1, 2))
-        vals = {
+        return {
             "a++": mul(half, g.c2),
             "a+0": mul(half, add(mul(Rat(-2), g.b2), g.c1)),
             "a00": mul(half, add(g.a2, mul(Rat(-2), g.b1), g.c0)),
@@ -514,25 +505,24 @@ def expand_in_literature_basis(coeffs: GeneralCoefficients, family: str,
             "b-": mul(MINUS_ONE, g.b0),
             "const": mul(MINUS_ONE, g.c0),
         }
-        return LiteratureBasisCoefficients("A", vals)
     raise ParameterError(f"unknown family {family!r}")
 
 
-def assemble_from_literature_basis(lb: LiteratureBasisCoefficients, lam=None) -> DiffOp:
-    """Rebuild the gauged minus Hamiltonian from literature-basis coefficients."""
-    vals = lb.values
-    basis = literature_ops(lb.family, "minus", lam)
+def assemble_from_literature_basis(vals: dict, family: str, lam=None) -> DiffOp:
+    """Rebuild the gauged minus Hamiltonian from the family's literature-basis coefficients."""
+    family = family.upper()
+    basis = literature_ops(family, "minus", lam)
     weights = {0: vals["const"]}
-    if lb.family in ("B", "C"):  # the gallery members the catalogue lacks
-        basis.update(monomial_J_gallery(lam if lb.family == "C" else Rat(3)))
+    if family in ("B", "C"):  # the gallery members the catalogue lacks
+        basis.update(monomial_J_gallery(_FAMILY_EXPONENT.get(family, lam)))
         weights.update((i, vals[f"t{i}"]) for i in (8, 6, 2, 1) if f"t{i}" in vals)
     terms = {"C": (("J+0", "a3"), ("J00", "a2"), ("J0-", "a1"), ("J0", "b0")),
              "B": (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"), ("J0-", "a0-"),
                    ("J--", "a--"), ("J0", "b0")),
              "A": (("J++", "a++"), ("J+0", "a+0"), ("J00", "a00"), ("J0-", "a0-"),
                    ("J--", "a--"))}
-    weights.update((name, mul(MINUS_ONE, vals[key])) for name, key in terms[lb.family])
-    if lb.family == "A":
+    weights.update((name, mul(MINUS_ONE, vals[key])) for name, key in terms[family])
+    if family == "A":
         weights.update((n, vals[k]) for n, k in (("J+", "b+"), ("J0", "b0"), ("J-", "b-")))
     return combination(basis, weights)
 

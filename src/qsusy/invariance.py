@@ -572,10 +572,3 @@ def decide_lie_closure_each(ops, targets: dict, plan: SamplePlan, binds: list) -
                                   else got)
             closed[d] = closed[d] and ok
     return [ClosureReport(*report) for report in zip(first_order, closed, resids)]
-
-
-def check_lie_closure(alpha_minus, alpha_zero, alpha_plus, f,
-                      plan: SamplePlan = SamplePlan()) -> ClosureReport:
-    """Probe whether J2+α₋J4, J3+α₀J5, J6+α₊J7 close an sl(2)-type algebra."""
-    return decide_lie_closure_each(
-        *lie_closure_identities(alpha_minus, alpha_zero, alpha_plus, f), plan, [None])[0]

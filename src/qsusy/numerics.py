@@ -119,6 +119,32 @@ def _segment_integral(psi: Expr, bind: Binding | None, lo: float, hi: float) -> 
     return float(h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
 
 
+def _infinite_ladder(start: float, base: float, sign: int) -> list:
+    """Rung j: base * (2^j - 1) to base * (2^(j+1) - 1) from start toward sign * inf."""
+    return [(start + sign * base * (2**j - 1), start + sign * base * (2**(j + 1) - 1))[::sign]
+            for j in range(6)]
+
+
+def _finite_ladder(end: float, width: float, sign: int) -> list:
+    """Rung j: width / 2^(j+2) to width / 2^(j+1) from end toward sign * inf."""
+    return [(end + sign * width / 2**(j + 2), end + sign * width / 2**(j + 1))[::sign]
+            for j in range(6)]
+
+
+def _ladders(domain: tuple) -> list:
+    """The probe's ladders of six rungs, each rung (lo, hi) by [::sign]: toward
+    +inf, -inf, then (an open end may blow up) toward the finite lo and hi."""
+    lo, hi = domain
+    anchor_lo = lo if math.isfinite(lo) else (min(0.0, hi) - 1.0 if math.isfinite(hi) else -1.0)
+    anchor_hi = hi if math.isfinite(hi) else (max(0.0, lo) + 1.0 if math.isfinite(lo) else 1.0)
+    base = max(1.0, abs(anchor_hi - anchor_lo))
+    width = hi - lo if math.isfinite(lo) and math.isfinite(hi) else base
+    infinite = [_infinite_ladder(anchor, base, sign) for end, anchor, sign
+                in ((hi, anchor_hi, 1), (lo, anchor_lo, -1)) if not math.isfinite(end)]
+    return infinite + [_finite_ladder(end, width, sign)
+                       for end, sign in ((lo, 1), (hi, -1)) if math.isfinite(end)]
+
+
 def normalizability_probe(psi: Expr, domain: tuple, bind: Binding | None = None) -> str:
     """Classify |psi|^2 as 'normalizable', 'divergent', or 'inconclusive'.
 
@@ -126,48 +152,13 @@ def normalizability_probe(psi: Expr, domain: tuple, bind: Binding | None = None)
     each open or infinite end; the growth ratio of successive rungs decides
     the verdict.
     """
-    rungs = 6
-    lo, hi = domain
-    verdicts = []
-    anchor_lo = lo if math.isfinite(lo) else (min(0.0, hi) - 1.0 if math.isfinite(hi) else -1.0)
-    anchor_hi = hi if math.isfinite(hi) else (max(0.0, lo) + 1.0 if math.isfinite(lo) else 1.0)
-    base = max(1.0, abs(anchor_hi - anchor_lo))
-
-    ladders = []
-    if not math.isfinite(hi):
-        start = anchor_hi
-        ladders.append([(start + base * (2**j - 1), start + base * (2**(j + 1) - 1))
-                        for j in range(rungs)])
-    if not math.isfinite(lo):
-        start = anchor_lo
-        ladders.append([(start - base * (2**(j + 1) - 1), start - base * (2**j - 1))
-                        for j in range(rungs)])
-    # approach each finite end geometrically (open interval: possible blow-up)
-    width = hi - lo if math.isfinite(lo) and math.isfinite(hi) else base
-    if math.isfinite(lo):
-        ladders.append([(lo + width / 2**(j + 2), lo + width / 2**(j + 1))
-                        for j in range(rungs)])
-    if math.isfinite(hi):
-        ladders.append([(hi - width / 2**(j + 1), hi - width / 2**(j + 2))
-                        for j in range(rungs)])
-
-    for ladder in ladders:
+    verdicts = set()
+    for ladder in _ladders(domain):
         tails = [_segment_integral(psi, bind, a, b) for a, b in ladder]
         if any(math.isinf(t) for t in tails):
             return "divergent"
-        ratios = [t2 / t1 for t1, t2 in zip(tails, tails[1:]) if t1 > 0]
-        if not ratios:
-            verdicts.append("normalizable")
-            continue
-        later = ratios[-3:]
-        if all(r < 0.9 for r in later):
-            verdicts.append("normalizable")
-        elif all(r > 1.1 for r in later):
-            verdicts.append("divergent")
-        else:
-            verdicts.append("inconclusive")
-    if "divergent" in verdicts:
-        return "divergent"
-    if "inconclusive" in verdicts:
-        return "inconclusive"
-    return "normalizable"
+        later = [t2 / t1 for t1, t2 in zip(tails, tails[1:]) if t1 > 0][-3:]
+        verdicts.add("normalizable" if all(r < 0.9 for r in later) else
+                     "divergent" if all(r > 1.1 for r in later) else "inconclusive")
+    return ("divergent" if "divergent" in verdicts else
+            "inconclusive" if "inconclusive" in verdicts else "normalizable")

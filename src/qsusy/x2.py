@@ -184,17 +184,9 @@ def supercharges_via_conjugation(fr: WronskianFrame) -> tuple[DiffOp, DiffOp]:
 # the exceptional polynomial content
 
 def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float) and x == int(x):
-        return Fraction(int(x))
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, Rat):
-        return x.value
-    raise ParameterError(f"expected a rational parameter, got {x!r}")
+    if not isinstance(x, (int, float, Fraction, Rat)):
+        raise ParameterError(f"expected a rational parameter, got {x!r}")
+    return as_expr(x).value
 
 
 def x2_seed_polynomial(n: int, alpha) -> Expr:

@@ -17,7 +17,7 @@ from qsusy.cli import (
     ConfigError, Report, SuiteConfig, main, run_suite,
     _parse_bindings,
 )
-from qsusy.invariance import record
+from qsusy.invariance import SamplePlan, record
 from qsusy.x2 import verify_x2_identities
 from test_expr import PARSE_TEXTS
 
@@ -40,6 +40,9 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(seed=-1)
         assert SuiteConfig(seed=0).plan().seed == 0
+
+    def test_defaults_are_the_sample_plans(self):
+        assert (SuiteConfig().seed, SuiteConfig().tol) == (SamplePlan().seed, SamplePlan().tol)
 
 
 class TestBindings:
@@ -437,6 +440,8 @@ class TestMain:
     @pytest.mark.parametrize("argv, report", [
         (["suite", "--suites", ","],
          lambda: run_suite(SuiteConfig(suites=[])).to_markdown()),
+        (["suite", "--suites", ""],
+         lambda: run_suite(SuiteConfig(suites=[])).to_markdown()),
         (["x2", "verify", "--alpha", "4", "--side", "plus"],
          lambda: Report(SuiteConfig(suites=[]), verify_x2_identities(
              Fraction(4), SuiteConfig(suites=[]).plan(), sides=("plus",))).to_json()),
@@ -449,6 +454,22 @@ class TestMain:
         assert "Traceback" not in err
         assert err.startswith("error: no check was decided") and err.count("\n") == 1
         assert _untimed(out) == _untimed(report() + "\n")
+
+    @pytest.mark.parametrize("line", ["suites =", "suites = , # none"])
+    def test_an_empty_suites_line_runs_none(self, tmp_path, capsys, line):
+        cfg = tmp_path / "qsusy.cfg"
+        cfg.write_text(f"{line}\n")
+        assert main(["suite", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: no check was decided: 0 of 0 skipped\n"
+        assert "of 0" in out
+
+    @pytest.mark.parametrize("what", ["invariance", "commutators"])
+    def test_verify_refuses_an_f_with_free_parameters(self, capsys, what):
+        # verify has no --bind: a parameter of f would leave no usable sample point
+        assert main(["verify", what, "--f", "b*exp(a*z)"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --f has free parameters ['a', 'b']; verify binds none\n"
 
     def test_spectrum_potential(self, capsys):
         rc = main(["spectrum", "--potential", "q^2/2", "--grid", "2000", "--k", "2"])

@@ -341,7 +341,7 @@ class TestLiteratureBasis:
             lb = expand_in_literature_basis(gc, family, lam)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                assembled = assemble_from_literature_basis(lb, lam)
+                assembled = assemble_from_literature_basis(lb, family, lam)
                 direct = build_H_minus(gc, pow_(z, rat(lam)))
             ok, res = ops_equal_numeric(assembled, direct, plan=SamplePlan(tol=1e-9))
             assert ok, (family, res)
@@ -349,19 +349,19 @@ class TestLiteratureBasis:
     def test_spec_values_type_a(self):
         gc = GeneralCoefficients(c2=2)
         lb = expand_in_literature_basis(gc, "A")
-        assert lb.values["a++"] == rat(1)
-        assert all(v == rat(0) for k, v in lb.values.items() if k != "a++")
+        assert lb["a++"] == rat(1)
+        assert all(v == rat(0) for k, v in lb.items() if k != "a++")
 
     def test_spec_values_type_b(self):
         gc = GeneralCoefficients(a1=6)
         lb = expand_in_literature_basis(gc, "B")
-        assert lb.values["a--"] == rat(1)
+        assert lb["a--"] == rat(1)
 
     def test_spec_values_type_c(self):
         lam = Fraction(7, 2)
         gc = GeneralCoefficients(b0=-(lam - 1))
         lb = expand_in_literature_basis(gc, "C", lam)
-        assert lb.values["a1"] == rat(1)
+        assert lb["a1"] == rat(1)
 
 
 class TestCombination:

@@ -16,7 +16,7 @@ from qsusy.expr import diff, values, values_and_faults
 from qsusy.families import build_H_minus, build_H_minus_direct, build_J, build_K, monomial_J
 from qsusy.invariance import (
     IllConditionedBasisError, SamplePlan, SamplingError, Subspace, checks,
-    check_annihilates, check_invariant, check_lie_closure, default_probes,
+    check_annihilates, check_invariant, default_probes,
     decide_lie_closure_each, lie_closure_identities, op_order_each,
     ops_equal_each, ops_equal_numeric, safe_points, safe_points_each,
     verify_commutator_table,
@@ -520,8 +520,8 @@ class TestCommutatorTable:
 
 class TestLieClosure:
     def test_closure_point(self):
-        rep = check_lie_closure(Fraction(2), Fraction(-1, 2), Fraction(1, 2),
-                                parse("-z^2/4"))
+        rep = decide_lie_closure_each(*lie_closure_identities(
+            Fraction(2), Fraction(-1, 2), Fraction(1, 2), parse("-z^2/4")), SamplePlan(), [None])[0]
         assert rep.closed and rep.first_order
         assert max(rep.structure_residuals.values()) < 1e-9
 
@@ -535,14 +535,15 @@ class TestLieClosure:
         return [commutator(Jm, J0), commutator(Jp, J0), commutator(Jp, Jm)]
 
     def test_wrong_product_stays_second_order(self):
-        rep = check_lie_closure(Fraction(2), Fraction(-1, 2), Fraction(1),
-                                parse("-z^2/4"))
+        rep = decide_lie_closure_each(*lie_closure_identities(
+            Fraction(2), Fraction(-1, 2), Fraction(1), parse("-z^2/4")), SamplePlan(), [None])[0]
         assert not rep.closed
         cs = self._commutators(Fraction(2), Fraction(-1, 2), Fraction(1), "-z^2/4")
         assert [op_order(c) for c in cs] == [1, 2, 2]
 
     def test_cubic_not_closed(self):
-        rep = check_lie_closure(1, Fraction(-1, 2), 1, parse("z^3"))
+        rep = decide_lie_closure_each(*lie_closure_identities(
+            1, Fraction(-1, 2), 1, parse("z^3")), SamplePlan(), [None])[0]
         assert not rep.closed
         cs = self._commutators(1, Fraction(-1, 2), 1, "z^3")
         assert max(op_order(c) for c in cs) == 3

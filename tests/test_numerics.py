@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scipy.linalg import eigh_tridiagonal
 
@@ -161,7 +161,46 @@ class TestFdSpectrum:
         assert err_f < err_c / 2.0
 
 
+def _ladders_oracle(domain):
+    """The probe's ladders as the written-out formulas: six rungs toward +inf,
+    then -inf, then the finite lo and hi."""
+    lo, hi = domain
+    anchor_lo = lo if math.isfinite(lo) else (min(0.0, hi) - 1.0 if math.isfinite(hi) else -1.0)
+    anchor_hi = hi if math.isfinite(hi) else (max(0.0, lo) + 1.0 if math.isfinite(lo) else 1.0)
+    base = max(1.0, abs(anchor_hi - anchor_lo))
+    ladders = []
+    if not math.isfinite(hi):
+        ladders.append([(anchor_hi + base * (2**j - 1), anchor_hi + base * (2**(j + 1) - 1))
+                        for j in range(6)])
+    if not math.isfinite(lo):
+        ladders.append([(anchor_lo - base * (2**(j + 1) - 1), anchor_lo - base * (2**j - 1))
+                        for j in range(6)])
+    width = hi - lo if math.isfinite(lo) and math.isfinite(hi) else base
+    if math.isfinite(lo):
+        ladders.append([(lo + width / 2**(j + 2), lo + width / 2**(j + 1)) for j in range(6)])
+    if math.isfinite(hi):
+        ladders.append([(hi - width / 2**(j + 1), hi - width / 2**(j + 2)) for j in range(6)])
+    return ladders
+
+
+_ENDS = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+
+
 class TestNormalizability:
+    @given(_ENDS, _ENDS)
+    @example(-math.inf, math.inf)
+    @example(0.0, math.inf)
+    @example(-math.inf, -0.0)
+    @example(-0.0, 1.0)
+    @example(0.1, 0.9)
+    @example(-1e308, 1e308)  # a width that overflows
+    @settings(max_examples=300, deadline=None)
+    def test_the_ladders_are_the_written_out_formulas(self, lo, hi):
+        # repr tells signed zeros apart, which == does not
+        want = _ladders_oracle((lo, hi))
+        got = numerics._ladders((lo, hi))
+        assert got == want and repr(got) == repr(want)
+
     def test_gaussian(self):
         assert normalizability_probe(parse("exp(-q^2)", "q"),
                                      (-math.inf, math.inf)) == "normalizable"

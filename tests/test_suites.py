@@ -17,7 +17,7 @@ from qsusy.families import (
     build_H_plus_direct,
 )
 from qsusy.invariance import (
-    SamplePlan, SamplingError, check_lie_closure, decide_lie_closure_each,
+    SamplePlan, SamplingError, decide_lie_closure_each,
     lie_closure_identities, ops_equal_numeric, verify_commutator_table,
 )
 from qsusy import families, invariance, suites, x2
@@ -111,7 +111,7 @@ def test_bound_closure_build_is_the_concrete_build(ap):
     for key in targets_c:
         for c, s in zip(targets_c[key], targets_s[key]):
             assert ops_equal_numeric(c, s, bind, PLAN)[0], key
-    concrete = check_lie_closure(am, a0, ap, f, PLAN)
+    (concrete,) = decide_lie_closure_each(ops_c, targets_c, PLAN, [None])
     (bound,) = decide_lie_closure_each(ops_s, targets_s, PLAN, [bind])
     assert (bound.closed, bound.first_order) == (concrete.closed, concrete.first_order)
     assert bound.closed == (ap == Fraction(1, 2))
