@@ -22,7 +22,7 @@ from .parser import parse, to_string
 from .diffop import pretty
 from .families import monomial_family, literature_ops, J_gallery, K_gallery
 from .invariance import (
-    SamplePlan, InvarianceError, checks, check_invariant, verify_commutator_table,
+    SamplePlan, InvarianceError, checks, space_verdicts, verify_commutator_table,
 )
 from .models import (
     ModelParameterError, build_example, verify_susy_conditions, conditions_hold,
@@ -244,15 +244,16 @@ def _cmd_catalog(args) -> int:
 
 @checks
 def _invariance_checks(f, names: list, plan: SamplePlan):
-    galleries = {"J": (J_gallery(f), seed_basis(f)), "K": (K_gallery(f), partner_basis(f))}
-    # K0 is a first-order building block: no claim says it preserves a space
-    members = [f"J{i}" for i in range(1, 10)] + [f"K{i}" for i in range(1, 9)]
-    for name in names:
-        if name not in members:
-            raise ConfigError(f"unknown operator {name!r}; expected J1..J9 or K1..K8")
-        gallery, space = galleries[name[0]]
-        v = check_invariant(gallery[int(name[1:])], space, plan)
-        yield f"verify:{name}", f"invariance of {name}", v.passed, max(v.residuals)
+    """The invariance of each named member, each space's members in one point search."""
+    found = {}
+    for g, gallery, space in (("J", J_gallery, seed_basis), ("K", K_gallery, partner_basis)):
+        mine = [name for name in names if name[0] == g]
+        if mine:
+            gallery = gallery(f)
+            asks = [(gallery[int(name[1:])], True, plan.tol) for name in mine]
+            found.update(zip(mine, space_verdicts(space(f), asks, plan)))
+    yield [(f"verify:{name}", f"invariance of {name}", found[name].passed,
+            max(found[name].residuals)) for name in names]
 
 
 def _cmd_verify(args) -> int:
@@ -262,13 +263,18 @@ def _cmd_verify(args) -> int:
     if params := sorted({x.name for x in _nodes(f) if isinstance(x, Sym)}):
         raise ConfigError(f"--f has free parameters {params}; verify binds none")
     if args.what == "invariance":
-        ops = ([s.strip() for s in args.ops.split(",")] if args.ops
+        ops = ([s.strip() for s in args.ops.split(",")] if args.ops is not None
                else [f"J{i}" for i in range(1, 9)])
+        # K0 is a first-order building block: no claim says it preserves a space
+        members = [f"J{i}" for i in range(1, 10)] + [f"K{i}" for i in range(1, 9)]
+        for name in ops:
+            if name not in members:
+                raise ConfigError(f"unknown operator {name!r}; expected J1..J9 or K1..K8")
         twice = sorted({s for s in ops if ops.count(s) > 1})
         if twice:
             raise ConfigError(f"operators given more than once: {twice}")
         records = _invariance_checks(f, ops, plan)
-    elif args.ops:
+    elif args.ops is not None:
         raise ConfigError("--ops selects operators of 'verify invariance' only")
     elif args.what == "commutators":
         records = [dict(rec, id=f"verify:{rec['id']}")

@@ -160,7 +160,8 @@ def checks(gen):
 
     An outcome is (id, anchor, ok, residual[, reason]).  It is charged the
     time since the previous outcome, or since the call for the first, so the
-    records of one call sum to its time.  A finished record (a dict, from a
+    records of one call sum to its time; a list of outcomes, decided in one
+    point search, shares that time evenly.  A finished record (a dict, from a
     nested call of a decorated function) passes through unchanged and
     restarts the clock.
 
@@ -177,7 +178,10 @@ def checks(gen):
             out = []
             t0 = time.monotonic()
             for item in gen(*args, **kwargs):
-                out.append(item if isinstance(item, dict) else record(*item[:4], t0, *item[4:]))
+                items = item if isinstance(item, list) else [item]
+                t0 = time.monotonic() - (time.monotonic() - t0) / max(len(items), 1)
+                out += [it if isinstance(it, dict) else record(*it[:4], t0, *it[4:])
+                        for it in items]
                 t0 = time.monotonic()
             return out
         finally:
@@ -286,24 +290,27 @@ def _near(x: np.ndarray, others: list, radius: float) -> list:
     return hit[:len(x)].nonzero()[0].tolist()
 
 
-def _sampled_actions(ops: list, fs: list, plan: SamplePlan, bind: Binding | None,
+def _sampled_actions(decisions: list, fs: list, plan: SamplePlan, bind: Binding | None,
                      count: int | None = None):
     """_sampled_actions_each for one binding."""
-    return _or_raise(_sampled_actions_each(ops, fs, plan, [bind], count))[0]
+    return _or_raise(_sampled_actions_each(decisions, fs, plan, [bind], count))[0]
 
 
-def _sampled_actions_each(ops: list, fs: list, plan: SamplePlan, binds: list,
+def _sampled_actions_each(decisions: list, fs: list, plan: SamplePlan, binds: list,
                           count: int | None = None) -> list:
-    """Per binding: points, values F of fs, each op's signed sums Y of
-    op(f_i), and one magnitude sum G over the terms of all ops; or the
-    SamplingError of its point search.
+    """Per binding: points, values F of fs and, per decision (a list of
+    operators), (each op's signed sums Y of op(f_i), one magnitude sum G over
+    the terms of its ops); or the SamplingError of its point search.
 
-    One point search covers fs, every coefficient of every op and the
-    derivatives of fs the ops need.  G measures how much floating-point
-    cancellation went into the image values; residuals are judged relative to
-    it.  Terms are added one at a time, op by op in coefficient order, not
-    pairwise, so the sums stay bit-stable.
+    One point search covers fs, every coefficient of every op of every
+    decision and the derivatives of fs the ops need.  G measures how much
+    floating-point cancellation went into a decision's image values; its
+    residuals are judged relative to it.  Terms are added one at a time, op
+    by op in coefficient order, not pairwise, and each decision sums only its
+    own ops, so its sums are bit-equal to those of a search of its own at
+    the same points.
     """
+    ops = [op for group in decisions for op in group]
     v, n = ops[0].var, len(fs)
     coeffs = [c for op in ops for c in op.coeffs.values()]
     orders = sorted({k for op in ops for k in op.coeffs})
@@ -311,18 +318,20 @@ def _sampled_actions_each(ops: list, fs: list, plan: SamplePlan, binds: list,
 
     def actions(pts, A):
         C, D = A[:, n:n + len(coeffs)], A[:, n + len(coeffs):]
-        G = np.zeros((len(pts), n))
-        Ys, col = [], 0
-        for op in ops:
-            Y = np.zeros_like(G)
-            for k in op.coeffs:
-                j = orders.index(k) * n
-                t = C[:, col:col + 1] * D[:, j:j + n]
-                Y += t
-                G += np.abs(t)
-                col += 1
-            Ys.append(Y)
-        return pts, A[:, :n], Ys, G
+        out, col = [], 0
+        for group in decisions:
+            G, Ys = np.zeros((len(pts), n)), []
+            for op in group:
+                Y = np.zeros_like(G)
+                for k in op.coeffs:
+                    j = orders.index(k) * n
+                    t = C[:, col:col + 1] * D[:, j:j + n]
+                    Y += t
+                    G += np.abs(t)
+                    col += 1
+                Ys.append(Y)
+            out.append((Ys, G))
+        return pts, A[:, :n], out
 
     return [got if isinstance(got, SamplingError) else actions(*got)
             for got in safe_points_each(fs + coeffs + derivs, plan, binds, count)]
@@ -337,40 +346,51 @@ def relative_residual(R: np.ndarray, S) -> np.ndarray:
     return (np.abs(R) / (1.0 + S)).max(axis=0)
 
 
+def space_verdicts(V: Subspace, asks: list, plan: SamplePlan = SamplePlan(),
+                   bind: Binding | None = None) -> list:
+    """Per (op, fit, tol) of asks, its Verdict at tol, every one from one
+    point search on V.
+
+    A fit is the least-squares membership of op(b_i) in span(V), certified
+    on holdouts, with its matrix where it passes; otherwise the ask is
+    op(b_i) = 0.  Each residual is scaled by the larger of its image's term
+    magnitudes and the largest basis value.
+    """
+    for op, _, _ in asks:
+        if op.var != V.variable:
+            raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
+    _, B_all, acts = _sampled_actions([[op] for op, _, _ in asks], V.elements, plan, bind)
+    B_fit, top, out = B_all[:FIT_POINTS], np.abs(B_all).max(), []
+    if any(fit for _, fit, _ in asks):
+        cond = float(np.linalg.cond(B_fit))
+        if not np.isfinite(cond) or cond > COND_CEILING:
+            raise IllConditionedBasisError(
+                f"sampled basis condition number {cond:.3e} exceeds ceiling")
+        # column scaling keeps the solve well-behaved for lopsided bases
+        scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
+    for (_, fit, tol), ((Y_all,), G_all) in zip(asks, acts):
+        M = None
+        if fit:
+            M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_all[:FIT_POINTS], rcond=None)
+            M = M_hat / scales[:, None]
+            Y_all = Y_all - B_all @ M
+        r = relative_residual(Y_all, np.maximum(G_all.max(axis=0), top))
+        ok = bool(np.all(r <= tol))
+        # M in the (j, i) layout: column i holds the coordinates of op(b_i)
+        out.append(Verdict(ok, r.tolist(), M if ok else None))
+    return out
+
+
 def check_invariant(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
                     bind: Binding | None = None) -> Verdict:
-    """Least-squares membership of op(b_i) in span(V), certified on holdouts.
-
-    Each residual is scaled by the larger of its image's term magnitudes and
-    the largest basis value.
-    """
-    if op.var != V.variable:
-        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
-    _, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
-    B_fit = B_all[:FIT_POINTS]
-    cond = float(np.linalg.cond(B_fit))
-    if not np.isfinite(cond) or cond > COND_CEILING:
-        raise IllConditionedBasisError(
-            f"sampled basis condition number {cond:.3e} exceeds ceiling")
-    # column scaling keeps the solve well-behaved for lopsided bases
-    scales = np.maximum(np.linalg.norm(B_fit, axis=0), 1e-300)
-    M_hat, *_ = np.linalg.lstsq(B_fit / scales, Y_all[:FIT_POINTS], rcond=None)
-    M = M_hat / scales[:, None]
-    r = relative_residual(Y_all - B_all @ M,
-                          np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
-    ok = bool(np.all(r <= plan.tol))
-    # M returned in the (j, i) layout: column i holds the coordinates of op(b_i)
-    return Verdict(ok, r.tolist(), M if ok else None)
+    """Whether op maps V into its span: space_verdicts for one fit."""
+    return space_verdicts(V, [(op, True, plan.tol)], plan, bind)[0]
 
 
 def check_annihilates(op: DiffOp, V: Subspace, plan: SamplePlan = SamplePlan(),
                       bind: Binding | None = None) -> Verdict:
-    """op(b_i) = 0 for every element, on the scale check_invariant uses."""
-    if op.var != V.variable:
-        raise OperatorError(f"operator in {op.var!r}, space in {V.variable!r}")
-    _, B_all, (Y_all,), G_all = _sampled_actions([op], V.elements, plan, bind)
-    r = relative_residual(Y_all, np.maximum(G_all.max(axis=0), np.abs(B_all).max()))
-    return Verdict(bool(np.all(r <= plan.tol)), r.tolist(), None)
+    """Whether op(b_i) = 0 for every element: space_verdicts for one annihilation."""
+    return space_verdicts(V, [(op, False, plan.tol)], plan, bind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,29 +403,39 @@ def default_probes(variable: str) -> list:
 
 def ops_equal_numeric(a: DiffOp, b: DiffOp, bind: Binding | None = None,
                       plan: SamplePlan = SamplePlan()):
-    """(worst residual <= plan.tol, worst residual): ops_equal_each for one binding."""
-    return _or_raise(ops_equal_each(a, b, [bind], plan))[0]
+    """(worst residual <= plan.tol, worst residual): ops_equal_pairs for one
+    pair and one binding."""
+    return _or_raise(ops_equal_pairs([(a, b)], [bind], plan))[0][0]
 
 
 def ops_equal_each(a: DiffOp, b: DiffOp, binds: list,
                    plan: SamplePlan = SamplePlan()) -> list:
-    """Per binding, whether two operators agree on the default probes at 12
-    safe points, (worst residual <= plan.tol, worst residual); or the
-    SamplingError of its point search.
+    """ops_equal_pairs for one pair: per binding, its (ok, worst) or the
+    SamplingError of its point search."""
+    return [got if isinstance(got, SamplingError) else got[0]
+            for got in ops_equal_pairs([(a, b)], binds, plan)]
+
+
+def ops_equal_pairs(pairs: list, binds: list, plan: SamplePlan = SamplePlan()) -> list:
+    """Per binding, whether the two operators of each pair (a, b) of pairs
+    agree on the default probes at 12 safe points, as a list of (worst
+    residual <= plan.tol, worst residual) per pair; or the SamplingError of
+    the one point search of them all.
 
     Differences are judged relative to the summed term magnitudes of the two
-    applications, point by point, so cancellation-heavy coefficients do not
-    masquerade as disagreement.  The probes are entire, so the one point
-    search gives each probe the points its own search would.
+    applications of their own pair, point by point, so cancellation-heavy
+    coefficients do not masquerade as disagreement.  The probes are entire,
+    so the one point search gives each probe the points its own search would.
     """
-    if a.var != b.var:
+    if len({op.var for pair in pairs for op in pair}) > 1:
         raise OperatorError("variable tags differ")
     out = []
-    for got in _sampled_actions_each([a, b], default_probes(a.var), plan, binds, count=12):
+    for got in _sampled_actions_each(pairs, default_probes(pairs[0][0].var), plan, binds,
+                                     count=12):
         if not isinstance(got, SamplingError):
-            _, _, (Ya, Yb), G = got
-            worst = float(relative_residual(Ya - Yb, G).max(initial=0.0))
-            got = worst <= plan.tol, worst
+            worst = [float(relative_residual(Ya - Yb, G).max(initial=0.0))
+                     for (Ya, Yb), G in got[2]]
+            got = [(w <= plan.tol, w) for w in worst]
         out.append(got)
     return out
 
@@ -475,28 +505,15 @@ def _rows() -> dict:
     }
 
 
-class _Identities(dict):
-    """{(i, j): ([J_i, J_j], its tabulated right-hand side)} over the rows'
-    keys, each built from the gallery J on its first lookup."""
-
-    def __init__(self, J: dict, rows: dict):
-        super().__init__()
-        self.J, self.rows = J, rows
-
-    def __missing__(self, ij):
-        rhs = DiffOp.zero("z")
-        for a, b, target in self.rows[ij]:
-            rhs = rhs + compose(DiffOp("z", {1: a, 0: b}), self.J[target])
-        self[ij] = out = commutator(self.J[ij[0]], self.J[ij[1]]), rhs
-        return out
-
-
 @lru_cache(maxsize=1)
-def commutator_table() -> _Identities:
+def commutator_table() -> dict:
     """{(i, j): ([J_i, J_j], its tabulated right-hand side)} for 1 <= i < j <= 8,
-    from one J gallery with f opaque; f is bound at evaluation.  An identity
-    is built when it is first looked up, so a check pays for its own."""
-    return _Identities({0: DiffOp.identity("z"), **J_gallery()}, _rows())
+    from one J gallery with f opaque; f is bound at evaluation."""
+    J = {0: DiffOp.identity("z"), **J_gallery()}
+    return {(i, j): (commutator(J[i], J[j]),
+                     sum((compose(DiffOp("z", {1: a, 0: b}), J[target]) for a, b, target in row),
+                         DiffOp.zero("z")))
+            for (i, j), row in _rows().items()}
 
 
 @checks
@@ -504,8 +521,9 @@ def verify_commutator_table(f, plan: SamplePlan = SamplePlan()):
     """Check all 28 commutator identities for a concrete generating function,
     each at 10 * plan.tol.
 
-    The identities are built once, each in its own record, with f opaque;
-    f is bound at evaluation.
+    The identities are built once, with f opaque, and decided in one point
+    search with f bound; each has its own record, and the records share the
+    time of the table's build and search evenly.
     Each record's id and anchor name the identity.  Raises
     DegenerateFunctionError where f'' vanishes identically, and ExprError
     where f is not concrete: bound to f, it would contain itself.
@@ -513,13 +531,10 @@ def verify_commutator_table(f, plan: SamplePlan = SamplePlan()):
     f = _fv(f)[0]
     if "f" in opaque_names(f):
         raise ExprError("the generating function must not contain f itself")
-    bind = Binding(funcs={"f": f})
-    plan = replace(plan, tol=10 * plan.tol)
     table = commutator_table()
-    for i, j in table.rows:
-        lhs, rhs = table[i, j]
-        ok, res = ops_equal_numeric(lhs, rhs, bind, plan)
-        yield f"[J{i},J{j}]", f"[J{i},J{j}]", ok, res
+    (found,) = _or_raise(ops_equal_pairs(list(table.values()), [Binding(funcs={"f": f})],
+                                         replace(plan, tol=10 * plan.tol)))
+    yield [(f"[J{i},J{j}]", f"[J{i},J{j}]", ok, res) for (i, j), (ok, res) in zip(table, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +569,9 @@ def decide_lie_closure_each(ops, targets: dict, plan: SamplePlan, binds: list) -
     """Per binding, whether lie_closure_identities' combinations are first
     order and its identities hold under it, each decided at 10 * plan.tol.
 
-    A binding leaves the order stage at its first operator above order 1; an
-    identity whose point search fails does not hold, at residual inf.
+    A binding leaves the order stage at its first operator above order 1.
+    The identities are decided in one point search per binding; where it
+    fails, none of them holds, each at residual inf.
     """
     first_order = [True] * len(binds)
     for op in ops:
@@ -564,11 +580,11 @@ def decide_lie_closure_each(ops, targets: dict, plan: SamplePlan, binds: list) -
             break
         for d, order in zip(live, op_order_each(op, plan, [binds[d] for d in live])):
             first_order[d] = order <= 1
-    plan = replace(plan, tol=10 * plan.tol)
     closed, resids = list(first_order), [{} for _ in binds]
-    for key, (lhs, rhs) in targets.items():
-        for d, got in enumerate(ops_equal_each(lhs, rhs, binds, plan)):
-            ok, resids[d][key] = ((False, float("inf")) if isinstance(got, SamplingError)
-                                  else got)
+    found = ops_equal_pairs(list(targets.values()), binds, replace(plan, tol=10 * plan.tol))
+    for d, got in enumerate(found):
+        if isinstance(got, SamplingError):
+            got = [(False, float("inf"))] * len(targets)
+        for key, (ok, resids[d][key]) in zip(targets, got):
             closed[d] = closed[d] and ok
     return [ClosureReport(*report) for report in zip(first_order, closed, resids)]

@@ -25,7 +25,7 @@ from .families import (
 )
 from .invariance import (
     Subspace, SamplePlan, Verdict, check_invariant, safe_points, ops_equal_numeric,
-    relative_residual,
+    ops_equal_pairs, relative_residual, _or_raise,
 )
 
 
@@ -425,23 +425,15 @@ def algebraic_spectrum(model: ModelSpec, side: str,
     return AlgebraicSpectrum(sector, [complex(ev) for ev in eigvals], vecs, residuals)
 
 
-def gauge_consistency_residual(model: ModelSpec,
-                               plan: SamplePlan = SamplePlan()) -> float:
-    """Conjugating the physical Hamiltonian must match the gauged-family build."""
-    plan = model.plan(plan)
-    g = fn("exp", model.gauge_minus)
-    lhs = gauge_conjugate(g, model.hamiltonian("minus"))
-    hz = build_H_minus(model.coeffs, model.f_of_z)
-    rhs = pullback(hz, Q, model.z_of_q)
-    return ops_equal_numeric(lhs, rhs, model.binding, plan)[1]
-
-
-def partner_consistency_residual(model: ModelSpec,
-                                 plan: SamplePlan = SamplePlan()) -> float:
-    """Undo the plus-side gauge on the family build; must equal -d²/2 + V+."""
-    plan = model.plan(plan)
-    hz = build_H_plus(model.coeffs, model.f_of_z)
-    hq_bar = pullback(hz, Q, model.z_of_q)
-    g = fn("exp", mul(MINUS_ONE, model.gauge_plus))
-    recovered = gauge_conjugate(g, hq_bar)
-    return ops_equal_numeric(recovered, model.hamiltonian("plus"), model.binding, plan)[1]
+def consistency_residuals(model: ModelSpec, plan: SamplePlan = SamplePlan()) -> list:
+    """The worst residuals of two operator identities, from one point search:
+    the physical Hamiltonian conjugated by its gauge against the gauged-family
+    build, and the plus-side family build with its gauge undone against
+    -d²/2 + V+.  Each is to be decided at 10 * tol."""
+    gauged = gauge_conjugate(fn("exp", model.gauge_minus), model.hamiltonian("minus"))
+    hz = pullback(build_H_minus(model.coeffs, model.f_of_z), Q, model.z_of_q)
+    hq_bar = pullback(build_H_plus(model.coeffs, model.f_of_z), Q, model.z_of_q)
+    recovered = gauge_conjugate(fn("exp", mul(MINUS_ONE, model.gauge_plus)), hq_bar)
+    (found,) = _or_raise(ops_equal_pairs([(gauged, hz), (recovered, model.hamiltonian("plus"))],
+                                         [model.binding], model.plan(plan)))
+    return [worst for _, worst in found]

@@ -9,7 +9,7 @@ deterministic for a fixed (config, seed) pair.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,13 +27,13 @@ from .families import (
     expand_in_literature_basis, assemble_from_literature_basis,
 )
 from .invariance import (
-    Subspace, SamplePlan, checks, check_invariant, check_annihilates,
+    Subspace, SamplePlan, checks, check_invariant, check_annihilates, space_verdicts,
     verify_commutator_table, lie_closure_identities,
     decide_lie_closure_each, ops_equal_each, _or_raise, _sampled_actions,
 )
 from .models import (
     build_example, verify_susy_conditions, conditions_hold, algebraic_spectrum,
-    gauge_consistency_residual, partner_consistency_residual,
+    consistency_residuals,
 )
 from .numerics import Grid, fd_spectrum, normalizability_probe
 from . import x2 as x2mod
@@ -68,25 +68,21 @@ def partner_basis(f) -> Subspace:
 
 @checks
 def suite_families(plan: SamplePlan):
-    kplan = replace(plan, tol=plan.tol / 10)
+    """Per f, J1-J8 and P3- on the seed space and K1-K8 and P3+ on the
+    partner space, each space's nine decisions in one point search."""
     for label, text in FAMILY_F_SET.items():
         f = parse(text)
-        V = seed_basis(f)
-        Vk = partner_basis(f)
-        J, K = J_gallery(f), K_gallery(f)
-        for i in range(1, 9):
-            v = check_invariant(J[i], V, plan)
-            yield (f"families:J{i}:{label}", f"J-gallery invariance, f={label}",
-                   v.passed, max(v.residuals))
-            v = check_invariant(K[i], Vk, plan)
-            yield (f"families:K{i}:{label}", f"K-gallery invariance, f={label}",
-                   v.passed, max(v.residuals))
-        v = check_annihilates(build_P3_minus(f), V, kplan)
-        yield (f"families:P3minus:{label}", f"seed-space annihilation, f={label}",
-               v.passed, max(v.residuals))
-        v = check_annihilates(build_P3_plus(f), Vk, kplan)
-        yield (f"families:P3plus:{label}", f"partner-space annihilation, f={label}",
-               v.passed, max(v.residuals))
+        (*J, pm), (*K, pp) = (
+            space_verdicts(space, [(gallery[i], True, plan.tol) for i in range(1, 9)]
+                           + [(p3, False, plan.tol / 10)], plan)
+            for gallery, space, p3 in ((J_gallery(f), seed_basis(f), build_P3_minus(f)),
+                                       (K_gallery(f), partner_basis(f), build_P3_plus(f))))
+        rows = [(f"{g}{i}", f"{g}-gallery invariance", v)
+                for i in range(1, 9) for g, v in (("J", J[i - 1]), ("K", K[i - 1]))]
+        rows += [("P3minus", "seed-space annihilation", pm),
+                 ("P3plus", "partner-space annihilation", pp)]
+        yield [(f"families:{name}:{label}", f"{what}, f={label}", v.passed, max(v.residuals))
+               for name, what, v in rows]
 
 
 COEFF_NAMES = tuple(f.name for f in fields(GeneralCoefficients))  # c0 ... a2
@@ -225,7 +221,7 @@ def _independent_of(op: DiffOp, existing: list[DiffOp], space: Subspace,
                     plan: SamplePlan) -> bool:
     """op is independent of existing on space: its images at 10 safe points
     raise the rank of the others'."""
-    _, _, Ys, _ = _sampled_actions(existing + [op], space.elements, plan, None, count=10)
+    _, _, [(Ys, _)] = _sampled_actions([existing + [op]], space.elements, plan, None, count=10)
     # one feature vector per operator: each element's image at every point
     M_all = np.array([Y.T.ravel() for Y in Ys])
     M_existing = M_all[:-1]
@@ -273,12 +269,11 @@ def suite_models(plan: SamplePlan):
                 yield (f"models:{tag}:spectrum-{side}",
                        f"algebraic eigenfunctions solve the equation, {side} side, {tag}",
                        v.passed and worst <= 100 * plan.tol, worst, sp.reason)
-            g = gauge_consistency_residual(model, plan)
-            yield (f"models:{tag}:gauge",
-                   f"gauge conjugation matches the family build, {tag}", g <= 10 * plan.tol, g)
-            p = partner_consistency_residual(model, plan)
-            yield (f"models:{tag}:partner",
-                   f"partner potential recovered from conjugation, {tag}", p <= 10 * plan.tol, p)
+            g, p = consistency_residuals(model, plan)
+            yield [(f"models:{tag}:gauge", f"gauge conjugation matches the family build, {tag}",
+                    g <= 10 * plan.tol, g),
+                   (f"models:{tag}:partner",
+                    f"partner potential recovered from conjugation, {tag}", p <= 10 * plan.tol, p)]
 
 
 @checks
@@ -291,16 +286,13 @@ def suite_x2(plan: SamplePlan):
         fr = x2mod.x2_frame(a)
         span = fr.span()
         part = fr.partner_span()
-        ok = True
-        worst = 0.0
-        J, K = x2mod.x2_J_gallery(a), x2mod.x2_K_gallery(a)
-        for i in range(1, 9):
-            v = check_invariant(J[i], span, plan)
-            ok = ok and v.passed
-            worst = max(worst, max(v.residuals))
-            v = check_invariant(K[i], part, plan)
-            ok = ok and v.passed
-            worst = max(worst, max(v.residuals))
+        # each gallery on its span in one point search; the supercharges in their own
+        vs = [v for gallery, space in ((x2mod.x2_J_gallery(a), span),
+                                       (x2mod.x2_K_gallery(a), part))
+              for v in space_verdicts(space, [(gallery[i], True, plan.tol)
+                                              for i in range(1, 9)], plan)]
+        ok = all(v.passed for v in vs)
+        worst = max(max(v.residuals) for v in vs)
         yield (f"x2:invariance:alpha={a}",
                f"frame operators preserve their spans, alpha={a}", ok, worst)
         pm, pp = x2mod.x2_supercharges(fr)

@@ -24,7 +24,7 @@ from .families import (
     build_J, build_K, build_P3_minus, build_P3_plus, combination, gallery_member, j_gallery,
     k_gallery, minus_side, ParameterError,
 )
-from .invariance import Subspace, SamplePlan, checks, ops_equal_numeric
+from .invariance import Subspace, SamplePlan, checks, ops_equal_pairs, _or_raise
 
 
 class FrameError(ExprError):
@@ -513,28 +513,34 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                          sides: tuple = ("minus", "plus")):
     """Check the catalogued operators against combinations of the frame operators.
 
-    Each identity is sampled in floating point; one that fails there gets an
-    exact rational certificate as a fallback.  Each record's id and anchor
-    name the identity; a skip records its reason.  Raises ParameterError at
-    alpha 0 or 1, where the frame degenerates and no identity is defined.
+    A side's admissible identities are sampled in floating point in one
+    point search, and their records share its time evenly; one that fails
+    there gets an exact rational certificate as a fallback.  Each record's
+    id and anchor name the identity; a skip records its reason.  Raises
+    ParameterError at alpha 0 or 1, where the frame degenerates and no
+    identity is defined.
     """
     a = _frame_alpha(alpha)
     for side in sides:
         minus = minus_side(side)
         shift = a if minus else a - 3
-        gallery = None
+        admissible = []
         for i in range(1, 5):
             rid = f"x2:{side}:{i}:alpha={a}"
-            if not combination_admissible(i, side, a):
+            if combination_admissible(i, side, a):
+                admissible.append((i, rid))
+            else:
                 yield rid, rid, None, None, "parameter excluded by a printed denominator"
-                continue
-            coeffs = cij_coefficients(shift)
-            if gallery is None:  # at the side's first admissible identity
-                gallery = x2_J_gallery(a) if minus else _kb_gallery(a)
-            target = literature_x2(i, side, a)
-            const = coeffs.C(i, 0) if minus else kside_constant(i, shift)
-            combo = combination(gallery, {0: const, **{j: coeffs.C(i, j) for j in range(1, 9)}})
-            ok, res = ops_equal_numeric(target, combo, None, plan)
+        if not admissible:
+            continue
+        coeffs = cij_coefficients(shift)
+        gallery = x2_J_gallery(a) if minus else _kb_gallery(a)
+        pairs = [(literature_x2(i, side, a), combination(gallery, {
+            0: coeffs.C(i, 0) if minus else kside_constant(i, shift),
+            **{j: coeffs.C(i, j) for j in range(1, 9)}})) for i, _ in admissible]
+        (found,) = _or_raise(ops_equal_pairs(pairs, [None], plan))
+        outcomes = []
+        for (_, rid), (target, combo), (ok, res) in zip(admissible, pairs, found):
             if not ok:
                 # floating agreement can drown in coefficient cancellation;
                 # the rational fragment admits an exact certificate instead
@@ -543,4 +549,5 @@ def verify_x2_identities(alpha, plan: SamplePlan = SamplePlan(),
                         ok, res = True, 0.0
                 except NotRationalError:
                     pass
-            yield rid, rid, ok, res
+            outcomes.append((rid, rid, ok, res))
+        yield outcomes

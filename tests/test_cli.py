@@ -193,6 +193,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == f"error: unknown operator {op!r}; expected J1..J9 or K1..K8\n"
 
+    @pytest.mark.parametrize("ops", ["", ",", " ", "J1,"])
+    def test_an_empty_operator_name_is_refused(self, capsys, monkeypatch, ops):
+        # an empty --ops names one empty operator, not every member: nothing runs
+        from qsusy import cli
+
+        monkeypatch.setattr(cli, "space_verdicts", lambda *args: pytest.fail("a check ran"))
+        assert main(["verify", "invariance", "--f", "z^3", "--ops", ops]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: unknown operator ''; expected J1..J9 or K1..K8\n"
+
     def test_verify_degenerate_f_is_config_error(self, capsys):
         # the partner space of such an f has no prefactor 1/f''; the message
         # names the cause, not the power of zero it would meet
@@ -240,6 +250,9 @@ class TestMain:
         # grids so narrow that 1/h^2 is not a finite float
         ["spectrum", "--potential", "q^2/2", "--lo=0", "--hi=1e-300"],
         ["spectrum", "--potential", "q^2/2", "--lo=0", "--hi=1e-155"],
+        # an empty --ops is an empty operator name, which selects nothing
+        ["verify", "invariance", "--f", "z^3", "--ops", ""],
+        ["verify", "commutators", "--f", "z^3", "--ops", ""],
     ])
     def test_bad_arguments_exit_2_without_traceback(self, capsys, tmp_path, argv):
         if "--config" in argv:  # the argument after it is the file's content

@@ -18,8 +18,8 @@ from qsusy.invariance import (
     IllConditionedBasisError, SamplePlan, SamplingError, Subspace, checks,
     check_annihilates, check_invariant, default_probes,
     decide_lie_closure_each, lie_closure_identities, op_order_each,
-    ops_equal_each, ops_equal_numeric, safe_points, safe_points_each,
-    verify_commutator_table,
+    ops_equal_each, ops_equal_numeric, ops_equal_pairs, safe_points, safe_points_each,
+    space_verdicts, verify_commutator_table,
 )
 from scalar_oracle import evaluate as scalar_evaluate
 
@@ -352,16 +352,19 @@ def _ops_equal_per_probe(a, b, bind=None, plan=SamplePlan()):
 
 
 def _against_oracle(monkeypatch, module) -> list:
-    """Make module's ops_equal_numeric assert that it matches the per-probe loop."""
+    """Make module's ops_equal_pairs assert that every pair's (ok, worst)
+    under every binding matches the per-probe loop; the number of pairs of
+    each call is recorded."""
     seen = []
 
-    def both(a, b, bind=None, plan=SamplePlan()):
-        got = ops_equal_numeric(a, b, bind, plan)
-        assert got == _ops_equal_per_probe(a, b, bind, plan)
-        seen.append(got)
+    def both(pairs, binds, plan=SamplePlan()):
+        got = ops_equal_pairs(pairs, binds, plan)
+        assert got == [[_ops_equal_per_probe(a, b, bind, plan) for a, b in pairs]
+                       for bind in binds]
+        seen.append(len(pairs))
         return got
 
-    monkeypatch.setattr(module, "ops_equal_numeric", both)
+    monkeypatch.setattr(module, "ops_equal_pairs", both)
     return seen
 
 
@@ -397,14 +400,16 @@ class TestOneSearchPerPair:
         assert seen == [50, 10] and all(c["verdict"] == "pass" for c in checks)
 
     def test_commutator_identities(self, monkeypatch):
+        # the table's 28 identities in one grouped call
         seen = _against_oracle(monkeypatch, invariance)
         assert all(r["verdict"] == "pass" for r in verify_commutator_table(parse("exp(z)")))
-        assert len(seen) == 28
+        assert seen == [28]
 
     def test_x2_identities(self, monkeypatch):
+        # each side's four identities in one grouped call
         seen = _against_oracle(monkeypatch, x2)
         recs = x2.verify_x2_identities(Fraction(7, 2), SamplePlan())
-        assert len(seen) == 8 and all(r["verdict"] == "pass" for r in recs)
+        assert seen == [4, 4] and all(r["verdict"] == "pass" for r in recs)
 
 
 def _invariant_per_element(op, V, plan=SamplePlan(), annihilate=False):
@@ -460,6 +465,16 @@ def test_one_action_matches_per_element_loop(label):
     # K0 is a first-order building block of the K gallery: it does not
     # preserve the partner space
     assert not verdicts[9]
+    # grouped: each space's gallery members and supercharge in one search
+    for members, p3, space in (([build_J(i, f) for i in range(1, 10)], build_P3_minus(f), V),
+                               ([build_K(i, f) for i in range(0, 9)], build_P3_plus(f), Vk)):
+        asks = [(op, True, plan.tol) for op in members] + [(p3, False, kplan.tol)]
+        grouped = space_verdicts(space, asks, plan)
+        assert len(grouped) == len(asks)
+        for (op, fit, _), v in zip(asks, grouped):
+            ok, residuals, M = _invariant_per_element(op, space, plan if fit else kplan, not fit)
+            assert (v.passed, v.residuals) == (ok, residuals)
+            assert (v.matrix is None and M is None) or np.array_equal(v.matrix, M)
 
 
 def test_commutator_identities_are_built_once(monkeypatch):

@@ -273,6 +273,32 @@ def test_each_model_side_fits_its_sector_once(monkeypatch):
     assert all(c["verdict"] == "pass" for c in checks)
 
 
+def test_each_group_of_decisions_makes_one_search(monkeypatch):
+    # a seed-7 run's point searches per suite: each space's gallery (with P3
+    # in families), each commutator table, each x2 side's identities, the
+    # closure identities and each model draw's gauge and partner identities
+    # make one; splitting a group again raises a count
+    searches, running = {}, []
+    real = invariance.safe_points_each
+
+    def counted(*args, **kwargs):
+        searches[running[-1]] = searches.get(running[-1], 0) + 1
+        return real(*args, **kwargs)
+
+    def tagged(name, suite):
+        def run(plan):
+            running.append(name)
+            return suite(plan)
+        return run
+
+    monkeypatch.setattr(invariance, "safe_points_each", counted)
+    for name, suite in list(suites.SUITES.items()):
+        monkeypatch.setitem(suites.SUITES, name, tagged(name, suite))
+    run_suite(SuiteConfig(seed=7))
+    assert searches == {"families": 18, "construction": 2, "commutators": 3, "lie-closure": 6,
+                        "monomial": 15, "models": 42, "x2": 28, "spectrum": 2}
+
+
 # verdict gate: the report's verdicts are the benchmark's reference ----------
 
 @pytest.mark.parametrize("seed", [7, 12])
